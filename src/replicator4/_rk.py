@@ -142,16 +142,15 @@ class DormandPrince54:
 
 
 def hermite(t, t0, t1, u0, u1, f0, f1):
-    """Cubic Hermite interpolant on one accepted step.
+    """Cubic Hermite interpolant on accepted steps.
 
-    ``t`` may be a scalar or an array; states broadcast along the
-    leading axis.  Interpolation error is O(h^4), far below the closure
-    tolerances used at the working rtol, so refining section crossings
-    on the interpolant is safe.
+    ``t``, ``t0`` and ``t1`` broadcast together, so each point may sit on
+    its own interval; states carry one more trailing axis.  Interpolation
+    error is O(h^4), far below the closure tolerances used at the working
+    rtol, so refining section crossings on the interpolant is safe.
     """
-    h = t1 - t0
-    s = (np.asarray(t, dtype=float) - t0) / h
-    s = s[..., None] if np.ndim(s) else s
+    h = np.asarray(t1 - t0, dtype=float)[..., None]
+    s = (np.asarray(t, dtype=float) - t0)[..., None] / h
     h00 = (1 + 2 * s) * (1 - s) ** 2
     h10 = s * (1 - s) ** 2
     h01 = s * s * (3 - 2 * s)

@@ -36,13 +36,14 @@ from . import __version__
 from .boundary import boundary_prediction, verify_boundary
 from .dynamics import default_drift_budget, integrate
 from .ensembles import barycenter_starts, interior_starts
-from .errors import Replicator4Error, UnclassifiableSignPattern
+from .errors import (PreconditionFailed, Replicator4Error,
+                     UnclassifiableSignPattern)
 from .kernelgeom import (distance_to_K, kernel_line_section,
                          section_by_clipping, section_residual)
 from .orbit import detect_period, select_reference_points, stability_probe
 from .payoff import PayoffMatrix, format_matrix, parse_matrix
 from .portrait import render_portrait
-from .signgraph import build_digraph, classify
+from .signgraph import build_digraph, classify, is_permanent
 
 _SEED_ENV = "REPLICATOR4_SEED"
 
@@ -102,7 +103,14 @@ def _default_start(M: PayoffMatrix, seed: int) -> np.ndarray:
 
 
 def _parse_x0(text: str) -> np.ndarray:
-    vals = [float(v) for v in text.replace(",", " ").split()]
+    try:
+        vals = [float(v) for v in text.replace(",", " ").split()]
+    except ValueError:
+        raise PreconditionFailed(
+            f"--x0 {text!r} is not a list of numbers") from None
+    if len(vals) != 4:
+        raise PreconditionFailed(
+            f"--x0 needs 4 coordinates, got {len(vals)}")
     return np.asarray(vals)
 
 
@@ -117,7 +125,7 @@ def _cmd_classify(args) -> int:
         out = G.to_dict(None)
         reason = exc.reason
     pf = M.pfaffian()
-    out["permanent"] = M.is_singular() and G.has_cycle
+    out["permanent"] = is_permanent(M)
     out["pfaffian"] = str(pf) if M.exact else float(pf)
     if not out["permanent"]:
         reason = "det_nonzero" if not M.is_singular() else "acyclic"

@@ -71,21 +71,24 @@ def vector_field(M, x) -> np.ndarray:
     return p * (A @ p)
 
 
-def phi(x, z) -> float:
+def phi(x, z):
     """Relative entropy -sum z_i log(x_i / z_i).
 
     Defined for interior x; coordinates where z_i = 0 contribute
     nothing.  Strictly convex in x with minimum 0 at x = z, and tends to
     infinity as x approaches a part of the boundary that z does not
-    share, which is what makes joint level sets compact.
+    share, which is what makes joint level sets compact.  ``x`` may hold
+    points along leading axes, shape (..., n); one point gives a float.
     """
     xv = np.asarray(x, dtype=float)
     zv = np.asarray(z, dtype=float)
     mask = zv > 0
-    if np.any(xv[mask] <= 0):
+    xm = xv[..., mask]
+    if np.any(xm <= 0):
         raise PreconditionFailed(
             "phi needs positive shares wherever z is supported")
-    return float(-(zv[mask] * np.log(xv[mask] / zv[mask])).sum())
+    vals = -(zv[mask] * np.log(xm / zv[mask])).sum(axis=-1)
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def phi_gradient(x, z) -> np.ndarray:
@@ -123,33 +126,36 @@ class Trajectory:
     def xs(self) -> np.ndarray:
         return softmax(self.us)
 
+    def dense(self, t):
+        """Dense log-state at time(s) t inside the integrated range.
+
+        ``t`` is a scalar or an array; the result has shape
+        ``np.shape(t) + (n,)``.  Each point is interpolated on its own
+        bracketing step.
+        """
+        ts = self.ts
+        t = np.asarray(t, dtype=float)
+        k = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
+        return _rk.hermite(t, ts[k], ts[k + 1], self.us[k], self.us[k + 1],
+                           self.fs[k], self.fs[k + 1])
+
     def u_at(self, t):
         """Dense log-state at scalar time t inside the integrated range."""
-        ts = self.ts
-        k = int(np.searchsorted(ts, t, side="right")) - 1
-        k = min(max(k, 0), len(ts) - 2)
-        return _rk.hermite(float(t), ts[k], ts[k + 1], self.us[k],
-                           self.us[k + 1], self.fs[k], self.fs[k + 1])
+        return self.dense(float(t))
 
     def x_at(self, t) -> np.ndarray:
         return softmax(self.u_at(t))
 
     def sample(self, dt: float):
         """Uniform grid (ts, xs) with spacing dt, endpoint included."""
+        if not dt > 0:
+            raise PreconditionFailed(f"sampling step dt = {dt} must be "
+                                     "positive")
         n = int(round(self.t_end / dt))
         grid = np.arange(n + 1) * dt
         if grid[-1] > self.t_end:
             grid[-1] = self.t_end
-        xs = np.empty((len(grid), self.us.shape[1]))
-        k = 0
-        ts = self.ts
-        for idx, t in enumerate(grid):
-            while k < len(ts) - 2 and ts[k + 1] < t:
-                k += 1
-            u = _rk.hermite(float(t), ts[k], ts[k + 1], self.us[k],
-                            self.us[k + 1], self.fs[k], self.fs[k + 1])
-            xs[idx] = softmax(u)
-        return grid, xs
+        return grid, softmax(self.dense(grid))
 
 
 def default_drift_budget(rtol: float, t_end: float, A: np.ndarray) -> float:
@@ -238,8 +244,5 @@ def integrate(M, x0, t_end: float, rtol: float = 1e-10,
 
 def phi_drift(traj: Trajectory, z) -> float:
     """Max deviation of phi_z from its initial value over accepted nodes."""
-    zv = check_simplex_point(z)
-    xs = traj.xs
-    mask = zv > 0
-    vals = -(zv[mask] * np.log(xs[:, mask] / zv[mask])).sum(axis=1)
+    vals = phi(traj.xs, check_simplex_point(z))
     return float(np.abs(vals - vals[0]).max())

@@ -7,17 +7,19 @@ Certification is numerical and split in three:
 1. pick two reference equilibria z', z'' on the segment K whose
    entropies cut the trajectory transversally (the level-set Jacobian
    keeps a safe smallest singular value along the orbit),
-2. detect the first return to a Poincare section through the start
-   point and refine it on dense output until the state closes to
-   within ``closure_tol``,
+2. integrate once at the working tolerance and find the first return to
+   a Poincare section through the start point: each upward crossing of
+   the section is located by bisection on dense output, and the first
+   one whose state lies within ``closure_tol`` of the start is the
+   period,
 3. probe Lyapunov stability: perturbed starts must stay inside a thin
    tube around the certified orbit for three periods while the
    quadratic level-set function V barely moves.
 
 The section's normal is the initial velocity, so the section is
-transversal at the start by construction; returns are detected as
-upward sign changes of the section coordinate after the orbit has gone
-properly to the far side.
+transversal at the start by construction.  The orbit leaves the start
+upward through the section, so crossings inside the first accepted step
+are departure, not return, and are skipped.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .dynamics import Trajectory, integrate, phi, phi_gradient, softmax, \
 from .errors import (EquilibriumStart, NoClosureFound, PreconditionFailed,
                      ProbeEscaped, SelectionExhausted)
 from .kernelgeom import NullLineSection, distance_to_K
-from . import _rk
 
 #: fixed orthonormal basis of the sum-zero hyperplane in R^4 (columns)
 TANGENT_BASIS = np.array([
@@ -111,11 +112,6 @@ class OrbitReport:
             "stability": self.stability.to_json() if self.stability
             else None,
         }
-
-
-def _phi_values(xs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    mask = z > 0
-    return -(z[mask] * np.log(xs[:, mask] / z[mask])).sum(axis=1)
 
 
 def select_reference_points(M, section: NullLineSection, x0,
@@ -223,44 +219,22 @@ def select_reference_points(M, section: NullLineSection, x0,
         f"{margin_tol:.1e} (forbidden roots at {bad})")
 
 
-def _first_return(ts, ss):
-    """Index k of the first upward crossing after the section coordinate
-    has visited its minimum, or None."""
-    if len(ss) < 3:
-        return None
-    kmin = int(np.argmin(ss))
-    if ss[kmin] >= 0:
-        return None
-    for k in range(kmin, len(ss) - 1):
-        if ss[k] < 0 <= ss[k + 1]:
-            return k
-    return None
-
-
-def _scout_period(M, x0, horizon: float, rtol: float = 1e-6) -> float | None:
-    """Cheap estimate of the first-return time, or None inside horizon."""
-    chunk = 25.0
-    t_off = 0.0
-    state = np.asarray(x0, dtype=float)
-    A = M.array if hasattr(M, "array") else np.asarray(M, float)
-    n = state * (A @ state)
-    ts_all = []
-    ss_all = []
-    while t_off < horizon:
-        span = min(chunk, horizon - t_off)
-        traj = integrate(M, state, span, rtol=rtol, atol=1e-9)
-        xs = traj.xs
-        start = 1 if t_off > 0 else 0
-        ts_all.extend((t_off + traj.ts[start:]).tolist())
-        ss_all.extend(((xs[start:] - x0) @ n).tolist())
-        k = _first_return(np.array(ts_all), np.array(ss_all))
-        if k is not None:
-            t0, t1 = ts_all[k], ts_all[k + 1]
-            s0, s1 = ss_all[k], ss_all[k + 1]
-            return t0 + (t1 - t0) * (-s0) / (s1 - s0)
-        state = xs[-1] / xs[-1].sum()
-        t_off += span
-    return None
+def _section_returns(traj: Trajectory, p: np.ndarray, f0: np.ndarray):
+    """Times and residuals |x(t) - p| of the upward crossings of the
+    section (x - p) . f0 = 0 after the first accepted step, each located
+    by bisection on dense output."""
+    ss = (traj.xs - p) @ f0
+    k = np.flatnonzero((ss[1:-1] < 0) & (ss[2:] >= 0)) + 1
+    lo, hi = traj.ts[k], traj.ts[k + 1]
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        below = (softmax(traj.dense(mid)) - p) @ f0 < 0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+        if np.all(hi - lo <= 1e-16 * np.maximum(1.0, hi)):
+            break
+    t = 0.5 * (lo + hi)
+    return t, np.linalg.norm(softmax(traj.dense(t)) - p, axis=-1)
 
 
 def detect_period(M, x0, section: NullLineSection | None = None,
@@ -270,12 +244,14 @@ def detect_period(M, x0, section: NullLineSection | None = None,
                   ) -> OrbitReport:
     """Certify the trajectory through x0 as a closed orbit.
 
-    A scout pass at loose tolerance brackets the first return, then a
-    single integration at the requested tolerance carries the orbit just
-    past it; the crossing is refined by bisection on cubic Hermite dense
-    output.  The report carries the period, the closure residual
+    One integration at the requested tolerance, with the reference
+    entropies monitored, runs for 25 time units (or ``horizon`` if
+    shorter).  The period is the first upward section crossing whose
+    bisected dense state closes to within ``closure_tol`` of x0; while
+    none does, the run is repeated over twice the span, up to
+    ``horizon``.  The report carries the period, the closure residual
     |x(T) - x0|, the trapezoid time average with its distance to K, and
-    the monitored entropy drifts.
+    the entropy drifts monitored over the whole run.
 
     Raises
     ------
@@ -290,63 +266,41 @@ def detect_period(M, x0, section: NullLineSection | None = None,
     if float(np.abs(f0).max()) <= 1e-12:
         raise EquilibriumStart(f"field at {p.tolist()} is numerically zero")
 
-    t_approx = _scout_period(M, p, horizon)
-    if t_approx is None:
-        raise NoClosureFound(
-            f"no section return inside horizon {horizon}")
-    t_run = min(horizon, max(1.05 * t_approx, t_approx + 0.5))
-
     monitors = []
     if refs is not None:
         monitors = [("z1", refs.z1), ("z2", refs.z2)]
-    traj = integrate(M, p, t_run, rtol=rtol, atol=atol, monitors=monitors)
-
-    xs = traj.xs
-    ss = (xs - p) @ f0
-    k = _first_return(traj.ts, ss)
-    if k is None:
-        raise NoClosureFound(
-            f"scout predicted a return near t = {t_approx:.6g} but the "
-            "refined run shows none", candidate_period=t_approx)
-
-    lo, hi = float(traj.ts[k]), float(traj.ts[k + 1])
-    tk, tk1 = traj.ts[k], traj.ts[k + 1]
-    uk, uk1, fk, fk1 = traj.us[k], traj.us[k + 1], traj.fs[k], traj.fs[k + 1]
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        um = _rk.hermite(mid, tk, tk1, uk, uk1, fk, fk1)
-        if float((softmax(um) - p) @ f0) < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(1.0, hi):
+    span = min(25.0, horizon)
+    while True:
+        traj = integrate(M, p, span, rtol=rtol, atol=atol,
+                         monitors=monitors)
+        returns, residuals = _section_returns(traj, p, f0)
+        closed = np.flatnonzero(residuals <= closure_tol)
+        if closed.size or span >= horizon:
             break
-    period = 0.5 * (lo + hi)
-    x_close = softmax(_rk.hermite(period, tk, tk1, uk, uk1, fk, fk1))
-    residual = float(np.linalg.norm(x_close - p))
-    if residual > closure_tol:
+        span = min(2.0 * span, horizon)
+    if not closed.size:
+        if not returns.size:
+            raise NoClosureFound(
+                f"no section return inside horizon {horizon}")
+        best = int(np.argmin(residuals))
+        period, residual = float(returns[best]), float(residuals[best])
         raise NoClosureFound(
-            f"first return at t = {period:.6g} misses x0 by {residual:.3e} "
+            f"no section return inside horizon {horizon} closes; the best, "
+            f"at t = {period:.6g}, misses x0 by {residual:.3e} "
             f"(tolerance {closure_tol:.1e})",
             candidate_period=period, candidate_residual=residual)
+    period = float(returns[closed[0]])
+    residual = float(residuals[closed[0]])
 
     grid = np.linspace(0.0, period, n_samples + 1)
-    samples = np.empty((len(grid), p.size))
-    kk = 0
-    for idx, t in enumerate(grid):
-        while kk < len(traj.ts) - 2 and traj.ts[kk + 1] < t:
-            kk += 1
-        u = _rk.hermite(float(t), traj.ts[kk], traj.ts[kk + 1],
-                        traj.us[kk], traj.us[kk + 1],
-                        traj.fs[kk], traj.fs[kk + 1])
-        samples[idx] = softmax(u)
+    samples = softmax(traj.dense(grid))
     w = np.ones(len(grid))
     w[0] = w[-1] = 0.5
     x_avg = (w[:, None] * samples).sum(axis=0) / w.sum()
     dist = distance_to_K(x_avg, section) if section is not None else None
 
     return OrbitReport(
-        x0=p, period=float(period), closure_residual=residual,
+        x0=p, period=period, closure_residual=residual,
         time_average=x_avg, avg_distance_to_K=dist,
         phi_drift=dict(traj.drift), refs=refs, rtol=rtol,
         sample_ts=grid, orbit_samples=samples)
@@ -355,13 +309,9 @@ def detect_period(M, x0, section: NullLineSection | None = None,
 def _min_distance_to_samples(points: np.ndarray,
                              ref: np.ndarray) -> np.ndarray:
     """For each row of ``points``, min euclidean distance to ``ref`` rows."""
-    out = np.empty(len(points))
-    block = 256
-    for s in range(0, len(points), block):
-        chunk = points[s:s + block]
-        d2 = ((chunk[:, None, :] - ref[None, :, :]) ** 2).sum(axis=2)
-        out[s:s + block] = np.sqrt(d2.min(axis=1))
-    return out
+    d2 = ((points ** 2).sum(axis=1)[:, None] - 2.0 * points @ ref.T
+          + (ref ** 2).sum(axis=1)[None, :])
+    return np.sqrt(np.maximum(d2.min(axis=1), 0.0))
 
 
 def stability_probe(M, report: OrbitReport, refs: ReferencePair,
@@ -413,8 +363,7 @@ def stability_probe(M, report: OrbitReport, refs: ReferencePair,
                 "is too large for this orbit")
         traj = integrate(M, start, 3.0 * T, rtol=rtol, atol=atol)
         _, xs = traj.sample(3.0 * T / (3 * samples_per_period))
-        v = ((_phi_values(xs, refs.z1) - c1) ** 2
-             + (_phi_values(xs, refs.z2) - c2) ** 2)
+        v = (phi(xs, refs.z1) - c1) ** 2 + (phi(xs, refs.z2) - c2) ** 2
         v_drift = float(np.abs(v - v[0]).max())
         tube = float(_min_distance_to_samples(xs, report.orbit_samples).max())
         records.append({"probe": k, "v0": float(v[0]),

@@ -10,10 +10,11 @@ import json
 import sys
 import xml.etree.ElementTree as ET
 
+import jsonschema
 import pytest
 
 from replicator4 import __version__
-from replicator4.cli import main
+from replicator4.cli import _schema, main
 
 M_I_TEXT = "0 1 1 -2 / -1 0 1 -1 / -1 -1 0 1 / 2 1 -1 0"
 M_IV_TEXT = "0 0 0 0 / 0 0 -1 1 / 0 1 0 -1 / 0 -1 1 0"
@@ -255,6 +256,21 @@ def test_malformed_matrix_exits_one(tmp_path, capsys):
         ["classify", "--matrix", matrix_file(tmp_path, "1 2 3")], capsys)
     assert code == 1
     assert json.loads(err)["error"]["type"] == "MatrixFormatError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--x0", "a,b"],
+    ["simulate", "--x0", "0.4,0.3,0.2,0.1", "--dt", "0"],
+    ["orbit", "--x0", "0.5,0.5", "--skip-stability"],
+])
+def test_bad_option_values_exit_one_with_error_json(argv, tmp_path, capsys):
+    code, out, err = run(
+        argv + ["--matrix", matrix_file(tmp_path, M_IV_TEXT)], capsys)
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)
+    jsonschema.validate(payload, _schema("error"))
+    assert payload["error"]["type"] == "PreconditionFailed"
 
 
 def test_argument_errors_exit_two(capsys):

@@ -47,6 +47,8 @@ def test_phi_minimum_and_frozen_value():
     expected = -(0.25 * np.log(2.0) + 0.75 * np.log(2.0 / 3.0))
     assert phi(x, z) == pytest.approx(expected, abs=1e-15)
     assert f"{phi(x, z):.6f}" == "0.130812"
+    xs = np.array([z, x, [0.1, 0.2, 0.3, 0.4]])
+    assert np.array_equal(phi(xs, z), [phi(row, z) for row in xs])
 
 
 def test_phi_monotone_blowup_toward_boundary():
@@ -159,6 +161,10 @@ def test_dense_output_consistency(MI):
     ts, xs = traj.sample(0.25)
     assert ts[0] == 0.0 and ts[-1] == pytest.approx(10.0)
     assert np.abs(xs[0] - X0).max() <= 1e-12
+    # vectorised dense output agrees with point-by-point evaluation
+    grid = np.concatenate((ts, traj.ts[::7]))
+    assert np.array_equal(traj.dense(grid),
+                          [traj.u_at(t) for t in grid])
 
 
 def test_integrate_rejects_boundary_start(MI):

@@ -13,7 +13,6 @@ from replicator4 import (EquilibriumStart, NoClosureFound, PayoffMatrix,
                          PreconditionFailed, ProbeEscaped, canonical_matrix,
                          detect_period, distance_to_K, kernel_line_section,
                          select_reference_points, stability_probe)
-from replicator4.orbit import _first_return
 
 X_IV = np.array([0.4, 0.3, 0.2, 0.1])
 X_I = np.array([0.1, 0.2, 0.3, 0.4])
@@ -69,6 +68,18 @@ def test_period_MI_regression(MI):
     assert report.avg_distance_to_K <= 1e-4
 
 
+def test_period_is_one_lap_not_several():
+    # the orbit through this start closes after one lap; the reported
+    # period must be that lap, not a multiple of it
+    M = PayoffMatrix.from_rows([[0, -1, 0, 1], [1, 0, 1, -1],
+                                [0, -1, 0, 1], [-1, 1, -1, 0]], exact=True)
+    x0 = [0.14542760064790927, 0.33592289133440484, 0.14542760064790927,
+          0.3732219073697766]
+    report = detect_period(M, x0)
+    assert report.period == pytest.approx(10.9204, abs=1e-3)
+    assert report.closure_residual <= 1e-6
+
+
 def test_equilibrium_start_raises(MIV):
     with pytest.raises(EquilibriumStart):
         detect_period(MIV, [0.5, 1 / 6, 1 / 6, 1 / 6])
@@ -120,14 +131,3 @@ def test_stability_probe_large_delta(certified_MIV):
     M, _, refs, report = certified_MIV
     with pytest.raises((PreconditionFailed, ProbeEscaped)):
         stability_probe(M, report, refs, delta=0.3, n_probes=16)
-
-
-def test_first_return_skips_departure_noise():
-    # s starts at ~0, dips negative, and must only count the crossing
-    # after the minimum
-    ts = np.linspace(0.0, 10.0, 101)
-    ss = np.sin(2 * np.pi * ts / 10.0 + 1e-9) * -1.0
-    k = _first_return(ts, ss)
-    assert k is not None
-    # minimum of -sin is at t = 2.5; upward crossing at t = 5
-    assert 4.5 <= ts[k] <= 5.5
