@@ -1,16 +1,25 @@
 """Embedded Dormand-Prince 5(4) stepping machinery.
 
 Generic over the state dimension; knows nothing about the simplex.  The
-driver in :mod:`replicator4.dynamics` supplies the vector field in log
-coordinates and a projection hook that renormalizes the gauge after
-every accepted step, which is why this is hand-rolled rather than a
-wrapper: off-the-shelf steppers expose no per-accepted-step projection,
-and the drift accounting downstream depends on it.
+drivers supply the vector field in log coordinates and renormalize the
+gauge after every accepted step, which is why this is hand-rolled rather
+than a wrapper: off-the-shelf steppers expose no per-accepted-step
+projection, and the drift accounting downstream depends on it.
+
+The tableau, the trial step (:func:`attempt`) and the step-size
+controller (:func:`control`) exist once.  They work on states of shape
+(..., n) with a float step or one step per leading index, so a batch of
+independent runs can advance in lockstep, each row with its own step
+and accept decision (:mod:`replicator4._fastprobe`).
+:class:`DormandPrince54` drives one run with a float step for
+:func:`replicator4.dynamics.integrate` and its dense output.
 
 Characteristics
 ---------------
 * order 5 propagation, order 4 embedded error estimate
-* PI step-size controller (safety 0.9, exponents 0.17 / 0.04)
+* PI step-size controller (safety 0.9, exponents 0.17 / 0.04, factor
+  clipped to [0.2, 5]); a NaN error estimate rejects the step and
+  shrinks it by the factor 0.2
 * cubic Hermite dense output on accepted intervals
 * the projection hook invalidates the FSAL stage, so the derivative at
   an accepted point is recomputed there (7 evaluations per step)
@@ -28,8 +37,8 @@ import numpy as np
 
 from .errors import StepSizeUnderflow
 
-# Butcher tableau (stage coefficients row by row, then the two weight rows)
-C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Butcher tableau (stage coefficients row by row, then the two weight
+# rows); the field is autonomous, so the nodes are not needed
 A = (
     (),
     (1 / 5,),
@@ -44,16 +53,77 @@ B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
 B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                -92097 / 339200, 187 / 2100, 1 / 40])
 ERR = B5 - B4
+# weight rows as (1, 7) matrices: each weighted stage sum is one matrix
+# product with the stages flattened to (7, size)
+_B5_ROW = B5.reshape(1, 7)
+_ERR_ROW = ERR.reshape(1, 7)
 
 _SAFETY = 0.9
 _ALPHA = 0.17
 _BETA = 0.04
 _FAC_MIN = 0.2
 _FAC_MAX = 5.0
+MIN_STEP = 1e-13
+
+
+def initial_step(f, max_step=np.inf):
+    """Crude scale-based first step from the derivative(s) f, (..., n)."""
+    scale = np.maximum(1e-6, np.abs(f).max(axis=-1))
+    return np.minimum(np.minimum(0.1, 0.01 / scale), max_step)
+
+
+def attempt(fun, u, f, h, rtol, atol, K):
+    """One trial step of size h from state u with derivative f = fun(u).
+
+    ``u`` and ``f`` have shape (..., n) and ``h`` is a float or holds
+    one step per leading index; ``K`` is scratch of shape (7,) + u.shape
+    and ends up holding the stages.  Returns the order-5 state and the
+    error estimate's RMS over the last axis, weighted by
+    ``atol + rtol * max(1, |u_new|)``; the step is acceptable where that
+    is at most one.
+    """
+    hb = h if isinstance(h, float) else h[..., None]
+    K[0] = f
+    for s in range(1, 7):
+        acc = u + (hb * A[s][0]) * K[0]
+        for j in range(1, s):
+            if A[s][j] != 0.0:
+                acc = acc + (hb * A[s][j]) * K[j]
+        K[s] = fun(acc)
+    Kf = K.reshape(7, -1)
+    u_new = u + hb * np.dot(_B5_ROW, Kf).reshape(u.shape)
+    err_vec = hb * np.dot(_ERR_ROW, Kf).reshape(u.shape)
+    w = atol + rtol * np.maximum(1.0, np.abs(u_new))
+    return u_new, np.sqrt(((err_vec / w) ** 2).sum(axis=-1) / u.shape[-1])
+
+
+def control(h, err, err_prev):
+    """Accept decision and next step size after trial steps of size h.
+
+    Elementwise over ``h``, ``err`` and ``err_prev`` (floats or arrays
+    of one shape).  A step is accepted when ``err <= 1``.  The next step
+    is h times ``0.9 err^-0.17 err_prev^0.04`` after an accepted step
+    and ``0.9 err^-0.17`` after a rejected one, clipped to [0.2, 5] (a
+    rejected step has err > 1, so its factor stays below 0.9).  A NaN
+    error estimate rejects the step and shrinks it by the factor 0.2.
+
+    Returns ``(accept, h_next, err_prev_next)``, where the error carried
+    to the next PI factor is the accepted one, floored at 1e-10.
+    """
+    accept = err <= 1.0
+    # The 1e-300 keeps err = 0 finite (any err below 1e-284 gets the
+    # largest factor either way); err_prev ** 0 = 1 drops the PI term
+    # after a rejection.  The powers are plain operators so that float
+    # inputs get the C library's pow: numpy's array pow can differ from
+    # it in the last bit, which would move every single-run result.
+    fac = _SAFETY * (err + 1e-300) ** -_ALPHA * err_prev ** (_BETA * accept)
+    # NaN guard: fmax ignores NaN, so a NaN estimate gets _FAC_MIN
+    fac = np.minimum(np.fmax(fac, _FAC_MIN), _FAC_MAX)
+    return accept, h * fac, np.where(accept, np.fmax(err, 1e-10), err_prev)
 
 
 class DormandPrince54:
-    """Adaptive stepper for u' = fun(u) (autonomous).
+    """Adaptive stepper for u' = fun(u) (autonomous), one run.
 
     Parameters
     ----------
@@ -62,20 +132,19 @@ class DormandPrince54:
     t0, u0 : float, array
         Initial time and state.
     rtol, atol : float
-        Error weights are ``atol + rtol * max(1, |u_i|)`` and the
-        estimate is accepted when its weighted RMS is at most one.
+        Error weights, see :func:`attempt`.
     project : callable, optional
         Applied to the accepted state before it is stored.  Must not
         change ``fun``'s value there (a gauge choice); the derivative is
         recomputed after projection regardless.
     h0 : float, optional
-        Initial step; a crude scale-based guess when omitted.
+        Initial step; :func:`initial_step` when omitted.
     min_step : float
         Floor below which StepSizeUnderflow is raised.
     """
 
     def __init__(self, fun, t0, u0, rtol, atol, project=None, h0=None,
-                 max_step=np.inf, min_step=1e-13):
+                 max_step=np.inf, min_step=MIN_STEP):
         self.fun = fun
         self.t = float(t0)
         self.u = np.asarray(u0, dtype=float).copy()
@@ -86,8 +155,7 @@ class DormandPrince54:
         self.max_step = float(max_step)
         self.min_step = float(min_step)
         if h0 is None:
-            scale = max(1e-6, float(np.abs(self.f).max()))
-            h0 = min(0.1, 0.01 / scale, self.max_step)
+            h0 = initial_step(self.f, self.max_step)
         self.h = float(h0)
         self.naccept = 0
         self.nreject = 0
@@ -102,29 +170,22 @@ class DormandPrince54:
         """
         if self.t >= t_bound:
             raise ValueError("step called at or beyond t_bound")
-        K = self._K
         while True:
             h = min(self.h, self.max_step, t_bound - self.t)
             if h < self.min_step:
                 raise StepSizeUnderflow(
                     f"step size {h:.3e} fell below {self.min_step:.1e} "
-                    f"at t = {self.t:.6g}")
-            K[0] = self.f
-            for s in range(1, 7):
-                acc = self.u + (h * A[s][0]) * K[0]
-                for j in range(1, s):
-                    if A[s][j] != 0.0:
-                        acc = acc + (h * A[s][j]) * K[j]
-                K[s] = self.fun(acc)
-            u_new = self.u + h * np.tensordot(B5, K, axes=1)
-            err_vec = h * np.tensordot(ERR, K, axes=1)
-            w = self.atol + self.rtol * np.maximum(1.0, np.abs(u_new))
-            err = float(np.sqrt(np.mean((err_vec / w) ** 2)))
-            if err <= 1.0:
+                    f"at t = {self.t:.6g}", t=self.t, h=h,
+                    state=self.u.copy())
+            u_new, err = attempt(self.fun, self.u, self.f, h, self.rtol,
+                                 self.atol, self._K)
+            accept, h_next, err_prev = control(h, float(err),
+                                               self._err_prev)
+            self.h = float(h_next)
+            if accept:
                 break
             self.nreject += 1
-            fac = max(_FAC_MIN, _SAFETY * err ** -_ALPHA)
-            self.h = h * min(1.0, fac)
+        self._err_prev = float(err_prev)
         t_old, u_old, f_old = self.t, self.u, self.f
         self.t = self.t + h
         if self.project is not None:
@@ -132,12 +193,6 @@ class DormandPrince54:
         self.u = u_new
         self.f = self.fun(u_new)
         self.naccept += 1
-        if err > 0.0:
-            fac = _SAFETY * err ** -_ALPHA * self._err_prev ** _BETA
-        else:
-            fac = _FAC_MAX
-        self.h = h * min(_FAC_MAX, max(_FAC_MIN, fac))
-        self._err_prev = max(err, 1e-10)
         return t_old, u_old, f_old, self.t, self.u, self.f
 
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dynamics import integrate, softmax, vector_field
-from .errors import NoClosureFound, PredictionViolated
+from .errors import NoClosureFound, PreconditionFailed, PredictionViolated
 from .orbit import detect_period
 from .payoff import PayoffMatrix, Scalar, format_matrix, scalar_to_json
 from .signgraph import build_digraph
@@ -472,8 +472,13 @@ def verify_boundary(M: PayoffMatrix,
     failed on the ratio itself.
 
     Raises PredictionViolated (report attached) when any region fails
-    and ``raise_on_violation`` is set.
+    and ``raise_on_violation`` is set, and PreconditionFailed when
+    ``samples_per_region < 1``.
     """
+    if samples_per_region < 1:
+        raise PreconditionFailed(
+            f"samples_per_region = {samples_per_region}; every region "
+            "needs at least one start")
     if prediction is None:
         prediction = boundary_prediction(M)
     rng = np.random.default_rng(seed)

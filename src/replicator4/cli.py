@@ -332,6 +332,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_portrait(args) -> int:
     M = _read_matrix(args)
+    if args.starts < 1:
+        raise PreconditionFailed(f"--starts {args.starts}; a portrait "
+                                 "needs at least one start")
     seed = _seed_of(args)
     rng = np.random.default_rng(seed)
     try:

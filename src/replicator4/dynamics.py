@@ -35,6 +35,12 @@ def softmax(u: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def gauge(u: np.ndarray) -> np.ndarray:
+    """Log-gauge projection u - logsumexp(u) over the last axis."""
+    m = u.max(axis=-1, keepdims=True)
+    return u - (m + np.log(np.exp(u - m).sum(axis=-1, keepdims=True)))
+
+
 def check_simplex_point(x, atol: float = 1e-9,
                         require_interior: bool = False) -> np.ndarray:
     """Validate and return x as a float simplex point.
@@ -185,6 +191,10 @@ def integrate(M, x0, t_end: float, rtol: float = 1e-10,
 
     Raises
     ------
+    PreconditionFailed
+        When x0 is not an interior point of matching dimension, t_end
+        or rtol is not finite and positive, or atol is not finite and
+        nonnegative.
     StepSizeUnderflow
         When the controller cannot resolve the flow above the minimum
         step (state heading into the boundary too fast).
@@ -197,15 +207,18 @@ def integrate(M, x0, t_end: float, rtol: float = 1e-10,
     if p.size != n:
         raise PreconditionFailed(f"x0 has {p.size} coordinates, matrix "
                                  f"order is {n}")
-    if t_end <= 0:
-        raise PreconditionFailed("t_end must be positive")
+    if not (np.isfinite(t_end) and t_end > 0):
+        raise PreconditionFailed(f"t_end = {t_end} must be finite and "
+                                 "positive")
+    if not (np.isfinite(rtol) and rtol > 0):
+        raise PreconditionFailed(f"rtol = {rtol} must be finite and "
+                                 "positive")
+    if not (np.isfinite(atol) and atol >= 0):
+        raise PreconditionFailed(f"atol = {atol} must be finite and "
+                                 "nonnegative")
 
     def fun(u):
         return softmax(u) @ A.T
-
-    def project(u):
-        m = u.max()
-        return u - (m + np.log(np.exp(u - m).sum()))
 
     mon = [(str(label), check_simplex_point(z)) for (label, z) in monitors]
     base = [phi(p, z) for (_, z) in mon]
@@ -213,8 +226,8 @@ def integrate(M, x0, t_end: float, rtol: float = 1e-10,
     if budget is None:
         budget = default_drift_budget(rtol, t_end, A)
 
-    stepper = _rk.DormandPrince54(fun, 0.0, project(np.log(p)), rtol, atol,
-                                  project=project, h0=h0, max_step=max_step)
+    stepper = _rk.DormandPrince54(fun, 0.0, gauge(np.log(p)), rtol, atol,
+                                  project=gauge, h0=h0, max_step=max_step)
     ts = [0.0]
     us = [stepper.u.copy()]
     fs = [stepper.f.copy()]

@@ -17,7 +17,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import _fastprobe
-from .errors import StepSizeUnderflow
 from .kernelgeom import NullLineSection
 from .payoff import PayoffMatrix
 from .signgraph import build_digraph
@@ -183,18 +182,12 @@ def permanence_probe(M, starts, t_end: float = 200.0,
     """Cheap trajectory screen for many starts of one matrix.
 
     Returns per start the pair (min share inside [window_start, t_end],
-    min share at t_end), computed on accepted integration nodes.
+    min share at t_end), computed on accepted integration nodes.  All
+    starts run in one lockstep batch, each with its own step control.
     """
     A = M.array if isinstance(M, PayoffMatrix) else np.asarray(M, float)
-    out = []
-    for x0 in starts:
-        p = np.asarray(x0, dtype=float)
-        p = p / p.sum()
-        wmin, fmin = _fastprobe.window_and_final_min(
-            A, p.copy(), float(t_end), float(window_start), float(rtol),
-            float(atol))
-        if wmin < 0:
-            raise StepSizeUnderflow(
-                "permanence probe could not resolve the flow")
-        out.append((float(wmin), float(fmin)))
-    return out
+    X0 = np.array(starts, dtype=float).reshape(len(starts), A.shape[0])
+    wmin, fmin = _fastprobe.window_and_final_min(
+        A, X0 / X0.sum(axis=1, keepdims=True), float(t_end),
+        float(window_start), float(rtol), float(atol))
+    return [(float(w), float(f)) for w, f in zip(wmin, fmin)]

@@ -63,7 +63,25 @@ class StepSizeUnderflow(Replicator4Error, ArithmeticError):
 
     The state is approaching the simplex boundary faster than the
     tolerance allows a step to resolve.
+
+    Attributes
+    ----------
+    t, h : float
+        Time reached and the step size that fell below the floor.
+    state : ndarray or None
+        Integrator state at ``t``; the replicator drivers integrate
+        log-gauged shares, so ``exp(state)`` is the simplex point.
+    row : int or None
+        Index of the start in a batched run (None for a single run).
     """
+
+    def __init__(self, message: str, t: float = 0.0, h: float = 0.0,
+                 state=None, row: int | None = None):
+        super().__init__(message)
+        self.t = t
+        self.h = h
+        self.state = state
+        self.row = row
 
 
 class DriftBudgetExceeded(Replicator4Error, ArithmeticError):

@@ -330,12 +330,15 @@ def stability_probe(M, report: OrbitReport, refs: ReferencePair,
     Raises
     ------
     PreconditionFailed
-        If some perturbed start leaves the open simplex (delta too
-        large for this orbit's clearance).
+        If ``n_probes < 1``, or if some perturbed start leaves the open
+        simplex (delta too large for this orbit's clearance).
     ProbeEscaped
         If a probe's tube distance exceeds ``acceptance_factor * delta``.
         The full probe record is attached to the exception.
     """
+    if n_probes < 1:
+        raise PreconditionFailed(f"n_probes = {n_probes}; a stability "
+                                 "probe needs at least one start")
     x0 = report.x0
     T = report.period
     rng = np.random.default_rng(seed)

@@ -262,6 +262,13 @@ def test_malformed_matrix_exits_one(tmp_path, capsys):
     ["simulate", "--x0", "a,b"],
     ["simulate", "--x0", "0.4,0.3,0.2,0.1", "--dt", "0"],
     ["orbit", "--x0", "0.5,0.5", "--skip-stability"],
+    ["orbit", "--probes", "0"],
+    ["orbit", "--probes", "-1"],
+    ["boundary", "--samples", "-1"],
+    ["portrait", "--starts", "-2"],
+    ["simulate", "--t-end", "nan"],
+    ["simulate", "--t-end", "inf"],
+    ["simulate", "--rtol", "-1"],
 ])
 def test_bad_option_values_exit_one_with_error_json(argv, tmp_path, capsys):
     code, out, err = run(

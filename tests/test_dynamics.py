@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from replicator4 import (DriftBudgetExceeded, PayoffMatrix,
-                         PreconditionFailed, canonical_matrix, integrate,
-                         kernel_line_section, phi, phi_drift, vector_field)
+                         PreconditionFailed, StepSizeUnderflow,
+                         canonical_matrix, integrate, kernel_line_section,
+                         phi, phi_drift, vector_field)
+from replicator4 import _rk
 from replicator4.dynamics import check_simplex_point
 from oracles import rk4_shares
 
@@ -170,3 +172,43 @@ def test_dense_output_consistency(MI):
 def test_integrate_rejects_boundary_start(MI):
     with pytest.raises(PreconditionFailed):
         integrate(MI, [0.0, 0.5, 0.3, 0.2], 1.0)
+
+
+@pytest.mark.parametrize("t_end, rtol, atol", [
+    (float("nan"), 1e-10, 0.0), (float("inf"), 1e-10, 0.0),
+    (-1.0, 1e-10, 0.0), (1.0, -1.0, 0.0), (1.0, 0.0, 0.0),
+    (1.0, float("nan"), 0.0), (1.0, float("inf"), 0.0),
+    (1.0, 1e-10, -1.0), (1.0, 1e-10, float("nan")),
+])
+def test_integrate_rejects_bad_horizon_and_tolerances(MI, t_end, rtol,
+                                                      atol):
+    with pytest.raises(PreconditionFailed):
+        integrate(MI, X0, t_end, rtol=rtol, atol=atol)
+
+
+def test_step_size_underflow_carries_state(MI):
+    with pytest.raises(StepSizeUnderflow) as exc:
+        integrate(MI.array * 1e15, X0, 1.0)
+    err = exc.value
+    assert err.t == 0.0
+    assert 0.0 < err.h < 1e-13
+    assert np.allclose(np.exp(err.state), X0)
+    assert err.row is None
+
+
+def test_controller_is_elementwise_and_guards_nan():
+    h = np.array([0.01, 0.02, 0.03, 0.04])
+    err = np.array([np.nan, 0.0, 2.0, 0.5])
+    prev = np.array([1e-4, 1e-3, 1e-2, 1e-1])
+    accept, h_next, prev_next = _rk.control(h, err, prev)
+    assert accept.tolist() == [False, True, False, True]
+    # NaN rejects and shrinks by the minimum factor, err = 0 grows by
+    # the maximum, a rejection keeps the PI memory
+    assert h_next[0] == 0.2 * h[0] and h_next[1] == 5.0 * h[1]
+    assert 0.2 * h[2] < h_next[2] < h[2]
+    assert prev_next.tolist() == [1e-4, 1e-10, 1e-2, 0.5]
+    for k in range(4):
+        one = _rk.control(float(h[k]), float(err[k]), float(prev[k]))
+        assert one[0] == accept[k]
+        assert float(one[1]) == h_next[k]
+        assert float(one[2]) == prev_next[k]

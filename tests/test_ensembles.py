@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from replicator4 import (PayoffMatrix, build_digraph, canonical_matrix,
-                         classify_matrix, kernel_line_section,
+from replicator4 import (PayoffMatrix, StepSizeUnderflow, build_digraph,
+                         canonical_matrix, classify_matrix,
+                         kernel_line_section,
                          sample_acyclic_singular, sample_class_matrix,
                          sample_cyclic_nonsingular)
 from replicator4.ensembles import (CANONICAL_UPPER, barycenter_starts,
@@ -90,3 +91,27 @@ def test_probe_separates_permanent_from_decaying(MI, rng):
     bumped = PayoffMatrix.from_upper([0, 1, -1, -1, 2, 0])
     finals = [f for _, f in permanence_probe(bumped, starts)]
     assert min(finals) <= 1e-4
+
+
+@pytest.mark.parametrize("contrast", [False, True])
+def test_probe_rows_are_independent(contrast, rng):
+    if contrast:
+        M = sample_cyclic_nonsingular(rng)
+        starts = barycenter_starts(rng, 4)
+    else:
+        M = sample_class_matrix("III", rng)
+        starts = interior_starts(kernel_line_section(M), rng, 4)
+    batch = permanence_probe(M, starts)
+    singles = [permanence_probe(M, [s])[0] for s in starts]
+    assert np.allclose(batch, singles, rtol=1e-9, atol=0.0)
+
+
+def test_probe_step_underflow_carries_start_row(MI, rng):
+    starts = interior_starts(kernel_line_section(MI), rng, 3)
+    with pytest.raises(StepSizeUnderflow) as exc:
+        permanence_probe(MI.array * 1e15, starts)
+    err = exc.value
+    assert err.row in (0, 1, 2)
+    assert err.t >= 0.0
+    assert 0.0 < err.h < 1e-13
+    assert np.allclose(np.exp(err.state), starts[err.row])
