@@ -8,11 +8,13 @@ projection, and the drift accounting downstream depends on it.
 
 The tableau, the trial step (:func:`attempt`) and the step-size
 controller (:func:`control`) exist once.  They work on states of shape
-(..., n) with a float step or one step per leading index, so a batch of
-independent runs can advance in lockstep, each row with its own step
-and accept decision (:mod:`replicator4._fastprobe`).
+(..., n) with a float step or one step per leading index.
 :class:`DormandPrince54` drives one run with a float step for
-:func:`replicator4.dynamics.integrate` and its dense output.
+:func:`replicator4.dynamics.integrate`.  :func:`lockstep`, the one batch
+loop, advances a (B, n) batch of independent runs, each row with its
+own time, step and accept decision, for the permanence screen
+(:func:`replicator4._fastprobe.window_and_final_min`) and the stability
+probes (:func:`replicator4.dynamics.integrate_many`).
 
 Characteristics
 ---------------
@@ -194,6 +196,43 @@ class DormandPrince54:
         self.f = self.fun(u_new)
         self.naccept += 1
         return t_old, u_old, f_old, self.t, self.u, self.f
+
+
+def lockstep(fun, u0, t_end, rtol, atol, project):
+    """Advance a (B, n) batch of runs of u' = fun(u) from t = 0 to t_end.
+
+    Rows keep their own time, step, PI memory and accept decision; a row
+    at t_end takes zero steps, and a row is projected only after a step
+    it accepts.  Yields ``(t, u, f, ok)`` per iteration, ``ok`` marking
+    the rows that accepted.  A live step below :data:`MIN_STEP` raises
+    StepSizeUnderflow with the row, its time, step and state.
+    """
+    u = u0
+    f = fun(u)
+    t = np.zeros(len(u))
+    h = initial_step(f)
+    err_prev = np.full(len(u), 1e-4)
+    K = np.empty((7,) + u.shape)
+    while True:
+        rest = t_end - t
+        live = rest > 0
+        if not live.any():
+            return
+        step = np.minimum(h, rest)
+        low = live & (step < MIN_STEP)
+        if low.any():
+            i = int(np.argmax(low))
+            raise StepSizeUnderflow(
+                f"batch row {i}: step size {step[i]:.3e} fell below "
+                f"{MIN_STEP:.1e} at t = {t[i]:.6g}",
+                t=float(t[i]), h=float(step[i]), state=u[i].copy(), row=i)
+        u_new, err = attempt(fun, u, f, step, rtol, atol, K)
+        ok, h, err_prev = control(step, err, err_prev)
+        ok &= live
+        t = np.where(ok, np.where(step < rest, t + step, t_end), t)
+        u = np.where(ok[:, None], project(u_new), u)
+        f = fun(u)
+        yield t, u, f, ok
 
 
 def hermite(t, t0, t1, u0, u1, f0, f1):

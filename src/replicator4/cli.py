@@ -59,12 +59,15 @@ def _read_matrix(args) -> PayoffMatrix:
 
 
 def _seed_of(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(_SEED_ENV)
-    if env is not None:
-        return int(env)
-    return 0
+    env = os.environ.get(_SEED_ENV, "0")
+    try:
+        seed = int(env) if args.seed is None else args.seed
+    except ValueError:
+        raise PreconditionFailed(
+            f"{_SEED_ENV}={env!r} is not an integer") from None
+    if seed < 0:
+        raise PreconditionFailed(f"seed {seed} must be nonnegative")
+    return seed
 
 
 def _schema(name: str) -> dict:

@@ -15,6 +15,8 @@ Relative entropy with respect to any interior equilibrium z,
 is a first integral of the flow.  Its numerical drift is the integration
 quality signal everything downstream trusts, so :func:`integrate` can
 watch a set of monitor points and abort past a drift budget.
+:func:`integrate_many` runs a batch of starts in lockstep and returns
+one trajectory per start.
 """
 
 from __future__ import annotations
@@ -39,6 +41,24 @@ def gauge(u: np.ndarray) -> np.ndarray:
     """Log-gauge projection u - logsumexp(u) over the last axis."""
     m = u.max(axis=-1, keepdims=True)
     return u - (m + np.log(np.exp(u - m).sum(axis=-1, keepdims=True)))
+
+
+def batch_field(A):
+    """Log-space field u -> A softmax(u) on a (B, n) batch, row by row.
+
+    A broadcast multiply-sum, not BLAS, whose rounding depends on the
+    batch size: so each row's result does not depend on the others.
+    """
+    A = np.asarray(A, dtype=float)
+    return lambda u: (softmax(u)[:, None, :] * A).sum(axis=-1)
+
+
+def check_finite(name: str, value, strict: bool = True) -> None:
+    """Raise PreconditionFailed unless ``value`` is finite and positive
+    (nonnegative when not ``strict``)."""
+    if not (np.isfinite(value) and (value > 0 if strict else value >= 0)):
+        raise PreconditionFailed(f"{name} = {value} must be finite and "
+                                 + ("positive" if strict else "nonnegative"))
 
 
 def check_simplex_point(x, atol: float = 1e-9,
@@ -104,6 +124,10 @@ def phi_gradient(x, z) -> np.ndarray:
     return -zv / xv
 
 
+#: largest number of grid steps :meth:`Trajectory.sample` will produce
+MAX_SAMPLES = 10 ** 7
+
+
 @dataclass
 class Trajectory:
     """Accepted integration nodes plus dense evaluation between them.
@@ -153,10 +177,12 @@ class Trajectory:
         return softmax(self.u_at(t))
 
     def sample(self, dt: float):
-        """Uniform grid (ts, xs) with spacing dt, endpoint included."""
-        if not dt > 0:
-            raise PreconditionFailed(f"sampling step dt = {dt} must be "
-                                     "positive")
+        """Uniform grid (ts, xs) with spacing dt, endpoint included;
+        dt is finite, positive and gives at most MAX_SAMPLES steps."""
+        check_finite("sampling step dt", dt)
+        if not self.t_end / dt <= MAX_SAMPLES:
+            raise PreconditionFailed(f"sampling step dt = {dt} gives more "
+                                     f"than {MAX_SAMPLES:.0e} grid steps")
         n = int(round(self.t_end / dt))
         grid = np.arange(n + 1) * dt
         if grid[-1] > self.t_end:
@@ -168,6 +194,26 @@ def default_drift_budget(rtol: float, t_end: float, A: np.ndarray) -> float:
     """100 * rtol * t_end * |A|_inf, floored at 100 * rtol."""
     norm = float(np.abs(A).sum(axis=1).max())
     return 100.0 * rtol * max(1.0, t_end) * max(1.0, norm)
+
+
+def _check_run(A: np.ndarray, starts, t_end: float, rtol: float,
+               atol: float) -> np.ndarray:
+    """Validated interior starts of matching dimension, one per row,
+    for a run to t_end at the given tolerances."""
+    n = A.shape[0]
+    P = []
+    for x0 in starts:
+        p = check_simplex_point(x0, require_interior=True)
+        if p.size != n:
+            raise PreconditionFailed(f"x0 has {p.size} coordinates, "
+                                     f"matrix order is {n}")
+        P.append(p)
+    if not P:
+        raise PreconditionFailed("a run needs at least one start")
+    check_finite("t_end", t_end)
+    check_finite("rtol", rtol)
+    check_finite("atol", atol, strict=False)
+    return np.array(P)
 
 
 def integrate(M, x0, t_end: float, rtol: float = 1e-10,
@@ -202,20 +248,7 @@ def integrate(M, x0, t_end: float, rtol: float = 1e-10,
         See above; signals the tolerance was too loose for this run.
     """
     A = _as_array(M)
-    n = A.shape[0]
-    p = check_simplex_point(x0, require_interior=True)
-    if p.size != n:
-        raise PreconditionFailed(f"x0 has {p.size} coordinates, matrix "
-                                 f"order is {n}")
-    if not (np.isfinite(t_end) and t_end > 0):
-        raise PreconditionFailed(f"t_end = {t_end} must be finite and "
-                                 "positive")
-    if not (np.isfinite(rtol) and rtol > 0):
-        raise PreconditionFailed(f"rtol = {rtol} must be finite and "
-                                 "positive")
-    if not (np.isfinite(atol) and atol >= 0):
-        raise PreconditionFailed(f"atol = {atol} must be finite and "
-                                 "nonnegative")
+    p = _check_run(A, [x0], t_end, rtol, atol)[0]
 
     def fun(u):
         return softmax(u) @ A.T
@@ -253,6 +286,34 @@ def integrate(M, x0, t_end: float, rtol: float = 1e-10,
                       nreject=stepper.nreject, rtol=rtol, atol=atol,
                       monitors=tuple((l, z.copy()) for (l, z) in mon),
                       drift=dict(drift))
+
+
+def integrate_many(M, X0, t_end: float, rtol: float = 1e-10,
+                   atol: float = 1e-12) -> list[Trajectory]:
+    """One :class:`Trajectory` per interior start (row of X0), without
+    monitors, from one lockstep run (:func:`replicator4._rk.lockstep`).
+
+    Each start keeps its own steps, accepted nodes and accept and reject
+    counts; on the BLAS-free :func:`batch_field` its trajectory is the
+    same bits alone or in a batch, and agrees with :func:`integrate` to
+    rounding.  Raises PreconditionFailed as :func:`integrate` does, for
+    any start or an empty batch, and StepSizeUnderflow with the ``row``
+    of the start whose step fell below the floor.
+    """
+    A = _as_array(M)
+    P = _check_run(A, X0, t_end, rtol, atol)
+    fun = batch_field(A)
+    u0 = gauge(np.log(P))
+    hist = [(np.zeros(len(P)), u0, fun(u0), np.ones(len(P), dtype=bool))]
+    hist.extend(_rk.lockstep(fun, u0, t_end, rtol, atol, gauge))
+    ts, us, fs, oks = (np.array(v) for v in zip(*hist))
+    # a row is live in each iteration that starts before it reaches
+    # t_end, and makes one trial step there, accepted or rejected
+    live = (ts[:-1] < t_end).sum(axis=0)
+    nacc = oks.sum(axis=0) - 1
+    return [Trajectory(A=A, ts=ts[k, b], us=us[k, b], fs=fs[k, b],
+                       naccept=int(nacc[b]), nreject=int(live[b] - nacc[b]),
+                       rtol=rtol, atol=atol) for b, k in enumerate(oks.T)]
 
 
 def phi_drift(traj: Trajectory, z) -> float:

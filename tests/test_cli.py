@@ -9,9 +9,11 @@ import io
 import json
 import sys
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from replicator4 import __version__
 from replicator4.cli import _schema, main
@@ -269,6 +271,13 @@ def test_malformed_matrix_exits_one(tmp_path, capsys):
     ["simulate", "--t-end", "nan"],
     ["simulate", "--t-end", "inf"],
     ["simulate", "--rtol", "-1"],
+    ["simulate", "--dt", "inf"],
+    ["simulate", "--dt", "1e-300"],
+    ["simulate", "--seed", "-1"],
+    ["portrait", "--dt", "inf"],
+    ["orbit", "--horizon", "nan"],
+    ["orbit", "--horizon", "inf"],
+    ["orbit", "--closure-tol", "-1"],
 ])
 def test_bad_option_values_exit_one_with_error_json(argv, tmp_path, capsys):
     code, out, err = run(
@@ -278,6 +287,80 @@ def test_bad_option_values_exit_one_with_error_json(argv, tmp_path, capsys):
     payload = json.loads(err)
     jsonschema.validate(payload, _schema("error"))
     assert payload["error"]["type"] == "PreconditionFailed"
+
+
+def _number(lo, hi):
+    """Option values: floats in [lo, hi], and edge values and text.
+
+    Large finite values are left out: a horizon or t_end of 1e300 is a
+    valid request for a run that never ends, not an input error.
+    """
+    return st.one_of(
+        st.floats(min_value=lo, max_value=hi).map(repr),
+        st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e-300", "x",
+                         ""]))
+
+
+_X0 = st.one_of(
+    st.lists(st.floats(min_value=-0.5, max_value=1.0), min_size=0,
+             max_size=5).map(lambda v: ",".join(map(repr, v))),
+    st.sampled_from(["0.4,0.3,0.2,0.1", "0.25,0.25,0.25,0.25",
+                     "1,0,0,0", "0.97,0.01,0.01,0.01"]),
+    st.text(max_size=12))
+
+
+def _options(**values):
+    """Argument vectors from a subset of the given option strategies."""
+    return st.fixed_dictionaries({}, optional=values).map(
+        lambda d: [tok for k, v in d.items() for tok in (k, v)])
+
+
+def _main_in_process(argv, text):
+    """(exit code, stderr) of ``main`` with ``text`` on stdin; capsys
+    is function scoped, so hypothesis examples capture by hand."""
+    stdin, out, err = sys.stdin, io.StringIO(), io.StringIO()
+    sys.stdin = io.StringIO(text)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        sys.stdin = stdin
+    return code, err.getvalue()
+
+
+def _check_exit(argv):
+    code, err = _main_in_process(argv + ["--matrix", "-"], M_I_TEXT)
+    assert code in (0, 1, 2)
+    if code == 1:
+        jsonschema.validate(json.loads(err), _schema("error"))
+
+
+_SEEDS = st.one_of(st.integers(min_value=-3, max_value=2 ** 40).map(str),
+                   st.sampled_from(["x", "1.5"]))
+
+
+@settings(max_examples=40)
+@given(t_end=_number(-1.0, 2.0), opts=_options(
+    **{"--x0": _X0, "--dt": _number(1e-3, 3.0),
+       "--rtol": st.sampled_from(["1e-4", "1e-8", "1e-10", "1", "1e3",
+                                  "0", "-1", "nan", "inf"]),
+       "--atol": _number(0.0, 1e-3), "--seed": _SEEDS}))
+def test_simulate_fuzz_exits_cleanly(t_end, opts):
+    # --t-end is always bounded: the default 100 makes examples slow
+    _check_exit(["simulate", "--t-end", t_end] + opts)
+
+
+@settings(max_examples=40)
+@given(opts=_options(
+    **{"--x0": _X0, "--horizon": _number(0.0, 40.0),
+       "--closure-tol": _number(0.0, 1e-2),
+       "--rtol": st.sampled_from(["1e-4", "1e-8", "1e-10", "1", "0",
+                                  "-1", "nan", "inf"]),
+       "--atol": _number(0.0, 1e-3), "--seed": _SEEDS}))
+def test_orbit_fuzz_exits_cleanly(opts):
+    _check_exit(["orbit", "--skip-stability"] + opts)
 
 
 def test_argument_errors_exit_two(capsys):

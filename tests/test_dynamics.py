@@ -13,10 +13,13 @@ from replicator4 import (DriftBudgetExceeded, PayoffMatrix,
                          canonical_matrix, integrate, kernel_line_section,
                          phi, phi_drift, vector_field)
 from replicator4 import _rk
-from replicator4.dynamics import check_simplex_point
+from replicator4.dynamics import (batch_field, check_simplex_point, gauge,
+                                  integrate_many)
 from oracles import rk4_shares
 
 X0 = np.array([0.4, 0.3, 0.2, 0.1])
+STARTS = np.array([X0, [0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25],
+                   [0.7, 0.1, 0.1, 0.1]])
 
 
 def test_vector_field_frozen_value(MV):
@@ -212,3 +215,60 @@ def test_controller_is_elementwise_and_guards_nan():
         assert one[0] == accept[k]
         assert float(one[1]) == h_next[k]
         assert float(one[2]) == prev_next[k]
+
+
+def test_integrate_many_rows_match_integrate(MI):
+    trajs = integrate_many(MI, STARTS, 20.0, rtol=1e-10, atol=1e-12)
+    assert len(trajs) == len(STARTS)
+    for start, traj in zip(STARTS, trajs):
+        one = integrate(MI, start, 20.0, rtol=1e-10, atol=1e-12)
+        assert traj.t_end == 20.0
+        ts, xs = traj.sample(0.05)
+        ts1, xs1 = one.sample(0.05)
+        assert np.array_equal(ts, ts1)
+        assert np.abs(xs - xs1).max() <= 1e-12
+
+
+def test_integrate_many_row_is_batch_independent(MIII):
+    batch = integrate_many(MIII, STARTS, 10.0, rtol=1e-8)
+    for start, traj in zip(STARTS, batch):
+        alone = integrate_many(MIII, [start], 10.0, rtol=1e-8)[0]
+        for name in ("ts", "us", "fs"):
+            assert np.array_equal(getattr(traj, name), getattr(alone, name))
+        assert (traj.naccept, traj.nreject) == (alone.naccept,
+                                                alone.nreject)
+
+
+def test_integrate_many_counts_steps_per_row(MI):
+    # loose tolerance, so that some rows reject steps
+    trajs = integrate_many(MI, STARTS, 20.0, rtol=1e-4, atol=1e-12)
+    assert sum(traj.nreject for traj in trajs) > 0
+    for start, traj in zip(STARTS, trajs):
+        # a row advances alone for as many iterations as it is live in
+        # the batch, one trial step each
+        u0 = gauge(np.log(start))[None, :]
+        iterations = sum(1 for _ in _rk.lockstep(
+            batch_field(MI.array), u0, 20.0, 1e-4, 1e-12, gauge))
+        assert traj.naccept + traj.nreject == iterations
+        assert traj.naccept == len(traj.ts) - 1
+
+
+def test_integrate_many_underflow_carries_row(MI):
+    # the equilibrium row resolves at any scale; the other cannot
+    z = np.asarray(kernel_line_section(MI).midpoint(), dtype=float)
+    with pytest.raises(StepSizeUnderflow) as exc:
+        integrate_many(MI.array * 1e15, [z, X0], 1.0)
+    err = exc.value
+    assert err.row == 1
+    assert err.t == 0.0
+    assert 0.0 < err.h < 1e-13
+    assert np.allclose(np.exp(err.state), X0)
+
+
+def test_integrate_many_validates_every_start(MI):
+    with pytest.raises(PreconditionFailed):
+        integrate_many(MI, [X0, [0.0, 0.5, 0.3, 0.2]], 1.0)
+    with pytest.raises(PreconditionFailed):
+        integrate_many(MI, [X0], float("inf"))
+    with pytest.raises(PreconditionFailed):
+        integrate_many(MI, [], 1.0)

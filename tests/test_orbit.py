@@ -13,6 +13,7 @@ from replicator4 import (EquilibriumStart, NoClosureFound, PayoffMatrix,
                          PreconditionFailed, ProbeEscaped, canonical_matrix,
                          detect_period, distance_to_K, kernel_line_section,
                          select_reference_points, stability_probe)
+from replicator4.orbit import _min_distance_to_samples
 
 X_IV = np.array([0.4, 0.3, 0.2, 0.1])
 X_I = np.array([0.1, 0.2, 0.3, 0.4])
@@ -117,6 +118,23 @@ def test_stability_probe_MIV(certified_MIV):
     assert probe.v_drift_max <= 1e-8
     assert probe.escaped == ()
     assert len(probe.probes) == 16
+
+
+def test_tube_distance_matches_brute_force(certified_MIV, rng):
+    ref = certified_MIV[3].orbit_samples
+    picks = ref[rng.integers(0, len(ref), 300)]
+    steps = rng.standard_normal((300, 4))
+    steps -= steps.mean(axis=1, keepdims=True)
+    steps *= np.logspace(-4, -2, 300)[:, None] / np.linalg.norm(
+        steps, axis=1, keepdims=True)
+    points = picks + steps
+    brute = np.array([np.linalg.norm(ref - p, axis=1).min()
+                      for p in points])
+    assert brute.min() >= 1e-5
+    far = brute >= 1e-4
+    assert far.sum() >= 250
+    got = _min_distance_to_samples(points, ref)
+    assert np.all(np.abs(got[far] / brute[far] - 1.0) <= 1e-10)
 
 
 def test_stability_probe_zero_delta(certified_MIV):
