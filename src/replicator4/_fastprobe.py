@@ -1,10 +1,10 @@
 """Permanence screen as a reduction over :func:`replicator4._rk.lockstep`.
 
-The screen needs two numbers per start of one matrix: the smallest
-strategy share on accepted nodes inside an observation window, and the
-smallest share at the end.  :func:`window_and_final_min` runs all starts
-as one lockstep batch on :func:`replicator4.dynamics.batch_field` and
-reduces each iteration to those two minima; nothing else is stored.
+The screen needs two numbers per start: the smallest strategy share on
+accepted nodes inside an observation window, and the smallest share at
+the end.  :func:`window_and_final_min` runs all starts (one matrix or
+one each) as one lockstep batch on :func:`replicator4.dynamics.batch_field`
+and reduces each iteration to those two minima; nothing else is stored.
 """
 
 from __future__ import annotations

@@ -21,7 +21,8 @@ the sign structure:
   preserves that spectator's coordinate and converges to an edge point.
 
 :func:`verify_boundary` turns the prediction table into simulations of
-the face and edge subsystems and scores each region.
+the face and edge subsystems, run as a few lockstep batches with one
+payoff matrix per row, and scores each region.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dynamics import integrate, softmax, vector_field
+# unused, but perfbench's tracer patches boundary.integrate by name
+from .dynamics import integrate, integrate_many, vector_field  # noqa: F401
 from .errors import NoClosureFound, PreconditionFailed, PredictionViolated
-from .orbit import detect_period
+from .orbit import FIRST_SPAN, detect_period, first_closure, section_normal
 from .payoff import PayoffMatrix, Scalar, format_matrix, scalar_to_json
 from .signgraph import build_digraph
 
@@ -285,51 +287,13 @@ def boundary_prediction(M: PayoffMatrix,
         unstable_vertices=unstable_vertices(M, zero_atol))
 
 
-def _edge_region(e: EdgeOutcome) -> str:
-    return f"edge:{e.edge[0]}-{e.edge[1]}"
-
-
-def _face_region(f: FaceOutcome) -> str:
-    return f"face:-{f.face}"
-
-
-def _verify_edge(M, outcome: EdgeOutcome, t_end, rtol, atol,
-                 vertex_tol, stationarity_tol) -> RegionResult:
-    i, j = outcome.edge
-    sub = M.submatrix([i - 1, j - 1]).to_float()
-    region = _edge_region(outcome)
+def _edge_starts(outcome: EdgeOutcome) -> list:
+    """Three starts on an edge, with a vertex edge's winner behind too."""
     if outcome.kind == "all_equilibria":
-        worst_field = 0.0
-        worst_drift = 0.0
-        for frac in (0.25, 0.5, 0.75):
-            x0 = np.array([frac, 1.0 - frac])
-            worst_field = max(worst_field,
-                              float(np.abs(vector_field(sub, x0)).max()))
-            traj = integrate(sub, x0, min(50.0, t_end), rtol=rtol, atol=atol)
-            worst_drift = max(worst_drift, float(
-                np.abs(traj.xs - x0).max()))
-        ok = worst_field <= stationarity_tol and worst_drift <= 1e-9
-        return RegionResult(region, "pass" if ok else "fail",
-                            outcome.to_json(),
-                            {"max_field": worst_field,
-                             "max_drift": worst_drift})
-    # vertex convergence; start the predicted winner from behind too
-    target_pos = 0 if outcome.vertex == i else 1
-    worst_share = 1.0
-    winners = []
-    for frac in (0.2, 0.5, 0.8):
-        x0 = np.empty(2)
-        x0[target_pos] = frac
-        x0[1 - target_pos] = 1.0 - frac
-        traj = integrate(sub, x0, t_end, rtol=rtol, atol=atol)
-        xT = traj.xs[-1]
-        winners.append(int(np.argmax(xT)))
-        worst_share = min(worst_share, float(xT[target_pos]))
-    ok = (all(w == target_pos for w in winners)
-          and worst_share >= 1.0 - vertex_tol)
-    return RegionResult(region, "pass" if ok else "fail",
-                        outcome.to_json(),
-                        {"min_winner_share": worst_share})
+        return [np.array([frac, 1.0 - frac]) for frac in (0.25, 0.5, 0.75)]
+    flip = outcome.vertex != outcome.edge[0]
+    return [np.array([1.0 - frac, frac] if flip else [frac, 1.0 - frac])
+            for frac in (0.2, 0.5, 0.8)]
 
 
 def _face_starts(outcome: FaceOutcome, sub: PayoffMatrix, rng,
@@ -352,53 +316,59 @@ def _face_starts(outcome: FaceOutcome, sub: PayoffMatrix, rng,
     return [rng.dirichlet((2.0, 2.0, 2.0)) for _ in range(n)]
 
 
-def _verify_face(M, outcome: FaceOutcome, rng, samples, t_end, rtol, atol,
-                 off_edge_tol, constraint_tol, vertex_tol, closure_tol,
-                 stationarity_tol) -> RegionResult:
-    region = _face_region(outcome)
-    nodes = face_nodes(outcome.face)
-    sub = face_subsystem(M, outcome.face).to_float()
+def _score(outcome, sub, starts, trajs, off_edge_tol, constraint_tol,
+           vertex_tol, closure_tol, stationarity_tol) -> RegionResult:
+    """Grade one edge or face region on its starts' trajectories."""
+    edge = isinstance(outcome, EdgeOutcome)
+    nodes = outcome.edge if edge else face_nodes(outcome.face)
+    region = f"edge:{nodes[0]}-{nodes[1]}" if edge else \
+        f"face:-{outcome.face}"
     pos = {s: k for k, s in enumerate(nodes)}
-    starts = _face_starts(outcome, sub, rng, samples)
 
     if outcome.kind == "periodic":
         worst = 0.0
         periods = []
-        for x0 in starts:
-            try:
-                rep = detect_period(sub, x0, rtol=max(rtol, 1e-10),
-                                    atol=atol, closure_tol=closure_tol)
-            except NoClosureFound as exc:
-                return RegionResult(
-                    region, "fail", outcome.to_json(),
-                    {"closure_residual": exc.candidate_residual,
-                     "candidate_period": exc.candidate_period})
-            worst = max(worst, rep.closure_residual)
-            periods.append(rep.period)
+        for x0, traj in zip(starts, trajs):
+            returns, residuals, first = first_closure(
+                traj, x0, section_normal(sub, x0), closure_tol)
+            if first is not None:
+                period, residual = returns[first], residuals[first]
+            else:  # no return closes inside the batched run
+                try:
+                    rep = detect_period(sub, x0, rtol=traj.rtol,
+                                        atol=traj.atol,
+                                        closure_tol=closure_tol)
+                except NoClosureFound as exc:
+                    return RegionResult(
+                        region, "fail", outcome.to_json(),
+                        {"closure_residual": exc.candidate_residual,
+                         "candidate_period": exc.candidate_period})
+                period, residual = rep.period, rep.closure_residual
+            worst = max(worst, float(residual))
+            periods.append(float(period))
         return RegionResult(region, "pass", outcome.to_json(),
                             {"max_closure_residual": worst,
                              "periods": periods})
 
     if outcome.kind == "vertex":
+        finals = [traj.xs[-1] for traj in trajs]
         tp = pos[outcome.vertex]
-        worst_share = 1.0
-        ok = True
-        for x0 in starts:
-            traj = integrate(sub, x0, t_end, rtol=rtol, atol=atol)
-            xT = traj.xs[-1]
-            ok = ok and int(np.argmax(xT)) == tp
-            worst_share = min(worst_share, float(xT[tp]))
-        ok = ok and worst_share >= 1.0 - vertex_tol
+        worst = min(float(xT[tp]) for xT in finals)
+        ok = (all(int(np.argmax(xT)) == tp for xT in finals)
+              and worst >= 1.0 - vertex_tol)
         return RegionResult(region, "pass" if ok else "fail",
-                            outcome.to_json(),
-                            {"min_winner_share": worst_share})
+                            outcome.to_json(), {"min_winner_share": worst})
 
     if outcome.kind == "all_equilibria":
-        worst = max(float(np.abs(vector_field(sub, x0)).max())
-                    for x0 in starts)
-        return RegionResult(region, "pass" if worst <= stationarity_tol
-                            else "fail", outcome.to_json(),
-                            {"max_field": worst})
+        measured = {"max_field": max(float(np.abs(vector_field(
+            sub, x0)).max()) for x0 in starts)}
+        ok = measured["max_field"] <= stationarity_tol
+        if edge:  # an edge's starts also run, and must not move
+            measured["max_drift"] = max(float(np.abs(traj.xs - x0).max())
+                                        for x0, traj in zip(starts, trajs))
+            ok = ok and measured["max_drift"] <= 1e-9
+        return RegionResult(region, "pass" if ok else "fail",
+                            outcome.to_json(), measured)
 
     # edge_point
     j, k = outcome.edge
@@ -411,8 +381,7 @@ def _verify_face(M, outcome: FaceOutcome, rng, samples, t_end, rtol, atol,
     min_slack = np.inf
     ratios = []
     ok = True
-    for x0 in starts:
-        traj = integrate(sub, x0, t_end, rtol=rtol, atol=atol)
+    for x0, traj in zip(starts, trajs):
         xT = traj.xs[-1]
         off = float(xT[mp])
         worst_off = max(worst_off, off)
@@ -452,6 +421,25 @@ def _verify_face(M, outcome: FaceOutcome, rng, samples, t_end, rtol, atol,
     return RegionResult(region, status, outcome.to_json(), measured)
 
 
+def _simulate(regions, atol) -> list:
+    """Trajectories of each (outcome, sub, starts, horizon, rtol) region
+    (none if horizon is None), from one :func:`integrate_many` call per
+    subsystem order, horizon and rtol."""
+    groups = {}
+    for r, (_, sub, starts, horizon, rtol) in enumerate(regions):
+        if horizon is not None:
+            A = sub.array
+            groups.setdefault((sub.n, horizon, rtol), []).extend(
+                (r, A, x0) for x0 in starts)
+    out = [[] for _ in regions]
+    for (_, horizon, rtol), rows in groups.items():
+        owners, mats, X0 = zip(*rows)
+        for r, traj in zip(owners, integrate_many(
+                np.array(mats), X0, horizon, rtol=rtol, atol=atol)):
+            out[r].append(traj)
+    return out
+
+
 def verify_boundary(M: PayoffMatrix,
                     prediction: BoundaryPrediction | None = None,
                     seed: int = 0, samples_per_region: int = 3,
@@ -471,6 +459,10 @@ def verify_boundary(M: PayoffMatrix,
     ``closure_tol``; ratio claims are recorded as measured, never
     failed on the ratio itself.
 
+    The runs go out as at most four lockstep batches, one per subsystem
+    order, horizon and rtol; a periodic start whose batched run has no
+    closing return falls back to :func:`replicator4.orbit.detect_period`.
+
     Raises PredictionViolated (report attached) when any region fails
     and ``raise_on_violation`` is set, and PreconditionFailed when
     ``samples_per_region < 1``.
@@ -482,15 +474,25 @@ def verify_boundary(M: PayoffMatrix,
     if prediction is None:
         prediction = boundary_prediction(M)
     rng = np.random.default_rng(seed)
-    results = []
-    for e in prediction.edges:
-        results.append(_verify_edge(M, e, t_end, rtol, atol, vertex_tol,
-                                    stationarity_tol))
+    regions = [(e, M.submatrix([e.edge[0] - 1, e.edge[1] - 1]).to_float(),
+                _edge_starts(e),
+                min(50.0, t_end) if e.kind == "all_equilibria" else t_end,
+                rtol) for e in prediction.edges]
+    # every face draws its starts from the one rng, in face order
     for f in prediction.faces:
-        results.append(_verify_face(M, f, rng, samples_per_region, t_end,
-                                    rtol, atol, off_edge_tol,
-                                    constraint_tol, vertex_tol,
-                                    closure_tol, stationarity_tol))
+        sub = face_subsystem(M, f.face).to_float()
+        if f.kind == "periodic":
+            horizon, tol = FIRST_SPAN, max(rtol, 1e-10)
+        else:
+            horizon = None if f.kind == "all_equilibria" else t_end
+            tol = rtol
+        regions.append((f, sub, _face_starts(f, sub, rng, samples_per_region),
+                        horizon, tol))
+    results = [_score(outcome, sub, starts, trajs, off_edge_tol,
+                      constraint_tol, vertex_tol, closure_tol,
+                      stationarity_tol)
+               for (outcome, sub, starts, _, _), trajs in zip(
+                   regions, _simulate(regions, atol))]
     passed = all(r.status != "fail" for r in results)
     report = BoundaryReport(regions=tuple(results), passed=passed,
                             seed=seed, t_end=t_end, rtol=rtol)

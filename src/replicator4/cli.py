@@ -25,6 +25,7 @@ overrides it, and an explicit ``--seed`` beats both.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -75,10 +76,22 @@ def _schema(name: str) -> dict:
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
-def _validate(obj: dict, schema_name: str) -> dict:
-    import jsonschema
+@functools.cache
+def _validator(schema_name: str):
+    """A validator for one schema, checked against its metaschema once."""
+    from jsonschema.validators import validator_for
 
-    jsonschema.validate(obj, _schema(schema_name))
+    schema = _schema(schema_name)
+    validator_for(schema).check_schema(schema)
+    return validator_for(schema)(schema)
+
+
+def _validate(obj: dict, schema_name: str) -> dict:
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_validator(schema_name).iter_errors(obj))
+    if error is not None:
+        raise error
     return obj
 
 

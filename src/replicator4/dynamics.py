@@ -44,7 +44,8 @@ def gauge(u: np.ndarray) -> np.ndarray:
 
 
 def batch_field(A):
-    """Log-space field u -> A softmax(u) on a (B, n) batch, row by row.
+    """Log-space field u -> A softmax(u) on a (B, n) batch, row by row;
+    ``A`` is one matrix or a (B, n, n) stack, one per row.
 
     A broadcast multiply-sum, not BLAS, whose rounding depends on the
     batch size: so each row's result does not depend on the others.
@@ -88,6 +89,12 @@ def _as_array(M) -> np.ndarray:
     if isinstance(M, PayoffMatrix):
         return M.array
     return np.asarray(M, dtype=float)
+
+
+def check_stack(A: np.ndarray, count: int) -> None:
+    """Raise PreconditionFailed unless A is one matrix or ``count`` of them."""
+    if A.ndim == 3 and len(A) != count:
+        raise PreconditionFailed(f"{len(A)} matrices for {count} starts")
 
 
 def vector_field(M, x) -> np.ndarray:
@@ -200,7 +207,7 @@ def _check_run(A: np.ndarray, starts, t_end: float, rtol: float,
                atol: float) -> np.ndarray:
     """Validated interior starts of matching dimension, one per row,
     for a run to t_end at the given tolerances."""
-    n = A.shape[0]
+    n = A.shape[-1]
     P = []
     for x0 in starts:
         p = check_simplex_point(x0, require_interior=True)
@@ -210,6 +217,7 @@ def _check_run(A: np.ndarray, starts, t_end: float, rtol: float,
         P.append(p)
     if not P:
         raise PreconditionFailed("a run needs at least one start")
+    check_stack(A, len(P))
     check_finite("t_end", t_end)
     check_finite("rtol", rtol)
     check_finite("atol", atol, strict=False)
@@ -293,12 +301,14 @@ def integrate_many(M, X0, t_end: float, rtol: float = 1e-10,
     """One :class:`Trajectory` per interior start (row of X0), without
     monitors, from one lockstep run (:func:`replicator4._rk.lockstep`).
 
-    Each start keeps its own steps, accepted nodes and accept and reject
-    counts; on the BLAS-free :func:`batch_field` its trajectory is the
-    same bits alone or in a batch, and agrees with :func:`integrate` to
-    rounding.  Raises PreconditionFailed as :func:`integrate` does, for
-    any start or an empty batch, and StepSizeUnderflow with the ``row``
-    of the start whose step fell below the floor.
+    ``M`` is one matrix, or a (B, n, n) stack with one per start, which
+    becomes that start's ``Trajectory.A``.  Each start keeps its own
+    steps, accepted nodes and accept and reject counts; on the BLAS-free
+    :func:`batch_field` its trajectory is the same bits alone or in a
+    batch, and agrees with :func:`integrate` to rounding.  Raises
+    PreconditionFailed as :func:`integrate` does, for any start, an
+    empty batch or a stack of the wrong length, and StepSizeUnderflow
+    with the ``row`` of the start whose step fell below the floor.
     """
     A = _as_array(M)
     P = _check_run(A, X0, t_end, rtol, atol)
@@ -311,7 +321,8 @@ def integrate_many(M, X0, t_end: float, rtol: float = 1e-10,
     # t_end, and makes one trial step there, accepted or rejected
     live = (ts[:-1] < t_end).sum(axis=0)
     nacc = oks.sum(axis=0) - 1
-    return [Trajectory(A=A, ts=ts[k, b], us=us[k, b], fs=fs[k, b],
+    A = np.broadcast_to(A, (len(P),) + A.shape[-2:])
+    return [Trajectory(A=A[b], ts=ts[k, b], us=us[k, b], fs=fs[k, b],
                        naccept=int(nacc[b]), nreject=int(live[b] - nacc[b]),
                        rtol=rtol, atol=atol) for b, k in enumerate(oks.T)]
 

@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _fastprobe
+from .dynamics import check_stack
 from .kernelgeom import NullLineSection
 from .payoff import PayoffMatrix
 from .signgraph import build_digraph
@@ -179,14 +180,16 @@ def barycenter_starts(rng, n: int, alpha: float = 3.0) -> list:
 def permanence_probe(M, starts, t_end: float = 200.0,
                      window_start: float = 50.0, rtol: float = 1e-6,
                      atol: float = 1e-9) -> list:
-    """Cheap trajectory screen for many starts of one matrix.
+    """Cheap trajectory screen for many starts of one or many matrices.
 
+    ``M`` is one matrix, or a (B, n, n) stack with one per start.
     Returns per start the pair (min share inside [window_start, t_end],
     min share at t_end), computed on accepted integration nodes.  All
     starts run in one lockstep batch, each with its own step control.
     """
     A = M.array if isinstance(M, PayoffMatrix) else np.asarray(M, float)
-    X0 = np.array(starts, dtype=float).reshape(len(starts), A.shape[0])
+    check_stack(A, len(starts))
+    X0 = np.array(starts, dtype=float).reshape(len(starts), A.shape[-1])
     wmin, fmin = _fastprobe.window_and_final_min(
         A, X0 / X0.sum(axis=1, keepdims=True), float(t_end),
         float(window_start), float(rtol), float(atol))

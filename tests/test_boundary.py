@@ -14,10 +14,13 @@ import numpy as np
 import pytest
 
 from replicator4 import (PayoffMatrix, PredictionViolated, boundary_prediction,
-                         canonical_matrix, face_subsystem, integrate,
-                         kernel_line_section, predict_edge, predict_face,
-                         verify_boundary)
-from replicator4.boundary import face_nodes, unstable_vertices
+                         canonical_matrix, detect_period, face_subsystem,
+                         integrate, kernel_line_section, predict_edge,
+                         predict_face, verify_boundary)
+from replicator4 import boundary
+from replicator4.boundary import _face_starts, face_nodes, unstable_vertices
+from replicator4.dynamics import integrate_many
+from replicator4.ensembles import CANONICAL_UPPER
 from oracles import relabel_rows
 
 
@@ -212,3 +215,67 @@ def test_verify_boundary_flags_wrong_prediction(MIV):
     report = verify_boundary(MIV, doctored, t_end=60.0,
                              raise_on_violation=False)
     assert not report.passed
+
+
+def _periodic_face_starts(M, seed, samples=3):
+    """Each periodic face's subsystem and starts, drawn as
+    verify_boundary draws them: every face in order from one rng."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for f in boundary_prediction(M).faces:
+        sub = face_subsystem(M, f.face).to_float()
+        starts = _face_starts(f, sub, rng, samples)
+        if f.kind == "periodic":
+            out[f"face:-{f.face}"] = (sub, starts)
+    return out
+
+
+@pytest.mark.parametrize("name", ["I", "II", "III", "IV", "V"])
+def test_batched_boundary_periods_match_detect_period(name, monkeypatch):
+    M = canonical_matrix(name)
+    batches = []
+
+    def counted(*args, **kwargs):
+        batches.append(args)
+        return integrate_many(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a serial run inside verify_boundary")
+
+    monkeypatch.setattr(boundary, "integrate_many", counted)
+    monkeypatch.setattr(boundary, "integrate", forbidden)
+    monkeypatch.setattr(boundary, "detect_period", forbidden)
+    report = verify_boundary(M, seed=0)
+    monkeypatch.undo()
+    assert 1 <= len(batches) <= 4
+    by_region = {r.region: r for r in report.regions}
+    for region, (sub, starts) in _periodic_face_starts(M, 0).items():
+        periods = by_region[region].measured["periods"]
+        assert len(periods) == len(starts)
+        for x0, period in zip(starts, periods):
+            rep = detect_period(sub, x0, rtol=1e-8, atol=1e-10,
+                                closure_tol=1e-6)
+            assert period == pytest.approx(rep.period, rel=1e-9, abs=0.0)
+
+
+def test_periodic_face_beyond_first_span_falls_back(monkeypatch):
+    # a quarter of class I's payoffs: face periods near 44, past the
+    # batch's 25 time units, so every periodic start needs the fallback
+    M = PayoffMatrix.from_upper([Fraction(v, 4) for v in CANONICAL_UPPER["I"]],
+                                exact=True)
+    reports = []
+
+    def recorded(*args, **kwargs):
+        reports.append(detect_period(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(boundary, "detect_period", recorded)
+    report = verify_boundary(M, seed=0, raise_on_violation=False)
+    by_region = {r.region: r for r in report.regions}
+    faces = _periodic_face_starts(M, 0)
+    periods = [p for region in faces
+               for p in by_region[region].measured["periods"]]
+    assert len(reports) == len(periods) == 6
+    assert periods == [rep.period for rep in reports]
+    assert min(periods) > 25.0
+    assert all(by_region[region].status == "pass" for region in faces)

@@ -239,6 +239,19 @@ def test_integrate_many_row_is_batch_independent(MIII):
                                                 alone.nreject)
 
 
+def test_integrate_many_stacked_rows_match_one_row_runs():
+    mats = np.array([canonical_matrix(name).array
+                     for name in ("I", "III", "IV", "V")])
+    batch = integrate_many(mats, STARTS, 10.0, rtol=1e-8)
+    for A, start, traj in zip(mats, STARTS, batch):
+        alone = integrate_many(A, [start], 10.0, rtol=1e-8)[0]
+        assert np.array_equal(traj.A, A)
+        for name in ("ts", "us", "fs"):
+            assert np.array_equal(getattr(traj, name), getattr(alone, name))
+        assert (traj.naccept, traj.nreject) == (alone.naccept,
+                                                alone.nreject)
+
+
 def test_integrate_many_counts_steps_per_row(MI):
     # loose tolerance, so that some rows reject steps
     trajs = integrate_many(MI, STARTS, 20.0, rtol=1e-4, atol=1e-12)
@@ -272,3 +285,5 @@ def test_integrate_many_validates_every_start(MI):
         integrate_many(MI, [X0], float("inf"))
     with pytest.raises(PreconditionFailed):
         integrate_many(MI, [], 1.0)
+    with pytest.raises(PreconditionFailed):
+        integrate_many(np.array([MI.array] * 3), STARTS, 1.0)

@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from replicator4 import (PayoffMatrix, StepSizeUnderflow, build_digraph,
-                         canonical_matrix, classify_matrix,
+from replicator4 import (PayoffMatrix, PreconditionFailed, StepSizeUnderflow,
+                         build_digraph, canonical_matrix, classify_matrix,
                          kernel_line_section,
                          sample_acyclic_singular, sample_class_matrix,
                          sample_cyclic_nonsingular)
@@ -104,6 +104,18 @@ def test_probe_rows_are_independent(contrast, rng):
     batch = permanence_probe(M, starts)
     singles = [permanence_probe(M, [s])[0] for s in starts]
     assert np.allclose(batch, singles, rtol=1e-9, atol=0.0)
+
+
+def test_stacked_probe_matches_per_matrix_calls(MI, rng):
+    matrices = [MI, sample_class_matrix("III", rng),
+                sample_cyclic_nonsingular(rng), sample_acyclic_singular(rng)]
+    starts = barycenter_starts(rng, 2 * len(matrices))
+    stack = np.array([M.array for M in matrices for _ in range(2)])
+    singles = [pair for k, M in enumerate(matrices)
+               for pair in permanence_probe(M, starts[2 * k:2 * k + 2])]
+    assert permanence_probe(stack, starts) == singles
+    with pytest.raises(PreconditionFailed):
+        permanence_probe(stack[::2], starts)
 
 
 def test_probe_step_underflow_carries_start_row(MI, rng):
