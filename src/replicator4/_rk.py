@@ -23,14 +23,16 @@ Characteristics
   clipped to [0.2, 5]); a NaN error estimate rejects the step and
   shrinks it by the factor 0.2
 * cubic Hermite dense output on accepted intervals
-* the projection hook invalidates the FSAL stage, so the derivative at
-  an accepted point is recomputed there (7 evaluations per step)
+* first same as last: the seventh stage is the field at the new state,
+  and the projection hook is a gauge shift the field ignores, so it
+  serves as the derivative at the accepted point (6 evaluations per
+  trial step, plus one at the start)
 
 References
 ----------
 Dormand, Prince: "A family of embedded Runge-Kutta formulae" (1980).
-Hairer, Norsett, Wanner: "Solving ODEs I", section II.4 for the
-controller.
+Hairer, Norsett, Wanner: "Solving ODEs I", sections II.4 and II.5 for
+the controller and the FSAL stage.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ import numpy as np
 from .errors import StepSizeUnderflow
 
 # Butcher tableau (stage coefficients row by row, then the two weight
-# rows); the field is autonomous, so the nodes are not needed
+# rows); the field is autonomous, so the nodes are not needed.  The last
+# stage row is B5, so the seventh stage state is the order-5 solution.
 A = (
     (),
     (1 / 5,),
@@ -55,9 +58,9 @@ B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
 B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                -92097 / 339200, 187 / 2100, 1 / 40])
 ERR = B5 - B4
-# weight rows as (1, 7) matrices: each weighted stage sum is one matrix
-# product with the stages flattened to (7, size)
-_B5_ROW = B5.reshape(1, 7)
+# stage and error rows as (1, s) matrices: each weighted stage sum is one
+# matrix product with the stages flattened to (s, size)
+_A_ROWS = tuple(np.array(row).reshape(1, -1) for row in A)
 _ERR_ROW = ERR.reshape(1, 7)
 
 _SAFETY = 0.9
@@ -79,21 +82,17 @@ def attempt(fun, u, f, h, rtol, atol, K):
 
     ``u`` and ``f`` have shape (..., n) and ``h`` is a float or holds
     one step per leading index; ``K`` is scratch of shape (7,) + u.shape
-    and ends up holding the stages.  Returns the order-5 state and the
-    error estimate's RMS over the last axis, weighted by
-    ``atol + rtol * max(1, |u_new|)``; the step is acceptable where that
-    is at most one.
+    and ends up holding the stages, ``K[6]`` being ``fun(u_new)``.
+    Returns the order-5 state and the error estimate's RMS over the last
+    axis, weighted by ``atol + rtol * max(1, |u_new|)``; the step is
+    acceptable where that is at most one.
     """
     hb = h if isinstance(h, float) else h[..., None]
     K[0] = f
-    for s in range(1, 7):
-        acc = u + (hb * A[s][0]) * K[0]
-        for j in range(1, s):
-            if A[s][j] != 0.0:
-                acc = acc + (hb * A[s][j]) * K[j]
-        K[s] = fun(acc)
     Kf = K.reshape(7, -1)
-    u_new = u + hb * np.dot(_B5_ROW, Kf).reshape(u.shape)
+    for s in range(1, 7):
+        u_new = u + hb * np.dot(_A_ROWS[s], Kf[:s]).reshape(u.shape)
+        K[s] = fun(u_new)
     err_vec = hb * np.dot(_ERR_ROW, Kf).reshape(u.shape)
     w = atol + rtol * np.maximum(1.0, np.abs(u_new))
     return u_new, np.sqrt(((err_vec / w) ** 2).sum(axis=-1) / u.shape[-1])
@@ -137,8 +136,8 @@ class DormandPrince54:
         Error weights, see :func:`attempt`.
     project : callable, optional
         Applied to the accepted state before it is stored.  Must not
-        change ``fun``'s value there (a gauge choice); the derivative is
-        recomputed after projection regardless.
+        change ``fun``'s value there (a gauge choice): the last stage,
+        evaluated before projection, is kept as the new derivative.
     h0 : float, optional
         Initial step; :func:`initial_step` when omitted.
     min_step : float
@@ -193,7 +192,7 @@ class DormandPrince54:
         if self.project is not None:
             u_new = self.project(u_new)
         self.u = u_new
-        self.f = self.fun(u_new)
+        self.f = self._K[6].copy()
         self.naccept += 1
         return t_old, u_old, f_old, self.t, self.u, self.f
 
@@ -202,9 +201,10 @@ def lockstep(fun, u0, t_end, rtol, atol, project):
     """Advance a (B, n) batch of runs of u' = fun(u) from t = 0 to t_end.
 
     Rows keep their own time, step, PI memory and accept decision; a row
-    at t_end takes zero steps, and a row is projected only after a step
-    it accepts.  Yields ``(t, u, f, ok)`` per iteration, ``ok`` marking
-    the rows that accepted.  A live step below :data:`MIN_STEP` raises
+    at t_end takes zero steps, and a row is projected, and takes the last
+    stage as its derivative, only after a step it accepts.  Yields
+    ``(t, u, f, ok)`` per iteration, ``ok`` marking the rows that
+    accepted.  A live step below :data:`MIN_STEP` raises
     StepSizeUnderflow with the row, its time, step and state.
     """
     u = u0
@@ -231,7 +231,7 @@ def lockstep(fun, u0, t_end, rtol, atol, project):
         ok &= live
         t = np.where(ok, np.where(step < rest, t + step, t_end), t)
         u = np.where(ok[:, None], project(u_new), u)
-        f = fun(u)
+        f = np.where(ok[:, None], K[6], f)
         yield t, u, f, ok
 
 

@@ -386,7 +386,10 @@ def _add_common(p, seed=True):
                        help=f"rng seed (default 0, env {_SEED_ENV})")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parse_args leaves it
+    unchanged)."""
     ap = argparse.ArgumentParser(
         prog="replicator4",
         description="Permanence, kernel geometry, periodic orbit "

@@ -7,6 +7,8 @@ shell user would see them.
 
 import io
 import json
+import os
+import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
@@ -15,6 +17,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import replicator4
 from replicator4 import __version__
 from replicator4.cli import _schema, main
 
@@ -377,3 +380,24 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+def test_in_process_calls_match_separate_processes(tmp_path, capsys):
+    # main builds its parser once per process: no call's subcommand or
+    # options may leak into the next
+    matrix = matrix_file(tmp_path, M_IV_TEXT)
+    calls = [["classify", "--matrix", matrix, "--float"],
+             ["simulate", "--matrix", matrix, "--x0", "0.4,0.3,0.2,0.1",
+              "--t-end", "1", "--dt", "0.5", "--seed", "4"],
+             ["orbit", "--matrix", matrix, "--x0", "0.4,0.3,0.2,0.1",
+              "--skip-stability", "--horizon", "40"],
+             ["classify", "--matrix", matrix],
+             ["simulate", "--matrix", matrix, "--t-end", "1", "--dt", "0.5"]]
+    src = os.path.dirname(os.path.dirname(replicator4.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in calls:
+        code, out, _ = run(argv, capsys)
+        alone = subprocess.run([sys.executable, "-m", "replicator4.cli"]
+                               + argv, env=env, capture_output=True,
+                               text=True)
+        assert (code, out) == (alone.returncode, alone.stdout)

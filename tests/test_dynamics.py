@@ -266,6 +266,36 @@ def test_integrate_many_counts_steps_per_row(MI):
         assert traj.naccept == len(traj.ts) - 1
 
 
+def _counted(fun, calls):
+    def counted(u):
+        calls.append(len(u))
+        return fun(u)
+    return counted
+
+
+def test_field_evaluations_per_trial_step(MI, monkeypatch):
+    # first same as last: one evaluation at the start, then six per trial
+    # step, accepted or rejected, in lockstep and integrate; rtol 1e-4 so
+    # that some steps are rejected
+    calls = []
+    u0 = gauge(np.log(X0))[None, :]
+    oks = [ok[0] for *_, ok in _rk.lockstep(
+        _counted(batch_field(MI.array), calls), u0, 20.0, 1e-4, 1e-12,
+        gauge)]
+    assert 0 < oks.count(False)
+    assert len(calls) == 1 + 6 * len(oks)
+
+    class Counting(_rk.DormandPrince54):
+        def __init__(self, fun, *args, **kwargs):
+            super().__init__(_counted(fun, calls), *args, **kwargs)
+
+    monkeypatch.setattr(_rk, "DormandPrince54", Counting)
+    calls.clear()
+    traj = integrate(MI, X0, 20.0, rtol=1e-4, atol=1e-12)
+    assert traj.nreject > 0
+    assert len(calls) == 1 + 6 * (traj.naccept + traj.nreject)
+
+
 def test_integrate_many_underflow_carries_row(MI):
     # the equilibrium row resolves at any scale; the other cannot
     z = np.asarray(kernel_line_section(MI).midpoint(), dtype=float)

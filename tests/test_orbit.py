@@ -11,9 +11,14 @@ import pytest
 
 from replicator4 import (EquilibriumStart, NoClosureFound, PayoffMatrix,
                          PreconditionFailed, ProbeEscaped, canonical_matrix,
-                         detect_period, distance_to_K, kernel_line_section,
-                         select_reference_points, stability_probe)
-from replicator4.orbit import _min_distance_to_samples
+                         detect_period, distance_to_K, integrate,
+                         kernel_line_section, select_reference_points,
+                         stability_probe)
+from replicator4 import orbit
+from replicator4.dynamics import Trajectory, integrate_many, softmax
+from replicator4.orbit import (_max_distance_to_samples,
+                               _min_distance_to_samples, first_closure,
+                               section_normal)
 
 X_IV = np.array([0.4, 0.3, 0.2, 0.1])
 X_I = np.array([0.1, 0.2, 0.3, 0.4])
@@ -135,6 +140,76 @@ def test_tube_distance_matches_brute_force(certified_MIV, rng):
     assert far.sum() >= 250
     got = _min_distance_to_samples(points, ref)
     assert np.all(np.abs(got[far] / brute[far] - 1.0) <= 1e-10)
+
+
+def test_pruned_tube_distance_is_exact(certified_MIV, rng, monkeypatch):
+    M, _, _, report = certified_MIV
+    ref, T = report.orbit_samples, report.period
+    n = len(ref) - 1
+    searched = []
+
+    def counted(points, samples):
+        searched.append(len(points))
+        return _min_distance_to_samples(points, samples)
+
+    monkeypatch.setattr(orbit, "_min_distance_to_samples", counted)
+    # a perturbed run over three periods, phase guessed from its time
+    start = X_IV + 1e-3 * np.array([0.5, -0.2, -0.1, -0.2])
+    ts, probe = integrate_many(M, [start], 3 * T)[0].sample(T / 512)
+    phase = np.rint(np.mod(ts, T) / T * n).astype(int)
+    # a noisy cloud around the samples, phase known exactly
+    picks = rng.integers(0, n, 2000)
+    steps = rng.standard_normal((2000, 4))
+    steps -= steps.mean(axis=1, keepdims=True)
+    cloud = ref[picks] + 1e-3 * steps
+    far = np.full((300, 4), 0.01) + np.eye(4)[rng.integers(0, 4, 300)] * 0.96
+    cases = [(probe, phase), (probe, (phase + n // 2) % n),
+             (probe, np.zeros_like(phase)), (cloud, picks),
+             (cloud, (picks + n // 2) % n), (far, rng.integers(0, n, 300))]
+    for k, (points, guess) in enumerate(cases):
+        searched.clear()
+        got = _max_distance_to_samples(points, ref, guess)
+        assert got == _min_distance_to_samples(points, ref).max()
+        if k in (0, 3):
+            # a good guess leaves most points unsearched
+            assert sum(searched) < len(points) / 4
+    # a sample cloud shorter than the window
+    few = ref[::512]
+    assert (_max_distance_to_samples(probe, few, phase // 512)
+            == _min_distance_to_samples(probe, few).max())
+
+
+def test_bisection_stops_at_float_resolution(monkeypatch):
+    def reference_crossings(traj, p, f0):
+        ss = (traj.xs - p) @ f0
+        k = np.flatnonzero((ss[1:-1] < 0) & (ss[2:] >= 0)) + 1
+        lo, hi = traj.ts[k], traj.ts[k + 1]
+        for _ in range(90):
+            mid = 0.5 * (lo + hi)
+            below = (softmax(traj.dense(mid)) - p) @ f0 < 0
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        return 0.5 * (lo + hi)
+
+    calls = []
+    dense = Trajectory.dense
+
+    def counted(self, t):
+        calls.append(np.shape(t))
+        return dense(self, t)
+
+    for name in ("I", "II", "III", "IV", "V"):
+        M = canonical_matrix(name)
+        traj = integrate(M, X_I, 25.0)
+        f0 = section_normal(M, X_I)
+        want = reference_crossings(traj, X_I, f0)
+        monkeypatch.setattr(Trajectory, "dense", counted)
+        calls.clear()
+        got, _, first = first_closure(traj, X_I, f0, 1e-6)
+        monkeypatch.undo()
+        assert first == 0
+        assert np.array_equal(got, want)
+        assert len(calls) <= 64
 
 
 def test_stability_probe_zero_delta(certified_MIV):

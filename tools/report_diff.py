@@ -1,0 +1,106 @@
+"""Compare the CLI outputs of two source trees for canonical classes I-V.
+
+    python tools/report_diff.py OLD_TREE NEW_TREE
+
+Each tree's ``src/`` runs ``orbit`` (seed 3), ``boundary`` (seed 0),
+``verify`` (seed 1), ``simulate`` and ``portrait`` (seed 0).  Printed: per
+JSON key (list indices folded to ``[]``), CSV column or SVG file, how many
+floats moved and the largest absolute and relative move; every other
+change (a status, a string, an integer, an exit code, a missing value);
+and how many files are byte-identical.
+"""
+
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+CLASSES = ("I", "II", "III", "IV", "V")
+RUNS = (("orbit", "3", ".json"), ("boundary", "0", ".json"),
+        ("verify", "1", ".json"), ("simulate", "0", ".csv"),
+        ("portrait", "0", ".svg"))
+NUM = re.compile(r"-?\d+\.\d*(?:e[-+]?\d+)?|-?\d+e[-+]?\d+")
+TEXT = ("from replicator4 import canonical_matrix, format_matrix\n"
+        f"for c in {CLASSES!r}: print(format_matrix(canonical_matrix(c)))")
+
+
+def run_tree(tree: str, out: Path) -> None:
+    env = dict(os.environ, PYTHONPATH=str(Path(tree, "src").resolve()))
+    texts = subprocess.run([sys.executable, "-c", TEXT], env=env, check=True,
+                           text=True, capture_output=True).stdout.split("\n")
+    out.mkdir()
+    for name, text in zip(CLASSES, texts):
+        for cmd, seed, ext in RUNS:
+            stem = out / f"{cmd}.{name}"
+            res = subprocess.run(
+                [sys.executable, "-m", "replicator4.cli", cmd, "--matrix", "-",
+                 "--seed", seed, "--out", f"{stem}{ext}"], input=text,
+                env=env, text=True, capture_output=True)
+            Path(f"{stem}.exit").write_text(f"{res.returncode}\n{res.stderr}")
+
+
+def leaves(path: Path, key: str):
+    """(key, value) pairs of one output file, in document order."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        def walk(v, k):
+            if isinstance(v, dict):
+                for name in sorted(v):
+                    yield from walk(v[name], f"{k}.{name}")
+            elif isinstance(v, list):
+                for item in v:
+                    yield from walk(item, f"{k}[]")
+            else:
+                yield k, v
+        yield from walk(json.loads(text), key)
+    elif path.suffix == ".csv":
+        head, *rows = [line.split(",") for line in text.splitlines()]
+        for row in rows:
+            yield from ((f"{key}.{h}", float(v)) for h, v in zip(head, row))
+    else:
+        yield from ((key, float(v)) for v in NUM.findall(text))
+        yield f"{key}:text", NUM.sub("#", text)
+
+
+def main(old: str, new: str) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        a, b = Path(tmp, "old"), Path(tmp, "new")
+        run_tree(old, a)
+        run_tree(new, b)
+        moves, other, same = {}, [], 0
+        files = sorted(a.iterdir())
+        for pa in files:
+            cmd, _, ext = pa.name.split(".", 2)
+            key = cmd + {"csv.drift.json": ".drift",
+                         "exit": ".exit"}.get(ext, "")
+            pb = b / pa.name
+            if pb.exists() and pa.read_bytes() == pb.read_bytes():
+                same += 1
+                continue
+            la = list(leaves(pa, key))
+            lb = list(leaves(pb, key)) if pb.exists() else []
+            if [k for k, _ in la] != [k for k, _ in lb]:
+                other.append(f"{pa.name}: keys or length changed")
+                continue
+            for (k, va), (_, vb) in zip(la, lb):
+                if va == vb:
+                    continue
+                if isinstance(va, float) and isinstance(vb, float):
+                    d = abs(va - vb)
+                    n, dmax, rmax = moves.get(k, (0, 0.0, 0.0))
+                    moves[k] = (n + 1, max(dmax, d),
+                                max(rmax, d / max(abs(va), abs(vb))))
+                else:
+                    other.append(f"{pa.name} {k}: {va!r} -> {vb!r}")
+    print(f"{'key':60} {'moved':>6} {'max abs':>10} {'max rel':>10}")
+    for k, (n, d, r) in sorted(moves.items()):
+        print(f"{k:60} {n:6d} {d:10.3g} {r:10.3g}")
+    print("\n".join(other) or "no status or non-float changes")
+    print(f"{same} of {len(files)} files byte-identical")
+
+
+if __name__ == "__main__":
+    main(*sys.argv[1:3])
