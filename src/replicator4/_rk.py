@@ -6,15 +6,14 @@ gauge after every accepted step, which is why this is hand-rolled rather
 than a wrapper: off-the-shelf steppers expose no per-accepted-step
 projection, and the drift accounting downstream depends on it.
 
-The tableau, the trial step (:func:`attempt`) and the step-size
-controller (:func:`control`) exist once.  They work on states of shape
-(..., n) with a float step or one step per leading index.
-:class:`DormandPrince54` drives one run with a float step for
-:func:`replicator4.dynamics.integrate`.  :func:`lockstep`, the one batch
-loop, advances a (B, n) batch of independent runs, each row with its
-own time, step and accept decision, for the permanence screen
-(:func:`replicator4._fastprobe.window_and_final_min`) and the stability
-probes (:func:`replicator4.dynamics.integrate_many`).
+The tableau, the trial step (:func:`attempt`), the step-size
+controller (:func:`control`) and the driver (:func:`lockstep`) exist
+once.  :func:`lockstep` advances a (B, n) batch of independent runs,
+each row with its own time, step and accept decision.  It has three
+consumers: :func:`replicator4.dynamics.integrate` (one row, with drift
+monitors), :func:`replicator4.dynamics.integrate_many` (one trajectory
+per row) and the permanence screen
+(:func:`replicator4._fastprobe.window_and_final_min`).
 
 Characteristics
 ---------------
@@ -71,29 +70,22 @@ _FAC_MAX = 5.0
 MIN_STEP = 1e-13
 
 
-def initial_step(f, max_step=np.inf):
-    """Crude scale-based first step from the derivative(s) f, (..., n)."""
-    scale = np.maximum(1e-6, np.abs(f).max(axis=-1))
-    return np.minimum(np.minimum(0.1, 0.01 / scale), max_step)
-
-
 def attempt(fun, u, f, h, rtol, atol, K):
     """One trial step of size h from state u with derivative f = fun(u).
 
-    ``u`` and ``f`` have shape (..., n) and ``h`` is a float or holds
-    one step per leading index; ``K`` is scratch of shape (7,) + u.shape
+    ``u`` and ``f`` have shape (..., n) and ``h`` shape (..., 1), one
+    step per leading index; ``K`` is scratch of shape (7,) + u.shape
     and ends up holding the stages, ``K[6]`` being ``fun(u_new)``.
     Returns the order-5 state and the error estimate's RMS over the last
     axis, weighted by ``atol + rtol * max(1, |u_new|)``; the step is
     acceptable where that is at most one.
     """
-    hb = h if isinstance(h, float) else h[..., None]
     K[0] = f
     Kf = K.reshape(7, -1)
     for s in range(1, 7):
-        u_new = u + hb * np.dot(_A_ROWS[s], Kf[:s]).reshape(u.shape)
+        u_new = u + h * np.dot(_A_ROWS[s], Kf[:s]).reshape(u.shape)
         K[s] = fun(u_new)
-    err_vec = hb * np.dot(_ERR_ROW, Kf).reshape(u.shape)
+    err_vec = h * np.dot(_ERR_ROW, Kf).reshape(u.shape)
     w = atol + rtol * np.maximum(1.0, np.abs(u_new))
     return u_new, np.sqrt(((err_vec / w) ** 2).sum(axis=-1) / u.shape[-1])
 
@@ -114,87 +106,11 @@ def control(h, err, err_prev):
     accept = err <= 1.0
     # The 1e-300 keeps err = 0 finite (any err below 1e-284 gets the
     # largest factor either way); err_prev ** 0 = 1 drops the PI term
-    # after a rejection.  The powers are plain operators so that float
-    # inputs get the C library's pow: numpy's array pow can differ from
-    # it in the last bit, which would move every single-run result.
+    # after a rejection.
     fac = _SAFETY * (err + 1e-300) ** -_ALPHA * err_prev ** (_BETA * accept)
     # NaN guard: fmax ignores NaN, so a NaN estimate gets _FAC_MIN
     fac = np.minimum(np.fmax(fac, _FAC_MIN), _FAC_MAX)
     return accept, h * fac, np.where(accept, np.fmax(err, 1e-10), err_prev)
-
-
-class DormandPrince54:
-    """Adaptive stepper for u' = fun(u) (autonomous), one run.
-
-    Parameters
-    ----------
-    fun : callable
-        Vector field, ndarray -> ndarray of the same shape.
-    t0, u0 : float, array
-        Initial time and state.
-    rtol, atol : float
-        Error weights, see :func:`attempt`.
-    project : callable, optional
-        Applied to the accepted state before it is stored.  Must not
-        change ``fun``'s value there (a gauge choice): the last stage,
-        evaluated before projection, is kept as the new derivative.
-    h0 : float, optional
-        Initial step; :func:`initial_step` when omitted.
-    min_step : float
-        Floor below which StepSizeUnderflow is raised.
-    """
-
-    def __init__(self, fun, t0, u0, rtol, atol, project=None, h0=None,
-                 max_step=np.inf, min_step=MIN_STEP):
-        self.fun = fun
-        self.t = float(t0)
-        self.u = np.asarray(u0, dtype=float).copy()
-        self.f = fun(self.u)
-        self.rtol = float(rtol)
-        self.atol = float(atol)
-        self.project = project
-        self.max_step = float(max_step)
-        self.min_step = float(min_step)
-        if h0 is None:
-            h0 = initial_step(self.f, self.max_step)
-        self.h = float(h0)
-        self.naccept = 0
-        self.nreject = 0
-        self._err_prev = 1e-4
-        self._K = np.zeros((7,) + self.u.shape)
-
-    def step(self, t_bound):
-        """Advance by one accepted step, not passing t_bound.
-
-        Returns ``(t_old, u_old, f_old, t_new, u_new, f_new)``; the
-        six-tuple is everything cubic Hermite dense output needs.
-        """
-        if self.t >= t_bound:
-            raise ValueError("step called at or beyond t_bound")
-        while True:
-            h = min(self.h, self.max_step, t_bound - self.t)
-            if h < self.min_step:
-                raise StepSizeUnderflow(
-                    f"step size {h:.3e} fell below {self.min_step:.1e} "
-                    f"at t = {self.t:.6g}", t=self.t, h=h,
-                    state=self.u.copy())
-            u_new, err = attempt(self.fun, self.u, self.f, h, self.rtol,
-                                 self.atol, self._K)
-            accept, h_next, err_prev = control(h, float(err),
-                                               self._err_prev)
-            self.h = float(h_next)
-            if accept:
-                break
-            self.nreject += 1
-        self._err_prev = float(err_prev)
-        t_old, u_old, f_old = self.t, self.u, self.f
-        self.t = self.t + h
-        if self.project is not None:
-            u_new = self.project(u_new)
-        self.u = u_new
-        self.f = self._K[6].copy()
-        self.naccept += 1
-        return t_old, u_old, f_old, self.t, self.u, self.f
 
 
 def lockstep(fun, u0, t_end, rtol, atol, project):
@@ -202,15 +118,18 @@ def lockstep(fun, u0, t_end, rtol, atol, project):
 
     Rows keep their own time, step, PI memory and accept decision; a row
     at t_end takes zero steps, and a row is projected, and takes the last
-    stage as its derivative, only after a step it accepts.  Yields
-    ``(t, u, f, ok)`` per iteration, ``ok`` marking the rows that
-    accepted.  A live step below :data:`MIN_STEP` raises
-    StepSizeUnderflow with the row, its time, step and state.
+    stage as its derivative, only after a step it accepts.  A step that
+    would leave less than :data:`MIN_STEP` to go takes the whole rest,
+    so every row ends at exactly t_end.  Yields ``(t, u, f, ok)`` per
+    iteration, ``ok`` marking the rows that accepted.  A live step below
+    :data:`MIN_STEP` raises StepSizeUnderflow with the row, its time,
+    step and state.
     """
     u = u0
     f = fun(u)
     t = np.zeros(len(u))
-    h = initial_step(f)
+    # crude scale-based first step
+    h = np.minimum(0.1, 0.01 / np.maximum(1e-6, np.abs(f).max(axis=-1)))
     err_prev = np.full(len(u), 1e-4)
     K = np.empty((7,) + u.shape)
     while True:
@@ -218,7 +137,11 @@ def lockstep(fun, u0, t_end, rtol, atol, project):
         live = rest > 0
         if not live.any():
             return
-        step = np.minimum(h, rest)
+        # the whole rest where h would leave less than MIN_STEP; control
+        # shrinks a rejected step below _SAFETY times it, so no rest is
+        # retried after a rejection: the run ends or underflows
+        whole = h > np.maximum(rest - MIN_STEP, _SAFETY * rest)
+        step = np.where(whole, rest, h)
         low = live & (step < MIN_STEP)
         if low.any():
             i = int(np.argmax(low))
@@ -226,10 +149,10 @@ def lockstep(fun, u0, t_end, rtol, atol, project):
                 f"batch row {i}: step size {step[i]:.3e} fell below "
                 f"{MIN_STEP:.1e} at t = {t[i]:.6g}",
                 t=float(t[i]), h=float(step[i]), state=u[i].copy(), row=i)
-        u_new, err = attempt(fun, u, f, step, rtol, atol, K)
+        u_new, err = attempt(fun, u, f, step[:, None], rtol, atol, K)
         ok, h, err_prev = control(step, err, err_prev)
         ok &= live
-        t = np.where(ok, np.where(step < rest, t + step, t_end), t)
+        t = np.where(ok, np.where(whole, t_end, t + step), t)
         u = np.where(ok[:, None], project(u_new), u)
         f = np.where(ok[:, None], K[6], f)
         yield t, u, f, ok

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .boundary import boundary_prediction, verify_boundary
-from .dynamics import default_drift_budget, integrate
+from .dynamics import default_drift_budget, integrate, integrate_many
 from .ensembles import barycenter_starts, interior_starts
 from .errors import (PreconditionFailed, Replicator4Error,
                      UnclassifiableSignPattern)
@@ -359,9 +359,9 @@ def _cmd_portrait(args) -> int:
     except Replicator4Error:
         section = None
         starts = barycenter_starts(rng, args.starts)
+    runs = integrate_many(M, starts, args.t_end, rtol=args.rtol)
     trajs = []
-    for x0 in starts:
-        traj = integrate(M, x0, args.t_end, rtol=args.rtol)
+    for x0, traj in zip(starts, runs):
         _, xs = traj.sample(args.dt)
         label = "x0=(" + ", ".join(f"{v:.4f}" for v in x0) + ")"
         trajs.append((label, xs))

@@ -15,8 +15,13 @@ Relative entropy with respect to any interior equilibrium z,
 is a first integral of the flow.  Its numerical drift is the integration
 quality signal everything downstream trusts, so :func:`integrate` can
 watch a set of monitor points and abort past a drift budget.
-:func:`integrate_many` runs a batch of starts in lockstep and returns
-one trajectory per start.
+:func:`integrate_many` runs a batch of starts and returns one trajectory
+per start.
+
+There is one driver, :func:`replicator4._rk.lockstep`, with three
+consumers: :func:`integrate` (one row, monitored),
+:func:`integrate_many` and the permanence screen
+(:func:`replicator4._fastprobe.window_and_final_min`).
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from . import _rk
-from .errors import DriftBudgetExceeded, PreconditionFailed
+from .errors import (DriftBudgetExceeded, PreconditionFailed,
+                     StepSizeUnderflow)
 from .payoff import PayoffMatrix
 
 
@@ -224,10 +230,27 @@ def _check_run(A: np.ndarray, starts, t_end: float, rtol: float,
     return np.array(P)
 
 
+def _trajectories(A: np.ndarray, fun, u0: np.ndarray, steps, t_end: float,
+                  rtol: float, atol: float, **extra) -> list[Trajectory]:
+    """One :class:`Trajectory` per row of u0 from the ``(t, u, f, ok)``
+    that :func:`replicator4._rk.lockstep` yielded for it in ``steps``."""
+    n = len(u0)
+    hist = [(np.zeros(n), u0, fun(u0), np.ones(n, dtype=bool)), *steps]
+    ts, us, fs, oks = (np.array(v) for v in zip(*hist))
+    # a row is live in each iteration that starts before it reaches
+    # t_end, and makes one trial step there, accepted or rejected
+    live = (ts[:-1] < t_end).sum(axis=0)
+    nacc = oks.sum(axis=0) - 1
+    A = np.broadcast_to(A, (oks.shape[1],) + A.shape[-2:])
+    return [Trajectory(A=A[b], ts=ts[k, b], us=us[k, b], fs=fs[k, b],
+                       naccept=int(nacc[b]), nreject=int(live[b] - nacc[b]),
+                       rtol=rtol, atol=atol, **extra)
+            for b, k in enumerate(oks.T)]
+
+
 def integrate(M, x0, t_end: float, rtol: float = 1e-10,
               atol: float = 1e-12, monitors: Sequence = (),
-              drift_budget: float | None = None, h0: float | None = None,
-              max_step: float = np.inf) -> Trajectory:
+              drift_budget: float | None = None) -> Trajectory:
     """Integrate the replicator flow from an interior point.
 
     Parameters
@@ -256,44 +279,49 @@ def integrate(M, x0, t_end: float, rtol: float = 1e-10,
         See above; signals the tolerance was too loose for this run.
     """
     A = _as_array(M)
-    p = _check_run(A, [x0], t_end, rtol, atol)[0]
+    P = _check_run(A, [x0], t_end, rtol, atol)
 
     def fun(u):
         return softmax(u) @ A.T
 
     mon = [(str(label), check_simplex_point(z)) for (label, z) in monitors]
-    base = [phi(p, z) for (_, z) in mon]
     budget = drift_budget
     if budget is None:
         budget = default_drift_budget(rtol, t_end, A)
+    # phi of every monitor in one pass, to the bit: where z = 0 the log
+    # is skipped and the term is a zero, which leaves the sum unchanged
+    Z = np.array([z for (_, z) in mon]).reshape(len(mon), A.shape[-1])
+    mask = Z > 0
+    Zs, logs = np.where(mask, Z, 1.0), np.zeros(Z.shape)
 
-    stepper = _rk.DormandPrince54(fun, 0.0, gauge(np.log(p)), rtol, atol,
-                                  project=gauge, h0=h0, max_step=max_step)
-    ts = [0.0]
-    us = [stepper.u.copy()]
-    fs = [stepper.f.copy()]
-    drift = {label: 0.0 for (label, _) in mon}
-    while stepper.t < t_end:
-        _, _, _, t_new, u_new, f_new = stepper.step(t_end)
-        ts.append(t_new)
-        us.append(u_new.copy())
-        fs.append(f_new.copy())
-        if mon:
-            x_new = softmax(u_new)
-            for (label, z), p0 in zip(mon, base):
-                d = abs(phi(x_new, z) - p0)
-                if d > drift[label]:
-                    drift[label] = d
-                if d > budget:
+    def entropies(x):
+        return -(Z * np.log(x / Zs, out=logs, where=mask)).sum(axis=-1)
+
+    base = entropies(P[0])
+    drift = np.zeros(len(mon))
+    u0 = gauge(np.log(P))
+    steps = []
+    try:
+        for t, u, f, ok in _rk.lockstep(fun, u0, t_end, rtol, atol, gauge):
+            steps.append((t, u, f, ok))
+            if mon and ok[0]:
+                d = np.abs(entropies(softmax(u[0])) - base)
+                drift = np.maximum(drift, d)
+                if (d > budget).any():
+                    i = int(np.argmax(d > budget))
+                    label, t_new = mon[i][0], float(t[0])
                     raise DriftBudgetExceeded(
-                        f"monitor {label!r} drifted {d:.3e} past budget "
-                        f"{budget:.3e} at t = {t_new:.6g}",
-                        label=label, drift=d, budget=budget, t=t_new)
-    return Trajectory(A=A, ts=np.array(ts), us=np.array(us),
-                      fs=np.array(fs), naccept=stepper.naccept,
-                      nreject=stepper.nreject, rtol=rtol, atol=atol,
-                      monitors=tuple((l, z.copy()) for (l, z) in mon),
-                      drift=dict(drift))
+                        f"monitor {label!r} drifted {d[i]:.3e} past budget "
+                        f"{budget:.3e} at t = {t_new:.6g}", label=label,
+                        drift=float(d[i]), budget=budget, t=t_new)
+    except StepSizeUnderflow as err:
+        raise StepSizeUnderflow(
+            f"step size {err.h:.3e} fell below {_rk.MIN_STEP:.1e} at "
+            f"t = {err.t:.6g}", t=err.t, h=err.h, state=err.state) from None
+    return _trajectories(
+        A, fun, u0, steps, t_end, rtol, atol,
+        monitors=tuple(mon),
+        drift={l: float(v) for (l, _), v in zip(mon, drift)})[0]
 
 
 def integrate_many(M, X0, t_end: float, rtol: float = 1e-10,
@@ -314,17 +342,8 @@ def integrate_many(M, X0, t_end: float, rtol: float = 1e-10,
     P = _check_run(A, X0, t_end, rtol, atol)
     fun = batch_field(A)
     u0 = gauge(np.log(P))
-    hist = [(np.zeros(len(P)), u0, fun(u0), np.ones(len(P), dtype=bool))]
-    hist.extend(_rk.lockstep(fun, u0, t_end, rtol, atol, gauge))
-    ts, us, fs, oks = (np.array(v) for v in zip(*hist))
-    # a row is live in each iteration that starts before it reaches
-    # t_end, and makes one trial step there, accepted or rejected
-    live = (ts[:-1] < t_end).sum(axis=0)
-    nacc = oks.sum(axis=0) - 1
-    A = np.broadcast_to(A, (len(P),) + A.shape[-2:])
-    return [Trajectory(A=A[b], ts=ts[k, b], us=us[k, b], fs=fs[k, b],
-                       naccept=int(nacc[b]), nreject=int(live[b] - nacc[b]),
-                       rtol=rtol, atol=atol) for b, k in enumerate(oks.T)]
+    steps = _rk.lockstep(fun, u0, t_end, rtol, atol, gauge)
+    return _trajectories(A, fun, u0, steps, t_end, rtol, atol)
 
 
 def phi_drift(traj: Trajectory, z) -> float:

@@ -158,6 +158,60 @@ def test_drift_budget_enforced(MIV):
     assert exc.value.drift > exc.value.budget
 
 
+@pytest.mark.parametrize("budget", [1e-12, None])
+def test_drift_budget_raises_at_first_node_over_it(MIV, budget):
+    section = kernel_line_section(MIV)
+    mon = [("z1", np.asarray(section.point_at(0.25), dtype=float)),
+           ("z2", np.asarray(section.point_at(0.75), dtype=float))]
+    free = integrate(MIV, X0, 102.0, rtol=1e-6, atol=1e-9, monitors=mon,
+                     drift_budget=np.inf)
+    p = check_simplex_point(X0)
+    d = np.array([np.abs(phi(free.xs[1:], z) - phi(p, z)) for _, z in mon])
+    if budget is None:
+        # one that the first half of the run stays within
+        budget = float(d[:, :d.shape[1] // 2].max())
+    k = int(np.argmax((d > budget).any(axis=0)))
+    i = int(np.argmax(d[:, k] > budget))
+    with pytest.raises(DriftBudgetExceeded) as exc:
+        integrate(MIV, X0, 102.0, rtol=1e-6, atol=1e-9, monitors=mon,
+                  drift_budget=budget)
+    assert exc.value.t == free.ts[k + 1]
+    assert exc.value.label == mon[i][0]
+    assert exc.value.drift == d[i, k]
+    assert exc.value.budget == budget
+
+
+@pytest.mark.parametrize("name, x0, t_end", [
+    ("IV", [0.1, 0.2, 0.3, 0.4], 0.05),
+    ("II", [0.25, 0.25, 0.25, 0.25], 0.4901267511674449),
+])
+def test_runs_end_exactly_at_t_end(name, x0, t_end):
+    # the controller's last step falls within the step floor of t_end;
+    # it takes the whole rest instead of leaving a sliver below the floor
+    M = canonical_matrix(name)
+    one = integrate(M, x0, t_end, rtol=1e-6)
+    many = integrate_many(M, [x0, X0], t_end, rtol=1e-6)
+    assert one.t_end == t_end
+    assert [traj.t_end for traj in many] == [t_end, t_end]
+
+
+def test_rejected_last_step_is_not_retaken_without_end():
+    # near t_end the controller rejects the whole rest and asks for a
+    # step that would leave less than the floor to go; retaking the rest
+    # would be rejected again at every iteration
+    A = canonical_matrix("V").array * 404035249566.62714
+    x0 = [0.10526295621627181, 0.2752705560774696, 0.24483724444336802,
+          0.37462924326289077]
+    t_end = 1.1328429245160266e-10
+    with pytest.raises(StepSizeUnderflow) as exc:
+        for n, _ in enumerate(_rk.lockstep(
+                batch_field(A), gauge(np.log(x0))[None, :], t_end,
+                2.463896714689186e-10, 1e-12, gauge)):
+            assert n < 10_000
+    assert 0.0 < exc.value.h < 1e-13
+    assert t_end - 1e-12 < exc.value.t < t_end
+
+
 def test_dense_output_consistency(MI):
     traj = integrate(MI, X0, 10.0, rtol=1e-10)
     # dense evaluation reproduces the stored nodes exactly
@@ -275,8 +329,9 @@ def _counted(fun, calls):
 
 def test_field_evaluations_per_trial_step(MI, monkeypatch):
     # first same as last: one evaluation at the start, then six per trial
-    # step, accepted or rejected, in lockstep and integrate; rtol 1e-4 so
-    # that some steps are rejected
+    # step, accepted or rejected, in lockstep alone and under integrate
+    # (whose history takes the start's derivative with one more call,
+    # outside the driver); rtol 1e-4 so that some steps are rejected
     calls = []
     u0 = gauge(np.log(X0))[None, :]
     oks = [ok[0] for *_, ok in _rk.lockstep(
@@ -285,11 +340,9 @@ def test_field_evaluations_per_trial_step(MI, monkeypatch):
     assert 0 < oks.count(False)
     assert len(calls) == 1 + 6 * len(oks)
 
-    class Counting(_rk.DormandPrince54):
-        def __init__(self, fun, *args, **kwargs):
-            super().__init__(_counted(fun, calls), *args, **kwargs)
-
-    monkeypatch.setattr(_rk, "DormandPrince54", Counting)
+    lockstep = _rk.lockstep
+    monkeypatch.setattr(_rk, "lockstep", lambda fun, *args: lockstep(
+        _counted(fun, calls), *args))
     calls.clear()
     traj = integrate(MI, X0, 20.0, rtol=1e-4, atol=1e-12)
     assert traj.nreject > 0

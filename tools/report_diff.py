@@ -7,7 +7,8 @@ Each tree's ``src/`` runs ``orbit`` (seed 3), ``boundary`` (seed 0),
 JSON key (list indices folded to ``[]``), CSV column or SVG file, how many
 floats moved and the largest absolute and relative move; every other
 change (a status, a string, an integer, an exit code, a missing value);
-and how many files are byte-identical.
+and how many files are byte-identical.  Exits 1 when anything other than
+a float moved: a value, a key set or a file.
 """
 
 import json
@@ -65,13 +66,16 @@ def leaves(path: Path, key: str):
         yield f"{key}:text", NUM.sub("#", text)
 
 
-def main(old: str, new: str) -> None:
+def main(old: str, new: str) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         a, b = Path(tmp, "old"), Path(tmp, "new")
         run_tree(old, a)
         run_tree(new, b)
         moves, other, same = {}, [], 0
         files = sorted(a.iterdir())
+        names = {p.name for p in files}
+        other += [f"{p.name}: only in the new tree"
+                  for p in sorted(b.iterdir()) if p.name not in names]
         for pa in files:
             cmd, _, ext = pa.name.split(".", 2)
             key = cmd + {"csv.drift.json": ".drift",
@@ -100,7 +104,8 @@ def main(old: str, new: str) -> None:
         print(f"{k:60} {n:6d} {d:10.3g} {r:10.3g}")
     print("\n".join(other) or "no status or non-float changes")
     print(f"{same} of {len(files)} files byte-identical")
+    return 1 if other else 0
 
 
 if __name__ == "__main__":
-    main(*sys.argv[1:3])
+    sys.exit(main(*sys.argv[1:3]))
