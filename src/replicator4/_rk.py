@@ -13,14 +13,22 @@ each row with its own time, step and accept decision.  It has three
 consumers: :func:`replicator4.dynamics.integrate` (one row, with drift
 monitors), :func:`replicator4.dynamics.integrate_many` (one trajectory
 per row) and the permanence screen
-(:func:`replicator4._fastprobe.window_and_final_min`).
+(:func:`replicator4._fastprobe.window_and_final_min`), all on the field
+:func:`replicator4.dynamics.batch_field`.
+
+That field and the projection take exp of the log state without a
+max shift (28 array passes per iteration instead of 49; see
+:mod:`replicator4.dynamics`), so a grossly oversized trial can
+overflow; :func:`control` rejects its NaN error estimate, and
+:func:`lockstep` keeps numpy's overflow and invalid-value warnings off
+around the trial step and projection.
 
 Characteristics
 ---------------
 * order 5 propagation, order 4 embedded error estimate
 * PI step-size controller (safety 0.9, exponents 0.17 / 0.04, factor
-  clipped to [0.2, 5]); a NaN error estimate rejects the step and
-  shrinks it by the factor 0.2
+  clipped to [0.2, 5]); a NaN error estimate, from a trial whose exp
+  overflowed, rejects the step and shrinks it by the factor 0.2
 * cubic Hermite dense output on accepted intervals
 * first same as last: the seventh stage is the field at the new state,
   and the projection hook is a gauge shift the field ignores, so it
@@ -149,11 +157,15 @@ def lockstep(fun, u0, t_end, rtol, atol, project):
                 f"batch row {i}: step size {step[i]:.3e} fell below "
                 f"{MIN_STEP:.1e} at t = {t[i]:.6g}",
                 t=float(t[i]), h=float(step[i]), state=u[i].copy(), row=i)
-        u_new, err = attempt(fun, u, f, step[:, None], rtol, atol, K)
+        # an oversized trial can overflow exp in the shift-free field;
+        # its error estimate is then NaN, and control rejects it
+        with np.errstate(over="ignore", invalid="ignore"):
+            u_new, err = attempt(fun, u, f, step[:, None], rtol, atol, K)
+            u_new = project(u_new)
         ok, h, err_prev = control(step, err, err_prev)
         ok &= live
         t = np.where(ok, np.where(whole, t_end, t + step), t)
-        u = np.where(ok[:, None], project(u_new), u)
+        u = np.where(ok[:, None], u_new, u)
         f = np.where(ok[:, None], K[6], f)
         yield t, u, f, ok
 

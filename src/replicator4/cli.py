@@ -304,6 +304,7 @@ def _cmd_verify(args) -> int:
                     and max(report.phi_drift.values()) <= 1e-8)
         checks["orbit"] = {
             "status": "pass" if orbit_ok else "fail",
+            "x0": [float(v) for v in report.x0],
             "period": report.period,
             "closure_residual": report.closure_residual,
             "avg_distance_to_K": report.avg_distance_to_K,

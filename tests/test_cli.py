@@ -14,6 +14,7 @@ import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -218,6 +219,18 @@ def test_verify_command_for_permanent_matrix(tmp_path, capsys):
         "stability": "pass",
         "boundary": "pass",
     }
+
+
+def test_verify_reports_the_start_it_certified(tmp_path, capsys):
+    # the reported x0 and period are enough to recheck the closure
+    code, out, _ = run(
+        ["verify", "--matrix", matrix_file(tmp_path, M_I_TEXT)], capsys)
+    assert code == 0
+    orbit = json.loads(out)["checks"]["orbit"]
+    x0 = np.array(orbit["x0"])
+    traj = replicator4.integrate(replicator4.parse_matrix(M_I_TEXT), x0,
+                                 orbit["period"])
+    assert np.abs(traj.x_at(orbit["period"]) - x0).max() <= 1e-6
 
 
 def test_verify_command_skips_orbit_without_kernel(tmp_path, capsys):

@@ -14,7 +14,7 @@ from replicator4 import (DriftBudgetExceeded, PayoffMatrix,
                          phi, phi_drift, vector_field)
 from replicator4 import _rk
 from replicator4.dynamics import (batch_field, check_simplex_point, gauge,
-                                  integrate_many)
+                                  integrate_many, softmax)
 from oracles import rk4_shares
 
 X0 = np.array([0.4, 0.3, 0.2, 0.1])
@@ -88,6 +88,85 @@ def test_check_simplex_point_contracts():
         check_simplex_point([0.0, 0.5, 0.3, 0.2], require_interior=True)
     p = check_simplex_point([0.4, 0.3, 0.2, 0.1])
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _field_ulps(A, U, f):
+    """Largest error of a field value f against softmax(U) A^T, row by
+    row, in units of the spacing of max|a| of that row's matrix."""
+    A = np.broadcast_to(A, (len(U),) + np.shape(A)[-2:])
+    ref = np.einsum("bij,bj->bi", A, softmax(U))
+    return (np.abs(f - ref).max(axis=-1)
+            / np.spacing(np.abs(A).max(axis=(-2, -1)))).max()
+
+
+@pytest.mark.parametrize("name", ["I", "II", "III", "IV", "V"])
+def test_batch_field_matches_softmax_product(name, rng):
+    # the shift-free multiply-sum against [A; 1^T] agrees with the
+    # shifted softmax product to a few ulps of max|a|, on gauged states
+    # and on states with shares down to 1e-300
+    A = canonical_matrix(name).array
+    U = gauge(np.log(rng.dirichlet(np.ones(4), size=500)))
+    assert _field_ulps(A, U, batch_field(A)(U)) <= 4
+    tiny = 10.0 ** -rng.uniform(0, 300, size=(500, 4))
+    tiny[0] = [1e-300, 1e-200, 1e-100, 1.0]
+    U = gauge(np.log(tiny))
+    assert np.exp(U).min() < 1e-299
+    assert _field_ulps(A, U, batch_field(A)(U)) <= 4
+
+
+def test_batch_field_on_a_stack_matches_each_matrix(rng):
+    mats = np.array([canonical_matrix(name).array * s for name, s in
+                     (("I", 1.0), ("II", 3.7), ("III", 1e-3), ("IV", 250.0),
+                      ("V", 1.0))])
+    U = gauge(np.log(rng.dirichlet(np.ones(4), size=len(mats))))
+    U[4] = gauge(np.log([1e-300, 1e-12, 0.5, 0.5]))
+    f = batch_field(mats)(U)
+    assert _field_ulps(mats, U, f) <= 4
+    for A, u, row in zip(mats, U, f):
+        assert np.array_equal(batch_field(A)(u[None, :])[0], row)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_trial_is_rejected_quietly(monkeypatch):
+    # class IV times 1e4, started next to its equilibrium: the field is
+    # small there, so the first steps are large and one trial stage's
+    # log state exceeds log(max float), where exp overflows; its error
+    # estimate is NaN, the step is rejected and shrunk by the factor 0.2
+    M = canonical_matrix("IV")
+    z = np.asarray(kernel_line_section(M).midpoint(), dtype=float)
+    x0 = z + 1e-6 * np.array([1.0, -1.0, 1.0, -1.0])
+    A, t_end = M.array * 1e4, 0.1
+    big = np.log(np.finfo(float).max)
+    field, overflows = batch_field(A), []
+
+    def fun(u):
+        overflows.append(bool((u > big).any()))
+        return field(u)
+
+    attempt, trials = _rk.attempt, []
+
+    def recorded(fun, u, f, h, *args):
+        u_new, err = attempt(fun, u, f, h, *args)
+        trials.append((h[0, 0], err[0]))
+        return u_new, err
+
+    monkeypatch.setattr(_rk, "attempt", recorded)
+    steps = list(_rk.lockstep(fun, gauge(np.log(x0))[None, :], t_end, 1e-6,
+                              1e-12, gauge))
+    # six field evaluations per trial step, after one at the start
+    over = [any(overflows[1 + 6 * k:7 + 6 * k]) for k in range(len(steps))]
+    assert 0 < over.count(True) < len(steps)
+    for k, (t, u, f, ok) in enumerate(steps):
+        if over[k]:
+            assert np.isnan(trials[k][1]) and not ok[0]
+            assert trials[k + 1][0] == 0.2 * trials[k][0]
+        assert np.isfinite(u).all() and np.isfinite(f).all()
+    assert steps[-1][0][0] == t_end
+    monkeypatch.undo()
+    for traj in (integrate(A, x0, t_end, rtol=1e-6),
+                 integrate_many(A, [x0, X0], t_end, rtol=1e-6)[0]):
+        assert traj.t_end == t_end
+        assert np.isfinite(traj.us).all()
 
 
 def test_integrate_constant_at_equilibrium(MIV):
@@ -277,6 +356,9 @@ def test_integrate_many_rows_match_integrate(MI):
     for start, traj in zip(STARTS, trajs):
         one = integrate(MI, start, 20.0, rtol=1e-10, atol=1e-12)
         assert traj.t_end == 20.0
+        # one field, one driver: the same bits alone or in a batch
+        for name in ("ts", "us", "fs"):
+            assert np.array_equal(getattr(traj, name), getattr(one, name))
         ts, xs = traj.sample(0.05)
         ts1, xs1 = one.sample(0.05)
         assert np.array_equal(ts, ts1)
