@@ -32,10 +32,11 @@ from fractions import Fraction
 
 import numpy as np
 
-# unused, but perfbench's tracer patches boundary.integrate by name
+# integrate and detect_period are unused; perfbench's tracer patches both
 from .dynamics import integrate, integrate_many, vector_field  # noqa: F401
-from .errors import NoClosureFound, PreconditionFailed, PredictionViolated
-from .orbit import FIRST_SPAN, detect_period, first_closure, section_normal
+from .errors import PreconditionFailed, PredictionViolated
+from .orbit import (FIRST_SPAN, close_orbits, detect_period,  # noqa: F401
+                    section_normal)
 from .payoff import PayoffMatrix, Scalar, format_matrix, scalar_to_json
 from .signgraph import build_digraph
 
@@ -317,7 +318,7 @@ def _face_starts(outcome: FaceOutcome, sub: PayoffMatrix, rng,
 
 
 def _score(outcome, sub, starts, trajs, off_edge_tol, constraint_tol,
-           vertex_tol, closure_tol, stationarity_tol) -> RegionResult:
+           vertex_tol, stationarity_tol) -> RegionResult:
     """Grade one edge or face region on its starts' trajectories."""
     edge = isinstance(outcome, EdgeOutcome)
     nodes = outcome.edge if edge else face_nodes(outcome.face)
@@ -326,29 +327,16 @@ def _score(outcome, sub, starts, trajs, off_edge_tol, constraint_tol,
     pos = {s: k for k, s in enumerate(nodes)}
 
     if outcome.kind == "periodic":
-        worst = 0.0
-        periods = []
-        for x0, traj in zip(starts, trajs):
-            returns, residuals, first = first_closure(
-                traj, x0, section_normal(sub, x0), closure_tol)
-            if first is not None:
-                period, residual = returns[first], residuals[first]
-            else:  # no return closes inside the batched run
-                try:
-                    rep = detect_period(sub, x0, rtol=traj.rtol,
-                                        atol=traj.atol,
-                                        closure_tol=closure_tol)
-                except NoClosureFound as exc:
-                    return RegionResult(
-                        region, "fail", outcome.to_json(),
-                        {"closure_residual": exc.candidate_residual,
-                         "candidate_period": exc.candidate_period})
-                period, residual = rep.period, rep.closure_residual
-            worst = max(worst, float(residual))
-            periods.append(float(period))
+        # (run, period, residual, closed) per start, from close_orbits
+        for _, t, r, closed in trajs:
+            if not closed:
+                return RegionResult(region, "fail", outcome.to_json(),
+                                    {"closure_residual": r,
+                                     "candidate_period": t})
         return RegionResult(region, "pass", outcome.to_json(),
-                            {"max_closure_residual": worst,
-                             "periods": periods})
+                            {"max_closure_residual": max(
+                                r for _, _, r, _ in trajs),
+                             "periods": [t for _, t, _, _ in trajs]})
 
     if outcome.kind == "vertex":
         finals = [traj.xs[-1] for traj in trajs]
@@ -460,8 +448,11 @@ def verify_boundary(M: PayoffMatrix,
     failed on the ratio itself.
 
     The runs go out as at most four lockstep batches, one per subsystem
-    order, horizon and rtol; a periodic start whose batched run has no
-    closing return falls back to :func:`replicator4.orbit.detect_period`.
+    order, horizon and rtol.  The returns of all periodic starts are
+    bisected together; a start whose run has no closing return runs
+    again over 50, then 100, then 200 time units, as
+    :func:`replicator4.orbit.detect_period` runs it after its first 25
+    (:func:`replicator4.orbit.close_orbits`).
 
     Raises PredictionViolated (report attached) when any region fails
     and ``raise_on_violation`` is set, and PreconditionFailed when
@@ -488,11 +479,17 @@ def verify_boundary(M: PayoffMatrix,
             tol = rtol
         regions.append((f, sub, _face_starts(f, sub, rng, samples_per_region),
                         horizon, tol))
+    runs = _simulate(regions, atol)
+    rows = [(r, i, sub, x0, section_normal(sub, x0)) for r, (outcome, sub,
+            starts, _, _) in enumerate(regions) if outcome.kind == "periodic"
+            for i, x0 in enumerate(starts)]
+    for (r, i, *_), record in zip(rows, close_orbits(
+            *([row[k] for row in rows] for k in (2, 3, 4)),
+            [runs[r][i] for r, i, *_ in rows], closure_tol, 200.0)):
+        runs[r][i] = record
     results = [_score(outcome, sub, starts, trajs, off_edge_tol,
-                      constraint_tol, vertex_tol, closure_tol,
-                      stationarity_tol)
-               for (outcome, sub, starts, _, _), trajs in zip(
-                   regions, _simulate(regions, atol))]
+                      constraint_tol, vertex_tol, stationarity_tol)
+               for (outcome, sub, starts, _, _), trajs in zip(regions, runs)]
     passed = all(r.status != "fail" for r in results)
     report = BoundaryReport(regions=tuple(results), passed=passed,
                             seed=seed, t_end=t_end, rtol=rtol)

@@ -25,16 +25,15 @@ Relative entropy with respect to any interior equilibrium z,
 
 is a first integral of the flow.  Its numerical drift is the integration
 quality signal everything downstream trusts, so :func:`integrate` can
-watch a set of monitor points and abort past a drift budget.
-:func:`integrate_many` runs a batch of starts and returns one trajectory
-per start.
+check a set of monitor points over its run and raise past a drift
+budget.  :func:`integrate_many` runs a batch of starts and returns one
+trajectory per start.
 
 There is one driver, :func:`replicator4._rk.lockstep`, and one field,
-:func:`batch_field`, with three consumers: :func:`integrate` (one row,
-monitored), :func:`integrate_many` and the permanence screen
-(:func:`replicator4._fastprobe.window_and_final_min`).  A row of
-:func:`integrate` is the same bits as that start in
-:func:`integrate_many`.
+:func:`batch_field`, with two consumers: :func:`integrate_many` and the
+permanence screen (:func:`replicator4._fastprobe.window_and_final_min`).
+:func:`integrate` is the one-start case of :func:`integrate_many`, the
+same bits, with its monitors checked after the run.
 """
 
 from __future__ import annotations
@@ -210,17 +209,22 @@ class Trajectory:
         return softmax(self.u_at(t))
 
     def sample(self, dt: float):
-        """Uniform grid (ts, xs) with spacing dt, endpoint included;
-        dt is finite, positive and gives at most MAX_SAMPLES steps."""
-        check_finite("sampling step dt", dt)
-        if not self.t_end / dt <= MAX_SAMPLES:
-            raise PreconditionFailed(f"sampling step dt = {dt} gives more "
-                                     f"than {MAX_SAMPLES:.0e} grid steps")
-        n = int(round(self.t_end / dt))
-        grid = np.arange(n + 1) * dt
-        if grid[-1] > self.t_end:
-            grid[-1] = self.t_end
+        """Uniform grid (ts, xs) with spacing dt (:func:`sample_grid`)."""
+        grid = sample_grid(self.t_end, dt)
         return grid, softmax(self.dense(grid))
+
+
+def sample_grid(t_end: float, dt: float) -> np.ndarray:
+    """Times 0, dt, 2 dt, ... up to and including t_end; dt is finite,
+    positive and gives at most MAX_SAMPLES steps."""
+    check_finite("sampling step dt", dt)
+    if not t_end / dt <= MAX_SAMPLES:
+        raise PreconditionFailed(f"sampling step dt = {dt} gives more "
+                                 f"than {MAX_SAMPLES:.0e} grid steps")
+    grid = np.arange(int(round(t_end / dt)) + 1) * dt
+    if grid[-1] > t_end:
+        grid[-1] = t_end
+    return grid
 
 
 def default_drift_budget(rtol: float, t_end: float, A: np.ndarray) -> float:
@@ -250,28 +254,11 @@ def _check_run(A: np.ndarray, starts, t_end: float, rtol: float,
     return np.array(P)
 
 
-def _trajectories(A: np.ndarray, fun, u0: np.ndarray, steps, t_end: float,
-                  rtol: float, atol: float, **extra) -> list[Trajectory]:
-    """One :class:`Trajectory` per row of u0 from the ``(t, u, f, ok)``
-    that :func:`replicator4._rk.lockstep` yielded for it in ``steps``."""
-    n = len(u0)
-    hist = [(np.zeros(n), u0, fun(u0), np.ones(n, dtype=bool)), *steps]
-    ts, us, fs, oks = (np.array(v) for v in zip(*hist))
-    # a row is live in each iteration that starts before it reaches
-    # t_end, and makes one trial step there, accepted or rejected
-    live = (ts[:-1] < t_end).sum(axis=0)
-    nacc = oks.sum(axis=0) - 1
-    A = np.broadcast_to(A, (oks.shape[1],) + A.shape[-2:])
-    return [Trajectory(A=A[b], ts=ts[k, b], us=us[k, b], fs=fs[k, b],
-                       naccept=int(nacc[b]), nreject=int(live[b] - nacc[b]),
-                       rtol=rtol, atol=atol, **extra)
-            for b, k in enumerate(oks.T)]
-
-
 def integrate(M, x0, t_end: float, rtol: float = 1e-10,
               atol: float = 1e-12, monitors: Sequence = (),
               drift_budget: float | None = None) -> Trajectory:
-    """Integrate the replicator flow from an interior point.
+    """Integrate the replicator flow from an interior point: the
+    one-start case of :func:`integrate_many`, the same bits.
 
     Parameters
     ----------
@@ -281,9 +268,10 @@ def integrate(M, x0, t_end: float, rtol: float = 1e-10,
         Strictly interior simplex point of matching dimension.
     monitors : sequence of (label, z)
         Interior or boundary equilibria whose relative entropy is
-        checked at every accepted node.  If any drifts beyond
-        ``drift_budget`` (default :func:`default_drift_budget`),
-        DriftBudgetExceeded is raised; the monitor values end up in
+        checked at every accepted node once the run reaches t_end.  If
+        any drifts beyond ``drift_budget`` (default
+        :func:`default_drift_budget`), DriftBudgetExceeded is raised for
+        the first node over it; the monitor values end up in
         ``Trajectory.drift``.
 
     Raises
@@ -299,47 +287,31 @@ def integrate(M, x0, t_end: float, rtol: float = 1e-10,
         See above; signals the tolerance was too loose for this run.
     """
     A = _as_array(M)
-    P = _check_run(A, [x0], t_end, rtol, atol)
-
-    fun = batch_field(A)
     mon = [(str(label), check_simplex_point(z)) for (label, z) in monitors]
-    budget = drift_budget
-    if budget is None:
-        budget = default_drift_budget(rtol, t_end, A)
-    # phi of every monitor in one pass, to the bit: where z = 0 the log
-    # is skipped and the term is a zero, which leaves the sum unchanged
-    Z = np.array([z for (_, z) in mon]).reshape(len(mon), A.shape[-1])
-    mask = Z > 0
-    Zs, logs = np.where(mask, Z, 1.0), np.zeros(Z.shape)
-
-    def entropies(x):
-        return -(Z * np.log(x / Zs, out=logs, where=mask)).sum(axis=-1)
-
-    base = entropies(P[0])
-    drift = np.zeros(len(mon))
-    u0 = gauge(np.log(P))
-    steps = []
+    budget = default_drift_budget(rtol, t_end, A) if drift_budget is None \
+        else drift_budget
     try:
-        for t, u, f, ok in _rk.lockstep(fun, u0, t_end, rtol, atol, gauge):
-            steps.append((t, u, f, ok))
-            if mon and ok[0]:
-                d = np.abs(entropies(softmax(u[0])) - base)
-                drift = np.maximum(drift, d)
-                if (d > budget).any():
-                    i = int(np.argmax(d > budget))
-                    label, t_new = mon[i][0], float(t[0])
-                    raise DriftBudgetExceeded(
-                        f"monitor {label!r} drifted {d[i]:.3e} past budget "
-                        f"{budget:.3e} at t = {t_new:.6g}", label=label,
-                        drift=float(d[i]), budget=budget, t=t_new)
+        traj = integrate_many(A, [x0], t_end, rtol=rtol, atol=atol)[0]
     except StepSizeUnderflow as err:
         raise StepSizeUnderflow(
             f"step size {err.h:.3e} fell below {_rk.MIN_STEP:.1e} at "
             f"t = {err.t:.6g}", t=err.t, h=err.h, state=err.state) from None
-    return _trajectories(
-        A, fun, u0, steps, t_end, rtol, atol,
-        monitors=tuple(mon),
-        drift={l: float(v) for (l, _), v in zip(mon, drift)})[0]
+    p, xs = check_simplex_point(x0), traj.xs[1:]
+    d = np.abs([phi(xs, z) - phi(p, z) for _, z in mon]).reshape(
+        len(mon), len(xs))
+    over = (d > budget).any(axis=0)
+    if over.any():
+        k = int(np.argmax(over))
+        i = int(np.argmax(d[:, k] > budget))
+        label, t_new = mon[i][0], float(traj.ts[k + 1])
+        raise DriftBudgetExceeded(
+            f"monitor {label!r} drifted {d[i, k]:.3e} past budget "
+            f"{budget:.3e} at t = {t_new:.6g}", label=label,
+            drift=float(d[i, k]), budget=budget, t=t_new)
+    traj.monitors = tuple(mon)
+    traj.drift = {l: float(v)
+                  for (l, _), v in zip(mon, d.max(axis=1, initial=0.0))}
+    return traj
 
 
 def integrate_many(M, X0, t_end: float, rtol: float = 1e-10,
@@ -360,8 +332,19 @@ def integrate_many(M, X0, t_end: float, rtol: float = 1e-10,
     P = _check_run(A, X0, t_end, rtol, atol)
     fun = batch_field(A)
     u0 = gauge(np.log(P))
-    steps = _rk.lockstep(fun, u0, t_end, rtol, atol, gauge)
-    return _trajectories(A, fun, u0, steps, t_end, rtol, atol)
+    n = len(u0)
+    hist = [(np.zeros(n), u0, fun(u0), np.ones(n, dtype=bool)),
+            *_rk.lockstep(fun, u0, t_end, rtol, atol, gauge)]
+    ts, us, fs, oks = (np.array(v) for v in zip(*hist))
+    # a row is live in each iteration that starts before it reaches
+    # t_end, and makes one trial step there, accepted or rejected
+    live = (ts[:-1] < t_end).sum(axis=0)
+    nacc = oks.sum(axis=0) - 1
+    A = np.broadcast_to(A, (n,) + A.shape[-2:])
+    return [Trajectory(A=A[b], ts=ts[k, b], us=us[k, b], fs=fs[k, b],
+                       naccept=int(nacc[b]), nreject=int(live[b] - nacc[b]),
+                       rtol=rtol, atol=atol)
+            for b, k in enumerate(oks.T)]
 
 
 def phi_drift(traj: Trajectory, z) -> float:

@@ -12,9 +12,9 @@ Certification is numerical and split in three:
    the section is located by bisection on dense output, and the first
    one whose state lies within ``closure_tol`` of the start is the
    period,
-3. probe Lyapunov stability: perturbed starts must stay inside a thin
-   tube around the certified orbit for three periods while the
-   quadratic level-set function V barely moves.
+3. probe Lyapunov stability: perturbed starts, run and sampled as one
+   stack, must stay in a thin tube around the certified orbit for three
+   periods while the quadratic level-set function V barely moves.
 
 The section's normal is the initial velocity, so the section is
 transversal at the start by construction.  The orbit leaves the start
@@ -30,8 +30,9 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import _rk
 from .dynamics import Trajectory, check_finite, integrate, integrate_many, \
-    phi, phi_gradient, softmax, vector_field
+    phi, sample_grid, softmax, vector_field
 from .errors import (EquilibriumStart, NoClosureFound, PreconditionFailed,
                      ProbeEscaped, SelectionExhausted)
 from .kernelgeom import NullLineSection, distance_to_K
@@ -232,34 +233,79 @@ def section_normal(M, p: np.ndarray) -> np.ndarray:
     return f0
 
 
-def first_closure(traj: Trajectory, p: np.ndarray, f0: np.ndarray,
-                  closure_tol: float):
-    """Times and residuals |x(t) - p| of the upward crossings of the
-    section (x - p) . f0 = 0 after the first accepted step, each located
-    by bisection on dense output, and the index of the period: the first
-    whose residual is within ``closure_tol`` (None if there is none).
+def _hermite_nodes(trajs: Sequence[Trajectory], ks) -> list:
+    """:func:`replicator4._rk.hermite`'s nodes on steps ks[j] of trajs[j]."""
+    first = np.cumsum([0] + [len(traj.ts) for traj in trajs[:-1]])
+    k = np.concatenate([k + offset for k, offset in zip(ks, first)])
+    return [np.concatenate([getattr(traj, name) for traj in trajs]).take(
+        k + i, axis=0) for name in ("ts", "us", "fs") for i in (0, 1)]
 
-    The brackets are halved together, at most 90 times, and the halving
-    stops once every bracket is narrower than 1e-16 relative or no
-    midpoint lies strictly inside its bracket: from then on the midpoint,
-    which is the crossing time returned, no longer changes.
-    """
-    ss = (traj.xs - p) @ f0
-    k = np.flatnonzero((ss[1:-1] < 0) & (ss[2:] >= 0)) + 1
-    lo, hi = traj.ts[k], traj.ts[k + 1]
+
+def first_closure(trajs: Sequence[Trajectory], ps, f0s,
+                  closure_tol: float) -> list:
+    """For each trajectory ``trajs[j]``, from ``ps[j]`` with section normal
+    ``f0s[j]``: the times and residuals |x(t) - p| of its upward crossings
+    of the section (x - p) . f0 = 0 after the first accepted step, each
+    located by bisection on dense output, and the index of the period,
+    the first within ``closure_tol`` (None if there is none).
+
+    A trajectory's brackets are halved, at most 90 times, until each is
+    narrower than 1e-16 relative or none has a midpoint strictly inside:
+    from then on the midpoint, the time returned, no longer changes.  The
+    trajectories still halving share one dense evaluation per halving;
+    each takes the section sign on its own rows, so keeps its bits alone."""
+    ss = [(traj.xs - p) @ f0 for traj, p, f0 in zip(trajs, ps, f0s)]
+    ks = [np.flatnonzero((s[1:-1] < 0) & (s[2:] >= 0)) + 1 for s in ss]
+    counts = np.array([len(k) for k in ks], dtype=int)
+    owner = np.repeat(np.arange(len(trajs)), counts)
+    nodes = _hermite_nodes(trajs, ks)  # a bracket stays on its step
+    lo, hi, halving = nodes[0].copy(), nodes[1].copy(), counts > 0
     for _ in range(90):
         mid = 0.5 * (lo + hi)
-        if not np.any((lo < mid) & (mid < hi)):
+        halving &= np.bincount(owner, (lo < mid) & (mid < hi),
+                               minlength=len(trajs)) > 0
+        if not halving.any():
             break
-        below = (softmax(traj.dense(mid)) - p) @ f0 < 0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.all(hi - lo <= 1e-16 * np.maximum(1.0, hi)):
-            break
+        rows = halving[owner]
+        x = softmax(_rk.hermite(mid[rows], *(v[rows] for v in nodes)))
+        below = np.concatenate([
+            (x[end - counts[j]:end] - ps[j]) @ f0s[j] for j, end in zip(
+                np.flatnonzero(halving), np.cumsum(counts[halving]))]) < 0
+        lo[rows] = np.where(below, mid[rows], lo[rows])
+        hi[rows] = np.where(below, hi[rows], mid[rows])
+        wide = ~(hi - lo <= 1e-16 * np.maximum(1.0, hi))
+        halving &= np.bincount(owner, wide, minlength=len(trajs)) > 0
     t = 0.5 * (lo + hi)
-    residuals = np.linalg.norm(softmax(traj.dense(t)) - p, axis=-1)
-    closed = np.flatnonzero(residuals <= closure_tol)
-    return t, residuals, int(closed[0]) if closed.size else None
+    r = np.linalg.norm(softmax(_rk.hermite(t, *nodes)) - np.repeat(
+        np.reshape(ps, (len(trajs), -1)), counts, axis=0), axis=-1)
+    splits = np.cumsum(counts)[:-1]
+    return [(t, r, next((int(i) for i in np.flatnonzero(r <= closure_tol)),
+                        None))
+            for t, r in zip(np.split(t, splits), np.split(r, splits))]
+
+
+def close_orbits(Ms, ps, f0s, trajs, closure_tol: float, horizon: float,
+                 monitors: Sequence = ()) -> list:
+    """``(run, t, residual, closed)`` for each start ``ps[j]`` of ``Ms[j]``,
+    with normal ``f0s[j]`` and first run ``trajs[j]``: the period, or if
+    none closes inside ``horizon`` the best return (None if none).  Open
+    starts run again (:func:`integrate`) over twice the span, up to it."""
+    trajs, out, todo = list(trajs), [None] * len(ps), range(len(ps))
+    while todo:
+        for j, (returns, residuals, first) in zip(todo, first_closure(
+                *([v[j] for j in todo] for v in (trajs, ps, f0s)),
+                closure_tol)):
+            k = first if first is not None or not returns.size \
+                else int(np.argmin(residuals))
+            out[j] = (trajs[j], None, None, False) if k is None else (
+                trajs[j], float(returns[k]), float(residuals[k]),
+                first is not None)
+        todo = [j for j in todo if not out[j][3] and trajs[j].t_end < horizon]
+        for j in todo:
+            trajs[j] = integrate(
+                Ms[j], ps[j], min(2 * trajs[j].t_end, horizon),
+                rtol=trajs[j].rtol, atol=trajs[j].atol, monitors=monitors)
+    return out
 
 
 def detect_period(M, x0, section: NullLineSection | None = None,
@@ -273,9 +319,9 @@ def detect_period(M, x0, section: NullLineSection | None = None,
     entropies monitored, runs for :data:`FIRST_SPAN` time units (or
     ``horizon`` if shorter).  The period follows :func:`first_closure`;
     while no return closes, the run is repeated over twice the span, up to
-    ``horizon``.  The report carries the period, the closure residual
-    |x(T) - x0|, the trapezoid time average with its distance to K, and
-    the entropy drifts monitored over the whole run.
+    ``horizon`` (:func:`close_orbits`).  The report carries the period,
+    the closure residual |x(T) - x0|, the trapezoid time average with its
+    distance to K, and the entropy drifts monitored over the whole run.
 
     Raises
     ------
@@ -292,30 +338,19 @@ def detect_period(M, x0, section: NullLineSection | None = None,
     p = np.asarray(x0, dtype=float)
     f0 = section_normal(M, p)
 
-    monitors = []
-    if refs is not None:
-        monitors = [("z1", refs.z1), ("z2", refs.z2)]
-    span = min(FIRST_SPAN, horizon)
-    while True:
-        traj = integrate(M, p, span, rtol=rtol, atol=atol,
-                         monitors=monitors)
-        returns, residuals, first = first_closure(traj, p, f0, closure_tol)
-        if first is not None or span >= horizon:
-            break
-        span = min(2.0 * span, horizon)
-    if first is None:
-        if not returns.size:
-            raise NoClosureFound(
-                f"no section return inside horizon {horizon}")
-        best = int(np.argmin(residuals))
-        period, residual = float(returns[best]), float(residuals[best])
+    monitors = [("z1", refs.z1), ("z2", refs.z2)] if refs is not None else []
+    traj = integrate(M, p, min(FIRST_SPAN, horizon), rtol=rtol, atol=atol,
+                     monitors=monitors)
+    (traj, period, residual, closed), = close_orbits(
+        [M], [p], [f0], [traj], closure_tol, horizon, monitors)
+    if period is None:
+        raise NoClosureFound(f"no section return inside horizon {horizon}")
+    if not closed:
         raise NoClosureFound(
             f"no section return inside horizon {horizon} closes; the best, "
             f"at t = {period:.6g}, misses x0 by {residual:.3e} "
             f"(tolerance {closure_tol:.1e})",
             candidate_period=period, candidate_residual=residual)
-    period = float(returns[first])
-    residual = float(residuals[first])
 
     grid = np.linspace(0.0, period, n_samples + 1)
     samples = softmax(traj.dense(grid))
@@ -331,16 +366,21 @@ def detect_period(M, x0, section: NullLineSection | None = None,
         sample_ts=grid, orbit_samples=samples)
 
 
-def _min_distance_to_samples(points: np.ndarray,
-                             ref: np.ndarray) -> np.ndarray:
+def _augmented(ref: np.ndarray) -> np.ndarray:
+    """[-2 ref^T; |ref|^2], so that [p, 1] times it is |r - p|^2 - |p|^2."""
+    return np.vstack((-2.0 * ref.T, (ref ** 2).sum(axis=1)))
+
+
+def _min_distance_to_samples(points: np.ndarray, ref: np.ndarray,
+                             R: np.ndarray | None = None) -> np.ndarray:
     """For each row of ``points``, min euclidean distance to ``ref`` rows.
 
-    The nearest ref row is the argmin of the augmented product
-    [P, 1] [-2 R^T; |R|^2] = |r - p|^2 - |p|^2, over blocks of 64 points
+    The nearest ref row is the argmin of the augmented product [P, 1] R,
+    R = :func:`_augmented` (ref) unless passed, over blocks of 64 points
     that stay in cache; its distance is then taken directly, since the
     expanded form cancels (5e-9 relative at 1e-4 on a simplex orbit).
     """
-    R = np.vstack((-2.0 * ref.T, (ref ** 2).sum(axis=1)))
+    R = _augmented(ref) if R is None else R
     P = np.hstack((points, np.ones((len(points), 1))))
     nearest = np.concatenate([(P[i:i + 64] @ R).argmin(axis=1)
                               for i in range(0, len(P), 64)])
@@ -348,35 +388,38 @@ def _min_distance_to_samples(points: np.ndarray,
 
 
 def _max_distance_to_samples(points: np.ndarray, ref: np.ndarray,
-                             phase: np.ndarray) -> float:
-    """``_min_distance_to_samples(points, ref).max()``, bit for bit, from
+                             phase: np.ndarray):
+    """``_min_distance_to_samples(p, ref).max()``, bit for bit, for each
+    set p of the (..., m, n) stack ``points`` (a float for one set), from
     the exact search on as few points as a phase guess allows.
 
-    ``phase`` holds, for each point, the index of the ref row it is
-    expected to sit near.  The direct distance to the ref rows within 8
-    of that index, cyclically, bounds each point's distance from above.
-    The exact search runs on blocks of 64 points in descending order of
-    that bound, and stops once the next block's largest bound is clearly
-    below the running max.  The margin, 1e-9 relative and 1e-14 on the
-    squares, covers the rounding of the augmented product's argmin, so a
-    pruned point cannot hold the max.  A bad guess only makes the bounds
-    loose and the search longer.
+    ``phase`` holds, for each of a set's m points, the index of the ref
+    row it is expected to sit near.  The direct distance to the ref rows
+    within 8 of that index, cyclically, bounds each point's distance from
+    above.  The exact search runs on blocks of 64 points in descending
+    order of that bound, and stops once the next block's largest bound is
+    clearly below the running max.  The margin, 1e-9 relative and 1e-14
+    on the squares, covers the rounding of the augmented product's
+    argmin, so a pruned point cannot hold the max.  A bad guess only
+    makes the bounds loose and the search longer.
     """
-    # near[i] holds ref rows i - 8 ... i + 8, cyclically
+    # window[i] holds ref rows phase[i] - 8 ... phase[i] + 8, cyclically
     pad = ref.take(np.arange(-8, len(ref) + 8), axis=0, mode="wrap")
-    near = sliding_window_view(pad, (17, ref.shape[1]))[:, 0]
-    diff = points[:, None, :] - near[np.asarray(phase) % len(ref)]
-    bound_sq = np.einsum("ijk,ijk->ij", diff, diff).min(axis=1)
-    order = np.argsort(-bound_sq, kind="stable")
-    best = 0.0
-    for i in range(0, len(order), 64):
-        rows = order[i:i + 64]
-        best = max(best, float(_min_distance_to_samples(points[rows],
-                                                        ref).max()))
-        if (i + 64 < len(order) and bound_sq[order[i + 64]] + 1e-14
-                < (best * (1.0 - 1e-9)) ** 2):
-            break
-    return best
+    window = sliding_window_view(pad, (17, ref.shape[1]))[
+        np.asarray(phase) % len(ref), 0]
+    R = _augmented(ref)
+    best = np.zeros(points.shape[:-2])
+    for j in np.ndindex(best.shape):
+        diff = points[j][:, None, :] - window
+        bound_sq = np.einsum("ijk,ijk->ij", diff, diff).min(axis=1)
+        order = np.argsort(-bound_sq, kind="stable")
+        for i in range(0, len(order), 64):
+            best[j] = max(best[j], float(_min_distance_to_samples(
+                points[j][order[i:i + 64]], ref, R).max()))
+            if (i + 64 < len(order) and bound_sq[order[i + 64]] + 1e-14
+                    < (best[j] * (1.0 - 1e-9)) ** 2):
+                break
+    return best[()]
 
 
 def stability_probe(M, report: OrbitReport, refs: ReferencePair,
@@ -389,7 +432,9 @@ def stability_probe(M, report: OrbitReport, refs: ReferencePair,
     Perturbations are ``delta`` times random unit vectors in the simplex
     tangent plane (seeded, reproducible).  All probes run as one batch
     (:func:`replicator4.dynamics.integrate_many`), each with its own
-    step size and accept decision.  For each probe the report
+    step size and accept decision.  Every run ends at exactly 3T, so all
+    are sampled on one grid with one dense evaluation, the same bits as
+    :meth:`Trajectory.sample` gives each.  For each probe the report
     records the worst distance to the certified orbit's sample cloud and
     the drift of V(x) = (phi_z'(x) - c')^2 + (phi_z''(x) - c'')^2, whose
     level c', c'' values are pinned at the unperturbed start.  The worst
@@ -432,26 +477,24 @@ def stability_probe(M, report: OrbitReport, refs: ReferencePair,
             f"probe {outside[0]} start leaves the simplex; delta = {delta} "
             "is too large for this orbit")
     trajs = integrate_many(M, starts, 3.0 * T, rtol=rtol, atol=atol)
-    records = []
-    escaped = []
-    max_tube = 0.0
-    max_vdrift = 0.0
-    for k, traj in enumerate(trajs):
-        ts, xs = traj.sample(3.0 * T / (3 * samples_per_period))
-        v = (phi(xs, refs.z1) - c1) ** 2 + (phi(xs, refs.z2) - c2) ** 2
-        v_drift = float(np.abs(v - v[0]).max())
-        phase = np.rint(np.mod(ts, T) / T * (len(ref) - 1)).astype(int)
-        tube = _max_distance_to_samples(xs, ref, phase)
-        records.append({"probe": k, "v0": float(v[0]),
-                        "v_drift": v_drift, "tube_distance": tube})
-        max_tube = max(max_tube, tube)
-        max_vdrift = max(max_vdrift, v_drift)
-        if tube > acceptance_factor * delta + slack:
-            escaped.append(k)
-    probe = StabilityProbe(delta=delta, n_probes=n_probes,
-                           max_tube_distance=max_tube,
-                           v_drift_max=max_vdrift,
-                           probes=tuple(records), escaped=tuple(escaped))
+    ts = sample_grid(3.0 * T, 3.0 * T / (3 * samples_per_period))
+    nodes = _hermite_nodes(trajs, [np.clip(np.searchsorted(
+        tr.ts, ts, side="right") - 1, 0, len(tr.ts) - 2) for tr in trajs])
+    xs = softmax(_rk.hermite(np.tile(ts, n_probes), *nodes)).reshape(
+        n_probes, len(ts), -1)
+    v = (phi(xs, refs.z1) - c1) ** 2 + (phi(xs, refs.z2) - c2) ** 2
+    v_drift = np.abs(v - v[:, :1]).max(axis=1)
+    phase = np.rint(np.mod(ts, T) / T * (len(ref) - 1)).astype(int)
+    tube = _max_distance_to_samples(xs, ref, phase)
+    escaped = tuple(int(k) for k in np.flatnonzero(
+        tube > acceptance_factor * delta + slack))
+    probe = StabilityProbe(
+        delta=delta, n_probes=n_probes, max_tube_distance=float(tube.max()),
+        v_drift_max=float(v_drift.max()), escaped=escaped,
+        probes=tuple({"probe": k, "v0": float(v[k, 0]),
+                      "v_drift": float(v_drift[k]),
+                      "tube_distance": float(tube[k])}
+                     for k in range(n_probes)))
     if escaped:
         raise ProbeEscaped(
             f"{len(escaped)} of {n_probes} probes left the "

@@ -13,11 +13,11 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from replicator4 import (PayoffMatrix, PredictionViolated, boundary_prediction,
-                         canonical_matrix, detect_period, face_subsystem,
-                         integrate, kernel_line_section, predict_edge,
-                         predict_face, verify_boundary)
-from replicator4 import boundary
+from replicator4 import (NoClosureFound, PayoffMatrix, PredictionViolated,
+                         boundary_prediction, canonical_matrix, detect_period,
+                         face_subsystem, integrate, kernel_line_section,
+                         predict_edge, predict_face, verify_boundary)
+from replicator4 import _rk, boundary, orbit
 from replicator4.boundary import _face_starts, face_nodes, unstable_vertices
 from replicator4.dynamics import integrate_many
 from replicator4.ensembles import CANONICAL_UPPER
@@ -242,12 +242,22 @@ def test_batched_boundary_periods_match_detect_period(name, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a serial run inside verify_boundary")
 
+    hermite = _rk.hermite
+    dense = []
+
+    def evaluated(*args):
+        dense.append(len(args[0]))
+        return hermite(*args)
+
     monkeypatch.setattr(boundary, "integrate_many", counted)
     monkeypatch.setattr(boundary, "integrate", forbidden)
     monkeypatch.setattr(boundary, "detect_period", forbidden)
+    monkeypatch.setattr(_rk, "hermite", evaluated)
     report = verify_boundary(M, seed=0)
     monkeypatch.undo()
     assert 1 <= len(batches) <= 4
+    # the returns of all periodic starts are bisected together
+    assert len(dense) <= 64
     by_region = {r.region: r for r in report.regions}
     for region, (sub, starts) in _periodic_face_starts(M, 0).items():
         periods = by_region[region].measured["periods"]
@@ -260,22 +270,62 @@ def test_batched_boundary_periods_match_detect_period(name, monkeypatch):
 
 def test_periodic_face_beyond_first_span_falls_back(monkeypatch):
     # a quarter of class I's payoffs: face periods near 44, past the
-    # batch's 25 time units, so every periodic start needs the fallback
+    # batch's 25 time units, so every periodic start runs again over 50
+    # time units, as detect_period runs it; with closure_tol = 1e-300
+    # none closes, and each runs over 50, 100 and 200 time units
     M = PayoffMatrix.from_upper([Fraction(v, 4) for v in CANONICAL_UPPER["I"]],
                                 exact=True)
-    reports = []
-
-    def recorded(*args, **kwargs):
-        reports.append(detect_period(*args, **kwargs))
-        return reports[-1]
-
-    monkeypatch.setattr(boundary, "detect_period", recorded)
-    report = verify_boundary(M, seed=0, raise_on_violation=False)
-    by_region = {r.region: r for r in report.regions}
     faces = _periodic_face_starts(M, 0)
-    periods = [p for region in faces
-               for p in by_region[region].measured["periods"]]
-    assert len(reports) == len(periods) == 6
-    assert periods == [rep.period for rep in reports]
-    assert min(periods) > 25.0
-    assert all(by_region[region].status == "pass" for region in faces)
+    runs = []
+
+    def batch(A, X0, t_end, **kwargs):
+        runs.append((A.shape[-1], t_end, len(X0)))
+        return integrate_many(A, X0, t_end, **kwargs)
+
+    def rerun(M, x0, t_end, **kwargs):
+        runs.append((M.n, t_end, 1))
+        return integrate(M, x0, t_end, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a serial run inside verify_boundary")
+
+    monkeypatch.setattr(boundary, "integrate_many", batch)
+    monkeypatch.setattr(orbit, "integrate", rerun)
+    monkeypatch.setattr(boundary, "integrate", forbidden)
+    monkeypatch.setattr(boundary, "detect_period", forbidden)
+    # the other regions run to t_end = 10 only, and are not graded here
+    report = verify_boundary(M, seed=0, t_end=10.0, raise_on_violation=False)
+    # (order, span, rows) of each run: the simulation's batches, then the
+    # reruns, with no second run over the first 25 time units
+    simulated = runs[:-6]
+    assert [r for r in simulated if r[1] != 10.0] == [(3, 25.0, 6)]
+    assert runs[-6:] == [(3, 50.0, 1)] * 6
+    runs.clear()
+    failed = verify_boundary(M, seed=0, samples_per_region=1, t_end=10.0,
+                             closure_tol=1e-300, raise_on_violation=False)
+    assert [r for r in runs[:-6] if r[1] != 10.0] == [(3, 25.0, 2)]
+    assert runs[-6:] == [(3, span, 1) for span in (50.0, 100.0, 200.0)
+                         for _ in range(2)]
+    monkeypatch.undo()
+    by_region = {r.region: r for r in report.regions}
+    assert len(faces) == 2
+    for region, (sub, starts) in faces.items():
+        reps = [detect_period(sub, x0, rtol=1e-8, atol=1e-10,
+                              closure_tol=1e-6) for x0 in starts]
+        measured = by_region[region].measured
+        assert by_region[region].status == "pass"
+        assert measured["periods"] == [rep.period for rep in reps]
+        assert measured["max_closure_residual"] == max(
+            rep.closure_residual for rep in reps)
+        assert min(measured["periods"]) > 25.0
+    # a failing region reports its start's best candidate
+    failed = {r.region: r for r in failed.regions}
+    region, (sub, starts) = next(iter(_periodic_face_starts(M, 0, 1).items()))
+    with pytest.raises(NoClosureFound) as exc:
+        detect_period(sub, starts[0], rtol=1e-8, atol=1e-10,
+                      closure_tol=1e-300)
+    assert [r.status for r in failed.values() if r.region in faces] == [
+        "fail", "fail"]
+    assert failed[region].measured == {
+        "closure_residual": exc.value.candidate_residual,
+        "candidate_period": exc.value.candidate_period}

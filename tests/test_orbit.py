@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 from replicator4 import (EquilibriumStart, NoClosureFound, PayoffMatrix,
-                         PreconditionFailed, ProbeEscaped, canonical_matrix,
-                         detect_period, distance_to_K, integrate,
-                         kernel_line_section, select_reference_points,
-                         stability_probe)
-from replicator4 import orbit
-from replicator4.dynamics import Trajectory, integrate_many, softmax
+                         PreconditionFailed, ProbeEscaped, boundary_prediction,
+                         canonical_matrix, detect_period, distance_to_K,
+                         face_subsystem, integrate, kernel_line_section, phi,
+                         select_reference_points, stability_probe)
+from replicator4 import _rk, orbit
+from replicator4.boundary import _face_starts
+from replicator4.dynamics import integrate_many, softmax
 from replicator4.orbit import (_max_distance_to_samples,
                                _min_distance_to_samples, first_closure,
                                section_normal)
@@ -148,9 +149,9 @@ def test_pruned_tube_distance_is_exact(certified_MIV, rng, monkeypatch):
     n = len(ref) - 1
     searched = []
 
-    def counted(points, samples):
+    def counted(points, samples, R=None):
         searched.append(len(points))
-        return _min_distance_to_samples(points, samples)
+        return _min_distance_to_samples(points, samples, R)
 
     monkeypatch.setattr(orbit, "_min_distance_to_samples", counted)
     # a perturbed run over three periods, phase guessed from its time
@@ -179,37 +180,125 @@ def test_pruned_tube_distance_is_exact(certified_MIV, rng, monkeypatch):
             == _min_distance_to_samples(probe, few).max())
 
 
-def test_bisection_stops_at_float_resolution(monkeypatch):
-    def reference_crossings(traj, p, f0):
-        ss = (traj.xs - p) @ f0
-        k = np.flatnonzero((ss[1:-1] < 0) & (ss[2:] >= 0)) + 1
-        lo, hi = traj.ts[k], traj.ts[k + 1]
-        for _ in range(90):
-            mid = 0.5 * (lo + hi)
-            below = (softmax(traj.dense(mid)) - p) @ f0 < 0
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
+def _reference_crossings(traj, p, f0):
+    """Upward section crossings after the first step, halved 90 times."""
+    ss = (traj.xs - p) @ f0
+    k = np.flatnonzero((ss[1:-1] < 0) & (ss[2:] >= 0)) + 1
+    lo, hi = traj.ts[k], traj.ts[k + 1]
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        below = (softmax(traj.dense(mid)) - p) @ f0 < 0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
 
+
+def _counting_hermite(monkeypatch):
+    """Patch the package's Hermite evaluation; returns its call list."""
     calls = []
-    dense = Trajectory.dense
+    hermite = _rk.hermite
 
-    def counted(self, t):
+    def counted(t, *nodes):
         calls.append(np.shape(t))
-        return dense(self, t)
+        return hermite(t, *nodes)
 
+    monkeypatch.setattr(_rk, "hermite", counted)
+    return calls
+
+
+def test_bisection_stops_at_float_resolution(monkeypatch):
     for name in ("I", "II", "III", "IV", "V"):
         M = canonical_matrix(name)
         traj = integrate(M, X_I, 25.0)
         f0 = section_normal(M, X_I)
-        want = reference_crossings(traj, X_I, f0)
-        monkeypatch.setattr(Trajectory, "dense", counted)
-        calls.clear()
-        got, _, first = first_closure(traj, X_I, f0, 1e-6)
+        want = _reference_crossings(traj, X_I, f0)
+        calls = _counting_hermite(monkeypatch)
+        (got, _, first), = first_closure([traj], [X_I], [f0], 1e-6)
         monkeypatch.undo()
         assert first == 0
         assert np.array_equal(got, want)
         assert len(calls) <= 64
+
+
+def test_batched_closure_matches_one_element_calls(monkeypatch, rng):
+    # periodic face runs of canonical I-IV, in one batch to t = 25
+    subs, starts = [], []
+    for name in ("I", "II", "III", "IV"):
+        M = canonical_matrix(name)
+        for f in boundary_prediction(M).faces:
+            if f.kind == "periodic":
+                sub = face_subsystem(M, f.face).to_float()
+                for x0 in _face_starts(f, sub, rng, 2):
+                    subs.append(sub)
+                    starts.append(x0)
+    trajs = integrate_many(np.array([s.array for s in subs]), starts, 25.0,
+                           rtol=1e-8, atol=1e-10)
+    ps = list(starts)
+    f0s = [section_normal(s, x0) for s, x0 in zip(subs, starts)]
+    # a run shorter than one lap: no return at all
+    trajs.append(integrate(subs[0], starts[0], 1.0))
+    ps.append(starts[0])
+    f0s.append(f0s[0])
+    # a section through a point off the orbit: returns that never close
+    trajs.append(trajs[0])
+    ps.append(starts[0] + np.array([1e-3, -1e-3, 0.0]))
+    f0s.append(section_normal(subs[0], ps[-1]))
+    calls = _counting_hermite(monkeypatch)
+    batch = first_closure(trajs, ps, f0s, 1e-6)
+    monkeypatch.undo()
+    assert len(trajs) >= 10
+    assert len(calls) <= 64
+    for traj, p, f0, (t, r, first) in zip(trajs, ps, f0s, batch):
+        (t1, r1, first1), = first_closure([traj], [p], [f0], 1e-6)
+        assert np.array_equal(t, t1) and np.array_equal(r, r1)
+        assert first == first1
+        assert np.array_equal(t, _reference_crossings(traj, p, f0))
+    assert [b[2] is None for b in batch] == [False] * (len(trajs) - 2) + [
+        True, True]
+    assert batch[-2][0].size == 0 and batch[-1][0].size > 0
+
+
+@pytest.fixture(scope="module")
+def certified_from_X_I():
+    """(M, refs, report) of canonical I-V from X_I, certified once."""
+    out = {}
+    for name in ("I", "II", "III", "IV", "V"):
+        M = canonical_matrix(name)
+        section = kernel_line_section(M)
+        refs = select_reference_points(M, section, X_I)
+        out[name] = M, refs, detect_period(M, X_I, section=section,
+                                           refs=refs)
+    return out
+
+
+@pytest.mark.parametrize("delta, n_probes", [(1e-3, 3), (1e-2, 1)])
+@pytest.mark.parametrize("name", ["I", "II", "III", "IV", "V"])
+def test_probe_records_match_probes_sampled_alone(
+        certified_from_X_I, name, delta, n_probes, monkeypatch):
+    M, refs, report = certified_from_X_I[name]
+    runs = []
+
+    def kept(*args, **kwargs):
+        runs.extend(integrate_many(*args, **kwargs))
+        return runs
+
+    monkeypatch.setattr(orbit, "integrate_many", kept)
+    calls = _counting_hermite(monkeypatch)
+    probe = stability_probe(M, report, refs, delta=delta,
+                            n_probes=n_probes)
+    monkeypatch.undo()
+    # the probes' samples come from one dense evaluation
+    assert len(calls) == 1
+    T, ref = report.period, report.orbit_samples
+    c1, c2 = phi(X_I, refs.z1), phi(X_I, refs.z2)
+    assert len(runs) == len(probe.probes) == n_probes
+    for k, (traj, record) in enumerate(zip(runs, probe.probes)):
+        ts, xs = traj.sample(3.0 * T / (3 * 512))
+        v = (phi(xs, refs.z1) - c1) ** 2 + (phi(xs, refs.z2) - c2) ** 2
+        assert record == {
+            "probe": k, "v0": float(v[0]),
+            "v_drift": float(np.abs(v - v[0]).max()),
+            "tube_distance": float(_min_distance_to_samples(xs, ref).max())}
 
 
 def test_stability_probe_zero_delta(certified_MIV):

@@ -3,7 +3,10 @@
     python tools/report_diff.py OLD_TREE NEW_TREE
 
 Each tree's ``src/`` runs ``orbit`` (seed 3), ``boundary`` (seed 0),
-``verify`` (seed 1), ``simulate`` and ``portrait`` (seed 0).  Printed: per
+``verify`` (seed 1), ``simulate`` and ``portrait`` (seed 0), and on class I
+at a quarter of its payoffs, ``Iq``, ``orbit`` and ``boundary``: its face
+periods lie past the boundary's first 25 time units, and its orbit is
+probed on a matrix that is not a unit representative.  Printed: per
 JSON key (list indices folded to ``[]``), CSV column or SVG file, how many
 floats moved and the largest absolute and relative move; every other
 change (a status, a string, an integer, an exit code, a missing value);
@@ -23,9 +26,16 @@ CLASSES = ("I", "II", "III", "IV", "V")
 RUNS = (("orbit", "3", ".json"), ("boundary", "0", ".json"),
         ("verify", "1", ".json"), ("simulate", "0", ".csv"),
         ("portrait", "0", ".svg"))
+#: (name, runs) per matrix, in the order TEXT prints them
+MATRICES = [(c, RUNS) for c in CLASSES] + [("Iq", RUNS[:2])]
 NUM = re.compile(r"-?\d+\.\d*(?:e[-+]?\d+)?|-?\d+e[-+]?\d+")
-TEXT = ("from replicator4 import canonical_matrix, format_matrix\n"
-        f"for c in {CLASSES!r}: print(format_matrix(canonical_matrix(c)))")
+TEXT = ("from fractions import Fraction\n"
+        "from replicator4 import PayoffMatrix as P, canonical_matrix, "
+        "format_matrix\n"
+        "from replicator4.ensembles import CANONICAL_UPPER\n"
+        f"for c in {CLASSES!r}: print(format_matrix(canonical_matrix(c)))\n"
+        "print(format_matrix(P.from_upper(\n"
+        "    [Fraction(v, 4) for v in CANONICAL_UPPER['I']], exact=True)))")
 
 
 def run_tree(tree: str, out: Path) -> None:
@@ -33,8 +43,8 @@ def run_tree(tree: str, out: Path) -> None:
     texts = subprocess.run([sys.executable, "-c", TEXT], env=env, check=True,
                            text=True, capture_output=True).stdout.split("\n")
     out.mkdir()
-    for name, text in zip(CLASSES, texts):
-        for cmd, seed, ext in RUNS:
+    for (name, runs), text in zip(MATRICES, texts):
+        for cmd, seed, ext in runs:
             stem = out / f"{cmd}.{name}"
             res = subprocess.run(
                 [sys.executable, "-m", "replicator4.cli", cmd, "--matrix", "-",
