@@ -38,7 +38,6 @@ from .errors import PreconditionFailed, PredictionViolated
 from .orbit import (FIRST_SPAN, close_orbits, detect_period,  # noqa: F401
                     section_normal)
 from .payoff import PayoffMatrix, Scalar, format_matrix, scalar_to_json
-from .signgraph import build_digraph
 
 
 @dataclass(frozen=True)
@@ -152,15 +151,6 @@ class BoundaryReport:
         }
 
 
-def _sign(v, exact: bool, atol: float) -> int:
-    if exact:
-        return 0 if v == 0 else (1 if v > 0 else -1)
-    fv = float(v)
-    if abs(fv) <= atol:
-        return 0
-    return 1 if fv > 0 else -1
-
-
 def face_nodes(i: int) -> tuple:
     """Strategies of face x_i = 0, ascending, 1-based."""
     return tuple(k for k in (1, 2, 3, 4) if k != i)
@@ -176,47 +166,38 @@ def face_subsystem(M: PayoffMatrix, i: int) -> PayoffMatrix:
     return M.submatrix(keep)
 
 
-def predict_edge(M: PayoffMatrix, i: int, j: int,
-                 zero_atol: float = 1e-12) -> EdgeOutcome:
+def predict_edge(M: PayoffMatrix, i: int, j: int) -> EdgeOutcome:
     """Outcome of the flow restricted to edge conv(e_i, e_j)."""
     if i > j:
         i, j = j, i
-    s = _sign(M.rows[i - 1][j - 1], M.exact, zero_atol)
+    s = M.signs[i - 1][j - 1]
     if s == 0:
         return EdgeOutcome(edge=(i, j), kind="all_equilibria")
     return EdgeOutcome(edge=(i, j), kind="vertex",
                        vertex=i if s > 0 else j)
 
 
-def predict_face(M: PayoffMatrix, i: int,
-                 zero_atol: float = 1e-12) -> FaceOutcome:
+def predict_face(M: PayoffMatrix, i: int) -> FaceOutcome:
     """Outcome of the flow on the interior of face x_i = 0.
 
-    Derived from the face's sign structure alone (see the module
-    docstring for the case split), so it applies in any labeling.
+    Derived from the face's sign structure alone (``M.signs``; see the
+    module docstring for the case split), so it applies in any labeling.
     """
     p, q, r = face_nodes(i)
     a = M.rows
 
     def s(m, n):
-        return _sign(a[m - 1][n - 1], M.exact, zero_atol)
+        return M.signs[m - 1][n - 1]
 
-    pairs = ((p, q), (p, r), (q, r))
-    signs = {pair: s(*pair) for pair in pairs}
-    zero_pairs = [pair for pair in pairs if signs[pair] == 0]
+    zero_pairs = [pair for pair in ((p, q), (p, r), (q, r)) if s(*pair) == 0]
 
-    if len(zero_pairs) == 0:
-        spq, spr, sqr = signs[(p, q)], signs[(p, r)], signs[(q, r)]
-        cyclic = (spq == sqr) and (spr == -spq)
-        if cyclic:
+    if not zero_pairs:
+        if s(p, q) == s(q, r) == -s(p, r):
             return FaceOutcome(face=i, kind="periodic")
-        # transitive tournament: the source beats both others
-        for src in (p, q, r):
-            others = [n for n in (p, q, r) if n != src]
-            if all(s(src, n) > 0 for n in others):
-                return FaceOutcome(face=i, kind="vertex", vertex=src)
-        raise AssertionError("tournament on 3 nodes is cyclic or has "
-                             "a source")
+        # otherwise a transitive tournament: the source beats both others
+        src = next(n for n in (p, q, r)
+                   if all(s(n, o) > 0 for o in (p, q, r) if o != n))
+        return FaceOutcome(face=i, kind="vertex", vertex=src)
 
     if len(zero_pairs) == 1:
         j, k = zero_pairs[0]
@@ -238,8 +219,7 @@ def predict_face(M: PayoffMatrix, i: int,
                            constraint=IntervalMembership(w, lower))
 
     if len(zero_pairs) == 2:
-        shared = set(zero_pairs[0]) & set(zero_pairs[1])
-        spectator = shared.pop()
+        spectator, = set(zero_pairs[0]) & set(zero_pairs[1])
         u, v = (n for n in (p, q, r) if n != spectator)
         winner = u if s(u, v) > 0 else v
         edge = tuple(sorted((spectator, winner)))
@@ -249,18 +229,12 @@ def predict_face(M: PayoffMatrix, i: int,
     return FaceOutcome(face=i, kind="all_equilibria")
 
 
-def unstable_vertices(M: PayoffMatrix, zero_atol: float = 1e-12) -> tuple:
+def unstable_vertices(M: PayoffMatrix) -> tuple:
     """Vertices with a repelling incident edge (some a_kj < 0)."""
-    out = []
-    for k in (1, 2, 3, 4):
-        if any(_sign(M.rows[k - 1][j], M.exact, zero_atol) < 0
-               for j in range(4) if j != k - 1):
-            out.append(k)
-    return tuple(out)
+    return tuple(k for k in (1, 2, 3, 4) if min(M.signs[k - 1]) < 0)
 
 
-def equilibria_description(M: PayoffMatrix,
-                           zero_atol: float = 1e-12) -> dict:
+def equilibria_description(M: PayoffMatrix) -> dict:
     """Structural description of the full equilibrium set.
 
     Every vertex is an equilibrium; an edge with a_ij = 0 is pointwise
@@ -268,7 +242,7 @@ def equilibria_description(M: PayoffMatrix,
     matrix is singular.
     """
     zero_edges = [[i, j] for i in (1, 2, 3) for j in range(i + 1, 5)
-                  if _sign(M.rows[i - 1][j - 1], M.exact, zero_atol) == 0]
+                  if M.signs[i - 1][j - 1] == 0]
     return {
         "vertices": [1, 2, 3, 4],
         "equilibrium_edges": zero_edges,
@@ -276,16 +250,14 @@ def equilibria_description(M: PayoffMatrix,
     }
 
 
-def boundary_prediction(M: PayoffMatrix,
-                        zero_atol: float = 1e-12) -> BoundaryPrediction:
+def boundary_prediction(M: PayoffMatrix) -> BoundaryPrediction:
     """Assemble the full 10-region prediction table."""
-    edges = tuple(predict_edge(M, i, j, zero_atol)
+    edges = tuple(predict_edge(M, i, j)
                   for i in (1, 2, 3) for j in range(i + 1, 5))
-    faces = tuple(predict_face(M, i, zero_atol) for i in (1, 2, 3, 4))
+    faces = tuple(predict_face(M, i) for i in (1, 2, 3, 4))
     return BoundaryPrediction(
-        edges=edges, faces=faces,
-        equilibria=equilibria_description(M, zero_atol),
-        unstable_vertices=unstable_vertices(M, zero_atol))
+        edges=edges, faces=faces, equilibria=equilibria_description(M),
+        unstable_vertices=unstable_vertices(M))
 
 
 def _edge_starts(outcome: EdgeOutcome) -> list:

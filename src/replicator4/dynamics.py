@@ -198,8 +198,10 @@ class Trajectory:
         ts = self.ts
         t = np.asarray(t, dtype=float)
         k = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
-        return _rk.hermite(t, ts[k], ts[k + 1], self.us[k], self.us[k + 1],
-                           self.fs[k], self.fs[k + 1])
+        us, fs = self.us, self.fs  # take gathers rows faster than us[k]
+        return _rk.hermite(t, ts[k], ts[k + 1], us.take(k, axis=0),
+                           us.take(k + 1, axis=0), fs.take(k, axis=0),
+                           fs.take(k + 1, axis=0))
 
     def u_at(self, t):
         """Dense log-state at scalar time t inside the integrated range."""
@@ -321,9 +323,12 @@ def integrate_many(M, X0, t_end: float, rtol: float = 1e-10,
 
     ``M`` is one matrix, or a (B, n, n) stack with one per start, which
     becomes that start's ``Trajectory.A``.  Each start keeps its own
-    steps, accepted nodes and accept and reject counts; on the BLAS-free
-    :func:`batch_field` its trajectory is the same bits alone, in a
-    batch or from :func:`integrate`.  Raises
+    steps, accepted nodes and accept and reject counts.  A 4-strategy
+    start's trajectory is the same bits alone, in a batch or from
+    :func:`integrate`; with 2 or 3 strategies its bits may depend on the
+    batch, because :func:`replicator4._rk.attempt` sums the stages with
+    one BLAS product whose rounding depends on a column's place in it.
+    Raises
     PreconditionFailed as :func:`integrate` does, for any start, an
     empty batch or a stack of the wrong length, and StepSizeUnderflow
     with the ``row`` of the start whose step fell below the floor.

@@ -25,10 +25,14 @@ import numpy as np
 
 from .errors import (EmptyKernelSection, InconsistentClass,
                      PreconditionFailed, RankError)
-from .payoff import PayoffMatrix, Scalar, scalar_to_json
+from .payoff import PayoffMatrix, scalar_to_json
 from .signgraph import ClassLabel, build_digraph, classify
 
 _KIND_RANK = {"face": 0, "edge": 1, "vertex": 2}
+
+#: float mode's relative tolerance for the numerical rank, the agreement
+#: of an edge's two cross ratios, and the clipped null line's tests
+_RTOL = 1e-10
 
 #: endpoint composition (faces, edges, vertices) demanded by each class
 _CLASS_COMPOSITION = {
@@ -104,11 +108,7 @@ class NullLineSection:
         }
 
 
-def _is_zero(v: Scalar, exact: bool, atol: float) -> bool:
-    return (v == 0) if exact else (abs(float(v)) <= atol)
-
-
-def kernel_basis(M: PayoffMatrix, rtol: float = 1e-10):
+def kernel_basis(M: PayoffMatrix):
     """Basis of the null space of A, which must be two dimensional.
 
     Exact matrices are reduced over the rationals and return tuples of
@@ -126,7 +126,7 @@ def kernel_basis(M: PayoffMatrix, rtol: float = 1e-10):
     A = M.array
     _, s, vt = np.linalg.svd(A)
     scale = s[0] if s[0] > 0 else 1.0
-    rank = int(np.sum(s > rtol * scale))
+    rank = int(np.sum(s > _RTOL * scale))
     if rank != 2:
         raise RankError(f"numerical rank {rank}, expected 2 "
                         f"(singular values {s.tolist()})")
@@ -169,10 +169,10 @@ def face_kernel_point(M: PayoffMatrix, i: int):
     """Closed-form equilibrium in the interior of face x_i = 0.
 
     With (p, q, r) the remaining strategies in increasing order, the
-    vector (a_qr, -a_pr, a_pq) has all entries of one strict sign
-    exactly when the face carries an induced 3-cycle, and normalizing it
-    gives the unique face equilibrium.  It lies in the null space of the
-    full matrix precisely when A is singular.
+    vector (a_qr, -a_pr, a_pq) has all entries of one strict sign (read
+    from ``M.signs``) exactly when the face carries an induced 3-cycle,
+    and normalizing it gives the unique face equilibrium.  It lies in
+    the null space of the full matrix precisely when A is singular.
 
     Parameters use 1-based strategy indices.  Returns a 4-tuple summing
     to one, exact when M is exact.
@@ -180,10 +180,9 @@ def face_kernel_point(M: PayoffMatrix, i: int):
     if M.n != 4 or i not in (1, 2, 3, 4):
         raise PreconditionFailed("face index must be 1..4 on a 4x4 matrix")
     p, q, r = (k for k in range(4) if k != i - 1)
-    a = M.rows
+    a, sg = M.rows, M.signs
     v = (a[q][r], -a[p][r], a[p][q])
-    if any(c == 0 for c in v) or not (all(c > 0 for c in v)
-                                      or all(c < 0 for c in v)):
+    if (sg[q][r], -sg[p][r], sg[p][q]) not in ((1, 1, 1), (-1, -1, -1)):
         raise PreconditionFailed(
             f"face {i} carries no induced 3-cycle (witness {v})")
     total = v[0] + v[1] + v[2]
@@ -194,8 +193,7 @@ def face_kernel_point(M: PayoffMatrix, i: int):
     return tuple(out)
 
 
-def edge_kernel_point(M: PayoffMatrix, i: int, j: int,
-                      rtol: float = 1e-10, zero_atol: float = 1e-12):
+def edge_kernel_point(M: PayoffMatrix, i: int, j: int):
     """Closed-form equilibrium in the interior of edge conv(e_i, e_j).
 
     Requires a_ij = 0 and a positive ratio rho = -a_jk / a_ik that is the
@@ -210,14 +208,13 @@ def edge_kernel_point(M: PayoffMatrix, i: int, j: int,
         raise PreconditionFailed("edge needs two distinct indices in 1..4")
     if i > j:
         i, j = j, i
-    a = M.rows
+    a, sg = M.rows, M.signs
     ii, jj = i - 1, j - 1
-    if not _is_zero(a[ii][jj], M.exact, zero_atol):
+    if sg[ii][jj] != 0:
         raise PreconditionFailed(
             f"a[{i}][{j}] = {a[ii][jj]} must vanish for an edge equilibrium")
     k, l = (p for p in range(4) if p not in (ii, jj))
-    if _is_zero(a[ii][k], M.exact, zero_atol) or \
-            _is_zero(a[ii][l], M.exact, zero_atol):
+    if sg[ii][k] == 0 or sg[ii][l] == 0:
         raise PreconditionFailed(
             f"edge ({i},{j}) has a neutral off-edge strategy; "
             "no unique interior edge point")
@@ -226,13 +223,13 @@ def edge_kernel_point(M: PayoffMatrix, i: int, j: int,
     if M.exact:
         consistent = (r1 == r2)
     else:
-        consistent = abs(float(r1) - float(r2)) <= rtol * max(
+        consistent = abs(float(r1) - float(r2)) <= _RTOL * max(
             1.0, abs(float(r1)))
     if not consistent:
         raise PreconditionFailed(
             f"cross ratios disagree ({r1} vs {r2}); "
             "matrix is not singular over this edge")
-    if not (r1 > 0):
+    if sg[jj][k] * sg[ii][k] >= 0:  # the sign of r1 is -sg[jj][k] sg[ii][k]
         raise PreconditionFailed(
             f"ratio {r1} is not positive; edge ({i},{j}) carries no "
             "interior equilibrium")
@@ -245,8 +242,7 @@ def edge_kernel_point(M: PayoffMatrix, i: int, j: int,
     return tuple(out)
 
 
-def kernel_line_section(M: PayoffMatrix, rtol: float = 1e-10,
-                        zero_atol: float = 1e-12) -> NullLineSection:
+def kernel_line_section(M: PayoffMatrix) -> NullLineSection:
     """Compute K's endpoints and loci from the matrix structure.
 
     The digraph is classified first; the class dictates how many
@@ -255,11 +251,13 @@ def kernel_line_section(M: PayoffMatrix, rtol: float = 1e-10,
     are then found structurally: faces with induced 3-cycles, zero pairs
     with consistent positive cross ratios, and identically zero rows.
     A mismatch between structure and class raises InconsistentClass.
+    Zero entries and singularity are read from ``M`` (see
+    :attr:`PayoffMatrix.signs`).
     """
-    if not M.is_singular(rtol):
+    if not M.is_singular():
         raise PreconditionFailed(
             "matrix is not singular; the null line misses the simplex")
-    label = classify(build_digraph(M, zero_atol))
+    label = classify(build_digraph(M))
 
     found = []
     for i in (1, 2, 3, 4):
@@ -270,17 +268,17 @@ def kernel_line_section(M: PayoffMatrix, rtol: float = 1e-10,
         found.append((Locus("face", (i,)), z))
     for i in (1, 2, 3, 4):
         for j in range(i + 1, 5):
-            if not _is_zero(M.rows[i - 1][j - 1], M.exact, zero_atol):
+            if M.signs[i - 1][j - 1] != 0:
                 continue
             try:
-                z = edge_kernel_point(M, i, j, rtol, zero_atol)
+                z = edge_kernel_point(M, i, j)
             except PreconditionFailed:
                 continue
             found.append((Locus("edge", (i, j)), z))
     one = Fraction(1) if M.exact else 1.0
     zero = Fraction(0) if M.exact else 0.0
     for i in range(4):
-        if all(_is_zero(v, M.exact, zero_atol) for v in M.rows[i]):
+        if not any(M.signs[i]):
             z = tuple(one if p == i else zero for p in range(4))
             found.append((Locus("vertex", (i + 1,)), z))
 
@@ -296,14 +294,14 @@ def kernel_line_section(M: PayoffMatrix, rtol: float = 1e-10,
     endpoints = tuple(z for (_, z) in found)
 
     mid = [(a + b) / 2 for a, b in zip(*endpoints)]
-    if not all((v > 0) if M.exact else (float(v) > 0) for v in mid):
+    if not all(v > 0 for v in mid):
         raise EmptyKernelSection(
             "segment midpoint is not interior; endpoints "
             f"{endpoints} do not bound an interior segment")
     return NullLineSection(endpoints, loci, label, M.exact)
 
 
-def section_by_clipping(M: PayoffMatrix, rtol: float = 1e-10) -> np.ndarray:
+def section_by_clipping(M: PayoffMatrix) -> np.ndarray:
     """Endpoints of K by clipping the null line against the simplex.
 
     Generic route, independent of the per-class closed forms: take a
@@ -313,14 +311,13 @@ def section_by_clipping(M: PayoffMatrix, rtol: float = 1e-10) -> np.ndarray:
     range against x >= 0.  Returns a (2, 4) float array sorted by the
     same locus-free rule used for display (lexicographic).
     """
-    u, v = (np.asarray(b, dtype=float) for b in kernel_basis(M.to_float(),
-                                                             rtol))
+    u, v = (np.asarray(b, dtype=float) for b in kernel_basis(M.to_float()))
     su, sv = u.sum(), v.sum()
-    if max(abs(su), abs(sv)) <= rtol:
+    if max(abs(su), abs(sv)) <= _RTOL:
         raise EmptyKernelSection("null plane is parallel to the affine "
                                  "hull of the simplex")
     d = sv * u - su * v
-    if np.abs(d).max() <= rtol:
+    if np.abs(d).max() <= _RTOL:
         raise EmptyKernelSection("null plane meets the affine simplex "
                                  "hull in a point or not at all")
     if abs(su) >= abs(sv):
@@ -341,7 +338,7 @@ def section_by_clipping(M: PayoffMatrix, rtol: float = 1e-10) -> np.ndarray:
     if not (lo < hi):
         raise EmptyKernelSection("null line misses the simplex interior")
     mid = p + 0.5 * (lo + hi) * d
-    if mid.min() <= rtol:
+    if mid.min() <= _RTOL:
         raise EmptyKernelSection("null line touches the simplex only on "
                                  "its boundary")
     ends = np.array([p + lo * d, p + hi * d])

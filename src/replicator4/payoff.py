@@ -10,16 +10,25 @@ Arithmetic modes
 ----------------
 Entries are either all exact (``int`` / ``fractions.Fraction``) or all
 ``float``.  Exact matrices answer sign and singularity questions with no
-tolerance at all; float matrices use the documented thresholds.  The two
-modes share code paths: the formulas below are plain field arithmetic and
-never call numpy on exact entries.
+tolerance at all.  Float matrices decide them on the unit-scale entries
+a_ij / max|a|, so that A and sA (s > 0, which only rescales time) get the
+same answers: an entry is zero when its unit-scale magnitude is at most
+``ZERO_TOL`` = 1e-12, and A is singular when the Pfaffian of the
+unit-scale entries is at most ``SINGULAR_TOL`` = 1e-10 in magnitude.
+Both rules are computed once per matrix (:attr:`PayoffMatrix.signs`,
+:meth:`PayoffMatrix.is_singular`), and every other module reads them.
+The formulas below are plain field arithmetic shared by both modes,
+with no numpy on exact entries.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -30,6 +39,13 @@ from .errors import (MatrixFormatError, NotConservative, PreconditionFailed,
 Scalar = Union[int, float, Fraction]
 
 _ROW_SEP = "/"
+
+#: float mode, on the unit scale: zero entries, |a_ij| / max|a| <= ZERO_TOL;
+#: singular A, |pf(A / max|a|)| <= SINGULAR_TOL; skew input, every
+#: |a_ij + a_ji| / max|a| <= SKEW_TOL
+ZERO_TOL, SINGULAR_TOL, SKEW_TOL = 1e-12, 1e-10, 1e-9
+#: largest float max|a| whose determinant bound (2 max|a|)^4 is finite
+_MAX_ABS = sys.float_info.max ** 0.25 / 2
 
 
 def _parse_token(tok: str, exact: bool | None) -> Scalar:
@@ -64,12 +80,13 @@ def _coerce(value, exact: bool | None) -> Scalar:
         return _parse_token(value, exact)
     if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return value
-    if isinstance(value, float):
-        return Fraction(value) if exact else value
     if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, np.floating):
-        return Fraction(float(value)) if exact else float(value)
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        if not math.isfinite(value):
+            raise MatrixFormatError(f"entry {value!r} is not finite")
+        return Fraction(value) if exact else value
     raise MatrixFormatError(f"unsupported entry type {type(value).__name__}")
 
 
@@ -107,13 +124,13 @@ class PayoffMatrix:
         return np.array([[float(v) for v in row] for row in self.rows])
 
     @classmethod
-    def from_rows(cls, rows, exact: bool | None = None,
-                  atol: float = 1e-9) -> "PayoffMatrix":
+    def from_rows(cls, rows, exact: bool | None = None) -> "PayoffMatrix":
         """Validate a square array-like as skew-symmetric and canonicalize.
 
-        Float input may carry rounding noise: skewness is checked within
-        ``atol * max(1, |A|_max)`` and the stored matrix mirrors the upper
-        triangle so downstream code sees exact skewness either way.
+        Float input may carry rounding noise: skewness is checked on the
+        unit scale, |a_ij + a_ji| / max|a| <= ``SKEW_TOL``, and the stored
+        matrix mirrors the upper triangle so downstream code sees exact
+        skewness either way.
 
         Raises
         ------
@@ -121,7 +138,9 @@ class PayoffMatrix:
             If some ``a_ij + a_ji`` or diagonal entry exceeds the
             tolerance (exact entries must cancel exactly).
         MatrixFormatError
-            If the input is not square or has an unsupported entry type.
+            If the input is not square, has an unsupported entry type, a
+            float entry that is not finite, or in float mode entries so
+            large that the determinant could overflow.
         ZeroMatrix
             If every entry vanishes.
         """
@@ -129,34 +148,30 @@ class PayoffMatrix:
         n = len(vals)
         if n < 2 or any(len(r) != n for r in vals):
             raise MatrixFormatError("payoff matrix must be square, n >= 2")
+        if all(v == 0 for r in vals for v in r):
+            raise ZeroMatrix("all payoff entries are zero")
         if exact is None:
             exact = all(_is_exact(v) for r in vals for v in r)
         if exact:
             vals = [[Fraction(v) for v in row] for row in vals]
-            for i in range(n):
-                if vals[i][i] != 0:
-                    raise NotConservative(f"diagonal entry a[{i+1}][{i+1}] "
-                                          f"= {vals[i][i]} is nonzero")
-                for j in range(i + 1, n):
-                    if vals[i][j] + vals[j][i] != 0:
-                        raise NotConservative(
-                            f"a[{i+1}][{j+1}] + a[{j+1}][{i+1}] = "
-                            f"{vals[i][j] + vals[j][i]} != 0")
+            bound = 0
         else:
+            m = max(abs(v) for r in vals for v in r)
+            if m > _MAX_ABS:
+                raise MatrixFormatError(
+                    f"an entry exceeds {_MAX_ABS:.4g} in magnitude, so the "
+                    "determinant could overflow; rescale the matrix")
             vals = [[float(v) for v in row] for row in vals]
-            scale = max(1.0, max(abs(v) for r in vals for v in r))
-            for i in range(n):
-                if abs(vals[i][i]) > atol * scale:
+            bound = SKEW_TOL * float(m)
+        for i in range(n):
+            for j in range(i, n):
+                d = vals[i][i] if i == j else vals[i][j] + vals[j][i]
+                if abs(d) > bound:
+                    what = (f"diagonal entry a[{i+1}][{i+1}]" if i == j else
+                            f"a[{i+1}][{j+1}] + a[{j+1}][{i+1}]")
                     raise NotConservative(
-                        f"diagonal entry a[{i+1}][{i+1}] = {vals[i][i]!r} "
-                        f"exceeds tolerance {atol * scale!r}")
-                for j in range(i + 1, n):
-                    if abs(vals[i][j] + vals[j][i]) > atol * scale:
-                        raise NotConservative(
-                            f"a[{i+1}][{j+1}] + a[{j+1}][{i+1}] = "
-                            f"{vals[i][j] + vals[j][i]!r} exceeds tolerance")
-        if all(v == 0 for r in vals for v in r):
-            raise ZeroMatrix("all payoff entries are zero")
+                        f"{what} = {format_scalar(d)} is not zero"
+                        + ("" if exact else f" to {SKEW_TOL} of max|a|"))
         zero: Scalar = Fraction(0) if exact else 0.0
         canon = [[zero] * n for _ in range(n)]
         for i in range(n):
@@ -196,6 +211,21 @@ class PayoffMatrix:
     def max_abs(self) -> Scalar:
         return max(abs(v) for row in self.rows for v in row)
 
+    def unit(self) -> "PayoffMatrix":
+        """A / max|a|: the same game on a rescaled clock, exact when A is."""
+        m = self.max_abs()
+        return PayoffMatrix(tuple(tuple(v / m for v in row)
+                                  for row in self.rows), self.exact)
+
+    @cached_property
+    def signs(self) -> tuple:
+        """Sign of each entry, -1, 0 or 1, row major (the one zero rule):
+        exact in exact mode; 0 in float mode where |a_ij| / max|a| is at
+        most ``ZERO_TOL``."""
+        tol = 0 if self.exact else ZERO_TOL * self.max_abs()
+        return tuple(tuple((v > tol) - (v < -tol) for v in row)
+                     for row in self.rows)
+
     def pfaffian(self) -> Scalar:
         """Pfaffian of a skew matrix of even order.
 
@@ -220,18 +250,17 @@ class PayoffMatrix:
         """
         return _det_cofactor([list(r) for r in self.rows])
 
-    def is_singular(self, rtol: float = 1e-10) -> bool:
-        """Whether det(A) = 0, decided through the Pfaffian.
+    def is_singular(self) -> bool:
+        """Whether det(A) = 0 (the one singularity rule): pf == 0 in exact
+        mode; |pf(A / max|a|)| <= ``SINGULAR_TOL`` in float mode, on the
+        unit-scale entries, since pf(A) itself underflows for tiny A."""
+        return self._singular
 
-        Exact matrices test pf == 0 with no tolerance.  Float matrices
-        compare |pf| against ``rtol * max(1, |A|_max^2)``; the Pfaffian
-        is quadratic in the entries, hence the squared scale.
-        """
-        pf = self.pfaffian()
+    @cached_property
+    def _singular(self) -> bool:
         if self.exact:
-            return pf == 0
-        scale = max(1.0, float(self.max_abs()) ** 2)
-        return abs(pf) <= rtol * scale
+            return self.pfaffian() == 0
+        return abs(self.unit().pfaffian()) <= SINGULAR_TOL
 
     def __getitem__(self, ij):
         i, j = ij
@@ -253,7 +282,7 @@ def _det_cofactor(rows) -> Scalar:
     return total
 
 
-def to_skew(rows, exact: bool | None = None, atol: float = 1e-9):
+def to_skew(rows, exact: bool | None = None):
     """Strip column shifts from a game matrix and return the skew core.
 
     Adding a constant c_j to column j of a payoff matrix does not change
@@ -278,11 +307,10 @@ def to_skew(rows, exact: bool | None = None, atol: float = 1e-9):
         raise MatrixFormatError("matrix must be square, n >= 2")
     shifts = tuple(vals[j][j] for j in range(n))
     core = [[vals[i][j] - shifts[j] for j in range(n)] for i in range(n)]
-    return PayoffMatrix.from_rows(core, exact=exact, atol=atol), shifts
+    return PayoffMatrix.from_rows(core, exact=exact), shifts
 
 
-def parse_matrix(src: str, exact: bool | None = None,
-                 atol: float = 1e-9) -> PayoffMatrix:
+def parse_matrix(src: str, exact: bool | None = None) -> PayoffMatrix:
     """Parse a payoff matrix from text or JSON.
 
     Text form: 16 whitespace-separated numbers, row major.  A standalone
@@ -308,14 +336,14 @@ def parse_matrix(src: str, exact: bool | None = None,
         if (not isinstance(rows, list) or len(rows) != 4
                 or any(not isinstance(r, list) or len(r) != 4 for r in rows)):
             raise MatrixFormatError('"A" must be a 4x4 array')
-        return PayoffMatrix.from_rows(rows, exact=exact, atol=atol)
+        return PayoffMatrix.from_rows(rows, exact=exact)
     toks = [t for t in stripped.split() if t != _ROW_SEP]
     if len(toks) != 16:
         raise MatrixFormatError(
             f"expected 16 entries, got {len(toks)}")
     vals = [_parse_token(t, exact) for t in toks]
     rows = [vals[4 * i:4 * i + 4] for i in range(4)]
-    return PayoffMatrix.from_rows(rows, exact=exact, atol=atol)
+    return PayoffMatrix.from_rows(rows, exact=exact)
 
 
 def format_scalar(v: Scalar) -> str:

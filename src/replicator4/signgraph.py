@@ -95,25 +95,15 @@ def digraph_from_edges(edges) -> SignDigraph:
                        tuple(sorted(four)))
 
 
-def build_digraph(M: PayoffMatrix, zero_atol: float = 1e-12) -> SignDigraph:
-    """Sign digraph of a 4x4 payoff matrix.
-
-    Exact entries compare against zero exactly; float entries within
-    ``zero_atol`` of zero yield no edge in either direction.
-    """
+def build_digraph(M: PayoffMatrix) -> SignDigraph:
+    """Sign digraph of a 4x4 payoff matrix: an edge i -> j wherever
+    ``M.signs`` calls a_ij positive (see :attr:`PayoffMatrix.signs`)."""
     if M.n != 4:
         raise ValueError(f"sign digraph is defined on 4 strategies, "
                          f"got n = {M.n}")
-    edges = []
-    for i in range(4):
-        for j in range(4):
-            if i == j:
-                continue
-            v = M.rows[i][j]
-            pos = (v > 0) if M.exact else (float(v) > zero_atol)
-            if pos:
-                edges.append((i + 1, j + 1))
-    return digraph_from_edges(edges)
+    return digraph_from_edges((i + 1, j + 1)
+                              for i, row in enumerate(M.signs)
+                              for j, s in enumerate(row) if s > 0)
 
 
 def classify(G: SignDigraph) -> ClassLabel:
@@ -146,16 +136,15 @@ def classify(G: SignDigraph) -> ClassLabel:
         reason="unmatched")
 
 
-def classify_matrix(M: PayoffMatrix, zero_atol: float = 1e-12) -> ClassLabel:
-    return classify(build_digraph(M, zero_atol))
+def classify_matrix(M: PayoffMatrix) -> ClassLabel:
+    return classify(build_digraph(M))
 
 
-def is_permanent(M: PayoffMatrix, rtol: float = 1e-10,
-                 zero_atol: float = 1e-12) -> bool:
+def is_permanent(M: PayoffMatrix) -> bool:
     """Permanence criterion: det(A) = 0 and G_A contains a directed cycle.
 
     Interior orbits of a permanent game stay uniformly away from the
     simplex boundary; non-permanent games send some strategy's share to
     zero from any interior start in at least one direction of time.
     """
-    return M.is_singular(rtol) and build_digraph(M, zero_atol).has_cycle
+    return M.is_singular() and build_digraph(M).has_cycle

@@ -276,6 +276,56 @@ def test_malformed_matrix_exits_one(tmp_path, capsys):
     assert json.loads(err)["error"]["type"] == "MatrixFormatError"
 
 
+def _scaled_text(s: float) -> str:
+    """M_I_TEXT times s, with float tokens."""
+    return " ".join(tok if tok == "/" else repr(int(tok) * s)
+                    for tok in M_I_TEXT.split())
+
+
+@pytest.mark.parametrize("cmd", ["classify", "kernel", "boundary", "verify"])
+@pytest.mark.parametrize("options, text", [
+    ([], M_I_TEXT.replace("2 1 -1 0", "nan 1 -1 0")),
+    ([], M_I_TEXT.replace("1 1 -2", "1 1 -inf").replace("2 1", "inf 1")),
+    ([], _scaled_text(1e100)),
+    ([], _scaled_text(1e200)),
+    (["--float"], " ".join(tok if tok == "/" else str(int(tok) * 10 ** 100)
+                           for tok in M_I_TEXT.split())),
+], ids=["nan", "inf", "1e100", "1e200", "int_1e100_as_float"])
+def test_nonfinite_or_overflowing_matrix_exits_one(cmd, options, text,
+                                                   tmp_path, capsys):
+    # NaN passes a skew check, and det(A) overflows past entries ~5e76
+    code, out, err = run([cmd, "--matrix", matrix_file(tmp_path, text)]
+                         + options, capsys)
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)
+    jsonschema.validate(payload, _schema("error"))
+    assert payload["error"]["type"] == "MatrixFormatError"
+
+
+@pytest.mark.parametrize("s", [1e-200, 1e-15, 1e15, 1e60])
+def test_classify_and_kernel_are_scale_free(s, tmp_path, capsys):
+    # A -> sA only rescales time: every answer but the raw numbers stays
+    def answers(scale):
+        text = replicator4.format_matrix(replicator4.PayoffMatrix.from_rows(
+            replicator4.canonical_matrix(name).array * scale))
+        path = matrix_file(tmp_path, text)
+        code, out, _ = run(["classify", "--matrix", path], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        del doc["pfaffian"]
+        code, out, _ = run(["kernel", "--matrix", path], capsys)
+        assert code == 0
+        section = json.loads(out)
+        doc["loci"] = [e["locus"] for e in section["endpoints"]]
+        doc.update({k: section[k] for k in ("class", "relabeling",
+                                            "K_nonempty", "arithmetic")})
+        return doc
+
+    for name in ("I", "II", "III", "IV", "V"):
+        assert answers(s) == answers(1.0), name
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--x0", "a,b"],
     ["simulate", "--x0", "0.4,0.3,0.2,0.1", "--dt", "0"],

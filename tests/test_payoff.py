@@ -119,7 +119,16 @@ def test_singularity_survives_float_noise(MI):
                               [-3, 1, -2, 0]])
     M = PayoffMatrix.from_rows(MI.array + noise)
     assert not M.exact
-    assert M.is_singular(rtol=1e-10)
+    assert M.is_singular()
+
+
+def test_float_skew_check_is_on_the_unit_scale(MI):
+    bad = MI.array
+    bad[0, 1] += 1e-3  # a12 + a21 is 5e-4 of max|a| at every scale
+    for s in (1e-13, 1.0, 1e13):
+        PayoffMatrix.from_rows(MI.array * s)
+        with pytest.raises(NotConservative):
+            PayoffMatrix.from_rows(bad * s)
 
 
 @given(upper6)

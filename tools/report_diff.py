@@ -6,12 +6,14 @@ Each tree's ``src/`` runs ``orbit`` (seed 3), ``boundary`` (seed 0),
 ``verify`` (seed 1), ``simulate`` and ``portrait`` (seed 0), and on class I
 at a quarter of its payoffs, ``Iq``, ``orbit`` and ``boundary``: its face
 periods lie past the boundary's first 25 time units, and its orbit is
-probed on a matrix that is not a unit representative.  Printed: per
-JSON key (list indices folded to ``[]``), CSV column or SVG file, how many
-floats moved and the largest absolute and relative move; every other
-change (a status, a string, an integer, an exit code, a missing value);
-and how many files are byte-identical.  Exits 1 when anything other than
-a float moved: a value, a key set or a file.
+probed on a matrix that is not a unit representative.  Float twins of
+I-V scaled by 1e-13 and 1e13 (``I1e-13``, ``I1e13``, ...) run ``classify``
+and ``kernel --float``, so that float-mode decisions show in the diff.
+Printed: per JSON key (list indices folded to ``[]``), CSV column or SVG
+file, how many floats moved and the largest absolute and relative move;
+every other change (a status, a string, an integer, an exit code, a
+missing value); and how many files are byte-identical.  Exits 1 when
+anything other than a float moved: a value, a key set or a file.
 """
 
 import json
@@ -23,11 +25,18 @@ import tempfile
 from pathlib import Path
 
 CLASSES = ("I", "II", "III", "IV", "V")
-RUNS = (("orbit", "3", ".json"), ("boundary", "0", ".json"),
-        ("verify", "1", ".json"), ("simulate", "0", ".csv"),
-        ("portrait", "0", ".svg"))
+#: (command, options, output suffix) per run
+RUNS = (("orbit", ("--seed", "3"), ".json"),
+        ("boundary", ("--seed", "0"), ".json"),
+        ("verify", ("--seed", "1"), ".json"),
+        ("simulate", ("--seed", "0"), ".csv"),
+        ("portrait", ("--seed", "0"), ".svg"))
+SCALED_RUNS = (("classify", ("--float",), ".json"),
+               ("kernel", ("--float",), ".json"))
+SCALES = ("1e-13", "1e13")
 #: (name, runs) per matrix, in the order TEXT prints them
-MATRICES = [(c, RUNS) for c in CLASSES] + [("Iq", RUNS[:2])]
+MATRICES = ([(c, RUNS) for c in CLASSES] + [("Iq", RUNS[:2])]
+            + [(c + s, SCALED_RUNS) for s in SCALES for c in CLASSES])
 NUM = re.compile(r"-?\d+\.\d*(?:e[-+]?\d+)?|-?\d+e[-+]?\d+")
 TEXT = ("from fractions import Fraction\n"
         "from replicator4 import PayoffMatrix as P, canonical_matrix, "
@@ -35,7 +44,10 @@ TEXT = ("from fractions import Fraction\n"
         "from replicator4.ensembles import CANONICAL_UPPER\n"
         f"for c in {CLASSES!r}: print(format_matrix(canonical_matrix(c)))\n"
         "print(format_matrix(P.from_upper(\n"
-        "    [Fraction(v, 4) for v in CANONICAL_UPPER['I']], exact=True)))")
+        "    [Fraction(v, 4) for v in CANONICAL_UPPER['I']], exact=True)))\n"
+        f"for s in {SCALES!r}:\n"
+        f"    for c in {CLASSES!r}: print(format_matrix(P.from_rows(\n"
+        "        canonical_matrix(c).array * float(s))))")
 
 
 def run_tree(tree: str, out: Path) -> None:
@@ -44,11 +56,11 @@ def run_tree(tree: str, out: Path) -> None:
                            text=True, capture_output=True).stdout.split("\n")
     out.mkdir()
     for (name, runs), text in zip(MATRICES, texts):
-        for cmd, seed, ext in runs:
+        for cmd, options, ext in runs:
             stem = out / f"{cmd}.{name}"
             res = subprocess.run(
                 [sys.executable, "-m", "replicator4.cli", cmd, "--matrix", "-",
-                 "--seed", seed, "--out", f"{stem}{ext}"], input=text,
+                 *options, "--out", f"{stem}{ext}"], input=text,
                 env=env, text=True, capture_output=True)
             Path(f"{stem}.exit").write_text(f"{res.returncode}\n{res.stderr}")
 
