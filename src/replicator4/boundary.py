@@ -35,9 +35,13 @@ import numpy as np
 # integrate and detect_period are unused; perfbench's tracer patches both
 from .dynamics import integrate, integrate_many, vector_field  # noqa: F401
 from .errors import PreconditionFailed, PredictionViolated
-from .orbit import (FIRST_SPAN, close_orbits, detect_period,  # noqa: F401
-                    section_normal)
+from .orbit import (CLOSURE_TOL, FIRST_SPAN, close_orbits,  # noqa: F401
+                    detect_period, section_normal)
 from .payoff import PayoffMatrix, Scalar, format_matrix, scalar_to_json
+
+#: grading bounds (see verify_boundary) and every run's absolute tolerance
+VERTEX_TOL, OFF_EDGE_TOL, CONSTRAINT_TOL = 1e-4, 1e-4, 1e-3
+STATIONARITY_TOL, EDGE_DRIFT_TOL, ATOL = 1e-12, 1e-9, 1e-10
 
 
 @dataclass(frozen=True)
@@ -289,8 +293,7 @@ def _face_starts(outcome: FaceOutcome, sub: PayoffMatrix, rng,
     return [rng.dirichlet((2.0, 2.0, 2.0)) for _ in range(n)]
 
 
-def _score(outcome, sub, starts, trajs, off_edge_tol, constraint_tol,
-           vertex_tol, stationarity_tol) -> RegionResult:
+def _score(outcome, sub, starts, trajs) -> RegionResult:
     """Grade one edge or face region on its starts' trajectories."""
     edge = isinstance(outcome, EdgeOutcome)
     nodes = outcome.edge if edge else face_nodes(outcome.face)
@@ -315,18 +318,18 @@ def _score(outcome, sub, starts, trajs, off_edge_tol, constraint_tol,
         tp = pos[outcome.vertex]
         worst = min(float(xT[tp]) for xT in finals)
         ok = (all(int(np.argmax(xT)) == tp for xT in finals)
-              and worst >= 1.0 - vertex_tol)
+              and worst >= 1.0 - VERTEX_TOL)
         return RegionResult(region, "pass" if ok else "fail",
                             outcome.to_json(), {"min_winner_share": worst})
 
     if outcome.kind == "all_equilibria":
         measured = {"max_field": max(float(np.abs(vector_field(
             sub, x0)).max()) for x0 in starts)}
-        ok = measured["max_field"] <= stationarity_tol
+        ok = measured["max_field"] <= STATIONARITY_TOL
         if edge:  # an edge's starts also run, and must not move
             measured["max_drift"] = max(float(np.abs(traj.xs - x0).max())
                                         for x0, traj in zip(starts, trajs))
-            ok = ok and measured["max_drift"] <= 1e-9
+            ok = ok and measured["max_drift"] <= EDGE_DRIFT_TOL
         return RegionResult(region, "pass" if ok else "fail",
                             outcome.to_json(), measured)
 
@@ -345,7 +348,7 @@ def _score(outcome, sub, starts, trajs, off_edge_tol, constraint_tol,
         xT = traj.xs[-1]
         off = float(xT[mp])
         worst_off = max(worst_off, off)
-        if off > off_edge_tol:
+        if off > OFF_EDGE_TOL:
             ok = False
         edge_mass = float(xT[jp] + xT[kp])
         zj, zk = float(xT[jp]) / edge_mass, float(xT[kp]) / edge_mass
@@ -353,13 +356,13 @@ def _score(outcome, sub, starts, trajs, off_edge_tol, constraint_tol,
             dev = abs(float(xT[pos[cons.strategy]]) - float(x0[pos[
                 cons.strategy]]))
             worst_dev = max(worst_dev, dev)
-            if dev > constraint_tol:
+            if dev > CONSTRAINT_TOL:
                 ok = False
         elif isinstance(cons, IntervalMembership):
             zw = zj if cons.strategy == j else zk
             slack = zw - float(cons.lower)
             min_slack = min(min_slack, slack)
-            if slack < -constraint_tol or zw > 1.0:
+            if slack < -CONSTRAINT_TOL or zw > 1.0:
                 ok = False
         elif isinstance(cons, RatioClaimed):
             started = float(x0[pos[cons.num]]) / float(x0[pos[cons.den]])
@@ -381,7 +384,7 @@ def _score(outcome, sub, starts, trajs, off_edge_tol, constraint_tol,
     return RegionResult(region, status, outcome.to_json(), measured)
 
 
-def _simulate(regions, atol) -> list:
+def _simulate(regions) -> list:
     """Trajectories of each (outcome, sub, starts, horizon, rtol) region
     (none if horizon is None), from one :func:`integrate_many` call per
     subsystem order, horizon and rtol."""
@@ -395,7 +398,7 @@ def _simulate(regions, atol) -> list:
     for (_, horizon, rtol), rows in groups.items():
         owners, mats, X0 = zip(*rows)
         for r, traj in zip(owners, integrate_many(
-                np.array(mats), X0, horizon, rtol=rtol, atol=atol)):
+                np.array(mats), X0, horizon, rtol=rtol, atol=ATOL)):
             out[r].append(traj)
     return out
 
@@ -404,19 +407,17 @@ def verify_boundary(M: PayoffMatrix,
                     prediction: BoundaryPrediction | None = None,
                     seed: int = 0, samples_per_region: int = 3,
                     t_end: float = 200.0, rtol: float = 1e-8,
-                    atol: float = 1e-10, off_edge_tol: float = 1e-4,
-                    constraint_tol: float = 1e-3,
-                    vertex_tol: float = 1e-4,
-                    stationarity_tol: float = 1e-12,
-                    closure_tol: float = 1e-6,
+                    closure_tol: float = CLOSURE_TOL,
                     raise_on_violation: bool = True) -> BoundaryReport:
     """Simulate every face and edge region and score the predictions.
 
     Scoring: vertex convergence needs the predicted winner within
-    ``vertex_tol`` of 1 at t_end; edge-point convergence needs off-edge
-    mass at most ``off_edge_tol`` and the constraint satisfied within
-    ``constraint_tol``; periodic faces need a closure residual at most
-    ``closure_tol``; ratio claims are recorded as measured, never
+    :data:`VERTEX_TOL` of 1 at t_end; edge-point convergence needs
+    off-edge mass at most :data:`OFF_EDGE_TOL` and the constraint
+    satisfied within :data:`CONSTRAINT_TOL`; an equilibrium region needs
+    a field at most :data:`STATIONARITY_TOL`, and on an edge a drift at
+    most :data:`EDGE_DRIFT_TOL`; periodic faces need a closure residual
+    at most ``closure_tol``; ratio claims are recorded as measured, never
     failed on the ratio itself.
 
     The runs go out as at most four lockstep batches, one per subsystem
@@ -451,7 +452,7 @@ def verify_boundary(M: PayoffMatrix,
             tol = rtol
         regions.append((f, sub, _face_starts(f, sub, rng, samples_per_region),
                         horizon, tol))
-    runs = _simulate(regions, atol)
+    runs = _simulate(regions)
     rows = [(r, i, sub, x0, section_normal(sub, x0)) for r, (outcome, sub,
             starts, _, _) in enumerate(regions) if outcome.kind == "periodic"
             for i, x0 in enumerate(starts)]
@@ -459,8 +460,7 @@ def verify_boundary(M: PayoffMatrix,
             *([row[k] for row in rows] for k in (2, 3, 4)),
             [runs[r][i] for r, i, *_ in rows], closure_tol, 200.0)):
         runs[r][i] = record
-    results = [_score(outcome, sub, starts, trajs, off_edge_tol,
-                      constraint_tol, vertex_tol, stationarity_tol)
+    results = [_score(outcome, sub, starts, trajs)
                for (outcome, sub, starts, _, _), trajs in zip(regions, runs)]
     passed = all(r.status != "fail" for r in results)
     report = BoundaryReport(regions=tuple(results), passed=passed,

@@ -48,6 +48,9 @@ from .errors import (DriftBudgetExceeded, PreconditionFailed,
                      StepSizeUnderflow)
 from .payoff import PayoffMatrix
 
+#: how far from 1 a simplex point's coordinate sum may be
+SIMPLEX_ATOL = 1e-9
+
 
 def softmax(u: np.ndarray) -> np.ndarray:
     m = u.max(axis=-1, keepdims=True)
@@ -87,13 +90,12 @@ def check_finite(name: str, value, strict: bool = True) -> None:
                                  + ("positive" if strict else "nonnegative"))
 
 
-def check_simplex_point(x, atol: float = 1e-9,
-                        require_interior: bool = False) -> np.ndarray:
+def check_simplex_point(x, require_interior: bool = False) -> np.ndarray:
     """Validate and return x as a float simplex point.
 
     Coordinates must be nonnegative (positive when interior is required)
-    and sum to one within ``atol``.  The returned copy is renormalized
-    to unit sum exactly (to rounding).
+    and sum to one within :data:`SIMPLEX_ATOL`.  The returned copy is
+    renormalized to unit sum exactly (to rounding).
     """
     p = np.asarray(x, dtype=float).copy()
     if p.ndim != 1:
@@ -105,7 +107,7 @@ def check_simplex_point(x, atol: float = 1e-9,
         raise PreconditionFailed(f"point {p.tolist()} has a negative "
                                  "coordinate")
     s = float(p.sum())
-    if abs(s - 1.0) > atol:
+    if abs(s - 1.0) > SIMPLEX_ATOL:
         raise PreconditionFailed(f"coordinates sum to {s!r}, not 1")
     return p / s
 

@@ -39,6 +39,11 @@ SIGN_PATTERNS = {name: tuple(0 if v == 0 else (1 if v > 0 else -1)
 
 _UPPER_INDEX = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
+#: a contrast sampler's draws and least |pf|; the start samplers' jitter;
+#: the permanence screen's end, observation window start and tolerances
+MAX_TRIES, MIN_PF, SPREAD, BARYCENTER_ALPHA = 10_000, Fraction(1, 4), 0.35, 3.0
+SCREEN_T_END, SCREEN_WINDOW, SCREEN_RTOL, SCREEN_ATOL = 200.0, 50.0, 1e-6, 1e-9
+
 
 def canonical_matrix(name: str) -> PayoffMatrix:
     """The unit-magnitude exact representative of one class."""
@@ -84,9 +89,8 @@ def sample_class_matrix(name: str, rng, relabel: bool = True
     return PayoffMatrix.from_upper(upper, exact=True)
 
 
-def sample_cyclic_nonsingular(rng, min_pf: Fraction = Fraction(1, 4),
-                              max_tries: int = 10_000) -> PayoffMatrix:
-    """Random exact matrix with a cyclic digraph and |pf| >= min_pf.
+def sample_cyclic_nonsingular(rng) -> PayoffMatrix:
+    """Random exact matrix with a cyclic digraph and |pf| >= :data:`MIN_PF`.
 
     Such games fail the permanence criterion on the determinant side
     while still having a cycle.  Bounding the Pfaffian away from zero
@@ -95,7 +99,7 @@ def sample_cyclic_nonsingular(rng, min_pf: Fraction = Fraction(1, 4),
     probe's default horizon; near-singular draws can linger above the
     screen's share floor for hundreds of time units.
     """
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         signs = rng.choice((-1, 0, 1), size=6, p=(0.425, 0.15, 0.425))
         if not signs.any():
             continue
@@ -103,12 +107,12 @@ def sample_cyclic_nonsingular(rng, min_pf: Fraction = Fraction(1, 4),
         M = PayoffMatrix.from_upper(upper, exact=True)
         if not build_digraph(M).has_cycle:
             continue
-        if abs(M.pfaffian()) >= min_pf:
+        if abs(M.pfaffian()) >= MIN_PF:
             return M
     raise RuntimeError("could not sample a cyclic nonsingular matrix")
 
 
-def sample_acyclic_singular(rng, max_tries: int = 10_000) -> PayoffMatrix:
+def sample_acyclic_singular(rng) -> PayoffMatrix:
     """Random exact nonzero matrix, acyclic digraph, pf = 0 exactly.
 
     Fails permanence on the cycle side.  When the sign pattern leaves
@@ -117,7 +121,7 @@ def sample_acyclic_singular(rng, max_tries: int = 10_000) -> PayoffMatrix:
     sign pattern and a sane magnitude; patterns that zero every term
     are singular as drawn.
     """
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         signs = rng.choice((-1, 0, 1), size=6, p=(0.35, 0.3, 0.35))
         if not signs.any():
             continue
@@ -156,8 +160,7 @@ def sample_acyclic_singular(rng, max_tries: int = 10_000) -> PayoffMatrix:
     raise RuntimeError("could not sample an acyclic singular matrix")
 
 
-def interior_starts(section: NullLineSection, rng, n: int,
-                    spread: float = 0.35) -> list:
+def interior_starts(section: NullLineSection, rng, n: int) -> list:
     """Interior starts jittering K's midpoint multiplicatively.
 
     Multiplicative jitter keeps the relative entropy to the midpoint
@@ -167,30 +170,29 @@ def interior_starts(section: NullLineSection, rng, n: int,
     z = np.array([float(v) for v in section.midpoint()])
     out = []
     for _ in range(n):
-        x = z * np.exp(spread * rng.standard_normal(z.size))
+        x = z * np.exp(SPREAD * rng.standard_normal(z.size))
         out.append(x / x.sum())
     return out
 
 
-def barycenter_starts(rng, n: int, alpha: float = 3.0) -> list:
+def barycenter_starts(rng, n: int) -> list:
     """Dirichlet draws concentrated around the barycenter."""
-    return [rng.dirichlet((alpha,) * 4) for _ in range(n)]
+    return [rng.dirichlet((BARYCENTER_ALPHA,) * 4) for _ in range(n)]
 
 
-def permanence_probe(M, starts, t_end: float = 200.0,
-                     window_start: float = 50.0, rtol: float = 1e-6,
-                     atol: float = 1e-9) -> list:
+def permanence_probe(M, starts) -> list:
     """Cheap trajectory screen for many starts of one or many matrices.
 
     ``M`` is one matrix, or a (B, n, n) stack with one per start.
-    Returns per start the pair (min share inside [window_start, t_end],
-    min share at t_end), computed on accepted integration nodes.  All
-    starts run in one lockstep batch, each with its own step control.
+    Returns per start the pair (min share inside [:data:`SCREEN_WINDOW`,
+    :data:`SCREEN_T_END`], min share at the end), computed on accepted
+    integration nodes.  All starts run in one lockstep batch, each with
+    its own step control.
     """
     A = M.array if isinstance(M, PayoffMatrix) else np.asarray(M, float)
     check_stack(A, len(starts))
     X0 = np.array(starts, dtype=float).reshape(len(starts), A.shape[-1])
     wmin, fmin = _fastprobe.window_and_final_min(
-        A, X0 / X0.sum(axis=1, keepdims=True), float(t_end),
-        float(window_start), float(rtol), float(atol))
+        A, X0 / X0.sum(axis=1, keepdims=True), SCREEN_T_END, SCREEN_WINDOW,
+        SCREEN_RTOL, SCREEN_ATOL)
     return [(float(w), float(f)) for w, f in zip(wmin, fmin)]

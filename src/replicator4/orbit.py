@@ -45,8 +45,18 @@ TANGENT_BASIS = np.array([
     [0.0, 0.0, -3 / np.sqrt(12)],
 ])
 
-_CANDIDATES = (0.25, 0.75, 0.4, 0.6, 0.3, 0.7, 0.2, 0.8,
-               0.45, 0.55, 0.35, 0.65, 0.15, 0.85, 0.1, 0.9)
+#: partners z(c) that select_reference_points tries, in order; its margin
+#: arc (time units, rtol), skip radius and least margin accepted
+CANDIDATES = (0.25, 0.75, 0.4, 0.6, 0.3, 0.7, 0.2, 0.8,
+              0.45, 0.55, 0.35, 0.65, 0.15, 0.85, 0.1, 0.9)
+ARC_TIME, ARC_RTOL, SKIP_TOL, MARGIN_TOL = 2.0, 1e-8, 1e-6, 1e-8
+#: intervals of the certified period's grid; stability samples per period
+N_SAMPLES, SAMPLES_PER_PERIOD = 2048, 512
+#: acceptance bounds, the table ``verify`` reads: closure residual, tube
+#: radius over delta, time average to K, entropy and V drift, and its
+#: algebra checks on U = A / max|a|: pf(U)^2 - det(U), |U z| on K, clipping
+CLOSURE_TOL, TUBE_FACTOR, K_DISTANCE_TOL = 1e-6, 50.0, 1e-4
+PHI_DRIFT_TOL, V_DRIFT_TOL, ALGEBRA_TOL = 1e-8, 1e-8, 1e-10
 
 
 @dataclass(frozen=True)
@@ -116,21 +126,17 @@ class OrbitReport:
         }
 
 
-def select_reference_points(M, section: NullLineSection, x0,
-                            arc_time: float = 2.0, arc_rtol: float = 1e-8,
-                            skip_tol: float = 1e-6,
-                            margin_tol: float = 1e-8,
-                            candidates: Sequence[float] = _CANDIDATES
-                            ) -> ReferencePair:
+def select_reference_points(M, section: NullLineSection, x0) -> ReferencePair:
     """Choose z' = z(1/2) and a transversal partner z'' on K.
 
     The forbidden parameter values are where a candidate's entropy
     cannot separate x0 from the two points where the phi_z' level set
     of x0 meets K; the map c -> phi_z(c)(x0) - phi_z(c)(alpha) is affine
     in c, so each intersection alpha rules out at most one root.
-    Candidates near a root (or near 1/2 itself) are skipped, the rest
-    are ranked by trying them in order and accepting the first whose
-    margin along a short integrated arc clears ``margin_tol``.
+    :data:`CANDIDATES` within :data:`SKIP_TOL` of a root (or of 1/2
+    itself) are skipped, the rest are tried in order, and the first whose
+    margin along an arc of :data:`ARC_TIME` time units clears
+    :data:`MARGIN_TOL` is accepted.
 
     Raises
     ------
@@ -197,28 +203,25 @@ def select_reference_points(M, section: NullLineSection, x0,
             if 0.0 < root < 1.0:
                 bad.append(root)
 
-    arc = integrate(M, p, arc_time, rtol=arc_rtol, atol=1e-11)
+    arc = integrate(M, p, ARC_TIME, rtol=ARC_RTOL, atol=1e-11)
     xs_arc = softmax(arc.us)
     grad1 = (-z1 / xs_arc) @ TANGENT_BASIS
 
-    for c in candidates:
-        if abs(c - 0.5) < skip_tol:
+    for c in CANDIDATES:
+        if abs(c - 0.5) < SKIP_TOL:
             continue
-        if any(abs(c - b) < skip_tol for b in bad):
+        if any(abs(c - b) < SKIP_TOL for b in bad):
             continue
         z2 = z_of(c)
         grad2 = (-z2 / xs_arc) @ TANGENT_BASIS
-        margin = np.inf
-        for g1, g2 in zip(grad1, grad2):
-            s = np.linalg.svd(np.stack((g1, g2)), compute_uv=False)
-            if s[-1] < margin:
-                margin = float(s[-1])
-        if margin > margin_tol:
+        margin = float(np.linalg.svd(np.stack((grad1, grad2), axis=1),
+                                     compute_uv=False)[:, -1].min())
+        if margin > MARGIN_TOL:
             return ReferencePair(z1=z1, z2=z2, c1=0.5, c2=float(c),
                                  margin=margin)
     raise SelectionExhausted(
-        f"no candidate among {len(candidates)} cleared margin "
-        f"{margin_tol:.1e} (forbidden roots at {bad})")
+        f"no candidate among {len(CANDIDATES)} cleared margin "
+        f"{MARGIN_TOL:.1e} (forbidden roots at {bad})")
 
 
 #: time units of :func:`detect_period`'s first integration
@@ -310,9 +313,8 @@ def close_orbits(Ms, ps, f0s, trajs, closure_tol: float, horizon: float,
 
 def detect_period(M, x0, section: NullLineSection | None = None,
                   refs: ReferencePair | None = None, rtol: float = 1e-10,
-                  atol: float = 1e-12, closure_tol: float = 1e-6,
-                  horizon: float = 200.0, n_samples: int = 2048
-                  ) -> OrbitReport:
+                  atol: float = 1e-12, closure_tol: float = CLOSURE_TOL,
+                  horizon: float = 200.0) -> OrbitReport:
     """Certify the trajectory through x0 as a closed orbit.
 
     One integration at the requested tolerance, with the reference
@@ -320,8 +322,9 @@ def detect_period(M, x0, section: NullLineSection | None = None,
     ``horizon`` if shorter).  The period follows :func:`first_closure`;
     while no return closes, the run is repeated over twice the span, up to
     ``horizon`` (:func:`close_orbits`).  The report carries the period,
-    the closure residual |x(T) - x0|, the trapezoid time average with its
-    distance to K, and the entropy drifts monitored over the whole run.
+    the closure residual |x(T) - x0|, the trapezoid time average over
+    :data:`N_SAMPLES` intervals with its distance to K, and the entropy
+    drifts monitored over the whole run.
 
     Raises
     ------
@@ -352,7 +355,7 @@ def detect_period(M, x0, section: NullLineSection | None = None,
             f"(tolerance {closure_tol:.1e})",
             candidate_period=period, candidate_residual=residual)
 
-    grid = np.linspace(0.0, period, n_samples + 1)
+    grid = np.linspace(0.0, period, N_SAMPLES + 1)
     samples = softmax(traj.dense(grid))
     w = np.ones(len(grid))
     w[0] = w[-1] = 0.5
@@ -424,9 +427,8 @@ def _max_distance_to_samples(points: np.ndarray, ref: np.ndarray,
 
 def stability_probe(M, report: OrbitReport, refs: ReferencePair,
                     delta: float = 1e-3, n_probes: int = 16, seed: int = 0,
-                    rtol: float = 1e-10, atol: float = 1e-12,
-                    acceptance_factor: float = 50.0,
-                    samples_per_period: int = 512) -> StabilityProbe:
+                    rtol: float = 1e-10, atol: float = 1e-12
+                    ) -> StabilityProbe:
     """Integrate perturbed starts for three periods and measure escape.
 
     Perturbations are ``delta`` times random unit vectors in the simplex
@@ -448,7 +450,8 @@ def stability_probe(M, report: OrbitReport, refs: ReferencePair,
         If ``n_probes < 1``, or if some perturbed start leaves the open
         simplex (delta too large for this orbit's clearance).
     ProbeEscaped
-        If a probe's tube distance exceeds ``acceptance_factor * delta``.
+        If a probe's tube distance exceeds :data:`TUBE_FACTOR` times
+        ``delta``, plus one sample gap.
         The full probe record is attached to the exception.
     """
     if n_probes < 1:
@@ -477,7 +480,7 @@ def stability_probe(M, report: OrbitReport, refs: ReferencePair,
             f"probe {outside[0]} start leaves the simplex; delta = {delta} "
             "is too large for this orbit")
     trajs = integrate_many(M, starts, 3.0 * T, rtol=rtol, atol=atol)
-    ts = sample_grid(3.0 * T, 3.0 * T / (3 * samples_per_period))
+    ts = sample_grid(3.0 * T, 3.0 * T / (3 * SAMPLES_PER_PERIOD))
     nodes = _hermite_nodes(trajs, [np.clip(np.searchsorted(
         tr.ts, ts, side="right") - 1, 0, len(tr.ts) - 2) for tr in trajs])
     xs = softmax(_rk.hermite(np.tile(ts, n_probes), *nodes)).reshape(
@@ -487,7 +490,7 @@ def stability_probe(M, report: OrbitReport, refs: ReferencePair,
     phase = np.rint(np.mod(ts, T) / T * (len(ref) - 1)).astype(int)
     tube = _max_distance_to_samples(xs, ref, phase)
     escaped = tuple(int(k) for k in np.flatnonzero(
-        tube > acceptance_factor * delta + slack))
+        tube > TUBE_FACTOR * delta + slack))
     probe = StabilityProbe(
         delta=delta, n_probes=n_probes, max_tube_distance=float(tube.max()),
         v_drift_max=float(v_drift.max()), escaped=escaped,
@@ -498,5 +501,5 @@ def stability_probe(M, report: OrbitReport, refs: ReferencePair,
     if escaped:
         raise ProbeEscaped(
             f"{len(escaped)} of {n_probes} probes left the "
-            f"{acceptance_factor} * delta tube", probe=probe)
+            f"{TUBE_FACTOR} * delta tube", probe=probe)
     return probe

@@ -90,6 +90,20 @@ def _coerce(value, exact: bool | None) -> Scalar:
     raise MatrixFormatError(f"unsupported entry type {type(value).__name__}")
 
 
+def _float_rows(rows) -> list:
+    """Entries as float lists; MatrixFormatError past ``_MAX_ABS``."""
+    try:
+        out = [[float(v) for v in row] for row in rows]
+        m = max(abs(v) for row in out for v in row)
+    except OverflowError:  # an exact entry past the float range
+        m = math.inf
+    if m > _MAX_ABS:
+        raise MatrixFormatError(
+            f"an entry exceeds {_MAX_ABS:.4g} in magnitude, so the "
+            "determinant could overflow; rescale the matrix")
+    return out
+
+
 def _is_exact(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
@@ -120,8 +134,8 @@ class PayoffMatrix:
 
     @property
     def array(self) -> np.ndarray:
-        """Entries as a fresh float64 array."""
-        return np.array([[float(v) for v in row] for row in self.rows])
+        """Entries as a fresh float64 array, bounded as :meth:`to_float`."""
+        return np.array(_float_rows(self.rows))
 
     @classmethod
     def from_rows(cls, rows, exact: bool | None = None) -> "PayoffMatrix":
@@ -156,13 +170,8 @@ class PayoffMatrix:
             vals = [[Fraction(v) for v in row] for row in vals]
             bound = 0
         else:
-            m = max(abs(v) for r in vals for v in r)
-            if m > _MAX_ABS:
-                raise MatrixFormatError(
-                    f"an entry exceeds {_MAX_ABS:.4g} in magnitude, so the "
-                    "determinant could overflow; rescale the matrix")
-            vals = [[float(v) for v in row] for row in vals]
-            bound = SKEW_TOL * float(m)
+            vals = _float_rows(vals)
+            bound = SKEW_TOL * max(abs(v) for r in vals for v in r)
         for i in range(n):
             for j in range(i, n):
                 d = vals[i][i] if i == j else vals[i][j] + vals[j][i]
@@ -202,11 +211,11 @@ class PayoffMatrix:
         return PayoffMatrix(rows, self.exact)
 
     def to_float(self) -> "PayoffMatrix":
-        """Float view of this matrix (identity if already float)."""
+        """Float view of this matrix (identity if already float), with
+        float input's bound on max|a| (MatrixFormatError past it)."""
         if not self.exact:
             return self
-        rows = tuple(tuple(float(v) for v in row) for row in self.rows)
-        return PayoffMatrix(rows, False)
+        return PayoffMatrix(tuple(map(tuple, _float_rows(self.rows))), False)
 
     def max_abs(self) -> Scalar:
         return max(abs(v) for row in self.rows for v in row)

@@ -20,6 +20,12 @@ VERTEX_IMAGES = np.array([
     [0.5, np.sqrt(3.0) / 6.0],
 ])
 
+#: canvas width and margin in pixels; the simplex edge's length and the
+#: height that fits the triangle
+WIDTH, MARGIN = 640, 40
+_SCALE = WIDTH - 2 * MARGIN
+HEIGHT = int(round(2 * MARGIN + float(VERTEX_IMAGES[:, 1].max()) * _SCALE))
+
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
             "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")
 
@@ -33,23 +39,13 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
-class _Canvas:
-    def __init__(self, width: int, margin: int):
-        self.width = width
-        span_x = 1.0
-        span_y = float(VERTEX_IMAGES[:, 1].max())
-        self.scale = (width - 2 * margin) / span_x
-        self.height = int(round(2 * margin + span_y * self.scale))
-        self.margin = margin
-
-    def pt(self, p) -> str:
-        x = self.margin + p[0] * self.scale
-        y = self.height - self.margin - p[1] * self.scale
-        return f"{_fmt(x)},{_fmt(y)}"
+def _pt(p) -> str:
+    """Canvas coordinates of a planar point, y pointing down."""
+    x, y = MARGIN + p[0] * _SCALE, HEIGHT - MARGIN - p[1] * _SCALE
+    return f"{_fmt(x)},{_fmt(y)}"
 
 
-def render_portrait(trajectories, section=None, width: int = 640,
-                    margin: int = 40) -> str:
+def render_portrait(trajectories, section=None) -> str:
     """Render trajectories (and optionally the segment K) as SVG text.
 
     Parameters
@@ -60,16 +56,15 @@ def render_portrait(trajectories, section=None, width: int = 640,
     section : NullLineSection, optional
         Drawn as a dashed segment with dots at the endpoints.
     """
-    cv = _Canvas(width, margin)
     out = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
     out.append(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-               f'width="{cv.width}" height="{cv.height}" '
-               f'viewBox="0 0 {cv.width} {cv.height}">')
-    out.append(f'<rect width="{cv.width}" height="{cv.height}" '
+               f'width="{WIDTH}" height="{HEIGHT}" '
+               f'viewBox="0 0 {WIDTH} {HEIGHT}">')
+    out.append(f'<rect width="{WIDTH}" height="{HEIGHT}" '
                'fill="#ffffff"/>')
 
-    verts = [cv.pt(VERTEX_IMAGES[i]) for i in range(4)]
+    verts = [_pt(VERTEX_IMAGES[i]) for i in range(4)]
     for i in range(4):
         for j in range(i + 1, 4):
             a, b = verts[i].split(","), verts[j].split(",")
@@ -84,7 +79,7 @@ def render_portrait(trajectories, section=None, width: int = 640,
 
     if section is not None:
         ends = project(section.as_array())
-        a, b = cv.pt(ends[0]).split(","), cv.pt(ends[1]).split(",")
+        a, b = _pt(ends[0]).split(","), _pt(ends[1]).split(",")
         out.append(f'<line x1="{a[0]}" y1="{a[1]}" x2="{b[0]}" '
                    f'y2="{b[1]}" stroke="#d62728" stroke-width="2" '
                    'stroke-dasharray="6,4"/>')
@@ -94,7 +89,7 @@ def render_portrait(trajectories, section=None, width: int = 640,
 
     for k, (label, xs) in enumerate(trajectories):
         color = _PALETTE[k % len(_PALETTE)]
-        pts = " ".join(cv.pt(p) for p in project(xs))
+        pts = " ".join(_pt(p) for p in project(xs))
         out.append(f'<polyline points="{pts}" fill="none" '
                    f'stroke="{color}" stroke-width="1.2">'
                    f'<title>{label}</title></polyline>')

@@ -21,6 +21,7 @@ from replicator4 import (PayoffMatrix, UnclassifiableSignPattern, ZeroMatrix,
                          sample_class_matrix, sample_cyclic_nonsingular,
                          section_by_clipping, select_reference_points,
                          stability_probe, verify_boundary)
+from replicator4 import boundary
 from replicator4.ensembles import barycenter_starts
 
 SEED = 20260814
@@ -177,11 +178,11 @@ def test_certified_orbits_survive_stability_probe(certified_runs):
 def test_boundary_predictions_hold_in_simulation():
     """Every edge and face prediction for M_I, M_IV, M_V is graded and
     passes at 1e-4 off-edge mass and 1e-3 constraint slack."""
+    assert (boundary.OFF_EDGE_TOL, boundary.CONSTRAINT_TOL) == (1e-4, 1e-3)
     for name in ("I", "IV", "V"):
         M = canonical_matrix(name)
         report = verify_boundary(M, boundary_prediction(M), seed=SEED,
                                  t_end=200.0, rtol=1e-8,
-                                 off_edge_tol=1e-4, constraint_tol=1e-3,
                                  raise_on_violation=False)
         assert report.passed, name
         for region in report.regions:

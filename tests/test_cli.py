@@ -10,8 +10,10 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
+from importlib import resources
 
 import jsonschema
 import numpy as np
@@ -19,8 +21,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import replicator4
-from replicator4 import __version__
-from replicator4.cli import _schema, main
+from replicator4 import __version__, canonical_matrix, format_matrix
+from replicator4.cli import main
 
 M_I_TEXT = "0 1 1 -2 / -1 0 1 -1 / -1 -1 0 1 / 2 1 -1 0"
 M_IV_TEXT = "0 0 0 0 / 0 0 -1 1 / 0 1 0 -1 / 0 -1 1 0"
@@ -33,6 +35,20 @@ def run(argv, capsys):
     code = main(argv)
     cap = capsys.readouterr()
     return code, cap.out, cap.err
+
+
+def schema(name: str) -> dict:
+    """The package's ``name.v1`` report schema."""
+    ref = resources.files("replicator4.schemas").joinpath(f"{name}.v1.json")
+    return json.loads(ref.read_text(encoding="utf-8"))
+
+
+def validated(text: str, name: str) -> dict:
+    """The JSON document ``text``, checked against schema ``name``, which
+    is itself checked against its metaschema."""
+    doc = json.loads(text)
+    jsonschema.validate(doc, schema(name))
+    return doc
 
 
 def matrix_file(tmp_path, text, name="A.txt"):
@@ -282,24 +298,36 @@ def _scaled_text(s: float) -> str:
                     for tok in M_I_TEXT.split())
 
 
-@pytest.mark.parametrize("cmd", ["classify", "kernel", "boundary", "verify"])
+def _int_text(s: int) -> str:
+    """M_I_TEXT times s, with integer tokens."""
+    return " ".join(tok if tok == "/" else str(int(tok) * s)
+                    for tok in M_I_TEXT.split())
+
+
+@pytest.mark.parametrize("cmd", ["classify", "kernel", "simulate", "boundary",
+                                 "verify", "portrait"])
 @pytest.mark.parametrize("options, text", [
     ([], M_I_TEXT.replace("2 1 -1 0", "nan 1 -1 0")),
     ([], M_I_TEXT.replace("1 1 -2", "1 1 -inf").replace("2 1", "inf 1")),
     ([], _scaled_text(1e100)),
     ([], _scaled_text(1e200)),
-    (["--float"], " ".join(tok if tok == "/" else str(int(tok) * 10 ** 100)
-                           for tok in M_I_TEXT.split())),
-], ids=["nan", "inf", "1e100", "1e200", "int_1e100_as_float"])
+    (["--float"], _int_text(10 ** 100)),
+    ([], _int_text(10 ** 400)),
+], ids=["nan", "inf", "1e100", "1e200", "int_1e100_as_float",
+        "int_1e400_exact"])
 def test_nonfinite_or_overflowing_matrix_exits_one(cmd, options, text,
                                                    tmp_path, capsys):
-    # NaN passes a skew check, and det(A) overflows past entries ~5e76
+    # NaN passes a skew check, and det(A) overflows past entries ~5e76;
+    # exact entries that large have no float view for the simulating
+    # commands, while classify and kernel answer them in exact arithmetic
     code, out, err = run([cmd, "--matrix", matrix_file(tmp_path, text)]
                          + options, capsys)
+    if text == _int_text(10 ** 400) and cmd in ("classify", "kernel"):
+        assert (code, err) == (0, "")
+        return
     assert code == 1
     assert out == ""
-    payload = json.loads(err)
-    jsonschema.validate(payload, _schema("error"))
+    payload = validated(err, "error")
     assert payload["error"]["type"] == "MatrixFormatError"
 
 
@@ -350,8 +378,7 @@ def test_bad_option_values_exit_one_with_error_json(argv, tmp_path, capsys):
         argv + ["--matrix", matrix_file(tmp_path, M_IV_TEXT)], capsys)
     assert code == 1
     assert out == ""
-    payload = json.loads(err)
-    jsonschema.validate(payload, _schema("error"))
+    payload = validated(err, "error")
     assert payload["error"]["type"] == "PreconditionFailed"
 
 
@@ -396,11 +423,16 @@ def _main_in_process(argv, text):
     return code, err.getvalue()
 
 
-def _check_exit(argv):
+def _check_exit(argv, report=None):
+    """Run argv on M_I: exit 0, 1 with an error.v1 object, or 2; on exit
+    0, ``report`` is the (path, schema) of a report to validate."""
     code, err = _main_in_process(argv + ["--matrix", "-"], M_I_TEXT)
     assert code in (0, 1, 2)
     if code == 1:
-        jsonschema.validate(json.loads(err), _schema("error"))
+        validated(err, "error")
+    if code == 0 and report is not None:
+        with open(report[0], encoding="utf-8") as fh:
+            validated(fh.read(), report[1])
 
 
 _SEEDS = st.one_of(st.integers(min_value=-3, max_value=2 ** 40).map(str),
@@ -415,7 +447,10 @@ _SEEDS = st.one_of(st.integers(min_value=-3, max_value=2 ** 40).map(str),
        "--atol": _number(0.0, 1e-3), "--seed": _SEEDS}))
 def test_simulate_fuzz_exits_cleanly(t_end, opts):
     # --t-end is always bounded: the default 100 makes examples slow
-    _check_exit(["simulate", "--t-end", t_end] + opts)
+    with tempfile.TemporaryDirectory() as tmp:
+        sidecar = os.path.join(tmp, "drift.json")
+        _check_exit(["simulate", "--t-end", t_end, "--report", sidecar]
+                    + opts, (sidecar, "trajectory"))
 
 
 @settings(max_examples=40)
@@ -426,7 +461,10 @@ def test_simulate_fuzz_exits_cleanly(t_end, opts):
                                   "-1", "nan", "inf"]),
        "--atol": _number(0.0, 1e-3), "--seed": _SEEDS}))
 def test_orbit_fuzz_exits_cleanly(opts):
-    _check_exit(["orbit", "--skip-stability"] + opts)
+    with tempfile.TemporaryDirectory() as tmp:
+        report = os.path.join(tmp, "orbit.json")
+        _check_exit(["orbit", "--skip-stability", "--out", report] + opts,
+                    (report, "orbit"))
 
 
 def test_argument_errors_exit_two(capsys):
@@ -443,6 +481,36 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+#: (subcommand, options, schema of its report) for every subcommand;
+#: simulate's report is its drift sidecar
+EVERY_SUBCOMMAND = (
+    ("classify", [], "digraph"), ("kernel", [], "section"),
+    ("simulate", ["--t-end", "2"], "trajectory"),
+    ("orbit", [], "orbit"), ("boundary", [], "boundary"),
+    ("verify", [], "verify"), ("portrait", ["--t-end", "2"], None))
+
+
+@pytest.mark.parametrize("name", ["I", "II", "III", "IV", "V"])
+def test_every_report_matches_its_schema(name, tmp_path):
+    # one process runs every subcommand on the canonical matrix and never
+    # imports jsonschema; its exit-0 reports are validated here
+    matrix = matrix_file(tmp_path, format_matrix(canonical_matrix(name)))
+    argvs = [[cmd, "--matrix", matrix, "--out", f"{tmp_path}/{cmd}.out"]
+             + options for cmd, options, _ in EVERY_SUBCOMMAND]
+    script = ("import json, sys\nfrom replicator4.cli import main\n"
+              f"codes = [main(argv) for argv in {argvs!r}]\n"
+              "print(json.dumps([codes, 'jsonschema' in sys.modules]))")
+    src = os.path.dirname(os.path.dirname(replicator4.__file__))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[0] * len(argvs), False], done.stderr
+    for cmd, _, report in EVERY_SUBCOMMAND:
+        if report is not None:
+            suffix = ".out.drift.json" if cmd == "simulate" else ".out"
+            validated((tmp_path / (cmd + suffix)).read_text(), report)
 
 
 def test_in_process_calls_match_separate_processes(tmp_path, capsys):

@@ -3,7 +3,8 @@
     python tools/report_diff.py OLD_TREE NEW_TREE
 
 Each tree's ``src/`` runs ``orbit`` (seed 3), ``boundary`` (seed 0),
-``verify`` (seed 1), ``simulate`` and ``portrait`` (seed 0), and on class I
+``verify`` (seed 1), ``simulate`` and ``portrait`` (seed 0), ``classify``
+and ``kernel``, so that every subcommand's report is diffed, and on class I
 at a quarter of its payoffs, ``Iq``, ``orbit`` and ``boundary``: its face
 periods lie past the boundary's first 25 time units, and its orbit is
 probed on a matrix that is not a unit representative.  Float twins of
@@ -30,7 +31,9 @@ RUNS = (("orbit", ("--seed", "3"), ".json"),
         ("boundary", ("--seed", "0"), ".json"),
         ("verify", ("--seed", "1"), ".json"),
         ("simulate", ("--seed", "0"), ".csv"),
-        ("portrait", ("--seed", "0"), ".svg"))
+        ("portrait", ("--seed", "0"), ".svg"),
+        ("classify", (), ".json"),
+        ("kernel", (), ".json"))
 SCALED_RUNS = (("classify", ("--float",), ".json"),
                ("kernel", ("--float",), ".json"))
 SCALES = ("1e-13", "1e13")
