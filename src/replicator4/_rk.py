@@ -176,7 +176,10 @@ def hermite(t, t0, t1, u0, u1, f0, f1):
     ``t``, ``t0`` and ``t1`` broadcast together, so each point may sit on
     its own interval; states carry one more trailing axis.  Interpolation
     error is O(h^4), far below the closure tolerances used at the working
-    rtol, so refining section crossings on the interpolant is safe.
+    rtol, so refining section crossings on the interpolant is safe.  Two
+    consumers: :meth:`replicator4.dynamics.Trajectory.dense`, every
+    sample of a trajectory, and the batched section bisection of
+    :func:`replicator4.orbit.first_closure`.
     """
     h = np.asarray(t1 - t0, dtype=float)[..., None]
     s = (np.asarray(t, dtype=float) - t0)[..., None] / h

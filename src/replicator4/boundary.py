@@ -35,8 +35,8 @@ import numpy as np
 # integrate and detect_period are unused; perfbench's tracer patches both
 from .dynamics import integrate, integrate_many, vector_field  # noqa: F401
 from .errors import PreconditionFailed, PredictionViolated
-from .orbit import (CLOSURE_TOL, FIRST_SPAN, close_orbits,  # noqa: F401
-                    detect_period, section_normal)
+from .orbit import (CLOSURE_TOL, FIRST_SPAN, HORIZON,  # noqa: F401
+                    close_orbits, detect_period, section_normal)
 from .payoff import PayoffMatrix, Scalar, format_matrix, scalar_to_json
 
 #: grading bounds (see verify_boundary) and every run's absolute tolerance
@@ -44,14 +44,27 @@ VERTEX_TOL, OFF_EDGE_TOL, CONSTRAINT_TOL = 1e-4, 1e-4, 1e-3
 STATIONARITY_TOL, EDGE_DRIFT_TOL, ATOL = 1e-12, 1e-9, 1e-10
 
 
+# An edge point's constraint grades a region's starts X0 and final
+# shares XT (one row per start, columns in face order, ``pos`` mapping a
+# strategy to its column), with z = XT over the limit edge's mass:
+# ``grade`` returns (ok, measured), and ``verdict`` is the status when ok.
+# A NaN compares false, so it neither fails a start nor enters a maximum.
+
 @dataclass(frozen=True)
 class CoordinatePreserved:
     """Limit keeps the start's coordinate of one strategy."""
 
     strategy: int
+    verdict = "pass"
 
     def to_json(self):
         return {"kind": "coordinate_preserved", "strategy": self.strategy}
+
+    def grade(self, X0, XT, z, pos):
+        p = pos[self.strategy]
+        dev = np.abs(XT[:, p] - X0[:, p])
+        return not (dev > CONSTRAINT_TOL).any(), {
+            "max_coordinate_deviation": float(max(0.0, *dev))}
 
 
 @dataclass(frozen=True)
@@ -60,10 +73,18 @@ class IntervalMembership:
 
     strategy: int
     lower: Scalar
+    verdict = "pass"
 
     def to_json(self):
         return {"kind": "interval_membership", "strategy": self.strategy,
                 "lower": scalar_to_json(self.lower)}
+
+    def grade(self, X0, XT, z, pos):
+        zw = z[:, pos[self.strategy]]
+        slack = zw - float(self.lower)
+        return not ((slack < -CONSTRAINT_TOL) | (zw > 1.0)).any(), {
+            "min_interval_slack": float(min(np.inf, *slack)),
+            "lower_bound": float(self.lower)}
 
 
 @dataclass(frozen=True)
@@ -72,9 +93,16 @@ class RatioClaimed:
 
     num: int
     den: int
+    verdict = "measured"
 
     def to_json(self):
         return {"kind": "ratio_claimed", "ratio": [self.num, self.den]}
+
+    def grade(self, X0, XT, z, pos):
+        n, d = pos[self.num], pos[self.den]
+        return True, {"ratios": [
+            {"start_ratio": float(s), "limit_ratio": float(l)}
+            for s, l in zip(X0[:, n] / X0[:, d], z[:, n] / z[:, d])]}
 
 
 @dataclass(frozen=True)
@@ -333,55 +361,16 @@ def _score(outcome, sub, starts, trajs) -> RegionResult:
         return RegionResult(region, "pass" if ok else "fail",
                             outcome.to_json(), measured)
 
-    # edge_point
+    # edge_point: the third strategy's mass must vanish
     j, k = outcome.edge
-    m = next(s for s in nodes if s not in (j, k))
-    mp, jp, kp = pos[m], pos[j], pos[k]
-    cons = outcome.constraint
-    measured_only = isinstance(cons, RatioClaimed)
-    worst_off = 0.0
-    worst_dev = 0.0
-    min_slack = np.inf
-    ratios = []
-    ok = True
-    for x0, traj in zip(starts, trajs):
-        xT = traj.xs[-1]
-        off = float(xT[mp])
-        worst_off = max(worst_off, off)
-        if off > OFF_EDGE_TOL:
-            ok = False
-        edge_mass = float(xT[jp] + xT[kp])
-        zj, zk = float(xT[jp]) / edge_mass, float(xT[kp]) / edge_mass
-        if isinstance(cons, CoordinatePreserved):
-            dev = abs(float(xT[pos[cons.strategy]]) - float(x0[pos[
-                cons.strategy]]))
-            worst_dev = max(worst_dev, dev)
-            if dev > CONSTRAINT_TOL:
-                ok = False
-        elif isinstance(cons, IntervalMembership):
-            zw = zj if cons.strategy == j else zk
-            slack = zw - float(cons.lower)
-            min_slack = min(min_slack, slack)
-            if slack < -CONSTRAINT_TOL or zw > 1.0:
-                ok = False
-        elif isinstance(cons, RatioClaimed):
-            started = float(x0[pos[cons.num]]) / float(x0[pos[cons.den]])
-            limit = (zj if cons.num == j else zk) / \
-                (zk if cons.num == j else zj)
-            ratios.append({"start_ratio": started, "limit_ratio": limit})
-    measured = {"max_off_edge_mass": worst_off}
-    if isinstance(cons, CoordinatePreserved):
-        measured["max_coordinate_deviation"] = worst_dev
-    elif isinstance(cons, IntervalMembership):
-        measured["min_interval_slack"] = float(min_slack)
-        measured["lower_bound"] = float(cons.lower)
-    elif isinstance(cons, RatioClaimed):
-        measured["ratios"] = ratios
-    if measured_only:
-        status = "measured" if ok else "fail"
-    else:
-        status = "pass" if ok else "fail"
-    return RegionResult(region, status, outcome.to_json(), measured)
+    X0, XT = np.array(starts), np.array([traj.xs[-1] for traj in trajs])
+    off = XT[:, pos[next(s for s in nodes if s not in (j, k))]]
+    z = XT / (XT[:, pos[j]] + XT[:, pos[k]])[:, None]
+    ok, measured = outcome.constraint.grade(X0, XT, z, pos)
+    ok = ok and not (off > OFF_EDGE_TOL).any()
+    measured = {"max_off_edge_mass": float(max(0.0, *off)), **measured}
+    return RegionResult(region, outcome.constraint.verdict if ok else "fail",
+                        outcome.to_json(), measured)
 
 
 def _simulate(regions) -> list:
@@ -423,7 +412,8 @@ def verify_boundary(M: PayoffMatrix,
     The runs go out as at most four lockstep batches, one per subsystem
     order, horizon and rtol.  The returns of all periodic starts are
     bisected together; a start whose run has no closing return runs
-    again over 50, then 100, then 200 time units, as
+    again over 50, then 100, then :data:`~replicator4.orbit.HORIZON` =
+    200 time units, as
     :func:`replicator4.orbit.detect_period` runs it after its first 25
     (:func:`replicator4.orbit.close_orbits`).
 
@@ -458,7 +448,7 @@ def verify_boundary(M: PayoffMatrix,
             for i, x0 in enumerate(starts)]
     for (r, i, *_), record in zip(rows, close_orbits(
             *([row[k] for row in rows] for k in (2, 3, 4)),
-            [runs[r][i] for r, i, *_ in rows], closure_tol, 200.0)):
+            [runs[r][i] for r, i, *_ in rows], closure_tol, HORIZON)):
         runs[r][i] = record
     results = [_score(outcome, sub, starts, trajs)
                for (outcome, sub, starts, _, _), trajs in zip(regions, runs)]

@@ -42,8 +42,8 @@ from .errors import (PreconditionFailed, Replicator4Error,
                      UnclassifiableSignPattern)
 from .kernelgeom import (distance_to_K, kernel_line_section,
                          section_by_clipping, section_residual)
-from .orbit import (ALGEBRA_TOL, CLOSURE_TOL, K_DISTANCE_TOL, PHI_DRIFT_TOL,
-                    TUBE_FACTOR, V_DRIFT_TOL, detect_period,
+from .orbit import (ALGEBRA_TOL, CLOSURE_TOL, HORIZON, K_DISTANCE_TOL,
+                    PHI_DRIFT_TOL, TUBE_FACTOR, V_DRIFT_TOL, detect_period,
                     select_reference_points, stability_probe)
 from .payoff import PayoffMatrix, format_matrix, parse_matrix
 from .portrait import render_portrait
@@ -86,15 +86,21 @@ def _write(text: str, path: str | None):
             fh.write(text)
 
 
-def _default_start(M: PayoffMatrix, seed: int) -> np.ndarray:
-    """Seeded interior start: jitter K's midpoint when K exists,
-    otherwise jitter the barycenter."""
-    rng = np.random.default_rng(seed)
+def _section_or_none(M: PayoffMatrix):
+    """K's section, or None when M has none."""
     try:
-        section = kernel_line_section(M)
+        return kernel_line_section(M)
     except Replicator4Error:
-        return barycenter_starts(rng, 1)[0]
-    return interior_starts(section, rng, 1)[0]
+        return None
+
+
+def _seeded_starts(section, seed: int, n: int) -> list:
+    """n seeded interior starts: jitter K's midpoint when there is a
+    section, otherwise jitter the barycenter."""
+    rng = np.random.default_rng(seed)
+    if section is None:
+        return barycenter_starts(rng, n)
+    return interior_starts(section, rng, n)
 
 
 def _parse_x0(text: str) -> np.ndarray:
@@ -140,15 +146,11 @@ def _cmd_kernel(args) -> int:
 def _cmd_simulate(args) -> int:
     M = _read_matrix(args)
     seed = _seed_of(args)
-    x0 = _parse_x0(args.x0) if args.x0 else _default_start(M, seed)
-    monitors = []
-    try:
-        section = kernel_line_section(M)
-        for c in (0.25, 0.5, 0.75):
-            z = [float(v) for v in section.point_at(c)]
-            monitors.append((f"z({c})", z))
-    except Replicator4Error:
-        section = None
+    section = _section_or_none(M)
+    x0 = _parse_x0(args.x0) if args.x0 else _seeded_starts(section, seed, 1)[0]
+    monitors = [] if section is None else [
+        (f"z({c})", [float(v) for v in section.point_at(c)])
+        for c in (0.25, 0.5, 0.75)]
     budget = default_drift_budget(args.rtol, args.t_end, M.array)
     traj = integrate(M, x0, args.t_end, rtol=args.rtol, atol=args.atol,
                      monitors=monitors, drift_budget=budget)
@@ -197,7 +199,7 @@ def _cmd_orbit(args) -> int:
     M = _read_matrix(args)
     seed = _seed_of(args)
     section = kernel_line_section(M)
-    x0 = _parse_x0(args.x0) if args.x0 else _default_start(M, seed)
+    x0 = _parse_x0(args.x0) if args.x0 else _seeded_starts(section, seed, 1)[0]
     refs = select_reference_points(M, section, x0)
     report = detect_period(M, x0, section=section, refs=refs,
                            rtol=args.rtol, atol=args.atol,
@@ -275,7 +277,7 @@ def _cmd_verify(args) -> int:
         checks["kernel_section"] = {"status": "skipped"}
 
     if section is not None:
-        x0 = _default_start(M, seed)
+        x0 = _seeded_starts(section, seed, 1)[0]
         refs = select_reference_points(M, section, x0)
         report = detect_period(M, x0, section=section, refs=refs,
                                rtol=args.rtol)
@@ -332,14 +334,8 @@ def _cmd_portrait(args) -> int:
     if args.starts < 1:
         raise PreconditionFailed(f"--starts {args.starts}; a portrait "
                                  "needs at least one start")
-    seed = _seed_of(args)
-    rng = np.random.default_rng(seed)
-    try:
-        section = kernel_line_section(M)
-        starts = interior_starts(section, rng, args.starts)
-    except Replicator4Error:
-        section = None
-        starts = barycenter_starts(rng, args.starts)
+    section = _section_or_none(M)
+    starts = _seeded_starts(section, _seed_of(args), args.starts)
     runs = integrate_many(M, starts, args.t_end, rtol=args.rtol)
     trajs = []
     for x0, traj in zip(starts, runs):
@@ -407,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rtol", type=float, default=1e-10)
     p.add_argument("--atol", type=float, default=1e-12)
     p.add_argument("--closure-tol", type=float, default=CLOSURE_TOL)
-    p.add_argument("--horizon", type=float, default=200.0)
+    p.add_argument("--horizon", type=float, default=HORIZON)
     p.add_argument("--delta", type=float, default=1e-3)
     p.add_argument("--probes", type=int, default=16)
     p.add_argument("--skip-stability", action="store_true")

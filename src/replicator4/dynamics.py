@@ -168,7 +168,10 @@ class Trajectory:
 
     ``ts``, ``us``, ``fs`` hold time, log state, and log-space
     derivative at every accepted step (including t0).  Dense evaluation
-    is cubic Hermite on the bracketing step.
+    is cubic Hermite on the bracketing step (:meth:`dense`), and it is
+    the one sampling path: :meth:`x_at` and :meth:`sample` go through
+    it, and so do the certified orbit's sample cloud and the stability
+    probes in :mod:`replicator4.orbit`.
     """
 
     A: np.ndarray
@@ -205,17 +208,14 @@ class Trajectory:
                            us.take(k + 1, axis=0), fs.take(k, axis=0),
                            fs.take(k + 1, axis=0))
 
-    def u_at(self, t):
-        """Dense log-state at scalar time t inside the integrated range."""
-        return self.dense(float(t))
-
     def x_at(self, t) -> np.ndarray:
-        return softmax(self.u_at(t))
+        """Dense shares at time(s) t, shaped as :meth:`dense`."""
+        return softmax(self.dense(t))
 
     def sample(self, dt: float):
         """Uniform grid (ts, xs) with spacing dt (:func:`sample_grid`)."""
         grid = sample_grid(self.t_end, dt)
-        return grid, softmax(self.dense(grid))
+        return grid, self.x_at(grid)
 
 
 def sample_grid(t_end: float, dt: float) -> np.ndarray:

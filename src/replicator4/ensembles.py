@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _fastprobe
-from .dynamics import check_stack
+from .dynamics import _as_array, check_stack
 from .kernelgeom import NullLineSection
 from .payoff import PayoffMatrix
 from .signgraph import build_digraph
@@ -37,8 +37,6 @@ SIGN_PATTERNS = {name: tuple(0 if v == 0 else (1 if v > 0 else -1)
                              for v in upper)
                  for name, upper in CANONICAL_UPPER.items()}
 
-_UPPER_INDEX = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
 #: a contrast sampler's draws and least |pf|; the start samplers' jitter;
 #: the permanence screen's end, observation window start and tolerances
 MAX_TRIES, MIN_PF, SPREAD, BARYCENTER_ALPHA = 10_000, Fraction(1, 4), 0.35, 3.0
@@ -54,20 +52,6 @@ def _rand_magnitude(rng) -> Fraction:
     return Fraction(int(rng.integers(8, 25)), 16)
 
 
-def _relabel(upper, rng) -> list:
-    """Apply a random node relabeling to six upper-triangle entries."""
-    a = [[Fraction(0)] * 4 for _ in range(4)]
-    for (i, j), v in zip(_UPPER_INDEX, upper):
-        a[i][j] = Fraction(v)
-        a[j][i] = -Fraction(v)
-    perm = rng.permutation(4)
-    b = [[Fraction(0)] * 4 for _ in range(4)]
-    for i in range(4):
-        for j in range(4):
-            b[perm[i]][perm[j]] = a[i][j]
-    return b
-
-
 def sample_class_matrix(name: str, rng, relabel: bool = True
                         ) -> PayoffMatrix:
     """Random exact singular matrix with the given class's digraph.
@@ -75,18 +59,16 @@ def sample_class_matrix(name: str, rng, relabel: bool = True
     Magnitudes are drawn as k/16 with k in 8..24 and a14 is solved from
     pf = 0 (for class IV nothing needs solving); the canonical sign
     patterns guarantee the solved entry lands on its required sign.
-    An optional random relabeling hides the canonical ordering.
+    An optional random relabeling hides the canonical ordering: node i
+    becomes node ``perm[i]`` for one draw ``perm = rng.permutation(4)``.
     """
     signs = SIGN_PATTERNS[name]
     vals = [s * _rand_magnitude(rng) for s in signs]
     a12, a13, a14, a23, a24, a34 = vals
     if name != "IV":
         a14 = (a13 * a24 - a12 * a34) / a23
-    upper = (a12, a13, a14, a23, a24, a34)
-    if relabel:
-        rows = _relabel(upper, rng)
-        return PayoffMatrix.from_rows(rows, exact=True)
-    return PayoffMatrix.from_upper(upper, exact=True)
+    M = PayoffMatrix.from_upper((a12, a13, a14, a23, a24, a34), exact=True)
+    return M.submatrix(np.argsort(rng.permutation(4))) if relabel else M
 
 
 def sample_cyclic_nonsingular(rng) -> PayoffMatrix:
@@ -189,7 +171,7 @@ def permanence_probe(M, starts) -> list:
     integration nodes.  All starts run in one lockstep batch, each with
     its own step control.
     """
-    A = M.array if isinstance(M, PayoffMatrix) else np.asarray(M, float)
+    A = _as_array(M)
     check_stack(A, len(starts))
     X0 = np.array(starts, dtype=float).reshape(len(starts), A.shape[-1])
     wmin, fmin = _fastprobe.window_and_final_min(

@@ -12,9 +12,10 @@ Certification is numerical and split in three:
    the section is located by bisection on dense output, and the first
    one whose state lies within ``closure_tol`` of the start is the
    period,
-3. probe Lyapunov stability: perturbed starts, run and sampled as one
-   stack, must stay in a thin tube around the certified orbit for three
-   periods while the quadratic level-set function V barely moves.
+3. probe Lyapunov stability: perturbed starts, run as one batch and
+   each sampled by :meth:`Trajectory.sample`, must stay in a thin tube
+   around the certified orbit for three periods while the quadratic
+   level-set function V barely moves.
 
 The section's normal is the initial velocity, so the section is
 transversal at the start by construction.  The orbit leaves the start
@@ -32,7 +33,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _rk
 from .dynamics import Trajectory, check_finite, integrate, integrate_many, \
-    phi, sample_grid, softmax, vector_field
+    phi, phi_gradient, softmax, vector_field
 from .errors import (EquilibriumStart, NoClosureFound, PreconditionFailed,
                      ProbeEscaped, SelectionExhausted)
 from .kernelgeom import NullLineSection, distance_to_K
@@ -46,10 +47,11 @@ TANGENT_BASIS = np.array([
 ])
 
 #: partners z(c) that select_reference_points tries, in order; its margin
-#: arc (time units, rtol), skip radius and least margin accepted
+#: arc (time units, rtol, atol), skip radius and least margin accepted
 CANDIDATES = (0.25, 0.75, 0.4, 0.6, 0.3, 0.7, 0.2, 0.8,
               0.45, 0.55, 0.35, 0.65, 0.15, 0.85, 0.1, 0.9)
-ARC_TIME, ARC_RTOL, SKIP_TOL, MARGIN_TOL = 2.0, 1e-8, 1e-6, 1e-8
+ARC_TIME, ARC_RTOL, ARC_ATOL = 2.0, 1e-8, 1e-11
+SKIP_TOL, MARGIN_TOL = 1e-6, 1e-8
 #: intervals of the certified period's grid; stability samples per period
 N_SAMPLES, SAMPLES_PER_PERIOD = 2048, 512
 #: acceptance bounds, the table ``verify`` reads: closure residual, tube
@@ -109,7 +111,6 @@ class OrbitReport:
     refs: ReferencePair | None
     rtol: float
     stability: StabilityProbe | None = None
-    sample_ts: np.ndarray = field(default=None, repr=False)
     orbit_samples: np.ndarray = field(default=None, repr=False)
 
     def to_json(self) -> dict:
@@ -203,9 +204,8 @@ def select_reference_points(M, section: NullLineSection, x0) -> ReferencePair:
             if 0.0 < root < 1.0:
                 bad.append(root)
 
-    arc = integrate(M, p, ARC_TIME, rtol=ARC_RTOL, atol=1e-11)
-    xs_arc = softmax(arc.us)
-    grad1 = (-z1 / xs_arc) @ TANGENT_BASIS
+    arc = integrate(M, p, ARC_TIME, rtol=ARC_RTOL, atol=ARC_ATOL)
+    grad1 = phi_gradient(arc.xs, z1) @ TANGENT_BASIS
 
     for c in CANDIDATES:
         if abs(c - 0.5) < SKIP_TOL:
@@ -213,7 +213,7 @@ def select_reference_points(M, section: NullLineSection, x0) -> ReferencePair:
         if any(abs(c - b) < SKIP_TOL for b in bad):
             continue
         z2 = z_of(c)
-        grad2 = (-z2 / xs_arc) @ TANGENT_BASIS
+        grad2 = phi_gradient(arc.xs, z2) @ TANGENT_BASIS
         margin = float(np.linalg.svd(np.stack((grad1, grad2), axis=1),
                                      compute_uv=False)[:, -1].min())
         if margin > MARGIN_TOL:
@@ -224,8 +224,9 @@ def select_reference_points(M, section: NullLineSection, x0) -> ReferencePair:
         f"{MARGIN_TOL:.1e} (forbidden roots at {bad})")
 
 
-#: time units of :func:`detect_period`'s first integration
-FIRST_SPAN = 25.0
+#: time units of :func:`detect_period`'s first integration, and the
+#: horizon up to which a run that does not close is repeated
+FIRST_SPAN, HORIZON = 25.0, 200.0
 
 
 def section_normal(M, p: np.ndarray) -> np.ndarray:
@@ -314,7 +315,7 @@ def close_orbits(Ms, ps, f0s, trajs, closure_tol: float, horizon: float,
 def detect_period(M, x0, section: NullLineSection | None = None,
                   refs: ReferencePair | None = None, rtol: float = 1e-10,
                   atol: float = 1e-12, closure_tol: float = CLOSURE_TOL,
-                  horizon: float = 200.0) -> OrbitReport:
+                  horizon: float = HORIZON) -> OrbitReport:
     """Certify the trajectory through x0 as a closed orbit.
 
     One integration at the requested tolerance, with the reference
@@ -356,7 +357,7 @@ def detect_period(M, x0, section: NullLineSection | None = None,
             candidate_period=period, candidate_residual=residual)
 
     grid = np.linspace(0.0, period, N_SAMPLES + 1)
-    samples = softmax(traj.dense(grid))
+    samples = traj.x_at(grid)
     w = np.ones(len(grid))
     w[0] = w[-1] = 0.5
     x_avg = (w[:, None] * samples).sum(axis=0) / w.sum()
@@ -366,7 +367,7 @@ def detect_period(M, x0, section: NullLineSection | None = None,
         x0=p, period=period, closure_residual=residual,
         time_average=x_avg, avg_distance_to_K=dist,
         phi_drift=dict(traj.drift), refs=refs, rtol=rtol,
-        sample_ts=grid, orbit_samples=samples)
+        orbit_samples=samples)
 
 
 def _augmented(ref: np.ndarray) -> np.ndarray:
@@ -434,14 +435,14 @@ def stability_probe(M, report: OrbitReport, refs: ReferencePair,
     Perturbations are ``delta`` times random unit vectors in the simplex
     tangent plane (seeded, reproducible).  All probes run as one batch
     (:func:`replicator4.dynamics.integrate_many`), each with its own
-    step size and accept decision.  Every run ends at exactly 3T, so all
-    are sampled on one grid with one dense evaluation, the same bits as
-    :meth:`Trajectory.sample` gives each.  For each probe the report
-    records the worst distance to the certified orbit's sample cloud and
-    the drift of V(x) = (phi_z'(x) - c')^2 + (phi_z''(x) - c'')^2, whose
-    level c', c'' values are pinned at the unperturbed start.  The worst
-    distance is exact; the search skips the probe points that a phase
-    guess, the sample time modulo the period, shows cannot hold it
+    step size and accept decision.  Every run ends at exactly 3T, so
+    :meth:`Trajectory.sample` puts all on one grid, with one dense
+    evaluation per probe.  For each probe the report records the worst
+    distance to the certified orbit's sample cloud and the drift of
+    V(x) = (phi_z'(x) - c')^2 + (phi_z''(x) - c'')^2, whose level c',
+    c'' values are pinned at the unperturbed start.  The worst distance
+    is exact; the search skips the probe points that a phase guess, the
+    sample time modulo the period, shows cannot hold it
     (:func:`_max_distance_to_samples`).
 
     Raises
@@ -480,11 +481,8 @@ def stability_probe(M, report: OrbitReport, refs: ReferencePair,
             f"probe {outside[0]} start leaves the simplex; delta = {delta} "
             "is too large for this orbit")
     trajs = integrate_many(M, starts, 3.0 * T, rtol=rtol, atol=atol)
-    ts = sample_grid(3.0 * T, 3.0 * T / (3 * SAMPLES_PER_PERIOD))
-    nodes = _hermite_nodes(trajs, [np.clip(np.searchsorted(
-        tr.ts, ts, side="right") - 1, 0, len(tr.ts) - 2) for tr in trajs])
-    xs = softmax(_rk.hermite(np.tile(ts, n_probes), *nodes)).reshape(
-        n_probes, len(ts), -1)
+    runs = [traj.sample(3.0 * T / (3 * SAMPLES_PER_PERIOD)) for traj in trajs]
+    ts, xs = runs[0][0], np.array([x for _, x in runs])
     v = (phi(xs, refs.z1) - c1) ** 2 + (phi(xs, refs.z2) - c2) ** 2
     v_drift = np.abs(v - v[:, :1]).max(axis=1)
     phase = np.rint(np.mod(ts, T) / T * (len(ref) - 1)).astype(int)

@@ -91,7 +91,9 @@ def _coerce(value, exact: bool | None) -> Scalar:
 
 
 def _float_rows(rows) -> list:
-    """Entries as float lists; MatrixFormatError past ``_MAX_ABS``."""
+    """Entries as float lists; MatrixFormatError past ``_MAX_ABS``, or
+    where a nonzero exact entry rounds to 0.0 (the float view would lose
+    an edge of the sign digraph)."""
     try:
         out = [[float(v) for v in row] for row in rows]
         m = max(abs(v) for row in out for v in row)
@@ -101,6 +103,10 @@ def _float_rows(rows) -> list:
         raise MatrixFormatError(
             f"an entry exceeds {_MAX_ABS:.4g} in magnitude, so the "
             "determinant could overflow; rescale the matrix")
+    if any(f == 0.0 and v != 0
+           for row, fs in zip(rows, out) for v, f in zip(row, fs)):
+        raise MatrixFormatError(
+            "a nonzero entry rounds to 0.0 as a float; rescale the matrix")
     return out
 
 
@@ -179,7 +185,7 @@ class PayoffMatrix:
                     what = (f"diagonal entry a[{i+1}][{i+1}]" if i == j else
                             f"a[{i+1}][{j+1}] + a[{j+1}][{i+1}]")
                     raise NotConservative(
-                        f"{what} = {format_scalar(d)} is not zero"
+                        f"{what} = {scalar_to_json(d)} is not zero"
                         + ("" if exact else f" to {SKEW_TOL} of max|a|"))
         zero: Scalar = Fraction(0) if exact else 0.0
         canon = [[zero] * n for _ in range(n)]
@@ -355,20 +361,9 @@ def parse_matrix(src: str, exact: bool | None = None) -> PayoffMatrix:
     return PayoffMatrix.from_rows(rows, exact=exact)
 
 
-def format_scalar(v: Scalar) -> str:
-    """Canonical token for one entry: exact values as integers or p/q,
-    floats through repr."""
-    if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return str(v.numerator)
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, int):
-        return str(v)
-    return repr(v)
-
-
 def scalar_to_json(v: Scalar):
-    """JSON value for one entry: exact non-integers become strings."""
+    """JSON value for one entry: exact non-integers become strings.  Its
+    ``str`` is the entry's text token (for a float, ``str`` is ``repr``)."""
     if isinstance(v, Fraction):
         if v.denominator == 1:
             return v.numerator
@@ -384,7 +379,7 @@ def format_matrix(M: PayoffMatrix, style: str = "text") -> str:
     """
     if style == "text":
         return f" {_ROW_SEP} ".join(
-            " ".join(format_scalar(v) for v in row) for row in M.rows)
+            " ".join(str(scalar_to_json(v)) for v in row) for row in M.rows)
     if style == "json":
         rows = [[scalar_to_json(v) for v in row] for row in M.rows]
         return json.dumps({"A": rows})

@@ -21,7 +21,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import replicator4
-from replicator4 import __version__, canonical_matrix, format_matrix
+from replicator4 import (__version__, canonical_matrix, format_matrix,
+                         kernel_line_section)
+from replicator4 import cli
 from replicator4.cli import main
 
 M_I_TEXT = "0 1 1 -2 / -1 0 1 -1 / -1 -1 0 1 / 2 1 -1 0"
@@ -304,6 +306,16 @@ def _int_text(s: int) -> str:
                     for tok in M_I_TEXT.split())
 
 
+def _frac_text(q: int) -> str:
+    """M_I_TEXT divided by q, with p/q tokens."""
+    return " ".join(tok if tok == "/" else f"{tok}/{q}"
+                    for tok in M_I_TEXT.split())
+
+
+#: exact input with no float view, which classify and kernel still answer
+EXACT_ONLY = (_int_text(10 ** 400), _frac_text(10 ** 400))
+
+
 @pytest.mark.parametrize("cmd", ["classify", "kernel", "simulate", "boundary",
                                  "verify", "portrait"])
 @pytest.mark.parametrize("options, text", [
@@ -313,22 +325,42 @@ def _int_text(s: int) -> str:
     ([], _scaled_text(1e200)),
     (["--float"], _int_text(10 ** 100)),
     ([], _int_text(10 ** 400)),
+    ([], _frac_text(10 ** 400)),
 ], ids=["nan", "inf", "1e100", "1e200", "int_1e100_as_float",
-        "int_1e400_exact"])
+        "int_1e400_exact", "frac_1e-400_exact"])
 def test_nonfinite_or_overflowing_matrix_exits_one(cmd, options, text,
                                                    tmp_path, capsys):
     # NaN passes a skew check, and det(A) overflows past entries ~5e76;
-    # exact entries that large have no float view for the simulating
-    # commands, while classify and kernel answer them in exact arithmetic
+    # exact entries that large, or so small that they round to 0.0, have
+    # no float view for the simulating commands, while classify and kernel
+    # answer them in exact arithmetic
     code, out, err = run([cmd, "--matrix", matrix_file(tmp_path, text)]
                          + options, capsys)
-    if text == _int_text(10 ** 400) and cmd in ("classify", "kernel"):
+    if text in EXACT_ONLY and cmd in ("classify", "kernel"):
         assert (code, err) == (0, "")
         return
     assert code == 1
     assert out == ""
     payload = validated(err, "error")
     assert payload["error"]["type"] == "MatrixFormatError"
+
+
+def test_each_command_computes_K_once(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counted(M):
+        calls.append(M)
+        return kernel_line_section(M)
+
+    monkeypatch.setattr(cli, "kernel_line_section", counted)
+    path = matrix_file(tmp_path, M_IV_TEXT)
+    out = str(tmp_path / "out")
+    for argv in (["simulate", "--t-end", "1"], ["orbit"], ["verify"],
+                 ["portrait", "--t-end", "1"]):
+        calls.clear()
+        code, _, err = run(argv + ["--matrix", path, "--out", out], capsys)
+        assert (code, err) == (0, "")
+        assert len(calls) == 1, argv[0]
 
 
 @pytest.mark.parametrize("s", [1e-200, 1e-15, 1e15, 1e60])

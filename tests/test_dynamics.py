@@ -302,7 +302,7 @@ def test_dense_output_consistency(MI):
     # vectorised dense output agrees with point-by-point evaluation
     grid = np.concatenate((ts, traj.ts[::7]))
     assert np.array_equal(traj.dense(grid),
-                          [traj.u_at(t) for t in grid])
+                          [traj.dense(t) for t in grid])
 
 
 def test_integrate_rejects_boundary_start(MI):

@@ -1,5 +1,6 @@
 """Randomized matrix generators and the fast permanence probe."""
 
+import copy
 from fractions import Fraction
 
 import numpy as np
@@ -43,6 +44,23 @@ def test_class_samples_without_relabeling_keep_pattern(rng):
         M = sample_class_matrix("V", rng, relabel=False)
         G = build_digraph(M)
         assert set(G.edges) == {(1, 3), (2, 4), (3, 2), (4, 1)}
+
+
+@pytest.mark.parametrize("name", ["I", "II", "III", "IV", "V"])
+def test_relabeling_is_a_node_permutation(name, rng):
+    # a relabeled sample is the unrelabeled draw, node i becoming perm[i]
+    # for the next permutation(4) of the same stream
+    clone = copy.deepcopy(rng)
+    for _ in range(10):
+        M = sample_class_matrix(name, rng)
+        rows = sample_class_matrix(name, clone, relabel=False).rows
+        perm = clone.permutation(4)
+        want = [[None] * 4 for _ in range(4)]
+        for i in range(4):
+            for j in range(4):
+                want[perm[i]][perm[j]] = rows[i][j]
+        assert M.exact
+        assert M.rows == tuple(map(tuple, want))
 
 
 def test_class_samples_have_interior_kernel_segment(rng):

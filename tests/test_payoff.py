@@ -52,6 +52,15 @@ def test_parse_rejects_non_numeric_token():
         parse_matrix(M_I_TEXT.replace("-2", "x"))
 
 
+def test_float_view_rejects_exact_entries_that_round_to_zero():
+    # 10^-400 has no float; a zero there would drop the edge 1 -> 2
+    M = PayoffMatrix.from_upper([Fraction(1, 10 ** 400), 1, -1, 1, -1, 1])
+    assert M.exact and M.signs[0][1] == 1
+    for view in (M.to_float, lambda: M.array):
+        with pytest.raises(MatrixFormatError, match="rounds to 0.0"):
+            view()
+
+
 def test_parse_rational_literals_stay_exact():
     M = parse_matrix("0 1/2 0 0 / -1/2 0 0 0 / 0 0 0 1/3 / 0 0 -1/3 0")
     assert M.exact

@@ -9,7 +9,10 @@ at a quarter of its payoffs, ``Iq``, ``orbit`` and ``boundary``: its face
 periods lie past the boundary's first 25 time units, and its orbit is
 probed on a matrix that is not a unit representative.  Float twins of
 I-V scaled by 1e-13 and 1e13 (``I1e-13``, ``I1e13``, ...) run ``classify``
-and ``kernel --float``, so that float-mode decisions show in the diff.
+and ``kernel --float``, so that float-mode decisions show in the diff.  One
+seeded relabeled sample per class, ``sample_class_matrix(c,
+default_rng(0))`` (``S-I`` ... ``S-V``), runs ``classify`` and ``boundary``,
+so that the ensemble draws show too.
 Printed: per JSON key (list indices folded to ``[]``), CSV column or SVG
 file, how many floats moved and the largest absolute and relative move;
 every other change (a status, a string, an integer, an exit code, a
@@ -37,20 +40,27 @@ RUNS = (("orbit", ("--seed", "3"), ".json"),
 SCALED_RUNS = (("classify", ("--float",), ".json"),
                ("kernel", ("--float",), ".json"))
 SCALES = ("1e-13", "1e13")
+SAMPLED_RUNS = (("classify", (), ".json"),
+                ("boundary", ("--seed", "0"), ".json"))
 #: (name, runs) per matrix, in the order TEXT prints them
 MATRICES = ([(c, RUNS) for c in CLASSES] + [("Iq", RUNS[:2])]
-            + [(c + s, SCALED_RUNS) for s in SCALES for c in CLASSES])
+            + [(c + s, SCALED_RUNS) for s in SCALES for c in CLASSES]
+            + [("S-" + c, SAMPLED_RUNS) for c in CLASSES])
 NUM = re.compile(r"-?\d+\.\d*(?:e[-+]?\d+)?|-?\d+e[-+]?\d+")
 TEXT = ("from fractions import Fraction\n"
+        "import numpy as np\n"
         "from replicator4 import PayoffMatrix as P, canonical_matrix, "
         "format_matrix\n"
-        "from replicator4.ensembles import CANONICAL_UPPER\n"
+        "from replicator4.ensembles import CANONICAL_UPPER, "
+        "sample_class_matrix\n"
         f"for c in {CLASSES!r}: print(format_matrix(canonical_matrix(c)))\n"
         "print(format_matrix(P.from_upper(\n"
         "    [Fraction(v, 4) for v in CANONICAL_UPPER['I']], exact=True)))\n"
         f"for s in {SCALES!r}:\n"
         f"    for c in {CLASSES!r}: print(format_matrix(P.from_rows(\n"
-        "        canonical_matrix(c).array * float(s))))")
+        "        canonical_matrix(c).array * float(s))))\n"
+        f"for c in {CLASSES!r}: print(format_matrix(sample_class_matrix(\n"
+        "    c, np.random.default_rng(0))))")
 
 
 def run_tree(tree: str, out: Path) -> None:
