@@ -9,12 +9,12 @@ projection, and the drift accounting downstream depends on it.
 The tableau, the trial step (:func:`attempt`), the step-size
 controller (:func:`control`) and the driver (:func:`lockstep`) exist
 once.  :func:`lockstep` advances a (B, n) batch of independent runs,
-each row with its own time, step and accept decision.  It has three
-consumers: :func:`replicator4.dynamics.integrate` (one row, with drift
-monitors), :func:`replicator4.dynamics.integrate_many` (one trajectory
-per row) and the permanence screen
-(:func:`replicator4._fastprobe.window_and_final_min`), all on the field
-:func:`replicator4.dynamics.batch_field`.
+each row with its own time, step, accept decision and end.  Its
+consumers, all on the field :func:`replicator4.dynamics.batch_field`:
+:func:`replicator4.dynamics.integrate_many` (one trajectory per row), the
+orbit run of :func:`replicator4.orbit.certify_orbit` (a start and its
+probes, whose ends are set once the period is known) and the permanence
+screen (:func:`replicator4._fastprobe.window_and_final_min`).
 
 That field and the projection take exp of the log state without a
 max shift (28 array passes per iteration instead of 49; see
@@ -124,12 +124,15 @@ def control(h, err, err_prev):
 def lockstep(fun, u0, t_end, rtol, atol, project):
     """Advance a (B, n) batch of runs of u' = fun(u) from t = 0 to t_end.
 
-    Rows keep their own time, step, PI memory and accept decision; a row
-    at t_end takes zero steps, and a row is projected, and takes the last
-    stage as its derivative, only after a step it accepts.  A step that
-    would leave less than :data:`MIN_STEP` to go takes the whole rest,
-    so every row ends at exactly t_end.  Yields ``(t, u, f, ok)`` per
-    iteration, ``ok`` marking the rows that accepted.  A live step below
+    ``t_end`` is a scalar or a (B,) array read on every iteration, which
+    a consumer may change between iterations (inf: no end yet).  Rows
+    keep their own time, step, PI memory and accept decision; a row at
+    or past its end takes no step, and keeps its step and PI memory for
+    a raised end.  A row is projected, and takes the last stage as its
+    derivative, only after a step it accepts.  A step that would leave
+    less than :data:`MIN_STEP` to go takes the whole rest, so every row
+    ends at exactly its end.  Yields ``(t, u, f, ok)`` per iteration,
+    ``ok`` marking the rows that accepted.  A live step below
     :data:`MIN_STEP` raises StepSizeUnderflow with the row, its time,
     step and state.
     """
@@ -140,6 +143,7 @@ def lockstep(fun, u0, t_end, rtol, atol, project):
     h = np.minimum(0.1, 0.01 / np.maximum(1e-6, np.abs(f).max(axis=-1)))
     err_prev = np.full(len(u), 1e-4)
     K = np.empty((7,) + u.shape)
+    per_row = np.ndim(t_end) > 0
     while True:
         rest = t_end - t
         live = rest > 0
@@ -162,7 +166,11 @@ def lockstep(fun, u0, t_end, rtol, atol, project):
         with np.errstate(over="ignore", invalid="ignore"):
             u_new, err = attempt(fun, u, f, step[:, None], rtol, atol, K)
             u_new = project(u_new)
-        ok, h, err_prev = control(step, err, err_prev)
+        ok, h_next, err_next = control(step, err, err_prev)
+        if per_row:  # a scalar end never moves: no idle row to keep
+            h_next = np.where(live, h_next, h)
+            err_next = np.where(live, err_next, err_prev)
+        h, err_prev = h_next, err_next
         ok &= live
         t = np.where(ok, np.where(whole, t_end, t + step), t)
         u = np.where(ok[:, None], u_new, u)

@@ -42,9 +42,10 @@ from .errors import (PreconditionFailed, Replicator4Error,
                      UnclassifiableSignPattern)
 from .kernelgeom import (distance_to_K, kernel_line_section,
                          section_by_clipping, section_residual)
+# stability_probe is unused here; perfbench's tracer patches it by name
 from .orbit import (ALGEBRA_TOL, CLOSURE_TOL, HORIZON, K_DISTANCE_TOL,
-                    PHI_DRIFT_TOL, TUBE_FACTOR, V_DRIFT_TOL, detect_period,
-                    select_reference_points, stability_probe)
+                    PHI_DRIFT_TOL, TUBE_FACTOR, V_DRIFT_TOL, certify_orbit,
+                    detect_period, select_reference_points, stability_probe)
 from .payoff import PayoffMatrix, format_matrix, parse_matrix
 from .portrait import render_portrait
 from .signgraph import build_digraph, classify, is_permanent
@@ -201,14 +202,11 @@ def _cmd_orbit(args) -> int:
     section = kernel_line_section(M)
     x0 = _parse_x0(args.x0) if args.x0 else _seeded_starts(section, seed, 1)[0]
     refs = select_reference_points(M, section, x0)
-    report = detect_period(M, x0, section=section, refs=refs,
-                           rtol=args.rtol, atol=args.atol,
-                           closure_tol=args.closure_tol,
-                           horizon=args.horizon)
-    if not args.skip_stability:
-        report.stability = stability_probe(
-            M, report, refs, delta=args.delta, n_probes=args.probes,
-            seed=seed, rtol=args.rtol, atol=args.atol)
+    run = dict(section=section, refs=refs, rtol=args.rtol, atol=args.atol,
+               closure_tol=args.closure_tol, horizon=args.horizon)
+    report = detect_period(M, x0, **run) if args.skip_stability else \
+        certify_orbit(M, x0, **run, delta=args.delta, n_probes=args.probes,
+                      seed=seed)
     out = report.to_json()
     out["reference_points"] = _refs_json(refs)
     _write(_dump(out), args.out)
@@ -279,8 +277,8 @@ def _cmd_verify(args) -> int:
     if section is not None:
         x0 = _seeded_starts(section, seed, 1)[0]
         refs = select_reference_points(M, section, x0)
-        report = detect_period(M, x0, section=section, refs=refs,
-                               rtol=args.rtol)
+        report = certify_orbit(M, x0, section, refs, rtol=args.rtol,
+                               seed=seed)
         orbit_ok = (report.closure_residual <= CLOSURE_TOL
                     and report.avg_distance_to_K <= K_DISTANCE_TOL
                     and max(report.phi_drift.values()) <= PHI_DRIFT_TOL)
@@ -293,8 +291,7 @@ def _cmd_verify(args) -> int:
             "phi_drift": {k: float(v) for k, v in
                           report.phi_drift.items()},
         }
-        probe = stability_probe(M, report, refs, seed=seed,
-                                rtol=args.rtol)
+        probe = report.stability
         stab_ok = (probe.max_tube_distance <= TUBE_FACTOR * probe.delta
                    and probe.v_drift_max <= V_DRIFT_TOL)
         checks["stability"] = {

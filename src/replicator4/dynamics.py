@@ -30,8 +30,9 @@ budget.  :func:`integrate_many` runs a batch of starts and returns one
 trajectory per start.
 
 There is one driver, :func:`replicator4._rk.lockstep`, and one field,
-:func:`batch_field`, with two consumers: :func:`integrate_many` and the
-permanence screen (:func:`replicator4._fastprobe.window_and_final_min`).
+:func:`batch_field`, with three consumers: :func:`integrate_many`, the
+orbit certification run of :mod:`replicator4.orbit`, and the permanence
+screen (:func:`replicator4._fastprobe.window_and_final_min`).
 :func:`integrate` is the one-start case of :func:`integrate_many`, the
 same bits, with its monitors checked after the run.
 """
@@ -290,16 +291,32 @@ def integrate(M, x0, t_end: float, rtol: float = 1e-10,
     DriftBudgetExceeded
         See above; signals the tolerance was too loose for this run.
     """
-    A = _as_array(M)
+    return _integrate(_as_array(M), x0, t_end, rtol, atol, monitors,
+                      drift_budget, ())[0]
+
+
+def _integrate(A, x0, t_end, rtol, atol, monitors, drift_budget, riders):
+    """:func:`integrate`'s trajectory from x0, and ``end(t)``, which runs
+    the ``riders``, started in x0's lockstep batch with an open end, on to
+    t and returns their trajectories; their errors keep the batch row."""
     mon = [(str(label), check_simplex_point(z)) for (label, z) in monitors]
     budget = default_drift_budget(rtol, t_end, A) if drift_budget is None \
         else drift_budget
+    ends = np.full(1 + len(riders), np.inf)
+    ends[0] = t_end
+    run = _history(A, _check_run(A, [x0, *riders], t_end, rtol, atol), ends,
+                   rtol, atol)
+    hist = [next(run)]
     try:
-        traj = integrate_many(A, [x0], t_end, rtol=rtol, atol=atol)[0]
+        while hist[-1][0][0] < t_end:
+            hist.append(next(run))
     except StepSizeUnderflow as err:
+        if err.row:
+            raise
         raise StepSizeUnderflow(
             f"step size {err.h:.3e} fell below {_rk.MIN_STEP:.1e} at "
             f"t = {err.t:.6g}", t=err.t, h=err.h, state=err.state) from None
+    traj = _trajectories(A, hist, rtol, atol)[0]
     p, xs = check_simplex_point(x0), traj.xs[1:]
     d = np.abs([phi(xs, z) - phi(p, z) for _, z in mon]).reshape(
         len(mon), len(xs))
@@ -315,7 +332,33 @@ def integrate(M, x0, t_end: float, rtol: float = 1e-10,
     traj.monitors = tuple(mon)
     traj.drift = {l: float(v)
                   for (l, _), v in zip(mon, d.max(axis=1, initial=0.0))}
-    return traj
+
+    def end(t: float) -> list[Trajectory]:
+        ends[1:] = t
+        hist.extend(run)
+        return _trajectories(A, hist, rtol, atol)[1:]
+    return traj, end
+
+
+def _history(A, P, t_end, rtol, atol):
+    """The lockstep run of starts P as (t, u, f, ok, rejected) entries."""
+    fun = batch_field(A)
+    u = gauge(np.log(P))
+    t, no = np.zeros(len(u)), np.zeros(len(u), dtype=bool)
+    yield t, u, fun(u), ~no, no
+    for t_new, u, f, ok in _rk.lockstep(fun, u, t_end, rtol, atol, gauge):
+        yield t_new, u, f, ok, (t < t_end) & ~ok
+        t = t_new
+
+
+def _trajectories(A, hist, rtol, atol) -> list[Trajectory]:
+    """One :class:`Trajectory` per row of :func:`_history`'s entries."""
+    ts, us, fs, oks, rej = (np.array(v) for v in zip(*hist))
+    A = np.broadcast_to(A, (oks.shape[1],) + A.shape[-2:])
+    return [Trajectory(A=A[b], ts=ts[k, b], us=us[k, b], fs=fs[k, b],
+                       naccept=int(k.sum()) - 1, nreject=int(rej[:, b].sum()),
+                       rtol=rtol, atol=atol)
+            for b, k in enumerate(oks.T)]
 
 
 def integrate_many(M, X0, t_end: float, rtol: float = 1e-10,
@@ -337,21 +380,7 @@ def integrate_many(M, X0, t_end: float, rtol: float = 1e-10,
     """
     A = _as_array(M)
     P = _check_run(A, X0, t_end, rtol, atol)
-    fun = batch_field(A)
-    u0 = gauge(np.log(P))
-    n = len(u0)
-    hist = [(np.zeros(n), u0, fun(u0), np.ones(n, dtype=bool)),
-            *_rk.lockstep(fun, u0, t_end, rtol, atol, gauge)]
-    ts, us, fs, oks = (np.array(v) for v in zip(*hist))
-    # a row is live in each iteration that starts before it reaches
-    # t_end, and makes one trial step there, accepted or rejected
-    live = (ts[:-1] < t_end).sum(axis=0)
-    nacc = oks.sum(axis=0) - 1
-    A = np.broadcast_to(A, (n,) + A.shape[-2:])
-    return [Trajectory(A=A[b], ts=ts[k, b], us=us[k, b], fs=fs[k, b],
-                       naccept=int(nacc[b]), nreject=int(live[b] - nacc[b]),
-                       rtol=rtol, atol=atol)
-            for b, k in enumerate(oks.T)]
+    return _trajectories(A, _history(A, P, t_end, rtol, atol), rtol, atol)
 
 
 def phi_drift(traj: Trajectory, z) -> float:

@@ -12,10 +12,10 @@ Certification is numerical and split in three:
    the section is located by bisection on dense output, and the first
    one whose state lies within ``closure_tol`` of the start is the
    period,
-3. probe Lyapunov stability: perturbed starts, run as one batch and
-   each sampled by :meth:`Trajectory.sample`, must stay in a thin tube
-   around the certified orbit for three periods while the quadratic
-   level-set function V barely moves.
+3. probe Lyapunov stability: perturbed starts, riding along step 2's
+   run (:func:`certify_orbit`), must stay in a thin tube around the
+   certified orbit for three periods while the quadratic level-set
+   function V barely moves.
 
 The section's normal is the initial velocity, so the section is
 transversal at the start by construction.  The orbit leaves the start
@@ -32,11 +32,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _rk
-from .dynamics import Trajectory, check_finite, integrate, integrate_many, \
-    phi, phi_gradient, softmax, vector_field
+from .dynamics import (Trajectory, _as_array, _integrate, check_finite,
+                       integrate, integrate_many, phi, phi_gradient,
+                       sample_grid, softmax, vector_field)
 from .errors import (EquilibriumStart, NoClosureFound, PreconditionFailed,
-                     ProbeEscaped, SelectionExhausted)
+                     ProbeEscaped, SelectionExhausted, StepSizeUnderflow)
 from .kernelgeom import NullLineSection, distance_to_K
+from .payoff import ZERO_TOL
 
 #: fixed orthonormal basis of the sum-zero hyperplane in R^4 (columns)
 TANGENT_BASIS = np.array([
@@ -230,9 +232,11 @@ FIRST_SPAN, HORIZON = 25.0, 200.0
 
 
 def section_normal(M, p: np.ndarray) -> np.ndarray:
-    """The field at p, the section's normal; EquilibriumStart if zero."""
-    f0 = vector_field(M, p)
-    if float(np.abs(f0).max()) <= 1e-12:
+    """The field at p, the section's normal; EquilibriumStart if it is
+    zero on the unit scale, as :meth:`PayoffMatrix.signs` decides."""
+    A = _as_array(M)
+    f0 = vector_field(A, p)
+    if float(np.abs(f0).max()) <= ZERO_TOL * float(np.abs(A).max()):
         raise EquilibriumStart(f"field at {p.tolist()} is numerically zero")
     return f0
 
@@ -312,6 +316,41 @@ def close_orbits(Ms, ps, f0s, trajs, closure_tol: float, horizon: float,
     return out
 
 
+def _period(M, p, section, refs, rtol, atol, closure_tol, horizon, starts):
+    """:func:`detect_period`'s report, and the runs of the probe ``starts``
+    from p's batch, ended at 3T once T is known (or where they stand)."""
+    check_finite("horizon", horizon)
+    check_finite("closure_tol", closure_tol)
+    f0 = section_normal(M, p)
+    monitors = [("z1", refs.z1), ("z2", refs.z2)] if refs is not None else []
+    traj, end = _integrate(_as_array(M), p, min(FIRST_SPAN, horizon), rtol,
+                           atol, monitors, None, starts)
+    (traj, period, residual, closed), = close_orbits(
+        [M], [p], [f0], [traj], closure_tol, horizon, monitors)
+    if period is None:
+        raise NoClosureFound(f"no section return inside horizon {horizon}")
+    if not closed:
+        raise NoClosureFound(
+            f"no section return inside horizon {horizon} closes; the best, "
+            f"at t = {period:.6g}, misses x0 by {residual:.3e} "
+            f"(tolerance {closure_tol:.1e})",
+            candidate_period=period, candidate_residual=residual)
+    probes = end(3.0 * period)
+
+    grid = np.linspace(0.0, period, N_SAMPLES + 1)
+    samples = traj.x_at(grid)
+    w = np.ones(len(grid))
+    w[0] = w[-1] = 0.5
+    x_avg = (w[:, None] * samples).sum(axis=0) / w.sum()
+    dist = distance_to_K(x_avg, section) if section is not None else None
+
+    return OrbitReport(
+        x0=p, period=period, closure_residual=residual,
+        time_average=x_avg, avg_distance_to_K=dist,
+        phi_drift=dict(traj.drift), refs=refs, rtol=rtol,
+        orbit_samples=samples), probes
+
+
 def detect_period(M, x0, section: NullLineSection | None = None,
                   refs: ReferencePair | None = None, rtol: float = 1e-10,
                   atol: float = 1e-12, closure_tol: float = CLOSURE_TOL,
@@ -332,42 +371,14 @@ def detect_period(M, x0, section: NullLineSection | None = None,
     PreconditionFailed
         If ``horizon`` or ``closure_tol`` is not finite and positive.
     EquilibriumStart
-        If the field at x0 is numerically zero.
+        If the field at x0 is numerically zero (:func:`section_normal`).
     NoClosureFound
         If no return closes within ``closure_tol`` inside the horizon;
         the best candidate period and residual ride on the exception.
     """
-    check_finite("horizon", horizon)
-    check_finite("closure_tol", closure_tol)
     p = np.asarray(x0, dtype=float)
-    f0 = section_normal(M, p)
-
-    monitors = [("z1", refs.z1), ("z2", refs.z2)] if refs is not None else []
-    traj = integrate(M, p, min(FIRST_SPAN, horizon), rtol=rtol, atol=atol,
-                     monitors=monitors)
-    (traj, period, residual, closed), = close_orbits(
-        [M], [p], [f0], [traj], closure_tol, horizon, monitors)
-    if period is None:
-        raise NoClosureFound(f"no section return inside horizon {horizon}")
-    if not closed:
-        raise NoClosureFound(
-            f"no section return inside horizon {horizon} closes; the best, "
-            f"at t = {period:.6g}, misses x0 by {residual:.3e} "
-            f"(tolerance {closure_tol:.1e})",
-            candidate_period=period, candidate_residual=residual)
-
-    grid = np.linspace(0.0, period, N_SAMPLES + 1)
-    samples = traj.x_at(grid)
-    w = np.ones(len(grid))
-    w[0] = w[-1] = 0.5
-    x_avg = (w[:, None] * samples).sum(axis=0) / w.sum()
-    dist = distance_to_K(x_avg, section) if section is not None else None
-
-    return OrbitReport(
-        x0=p, period=period, closure_residual=residual,
-        time_average=x_avg, avg_distance_to_K=dist,
-        phi_drift=dict(traj.drift), refs=refs, rtol=rtol,
-        orbit_samples=samples)
+    return _period(M, p, section, refs, rtol, atol, closure_tol, horizon,
+                   ())[0]
 
 
 def _augmented(ref: np.ndarray) -> np.ndarray:
@@ -426,6 +437,59 @@ def _max_distance_to_samples(points: np.ndarray, ref: np.ndarray,
     return best[()]
 
 
+def _probe_starts(x0, delta, n_probes, seed) -> np.ndarray:
+    """:func:`stability_probe`'s starts, or its PreconditionFailed."""
+    if n_probes < 1:
+        raise PreconditionFailed(f"n_probes = {n_probes}; a stability "
+                                 "probe needs at least one start")
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n_probes, TANGENT_BASIS.shape[1]))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    starts = x0 + delta * (g @ TANGENT_BASIS.T)
+    outside = np.flatnonzero(~np.all(starts > 0, axis=1))
+    if outside.size:
+        raise PreconditionFailed(
+            f"probe {outside[0]} start leaves the simplex; delta = {delta} "
+            "is too large for this orbit")
+    return starts
+
+
+def _graded(report, refs, delta, trajs) -> StabilityProbe:
+    """:func:`stability_probe`'s record of the probe runs ``trajs``."""
+    x0 = report.x0
+    T = report.period
+    c1 = phi(x0, refs.z1)
+    c2 = phi(x0, refs.z2)
+    # The tube distance is measured against a discrete sample cloud, so
+    # even an unperturbed start sits a fraction of one sample gap away
+    # from it.  Allow that much on top of the acceptance bound, else
+    # delta = 0 would be rejected on discretization noise alone.
+    ref = report.orbit_samples
+    gaps = np.linalg.norm(np.diff(ref, axis=0), axis=1)
+    slack = float(gaps.max(initial=0.0))
+    ts = sample_grid(3.0 * T, 3.0 * T / (3 * SAMPLES_PER_PERIOD))
+    xs = np.array([traj.x_at(ts) for traj in trajs])
+    v = (phi(xs, refs.z1) - c1) ** 2 + (phi(xs, refs.z2) - c2) ** 2
+    v_drift = np.abs(v - v[:, :1]).max(axis=1)
+    phase = np.rint(np.mod(ts, T) / T * (len(ref) - 1)).astype(int)
+    tube = _max_distance_to_samples(xs, ref, phase)
+    escaped = tuple(int(k) for k in np.flatnonzero(
+        tube > TUBE_FACTOR * delta + slack))
+    n_probes = len(trajs)
+    probe = StabilityProbe(
+        delta=delta, n_probes=n_probes, max_tube_distance=float(tube.max()),
+        v_drift_max=float(v_drift.max()), escaped=escaped,
+        probes=tuple({"probe": k, "v0": float(v[k, 0]),
+                      "v_drift": float(v_drift[k]),
+                      "tube_distance": float(tube[k])}
+                     for k in range(n_probes)))
+    if escaped:
+        raise ProbeEscaped(
+            f"{len(escaped)} of {n_probes} probes left the "
+            f"{TUBE_FACTOR} * delta tube", probe=probe)
+    return probe
+
+
 def stability_probe(M, report: OrbitReport, refs: ReferencePair,
                     delta: float = 1e-3, n_probes: int = 16, seed: int = 0,
                     rtol: float = 1e-10, atol: float = 1e-12
@@ -435,10 +499,10 @@ def stability_probe(M, report: OrbitReport, refs: ReferencePair,
     Perturbations are ``delta`` times random unit vectors in the simplex
     tangent plane (seeded, reproducible).  All probes run as one batch
     (:func:`replicator4.dynamics.integrate_many`), each with its own
-    step size and accept decision.  Every run ends at exactly 3T, so
-    :meth:`Trajectory.sample` puts all on one grid, with one dense
-    evaluation per probe.  For each probe the report records the worst
-    distance to the certified orbit's sample cloud and the drift of
+    step size and accept decision, to exactly 3T, and each is sampled on
+    one grid over [0, 3T] with one dense evaluation.  For each probe the
+    report records the worst distance to the certified orbit's sample
+    cloud and the drift of
     V(x) = (phi_z'(x) - c')^2 + (phi_z''(x) - c'')^2, whose level c',
     c'' values are pinned at the unperturbed start.  The worst distance
     is exact; the search skips the probe points that a phase guess, the
@@ -455,49 +519,31 @@ def stability_probe(M, report: OrbitReport, refs: ReferencePair,
         ``delta``, plus one sample gap.
         The full probe record is attached to the exception.
     """
-    if n_probes < 1:
-        raise PreconditionFailed(f"n_probes = {n_probes}; a stability "
-                                 "probe needs at least one start")
-    x0 = report.x0
-    T = report.period
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((n_probes, TANGENT_BASIS.shape[1]))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    dirs = g @ TANGENT_BASIS.T
+    starts = _probe_starts(report.x0, delta, n_probes, seed)
+    return _graded(report, refs, delta, integrate_many(
+        M, starts, 3.0 * report.period, rtol=rtol, atol=atol))
 
-    c1 = phi(x0, refs.z1)
-    c2 = phi(x0, refs.z2)
-    # The tube distance is measured against a discrete sample cloud, so
-    # even an unperturbed start sits a fraction of one sample gap away
-    # from it.  Allow that much on top of the acceptance bound, else
-    # delta = 0 would be rejected on discretization noise alone.
-    ref = report.orbit_samples
-    gaps = np.linalg.norm(np.diff(ref, axis=0), axis=1)
-    slack = float(gaps.max(initial=0.0))
-    starts = x0 + delta * dirs
-    outside = np.flatnonzero(~np.all(starts > 0, axis=1))
-    if outside.size:
-        raise PreconditionFailed(
-            f"probe {outside[0]} start leaves the simplex; delta = {delta} "
-            "is too large for this orbit")
-    trajs = integrate_many(M, starts, 3.0 * T, rtol=rtol, atol=atol)
-    runs = [traj.sample(3.0 * T / (3 * SAMPLES_PER_PERIOD)) for traj in trajs]
-    ts, xs = runs[0][0], np.array([x for _, x in runs])
-    v = (phi(xs, refs.z1) - c1) ** 2 + (phi(xs, refs.z2) - c2) ** 2
-    v_drift = np.abs(v - v[:, :1]).max(axis=1)
-    phase = np.rint(np.mod(ts, T) / T * (len(ref) - 1)).astype(int)
-    tube = _max_distance_to_samples(xs, ref, phase)
-    escaped = tuple(int(k) for k in np.flatnonzero(
-        tube > TUBE_FACTOR * delta + slack))
-    probe = StabilityProbe(
-        delta=delta, n_probes=n_probes, max_tube_distance=float(tube.max()),
-        v_drift_max=float(v_drift.max()), escaped=escaped,
-        probes=tuple({"probe": k, "v0": float(v[k, 0]),
-                      "v_drift": float(v_drift[k]),
-                      "tube_distance": float(tube[k])}
-                     for k in range(n_probes)))
-    if escaped:
-        raise ProbeEscaped(
-            f"{len(escaped)} of {n_probes} probes left the "
-            f"{TUBE_FACTOR} * delta tube", probe=probe)
-    return probe
+
+def certify_orbit(M, x0, section: NullLineSection | None,
+                  refs: ReferencePair, rtol: float = 1e-10,
+                  atol: float = 1e-12, closure_tol: float = CLOSURE_TOL,
+                  horizon: float = HORIZON, delta: float = 1e-3,
+                  n_probes: int = 16, seed: int = 0) -> OrbitReport:
+    """:func:`detect_period`'s report with :func:`stability_probe`'s record
+    as ``stability``, the probes riding along the period's run; the record
+    is the same unless 3T ends near or inside the first span.  After a
+    PreconditionFailed or a step underflow the two run apart, so that
+    their errors are raised as, and in the order, they were."""
+    p = np.asarray(x0, dtype=float)
+    try:
+        report, trajs = _period(M, p, section, refs, rtol, atol, closure_tol,
+                                horizon, _probe_starts(p, delta, n_probes,
+                                                       seed))
+    except (PreconditionFailed, StepSizeUnderflow):
+        report = detect_period(M, p, section, refs, rtol, atol, closure_tol,
+                               horizon)
+        report.stability = stability_probe(M, report, refs, delta, n_probes,
+                                           seed, rtol, atol)
+        return report
+    report.stability = _graded(report, refs, delta, trajs)
+    return report

@@ -345,6 +345,29 @@ def test_nonfinite_or_overflowing_matrix_exits_one(cmd, options, text,
     assert payload["error"]["type"] == "MatrixFormatError"
 
 
+def test_orbit_probes_ride_along_the_period_run(tmp_path, monkeypatch,
+                                                capsys):
+    # one lockstep batch for the reference arc, one for the start and
+    # its probes; --skip-stability leaves the start's row alone
+    batches = []
+    lockstep = replicator4._rk.lockstep
+
+    def counted(fun, u0, *args):
+        batches.append(len(u0))
+        return lockstep(fun, u0, *args)
+
+    monkeypatch.setattr(replicator4._rk, "lockstep", counted)
+    path = matrix_file(tmp_path, format_matrix(canonical_matrix("III")))
+    out = str(tmp_path / "orbit.json")
+    for options, want in (([], [1, 17]), (["--probes", "3"], [1, 4]),
+                          (["--skip-stability"], [1, 1])):
+        batches.clear()
+        code, _, err = run(["orbit", "--matrix", path, "--seed", "3",
+                            "--out", out] + options, capsys)
+        assert (code, err) == (0, "")
+        assert batches == want, options
+
+
 def test_each_command_computes_K_once(tmp_path, monkeypatch, capsys):
     calls = []
 

@@ -13,6 +13,7 @@ from replicator4 import (DriftBudgetExceeded, PayoffMatrix,
                          canonical_matrix, integrate, kernel_line_section,
                          phi, phi_drift, vector_field)
 from replicator4 import _rk
+from replicator4 import dynamics
 from replicator4.dynamics import (batch_field, check_simplex_point, gauge,
                                   integrate_many, softmax)
 from oracles import rk4_shares
@@ -452,3 +453,53 @@ def test_integrate_many_validates_every_start(MI):
         integrate_many(MI, [], 1.0)
     with pytest.raises(PreconditionFailed):
         integrate_many(np.array([MI.array] * 3), STARTS, 1.0)
+
+
+def _accepted(steps, b):
+    """Row b's accepted times, states and derivatives from lockstep."""
+    return [np.array(v) for v in zip(*[(t[b], u[b], f[b])
+                                       for t, u, f, ok in steps if ok[b]])]
+
+
+def test_lockstep_end_array_matches_scalar_runs(MI):
+    # a per-row end runs each row as a scalar end runs it alone, with the
+    # same accept and reject counts; rtol 1e-4 so that steps are rejected
+    ends = np.array([7.5, 20.0, 3.0, 12.5])
+    P = np.array([check_simplex_point(x0) for x0 in STARTS])
+    trajs = dynamics._trajectories(MI.array, dynamics._history(
+        MI.array, P, ends, 1e-4, 1e-12), 1e-4, 1e-12)
+    assert sum(traj.nreject for traj in trajs) > 0
+    for x0, end, traj in zip(STARTS, ends, trajs):
+        alone = integrate_many(MI, [x0], float(end), rtol=1e-4)[0]
+        assert (traj.naccept, traj.nreject) == (alone.naccept, alone.nreject)
+        for name in ("ts", "us", "fs"):
+            assert np.array_equal(getattr(traj, name), getattr(alone, name))
+
+
+def test_lockstep_raised_end_continues_the_run(MI):
+    fun, u0 = batch_field(MI.array), gauge(np.log(STARTS[:2]))
+
+    def run(raise_at, old_end=5.0, new_end=12.0):
+        """Row 0's nodes when its end goes from old_end to new_end at the
+        first iteration for which raise_at(t0, iterations idle) holds."""
+        ends, steps, idle = np.array([old_end, 20.0]), [], 0
+        for step in _rk.lockstep(fun, u0, ends, 1e-6, 1e-12, gauge):
+            steps.append(step)
+            if ends[0] == old_end and raise_at(step[0][0], idle):
+                ends[0] = new_end
+            idle += step[0][0] == old_end
+        return _accepted(steps, 0)
+
+    # raised while still more than a step short of its end: one run
+    alone = _accepted(list(_rk.lockstep(fun, u0[:1], 12.0, 1e-6, 1e-12,
+                                        gauge)), 0)
+    early = run(lambda t, idle: t > 2.5)
+    # raised after it stopped: it goes on from its own step and PI
+    # memory, however long it stood idle (its last step was cut to land
+    # on the old end, so it is not the run above)
+    late = [run(lambda t, idle, n=n: idle == n) for n in (1, 4)]
+    for got in (early, *late):
+        assert got[0][-1] == 12.0
+    for a, b, c, d in zip(alone, early, *late):
+        assert np.array_equal(a, b) and np.array_equal(c, d)
+    assert 5.0 in late[0][0] and 5.0 not in alone[0]

@@ -10,16 +10,19 @@ import numpy as np
 import pytest
 
 from replicator4 import (EquilibriumStart, NoClosureFound, PayoffMatrix,
-                         PreconditionFailed, ProbeEscaped, boundary_prediction,
-                         canonical_matrix, detect_period, distance_to_K,
-                         face_subsystem, integrate, kernel_line_section, phi,
-                         select_reference_points, stability_probe)
+                         PreconditionFailed, ProbeEscaped, StepSizeUnderflow,
+                         boundary_prediction, canonical_matrix, detect_period,
+                         distance_to_K, face_subsystem, integrate,
+                         kernel_line_section, phi, select_reference_points,
+                         stability_probe)
 from replicator4 import _rk, orbit
 from replicator4.boundary import _face_starts
+from replicator4.cli import _seeded_starts
 from replicator4.dynamics import integrate_many, softmax
+from replicator4.ensembles import CANONICAL_UPPER
 from replicator4.orbit import (_max_distance_to_samples,
-                               _min_distance_to_samples, first_closure,
-                               section_normal)
+                               _min_distance_to_samples, certify_orbit,
+                               first_closure, section_normal)
 
 X_IV = np.array([0.4, 0.3, 0.2, 0.1])
 X_I = np.array([0.1, 0.2, 0.3, 0.4])
@@ -90,6 +93,19 @@ def test_period_is_one_lap_not_several():
 def test_equilibrium_start_raises(MIV):
     with pytest.raises(EquilibriumStart):
         detect_period(MIV, [0.5, 1 / 6, 1 / 6, 1 / 6])
+
+
+@pytest.mark.parametrize("s", [1e-13, 1.0, 1e13])
+def test_equilibrium_start_is_scale_free(MI, s):
+    # the field is zero on K's midpoint at any scale, and nowhere else:
+    # not 0.1 min(z) off K, nor at the seeded starts
+    section = kernel_line_section(MI)
+    z = np.asarray(section.midpoint(), dtype=float)
+    with pytest.raises(EquilibriumStart):
+        section_normal(s * MI.array, z)
+    off = z + 0.1 * z.min() * np.array([1.0, -1.0, 0.0, 0.0])
+    for x in (off, *_seeded_starts(section, 0, 3)):
+        assert np.abs(section_normal(s * MI.array, x)).max() > 0.0
 
 
 def test_closure_residual_monotone_under_rtol(MI):
@@ -313,3 +329,77 @@ def test_stability_probe_large_delta(certified_MIV):
     M, _, refs, report = certified_MIV
     with pytest.raises((PreconditionFailed, ProbeEscaped)):
         stability_probe(M, report, refs, delta=0.3, n_probes=16)
+
+
+def _apart(M, x0, section, refs, seed, delta=1e-3, horizon=orbit.HORIZON):
+    """detect_period, then stability_probe on its report."""
+    report = detect_period(M, x0, section, refs, horizon=horizon)
+    report.stability = stability_probe(M, report, refs, delta, seed=seed)
+    return report
+
+
+@pytest.mark.parametrize("name", ["I", "IV", "V"])
+def test_probes_riding_along_keep_every_bit(name):
+    # at this start IV's period lies past the first span, so its run
+    # closes only on close_orbits' rerun, while the probes wait
+    M = canonical_matrix(name)
+    section = kernel_line_section(M)
+    x0 = _seeded_starts(section, 3, 1)[0]
+    refs = select_reference_points(M, section, x0)
+    fused = certify_orbit(M, x0, section, refs, seed=3)
+    apart = _apart(M, x0, section, refs, 3)
+    assert fused.to_json() == apart.to_json()
+    assert np.array_equal(fused.orbit_samples, apart.orbit_samples)
+    assert (fused.period > orbit.FIRST_SPAN) == (name == "IV")
+
+
+def test_short_period_probes_agree_within_bound():
+    # canonical I at four times its payoffs: 3T ~ 7 ends inside the first
+    # span, so the probes are sampled from runs longer than their own.
+    # Measured on seeds 0-5 at scales 3, 4 and 8: v_drift moved by at
+    # most 2e-14, nothing else moved
+    M = PayoffMatrix.from_upper([4 * v for v in CANONICAL_UPPER["I"]],
+                                exact=True)
+    section = kernel_line_section(M)
+    x0 = _seeded_starts(section, 3, 1)[0]
+    refs = select_reference_points(M, section, x0)
+    fused = certify_orbit(M, x0, section, refs, seed=3)
+    apart = _apart(M, x0, section, refs, 3)
+    assert 3.0 * fused.period < orbit.FIRST_SPAN
+    a, b = fused.to_json(), apart.to_json()
+    sa, sb = a.pop("stability"), b.pop("stability")
+    assert a == b
+    for key in ("delta", "n_probes", "escaped"):
+        assert sa[key] == sb[key]
+    for ra, rb in zip(sa["probes"], sb["probes"]):
+        assert ra["probe"] == rb["probe"]
+        for key in ("v0", "v_drift", "tube_distance"):
+            assert abs(ra[key] - rb[key]) <= 1e-12
+    for key in ("max_tube_distance", "v_drift_max"):
+        assert abs(sa[key] - sb[key]) <= 1e-12
+
+
+def test_riding_probe_errors_are_the_separate_runs_errors(MI):
+    # canonical I near K at large scales, its horizon four periods: at
+    # 1e12 the start's steps clear the floor and the probes' do not, at
+    # 1e13 neither do; either way the error is the one that
+    # detect_period then stability_probe raise, with the probe's own
+    # index or integrate's one-start message
+    section = kernel_line_section(MI)
+    z = np.asarray(section.midpoint(), dtype=float)
+    x0 = z + 1e-7 * np.array([1.0, -1.0, 0.0, 0.0])
+    refs = select_reference_points(MI, section, x0)
+    T = detect_period(MI, x0, section, refs).period
+    for s, row in ((1e12, 0), (1e13, None)):
+        errors = []
+        for run in (certify_orbit, _apart):
+            with pytest.raises(StepSizeUnderflow) as exc:
+                run(s * MI.array, x0, section, refs, seed=0, delta=1e-2,
+                    horizon=4.0 * T / s)
+            errors.append(exc.value)
+        fused, apart = errors
+        assert fused.row == apart.row == row
+        assert str(fused) == str(apart)
+        assert (fused.t, fused.h) == (apart.t, apart.h)
+        assert str(fused).startswith("step size" if row is None
+                                     else f"batch row {row}:")

@@ -7,7 +7,11 @@ Each tree's ``src/`` runs ``orbit`` (seed 3), ``boundary`` (seed 0),
 and ``kernel``, so that every subcommand's report is diffed, and on class I
 at a quarter of its payoffs, ``Iq``, ``orbit`` and ``boundary``: its face
 periods lie past the boundary's first 25 time units, and its orbit is
-probed on a matrix that is not a unit representative.  Float twins of
+probed on a matrix that is not a unit representative.  Class I at four
+times its payoffs, ``I4``, runs ``orbit`` and ``verify``: its period is
+about 2.4, so three periods end inside the first 25 time units, and the
+stability probes, which ride along the period's run, are sampled from
+longer runs than their own.  Float twins of
 I-V scaled by 1e-13 and 1e13 (``I1e-13``, ``I1e13``, ...) run ``classify``
 and ``kernel --float``, so that float-mode decisions show in the diff.  One
 seeded relabeled sample per class, ``sample_class_matrix(c,
@@ -44,6 +48,7 @@ SAMPLED_RUNS = (("classify", (), ".json"),
                 ("boundary", ("--seed", "0"), ".json"))
 #: (name, runs) per matrix, in the order TEXT prints them
 MATRICES = ([(c, RUNS) for c in CLASSES] + [("Iq", RUNS[:2])]
+            + [("I4", (RUNS[0], RUNS[2]))]
             + [(c + s, SCALED_RUNS) for s in SCALES for c in CLASSES]
             + [("S-" + c, SAMPLED_RUNS) for c in CLASSES])
 NUM = re.compile(r"-?\d+\.\d*(?:e[-+]?\d+)?|-?\d+e[-+]?\d+")
@@ -56,6 +61,8 @@ TEXT = ("from fractions import Fraction\n"
         f"for c in {CLASSES!r}: print(format_matrix(canonical_matrix(c)))\n"
         "print(format_matrix(P.from_upper(\n"
         "    [Fraction(v, 4) for v in CANONICAL_UPPER['I']], exact=True)))\n"
+        "print(format_matrix(P.from_upper(\n"
+        "    [4 * v for v in CANONICAL_UPPER['I']], exact=True)))\n"
         f"for s in {SCALES!r}:\n"
         f"    for c in {CLASSES!r}: print(format_matrix(P.from_rows(\n"
         "        canonical_matrix(c).array * float(s))))\n"
