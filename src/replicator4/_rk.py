@@ -1,4 +1,4 @@
-"""Embedded Dormand-Prince 5(4) stepping machinery.
+"""Embedded explicit Runge-Kutta stepping, generic over the tableau.
 
 Generic over the state dimension; knows nothing about the simplex.  The
 drivers supply the vector field in log coordinates and renormalize the
@@ -6,107 +6,260 @@ gauge after every accepted step, which is why this is hand-rolled rather
 than a wrapper: off-the-shelf steppers expose no per-accepted-step
 projection, and the drift accounting downstream depends on it.
 
-The tableau, the trial step (:func:`attempt`), the step-size
-controller (:func:`control`) and the driver (:func:`lockstep`) exist
-once.  :func:`lockstep` advances a (B, n) batch of independent runs,
-each row with its own time, step, accept decision and end.  Its
-consumers, all on the field :func:`replicator4.dynamics.batch_field`:
-:func:`replicator4.dynamics.integrate_many` (one trajectory per row), the
-orbit run of :func:`replicator4.orbit.certify_orbit` (a start and its
-probes, whose ends are set once the period is known) and the permanence
-screen (:func:`replicator4._fastprobe.window_and_final_min`).
-
-That field and the projection take exp of the log state without a
-max shift (28 array passes per iteration instead of 49; see
-:mod:`replicator4.dynamics`), so a grossly oversized trial can
-overflow; :func:`control` rejects its NaN error estimate, and
-:func:`lockstep` keeps numpy's overflow and invalid-value warnings off
-around the trial step and projection.
+The trial step (:func:`attempt`), the step-size controller
+(:func:`control`) and the driver (:func:`lockstep`) exist once, and take
+the pair as data, a :class:`Tableau`.  :func:`lockstep` advances a
+(B, n) batch of independent runs, each row with its own time, step,
+accept decision and end.  Its consumers, all on the field
+:func:`replicator4.dynamics.batch_field`: every run that makes a
+:class:`replicator4.dynamics.Trajectory` (:data:`DOP853`), and the
+permanence screen (:data:`DOPRI5`;
+:func:`replicator4._fastprobe.window_and_final_min`).  The field takes
+exp without a max shift (see :mod:`replicator4.dynamics`), so a grossly
+oversized trial can overflow: :func:`control` rejects its NaN error
+estimate, and :func:`lockstep` keeps numpy's warnings off around it.
 
 Characteristics
 ---------------
-* order 5 propagation, order 4 embedded error estimate
-* PI step-size controller (safety 0.9, exponents 0.17 / 0.04, factor
-  clipped to [0.2, 5]); a NaN error estimate, from a trial whose exp
-  overflowed, rejects the step and shrinks it by the factor 0.2
-* cubic Hermite dense output on accepted intervals
-* first same as last: the seventh stage is the field at the new state,
+* :data:`DOP853`: order 8, error estimate from the order-5 and order-3
+  embedded formulae combined as in Hairer's code, PI controller (factor
+  0.9 err^-0.117 err_prev^0.04 clipped to [0.333, 6]), 12 evaluations
+  per trial step; its order-7 continuous extension costs 3 more per
+  accepted step, paid after the run by a run that is interpolated
+  (:func:`dense_coefficients`, :func:`interpolate`)
+* :data:`DOPRI5`: order 5, order-4 error estimate, PI controller
+  (0.9 err^-0.17 err_prev^0.04 clipped to [0.2, 5]), 6 evaluations per
+  trial step
+* first same as last: the last stage is the field at the new state,
   and the projection hook is a gauge shift the field ignores, so it
-  serves as the derivative at the accepted point (6 evaluations per
-  trial step, plus one at the start)
+  serves as the derivative at the accepted point (plus one evaluation
+  at the start)
 
 References
 ----------
 Dormand, Prince: "A family of embedded Runge-Kutta formulae" (1980).
+Prince, Dormand: "High order embedded Runge-Kutta formulae", J. Comput.
+Appl. Math. 7 (1981).
 Hairer, Norsett, Wanner: "Solving ODEs I", sections II.4 and II.5 for
-the controller and the FSAL stage.
+the controller, the FSAL stage and DOP853, II.6 for dense output.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 import numpy as np
 
 from .errors import StepSizeUnderflow
 
-# Butcher tableau (stage coefficients row by row, then the two weight
-# rows); the field is autonomous, so the nodes are not needed.  The last
-# stage row is B5, so the seventh stage state is the order-5 solution.
-A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
-               11 / 84, 0.0])
-B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-               -92097 / 339200, 187 / 2100, 1 / 40])
-ERR = B5 - B4
-# stage and error rows as (1, s) matrices: each weighted stage sum is one
-# matrix product with the stages flattened to (s, size)
-_A_ROWS = tuple(np.array(row).reshape(1, -1) for row in A)
-_ERR_ROW = ERR.reshape(1, 7)
-
-_SAFETY = 0.9
-_ALPHA = 0.17
-_BETA = 0.04
-_FAC_MIN = 0.2
-_FAC_MAX = 5.0
 MIN_STEP = 1e-13
 
+#: An embedded pair as data.  ``rows[s]``, stage s's row as a (1, s)
+#: matrix, so that each stage sum is one matrix product with the stages
+#: flattened to (s, size); the last row gives the new state, whose field
+#: is the last stage.  ``err``, the error-weight rows; ``norm``, the
+#: reduction of the weighted error vectors, (len(err), ..., n), to one
+#: estimate per step.  The controller's factor, ``safety err^-alpha
+#: err_prev^beta`` clipped to [fac_min, fac_max].  ``extra`` and
+#: ``dense``, the continuous extension's stage and coefficient rows.
+Tableau = namedtuple("Tableau", "rows err norm alpha beta safety fac_min "
+                     "fac_max extra dense", defaults=((), None))
 
-def attempt(fun, u, f, h, rtol, atol, K):
-    """One trial step of size h from state u with derivative f = fun(u).
+
+def _rows(A) -> tuple:
+    return tuple(np.array(row, dtype=float).reshape(1, -1) for row in A)
+
+
+def _norm_853(e):
+    """Hairer's |e5|^2 / sqrt(n (|e5|^2 + 0.01 |e3|^2)), 0 for e = 0."""
+    e5, e3 = (e ** 2).sum(axis=-1)
+    return e5 / np.sqrt(e.shape[-1] * (e5 + 0.01 * e3) + 1e-300)
+
+
+_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+DOPRI5 = Tableau(
+    rows=_rows(((), (1 / 5,), (3 / 40, 9 / 40),
+                (44 / 45, -56 / 15, 32 / 9),
+                (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+                (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
+                 -5103 / 18656), _B5)),
+    err=np.array([_B5 + (0.0,)]) - np.array(
+        [[5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
+          187 / 2100, 1 / 40]]),
+    norm=lambda e: np.sqrt((e[0] ** 2).sum(axis=-1) / e.shape[-1]),
+    alpha=0.17, beta=0.04, safety=0.9, fac_min=0.2, fac_max=5.0)
+
+# DOP853 as printed in Hairer's dop853.f: stage rows 2-12, the order-8
+# weights, the order-5 error row and the order-3 weights (subtracted from
+# the order-8 ones), the extension's stage rows 14-16 and its four rows.
+_B8 = (5.42937341165687622380535766363e-2, 0, 0, 0, 0,
+       4.45031289275240888144113950566, 1.89151789931450038304281599044,
+       -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+       -1.52160949662516078556178806805e-1,
+       2.01365400804030348374776537501e-1,
+       4.47106157277725905176885569043e-2)
+DOP853 = Tableau(
+    rows=_rows(((), (5.26001519587677318785587544488e-2,), (
+        1.97250569845378994544595329183e-2,
+        5.91751709536136983633785987549e-2), (
+        2.95875854768068491816892993775e-2, 0,
+        8.87627564304205475450678981324e-2), (
+        2.41365134159266685502369798665e-1, 0,
+        -8.84549479328286085344864962717e-1,
+        9.24834003261792003115737966543e-1), (
+        3.7037037037037037037037037037e-2, 0, 0,
+        1.70828608729473871279604482173e-1,
+        1.25467687566822425016691814123e-1), (
+        3.7109375e-2, 0, 0, 1.70252211019544039314978060272e-1,
+        6.02165389804559606850219397283e-2, -1.7578125e-2), (
+        3.70920001185047927108779319836e-2, 0, 0,
+        1.70383925712239993810214054705e-1,
+        1.07262030446373284651809199168e-1,
+        -1.53194377486244017527936158236e-2,
+        8.27378916381402288758473766002e-3), (
+        6.24110958716075717114429577812e-1, 0, 0,
+        -3.36089262944694129406857109825,
+        -8.68219346841726006818189891453e-1,
+        2.75920996994467083049415600797e1,
+        2.01540675504778934086186788979e1,
+        -4.34898841810699588477366255144e1), (
+        4.77662536438264365890433908527e-1, 0, 0,
+        -2.48811461997166764192642586468,
+        -5.90290826836842996371446475743e-1,
+        2.12300514481811942347288949897e1,
+        1.52792336328824235832596922938e1,
+        -3.32882109689848629194453265587e1,
+        -2.03312017085086261358222928593e-2), (
+        -9.3714243008598732571704021658e-1, 0, 0,
+        5.18637242884406370830023853209, 1.09143734899672957818500254654,
+        -8.14978701074692612513997267357,
+        -1.85200656599969598641566180701e1,
+        2.27394870993505042818970056734e1, 2.49360555267965238987089396762,
+        -3.0467644718982195003823669022), (
+        2.27331014751653820792359768449, 0, 0,
+        -1.05344954667372501984066689879e1,
+        -2.00087205822486249909675718444,
+        -1.79589318631187989172765950534e1,
+        2.79488845294199600508499808837e1,
+        -2.85899827713502369474065508674,
+        -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+        6.43392746015763530355970484046e-1), _B8)),
+    err=np.array([[
+        0.1312004499419488073250102996e-1, 0, 0, 0, 0,
+        -0.1225156446376204440720569753e+1,
+        -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+        -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+        0.8192320648511571246570742613e-1,
+        -0.2235530786388629525884427845e-1, 0], _B8 + (0,)]) - np.array([
+        [0] * 13, [0.244094488188976377952755905512, 0, 0, 0, 0, 0, 0, 0,
+                   0.733846688281611857341361741547, 0, 0,
+                   0.220588235294117647058823529412e-1, 0]]),
+    norm=_norm_853, alpha=0.117, beta=0.04, safety=0.9, fac_min=0.333,
+    fac_max=6.0,
+    extra=_rows(((
+        5.61675022830479523392909219681e-2, 0, 0, 0, 0, 0,
+        2.53500210216624811088794765333e-1,
+        -2.46239037470802489917441475441e-1,
+        -1.24191423263816360469010140626e-1,
+        1.5329179827876569731206322685e-1,
+        8.20105229563468988491666602057e-3,
+        7.56789766054569976138603589584e-3, -8.298e-3), (
+        3.18346481635021405060768473261e-2, 0, 0, 0, 0,
+        2.83009096723667755288322961402e-2,
+        5.35419883074385676223797384372e-2,
+        -5.49237485713909884646569340306e-2, 0, 0,
+        -1.08347328697249322858509316994e-4,
+        3.82571090835658412954920192323e-4,
+        -3.40465008687404560802977114492e-4,
+        1.41312443674632500278074618366e-1), (
+        -4.28896301583791923408573538692e-1, 0, 0, 0, 0,
+        -4.69762141536116384314449447206, 7.68342119606259904184240953878,
+        4.06898981839711007970213554331, 3.56727187455281109270669543021e-1,
+        0, 0, 0, -1.39902416515901462129418009734e-3,
+        2.9475147891527723389556272149, -9.15095847217987001081870187138))),
+    dense=np.array([[
+        -0.84289382761090128651353491142e+1, 0, 0, 0, 0,
+        0.56671495351937776962531783590, -0.30689499459498916912797304727e+1,
+        0.23846676565120698287728149680e+1, 0.21170345824450282767155149946e+1,
+        -0.87139158377797299206789907490, 0.22404374302607882758541771650e+1,
+        0.63157877876946881815570249290, -0.88990336451333310820698117400e-1,
+        0.18148505520854727256656404962e+2,
+        -0.91946323924783554000451984436e+1,
+        -0.44360363875948939664310572000e+1], [
+        0.10427508642579134603413151009e+2, 0, 0, 0, 0,
+        0.24228349177525818288430175319e+3, 0.16520045171727028198505394887e+3,
+        -0.37454675472269020279518312152e+3,
+        -0.22113666853125306036270938578e+2,
+        0.77334326684722638389603898808e+1,
+        -0.30674084731089398182061213626e+2,
+        -0.93321305264302278729567221706e+1,
+        0.15697238121770843886131091075e+2,
+        -0.31139403219565177677282850411e+2,
+        -0.93529243588444783865713862664e+1,
+        0.35816841486394083752465898540e+2], [
+        0.19985053242002433820987653617e+2, 0, 0, 0, 0,
+        -0.38703730874935176555105901742e+3,
+        -0.18917813819516756882830838328e+3,
+        0.52780815920542364900561016686e+3,
+        -0.11573902539959630126141871134e+2,
+        0.68812326946963000169666922661e+1,
+        -0.10006050966910838403183860980e+1, 0.77771377980534432092869265740,
+        -0.27782057523535084065932004339e+1,
+        -0.60196695231264120758267380846e+2,
+        0.84320405506677161018159903784e+2,
+        0.11992291136182789328035130030e+2], [
+        -0.25693933462703749003312586129e+2, 0, 0, 0, 0,
+        -0.15418974869023643374053993627e+3,
+        -0.23152937917604549567536039109e+3,
+        0.35763911791061412378285349910e+3, 0.93405324183624310003907691704e+2,
+        -0.37458323136451633156875139351e+2,
+        0.10409964950896230045147246184e+3,
+        0.29840293426660503123344363579e+2,
+        -0.43533456590011143754432175058e+2,
+        0.96324553959188282948394950600e+2,
+        -0.39177261675615439165231486172e+2,
+        -0.14972683625798562581422125276e+3]]))
+
+
+def _stages(fun, u, h, K, rows, first):
+    """K[s] = fun(u + h rows[s] K[:s]) for s from ``first`` on; returns
+    the last stage's state."""
+    Kf = K.reshape(len(K), -1)
+    for s in range(first, len(rows)):
+        v = u + h * np.dot(rows[s], Kf[:s]).reshape(u.shape)
+        K[s] = fun(v)
+    return v
+
+
+def attempt(fun, u, f, h, rtol, atol, K, tab):
+    """One trial step of ``tab`` of size h from state u with derivative
+    f = fun(u).
 
     ``u`` and ``f`` have shape (..., n) and ``h`` shape (..., 1), one
-    step per leading index; ``K`` is scratch of shape (7,) + u.shape
-    and ends up holding the stages, ``K[6]`` being ``fun(u_new)``.
-    Returns the order-5 state and the error estimate's RMS over the last
-    axis, weighted by ``atol + rtol * max(1, |u_new|)``; the step is
-    acceptable where that is at most one.
+    step per leading index; ``K``, scratch of shape (len(tab.rows),) +
+    u.shape, ends up holding the stages, ``K[-1]`` being ``fun(u_new)``.
+    Returns the new state and ``tab.norm`` of the error vectors weighted
+    by ``atol + rtol * max(1, |u_new|)``; the step is acceptable where
+    that is at most one.
     """
     K[0] = f
-    Kf = K.reshape(7, -1)
-    for s in range(1, 7):
-        u_new = u + h * np.dot(_A_ROWS[s], Kf[:s]).reshape(u.shape)
-        K[s] = fun(u_new)
-    err_vec = h * np.dot(_ERR_ROW, Kf).reshape(u.shape)
+    u_new = _stages(fun, u, h, K, tab.rows, 1)
+    err = h * np.dot(tab.err, K.reshape(len(K), -1)).reshape(
+        (-1,) + u.shape)
     w = atol + rtol * np.maximum(1.0, np.abs(u_new))
-    return u_new, np.sqrt(((err_vec / w) ** 2).sum(axis=-1) / u.shape[-1])
+    return u_new, tab.norm(err / w)
 
 
-def control(h, err, err_prev):
+def control(h, err, err_prev, tab):
     """Accept decision and next step size after trial steps of size h.
 
     Elementwise over ``h``, ``err`` and ``err_prev`` (floats or arrays
     of one shape).  A step is accepted when ``err <= 1``.  The next step
-    is h times ``0.9 err^-0.17 err_prev^0.04`` after an accepted step
-    and ``0.9 err^-0.17`` after a rejected one, clipped to [0.2, 5] (a
-    rejected step has err > 1, so its factor stays below 0.9).  A NaN
-    error estimate rejects the step and shrinks it by the factor 0.2.
+    is h times ``safety err^-alpha err_prev^beta`` after an accepted step
+    and ``safety err^-alpha`` after a rejected one, clipped to
+    [fac_min, fac_max] of ``tab`` (a rejected step has err > 1, so its
+    factor stays below the safety factor).  A NaN error estimate rejects
+    the step and shrinks it by fac_min.
 
     Returns ``(accept, h_next, err_prev_next)``, where the error carried
     to the next PI factor is the accepted one, floored at 1e-10.
@@ -115,14 +268,16 @@ def control(h, err, err_prev):
     # The 1e-300 keeps err = 0 finite (any err below 1e-284 gets the
     # largest factor either way); err_prev ** 0 = 1 drops the PI term
     # after a rejection.
-    fac = _SAFETY * (err + 1e-300) ** -_ALPHA * err_prev ** (_BETA * accept)
-    # NaN guard: fmax ignores NaN, so a NaN estimate gets _FAC_MIN
-    fac = np.minimum(np.fmax(fac, _FAC_MIN), _FAC_MAX)
+    fac = (tab.safety * (err + 1e-300) ** -tab.alpha
+           * err_prev ** (tab.beta * accept))
+    # NaN guard: fmax ignores NaN, so a NaN estimate gets fac_min
+    fac = np.minimum(np.fmax(fac, tab.fac_min), tab.fac_max)
     return accept, h * fac, np.where(accept, np.fmax(err, 1e-10), err_prev)
 
 
-def lockstep(fun, u0, t_end, rtol, atol, project):
-    """Advance a (B, n) batch of runs of u' = fun(u) from t = 0 to t_end.
+def lockstep(fun, u0, t_end, rtol, atol, project, tab):
+    """Advance a (B, n) batch of runs of u' = fun(u) from t = 0 to t_end
+    with the pair ``tab``.
 
     ``t_end`` is a scalar or a (B,) array read on every iteration, which
     a consumer may change between iterations (inf: no end yet).  Rows
@@ -131,10 +286,11 @@ def lockstep(fun, u0, t_end, rtol, atol, project):
     a raised end.  A row is projected, and takes the last stage as its
     derivative, only after a step it accepts.  A step that would leave
     less than :data:`MIN_STEP` to go takes the whole rest, so every row
-    ends at exactly its end.  Yields ``(t, u, f, ok)`` per iteration,
-    ``ok`` marking the rows that accepted.  A live step below
-    :data:`MIN_STEP` raises StepSizeUnderflow with the row, its time,
-    step and state.
+    ends at exactly its end.  Yields ``(t, u, f, ok, K)`` per iteration,
+    ``ok`` marking the rows that accepted and ``K`` the trial's stages,
+    a scratch array overwritten by the next iteration.  A live step
+    below :data:`MIN_STEP` raises StepSizeUnderflow with the row, its
+    time, step and state.
     """
     u = u0
     f = fun(u)
@@ -142,7 +298,7 @@ def lockstep(fun, u0, t_end, rtol, atol, project):
     # crude scale-based first step
     h = np.minimum(0.1, 0.01 / np.maximum(1e-6, np.abs(f).max(axis=-1)))
     err_prev = np.full(len(u), 1e-4)
-    K = np.empty((7,) + u.shape)
+    K = np.empty((len(tab.rows),) + u.shape)
     per_row = np.ndim(t_end) > 0
     while True:
         rest = t_end - t
@@ -150,9 +306,9 @@ def lockstep(fun, u0, t_end, rtol, atol, project):
         if not live.any():
             return
         # the whole rest where h would leave less than MIN_STEP; control
-        # shrinks a rejected step below _SAFETY times it, so no rest is
-        # retried after a rejection: the run ends or underflows
-        whole = h > np.maximum(rest - MIN_STEP, _SAFETY * rest)
+        # shrinks a rejected step below the safety factor times it, so no
+        # rest is retried after a rejection: the run ends or underflows
+        whole = h > np.maximum(rest - MIN_STEP, tab.safety * rest)
         step = np.where(whole, rest, h)
         low = live & (step < MIN_STEP)
         if low.any():
@@ -164,9 +320,10 @@ def lockstep(fun, u0, t_end, rtol, atol, project):
         # an oversized trial can overflow exp in the shift-free field;
         # its error estimate is then NaN, and control rejects it
         with np.errstate(over="ignore", invalid="ignore"):
-            u_new, err = attempt(fun, u, f, step[:, None], rtol, atol, K)
+            u_new, err = attempt(fun, u, f, step[:, None], rtol, atol, K,
+                                 tab)
             u_new = project(u_new)
-        ok, h_next, err_next = control(step, err, err_prev)
+        ok, h_next, err_next = control(step, err, err_prev, tab)
         if per_row:  # a scalar end never moves: no idle row to keep
             h_next = np.where(live, h_next, h)
             err_next = np.where(live, err_next, err_prev)
@@ -174,25 +331,46 @@ def lockstep(fun, u0, t_end, rtol, atol, project):
         ok &= live
         t = np.where(ok, np.where(whole, t_end, t + step), t)
         u = np.where(ok[:, None], u_new, u)
-        f = np.where(ok[:, None], K[6], f)
-        yield t, u, f, ok
+        f = np.where(ok[:, None], K[-1], f)
+        yield t, u, f, ok, K
 
 
-def hermite(t, t0, t1, u0, u1, f0, f1):
-    """Cubic Hermite interpolant on accepted steps.
+def dense_coefficients(fun, ts, us, ks, tab):
+    """The continuous extension of ``tab`` on the m steps of one run,
+    from its accepted times and states and its stages ks, (m, s, n).
 
-    ``t``, ``t0`` and ``t1`` broadcast together, so each point may sit on
-    its own interval; states carry one more trailing axis.  Interpolation
-    error is O(h^4), far below the closure tolerances used at the working
-    rtol, so refining section crossings on the interpolant is safe.  Two
-    consumers: :meth:`replicator4.dynamics.Trajectory.dense`, every
-    sample of a trajectory, and the batched section bisection of
-    :func:`replicator4.orbit.first_closure`.
+    The extra stages are evaluated for all steps at once.  Returns the
+    (7, m, n) coefficients of :func:`interpolate`: the state change, the
+    two Hermite terms from the end derivatives, and h ``tab.dense``
+    applied to all stages (Hairer, Norsett, Wanner, section II.6).
     """
-    h = np.asarray(t1 - t0, dtype=float)[..., None]
-    s = (np.asarray(t, dtype=float) - t0)[..., None] / h
-    h00 = (1 + 2 * s) * (1 - s) ** 2
-    h10 = s * (1 - s) ** 2
-    h01 = s * s * (3 - 2 * s)
-    h11 = s * s * (s - 1)
-    return h00 * u0 + (h * h10) * f0 + h01 * u1 + (h * h11) * f1
+    s, u, du = len(tab.rows), us[:-1], us[1:] - us[:-1]
+    h = (ts[1:] - ts[:-1])[:, None]
+    K = np.empty((s + len(tab.extra),) + u.shape)
+    K[:s] = ks.transpose(1, 0, 2)
+    _stages(fun, u, h, K, tab.rows + tab.extra, s)
+    F = np.empty((7,) + u.shape)
+    F[0] = du
+    F[1] = h * K[0] - du
+    F[2] = 2.0 * du - h * (K[s - 1] + K[0])
+    F[3:] = h * np.dot(tab.dense, K.reshape(len(K), -1)).reshape(
+        (-1,) + u.shape)
+    return F
+
+
+def interpolate(t, t0, t1, u0, *F):
+    """The continuous extension at ``t`` on steps from (t0, u0) to t1
+    with the seven coefficients F (:func:`dense_coefficients`).
+
+    ``t``, ``t0`` and ``t1`` broadcast together, so each point may sit
+    on its own step; ``u0`` and each of F carry one more trailing axis.
+    The one dense evaluator: :meth:`replicator4.dynamics.Trajectory.dense`
+    and the bisection of :func:`replicator4.orbit.first_closure`.
+    """
+    x = ((np.asarray(t, dtype=float) - t0) / (t1 - t0))[..., None]
+    x1 = 1.0 - x
+    y = F[6] * x
+    for j in range(5, -1, -1):
+        y += F[j]
+        y *= x if j % 2 == 0 else x1
+    return u0 + y

@@ -13,11 +13,11 @@ The field and the gauge take exp(u) without the usual max shift.
 of e = exp(u) against [A; 1^T] gives A e and sum(e), and the field is
 their quotient: 4 array passes instead of 7.  This is safe because
 accepted states are gauged, so u <= 0 and the largest share is at
-least 1/n.  A trial stage moves u by at most about 25 h max|a| (the
-largest tableau row sums to 24.7 in absolute value), so exp overflows
-only on a trial with h max|a| above about 28.  Its error estimate is
-NaN, and the driver rejects it and shrinks the step by 0.2, as it
-would any grossly oversized trial, with numpy's warnings off.
+least 1/n.  A trial stage moves u by at most about 96 h max|a| (the
+largest DOP853 row sums to 96.1 in absolute value), so exp overflows
+only on a trial with h max|a| above about 7.  Its error estimate is
+NaN, and the driver rejects it and shrinks the step by the lower clip,
+as it would any grossly oversized trial, with numpy's warnings off.
 
 Relative entropy with respect to any interior equilibrium z,
 
@@ -30,9 +30,10 @@ budget.  :func:`integrate_many` runs a batch of starts and returns one
 trajectory per start.
 
 There is one driver, :func:`replicator4._rk.lockstep`, and one field,
-:func:`batch_field`, with three consumers: :func:`integrate_many`, the
-orbit certification run of :mod:`replicator4.orbit`, and the permanence
-screen (:func:`replicator4._fastprobe.window_and_final_min`).
+:func:`batch_field`, with three consumers: :func:`integrate_many` and
+the orbit certification run of :mod:`replicator4.orbit`, on the order-8
+pair :data:`replicator4._rk.DOP853`, and the permanence screen
+(:func:`replicator4._fastprobe.window_and_final_min`) on the 5(4) pair.
 :func:`integrate` is the one-start case of :func:`integrate_many`, the
 same bits, with its monitors checked after the run.
 """
@@ -40,6 +41,7 @@ same bits, with its monitors checked after the run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -168,17 +170,20 @@ class Trajectory:
     """Accepted integration nodes plus dense evaluation between them.
 
     ``ts``, ``us``, ``fs`` hold time, log state, and log-space
-    derivative at every accepted step (including t0).  Dense evaluation
-    is cubic Hermite on the bracketing step (:meth:`dense`), and it is
-    the one sampling path: :meth:`x_at` and :meth:`sample` go through
-    it, and so do the certified orbit's sample cloud and the stability
-    probes in :mod:`replicator4.orbit`.
+    derivative at every accepted step (including t0), and ``ks`` the
+    DOP853 stages of each step.  Dense evaluation is DOP853's order-7
+    continuous extension on the bracketing step (:meth:`dense`), built
+    for all steps on first use, so a run read only at its nodes never
+    pays for it.  It is the one sampling path: :meth:`x_at`,
+    :meth:`sample`, the certified orbit's sample cloud and the stability
+    probes in :mod:`replicator4.orbit` go through it.
     """
 
     A: np.ndarray
     ts: np.ndarray
     us: np.ndarray
     fs: np.ndarray
+    ks: np.ndarray = field(repr=False)
     naccept: int
     nreject: int
     rtol: float
@@ -194,6 +199,17 @@ class Trajectory:
     def xs(self) -> np.ndarray:
         return softmax(self.us)
 
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """:func:`replicator4._rk.dense_coefficients` of every step."""
+        return _rk.dense_coefficients(batch_field(self.A), self.ts, self.us,
+                                      self.ks, _rk.DOP853)
+
+    def pieces(self, k) -> tuple:
+        """:func:`replicator4._rk.interpolate`'s arguments on steps k."""
+        return (self.ts[k], self.ts[k + 1], self.us.take(k, axis=0),
+                *self.coefficients.take(k, axis=1))
+
     def dense(self, t):
         """Dense log-state at time(s) t inside the integrated range.
 
@@ -204,10 +220,7 @@ class Trajectory:
         ts = self.ts
         t = np.asarray(t, dtype=float)
         k = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
-        us, fs = self.us, self.fs  # take gathers rows faster than us[k]
-        return _rk.hermite(t, ts[k], ts[k + 1], us.take(k, axis=0),
-                           us.take(k + 1, axis=0), fs.take(k, axis=0),
-                           fs.take(k + 1, axis=0))
+        return _rk.interpolate(t, *self.pieces(k))
 
     def x_at(self, t) -> np.ndarray:
         """Dense shares at time(s) t, shaped as :meth:`dense`."""
@@ -341,23 +354,27 @@ def _integrate(A, x0, t_end, rtol, atol, monitors, drift_budget, riders):
 
 
 def _history(A, P, t_end, rtol, atol):
-    """The lockstep run of starts P as (t, u, f, ok, rejected) entries."""
+    """The DOP853 lockstep run of starts P as (t, u, f, ok, rejected,
+    stages) entries, with no stages in the first."""
     fun = batch_field(A)
     u = gauge(np.log(P))
     t, no = np.zeros(len(u)), np.zeros(len(u), dtype=bool)
-    yield t, u, fun(u), ~no, no
-    for t_new, u, f, ok in _rk.lockstep(fun, u, t_end, rtol, atol, gauge):
-        yield t_new, u, f, ok, (t < t_end) & ~ok
+    yield t, u, fun(u), ~no, no, None
+    for t_new, u, f, ok, K in _rk.lockstep(fun, u, t_end, rtol, atol, gauge,
+                                           _rk.DOP853):
+        yield t_new, u, f, ok, (t < t_end) & ~ok, K.copy()
         t = t_new
 
 
 def _trajectories(A, hist, rtol, atol) -> list[Trajectory]:
     """One :class:`Trajectory` per row of :func:`_history`'s entries."""
-    ts, us, fs, oks, rej = (np.array(v) for v in zip(*hist))
+    *nodes, ks = zip(*hist)
+    ts, us, fs, oks, rej = (np.array(v) for v in nodes)
+    ks = np.array(ks[1:])
     A = np.broadcast_to(A, (oks.shape[1],) + A.shape[-2:])
     return [Trajectory(A=A[b], ts=ts[k, b], us=us[k, b], fs=fs[k, b],
-                       naccept=int(k.sum()) - 1, nreject=int(rej[:, b].sum()),
-                       rtol=rtol, atol=atol)
+                       ks=ks[k[1:], :, b], naccept=int(k.sum()) - 1,
+                       nreject=int(rej[:, b].sum()), rtol=rtol, atol=atol)
             for b, k in enumerate(oks.T)]
 
 
@@ -371,8 +388,9 @@ def integrate_many(M, X0, t_end: float, rtol: float = 1e-10,
     steps, accepted nodes and accept and reject counts.  A 4-strategy
     start's trajectory is the same bits alone, in a batch or from
     :func:`integrate`; with 2 or 3 strategies its bits may depend on the
-    batch, because :func:`replicator4._rk.attempt` sums the stages with
-    one BLAS product whose rounding depends on a column's place in it.
+    batch, because :func:`replicator4._rk.attempt` makes each stage sum
+    one BLAS product whose rounding depends on a column's place in it
+    (its dense output, built from its own steps, adds no such dependence).
     Raises
     PreconditionFailed as :func:`integrate` does, for any start, an
     empty batch or a stack of the wrong length, and StepSizeUnderflow

@@ -49,10 +49,11 @@ TANGENT_BASIS = np.array([
 ])
 
 #: partners z(c) that select_reference_points tries, in order; its margin
-#: arc (time units, rtol, atol), skip radius and least margin accepted
+#: arc (time units, rtol, atol, points of its even grid), skip radius and
+#: least margin accepted
 CANDIDATES = (0.25, 0.75, 0.4, 0.6, 0.3, 0.7, 0.2, 0.8,
               0.45, 0.55, 0.35, 0.65, 0.15, 0.85, 0.1, 0.9)
-ARC_TIME, ARC_RTOL, ARC_ATOL = 2.0, 1e-8, 1e-11
+ARC_TIME, ARC_RTOL, ARC_ATOL, ARC_POINTS = 2.0, 1e-8, 1e-11, 33
 SKIP_TOL, MARGIN_TOL = 1e-6, 1e-8
 #: intervals of the certified period's grid; stability samples per period
 N_SAMPLES, SAMPLES_PER_PERIOD = 2048, 512
@@ -67,10 +68,11 @@ PHI_DRIFT_TOL, V_DRIFT_TOL, ALGEBRA_TOL = 1e-8, 1e-8, 1e-10
 class ReferencePair:
     """Two reference equilibria z(c1), z(c2) on K with their margin.
 
-    ``margin`` is the smallest singular value, along a short arc of the
-    actual trajectory, of the 2x3 Jacobian of (phi_z', phi_z'')
-    restricted to the simplex tangent plane.  A healthy margin means the
-    two entropies are independent constraints near the orbit.
+    ``margin`` is the smallest singular value, over an even grid on a
+    short arc of the actual trajectory, of the 2x3 Jacobian of
+    (phi_z', phi_z'') restricted to the simplex tangent plane.  A healthy
+    margin means the two entropies are independent constraints near the
+    orbit.
     """
 
     z1: np.ndarray
@@ -138,8 +140,9 @@ def select_reference_points(M, section: NullLineSection, x0) -> ReferencePair:
     in c, so each intersection alpha rules out at most one root.
     :data:`CANDIDATES` within :data:`SKIP_TOL` of a root (or of 1/2
     itself) are skipped, the rest are tried in order, and the first whose
-    margin along an arc of :data:`ARC_TIME` time units clears
-    :data:`MARGIN_TOL` is accepted.
+    margin, the least over :data:`ARC_POINTS` evenly spaced points of an
+    arc of :data:`ARC_TIME` time units, clears :data:`MARGIN_TOL` is
+    accepted.
 
     Raises
     ------
@@ -206,8 +209,9 @@ def select_reference_points(M, section: NullLineSection, x0) -> ReferencePair:
             if 0.0 < root < 1.0:
                 bad.append(root)
 
-    arc = integrate(M, p, ARC_TIME, rtol=ARC_RTOL, atol=ARC_ATOL)
-    grad1 = phi_gradient(arc.xs, z1) @ TANGENT_BASIS
+    arc = integrate(M, p, ARC_TIME, rtol=ARC_RTOL, atol=ARC_ATOL).x_at(
+        np.linspace(0.0, ARC_TIME, ARC_POINTS))
+    grad1 = phi_gradient(arc, z1) @ TANGENT_BASIS
 
     for c in CANDIDATES:
         if abs(c - 0.5) < SKIP_TOL:
@@ -215,7 +219,7 @@ def select_reference_points(M, section: NullLineSection, x0) -> ReferencePair:
         if any(abs(c - b) < SKIP_TOL for b in bad):
             continue
         z2 = z_of(c)
-        grad2 = phi_gradient(arc.xs, z2) @ TANGENT_BASIS
+        grad2 = phi_gradient(arc, z2) @ TANGENT_BASIS
         margin = float(np.linalg.svd(np.stack((grad1, grad2), axis=1),
                                      compute_uv=False)[:, -1].min())
         if margin > MARGIN_TOL:
@@ -241,20 +245,13 @@ def section_normal(M, p: np.ndarray) -> np.ndarray:
     return f0
 
 
-def _hermite_nodes(trajs: Sequence[Trajectory], ks) -> list:
-    """:func:`replicator4._rk.hermite`'s nodes on steps ks[j] of trajs[j]."""
-    first = np.cumsum([0] + [len(traj.ts) for traj in trajs[:-1]])
-    k = np.concatenate([k + offset for k, offset in zip(ks, first)])
-    return [np.concatenate([getattr(traj, name) for traj in trajs]).take(
-        k + i, axis=0) for name in ("ts", "us", "fs") for i in (0, 1)]
-
-
 def first_closure(trajs: Sequence[Trajectory], ps, f0s,
                   closure_tol: float) -> list:
     """For each trajectory ``trajs[j]``, from ``ps[j]`` with section normal
     ``f0s[j]``: the times and residuals |x(t) - p| of its upward crossings
     of the section (x - p) . f0 = 0 after the first accepted step, each
-    located by bisection on dense output, and the index of the period,
+    located by bisection on DOP853's continuous extension
+    (:func:`replicator4._rk.interpolate`), and the index of the period,
     the first within ``closure_tol`` (None if there is none).
 
     A trajectory's brackets are halved, at most 90 times, until each is
@@ -266,7 +263,9 @@ def first_closure(trajs: Sequence[Trajectory], ps, f0s,
     ks = [np.flatnonzero((s[1:-1] < 0) & (s[2:] >= 0)) + 1 for s in ss]
     counts = np.array([len(k) for k in ks], dtype=int)
     owner = np.repeat(np.arange(len(trajs)), counts)
-    nodes = _hermite_nodes(trajs, ks)  # a bracket stays on its step
+    # a bracket stays on its step
+    nodes = [np.concatenate(v) for v in zip(*(
+        traj.pieces(k) for traj, k in zip(trajs, ks)))]
     lo, hi, halving = nodes[0].copy(), nodes[1].copy(), counts > 0
     for _ in range(90):
         mid = 0.5 * (lo + hi)
@@ -275,7 +274,7 @@ def first_closure(trajs: Sequence[Trajectory], ps, f0s,
         if not halving.any():
             break
         rows = halving[owner]
-        x = softmax(_rk.hermite(mid[rows], *(v[rows] for v in nodes)))
+        x = softmax(_rk.interpolate(mid[rows], *(v[rows] for v in nodes)))
         below = np.concatenate([
             (x[end - counts[j]:end] - ps[j]) @ f0s[j] for j, end in zip(
                 np.flatnonzero(halving), np.cumsum(counts[halving]))]) < 0
@@ -284,7 +283,7 @@ def first_closure(trajs: Sequence[Trajectory], ps, f0s,
         wide = ~(hi - lo <= 1e-16 * np.maximum(1.0, hi))
         halving &= np.bincount(owner, wide, minlength=len(trajs)) > 0
     t = 0.5 * (lo + hi)
-    r = np.linalg.norm(softmax(_rk.hermite(t, *nodes)) - np.repeat(
+    r = np.linalg.norm(softmax(_rk.interpolate(t, *nodes)) - np.repeat(
         np.reshape(ps, (len(trajs), -1)), counts, axis=0), axis=-1)
     splits = np.cumsum(counts)[:-1]
     return [(t, r, next((int(i) for i in np.flatnonzero(r <= closure_tol)),

@@ -242,17 +242,17 @@ def test_batched_boundary_periods_match_detect_period(name, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a serial run inside verify_boundary")
 
-    hermite = _rk.hermite
+    interpolate = _rk.interpolate
     dense = []
 
     def evaluated(*args):
         dense.append(len(args[0]))
-        return hermite(*args)
+        return interpolate(*args)
 
     monkeypatch.setattr(boundary, "integrate_many", counted)
     monkeypatch.setattr(boundary, "integrate", forbidden)
     monkeypatch.setattr(boundary, "detect_period", forbidden)
-    monkeypatch.setattr(_rk, "hermite", evaluated)
+    monkeypatch.setattr(_rk, "interpolate", evaluated)
     report = verify_boundary(M, seed=0)
     monkeypatch.undo()
     assert 1 <= len(batches) <= 4

@@ -209,16 +209,16 @@ def _reference_crossings(traj, p, f0):
     return 0.5 * (lo + hi)
 
 
-def _counting_hermite(monkeypatch):
-    """Patch the package's Hermite evaluation; returns its call list."""
+def _counting_dense(monkeypatch):
+    """Patch the package's dense evaluator; returns its call list."""
     calls = []
-    hermite = _rk.hermite
+    interpolate = _rk.interpolate
 
     def counted(t, *nodes):
         calls.append(np.shape(t))
-        return hermite(t, *nodes)
+        return interpolate(t, *nodes)
 
-    monkeypatch.setattr(_rk, "hermite", counted)
+    monkeypatch.setattr(_rk, "interpolate", counted)
     return calls
 
 
@@ -228,7 +228,7 @@ def test_bisection_stops_at_float_resolution(monkeypatch):
         traj = integrate(M, X_I, 25.0)
         f0 = section_normal(M, X_I)
         want = _reference_crossings(traj, X_I, f0)
-        calls = _counting_hermite(monkeypatch)
+        calls = _counting_dense(monkeypatch)
         (got, _, first), = first_closure([traj], [X_I], [f0], 1e-6)
         monkeypatch.undo()
         assert first == 0
@@ -259,7 +259,7 @@ def test_batched_closure_matches_one_element_calls(monkeypatch, rng):
     trajs.append(trajs[0])
     ps.append(starts[0] + np.array([1e-3, -1e-3, 0.0]))
     f0s.append(section_normal(subs[0], ps[-1]))
-    calls = _counting_hermite(monkeypatch)
+    calls = _counting_dense(monkeypatch)
     batch = first_closure(trajs, ps, f0s, 1e-6)
     monkeypatch.undo()
     assert len(trajs) >= 10
@@ -287,6 +287,20 @@ def certified_from_X_I():
     return out
 
 
+@pytest.mark.parametrize("name", ["I", "II", "III", "IV", "V"])
+def test_entropy_monitors_drift_as_one_number(certified_from_X_I, name):
+    # Runge-Kutta methods keep linear invariants (Hairer, Lubich, Wanner,
+    # "Geometric Numerical Integration", section IV.1), and z.u is a
+    # linear invariant for every z on K; the gauge then moves z.u by the
+    # same shift for every z, since sum(z) = 1.  So the two monitors'
+    # drifts are one number to rounding (measured at rtol 1e-10: at most
+    # 3.8e-16)
+    _, _, report = certified_from_X_I[name]
+    drift = report.phi_drift
+    assert report.rtol == 1e-10
+    assert abs(drift["z1"] - drift["z2"]) <= 1e-12
+
+
 @pytest.mark.parametrize("delta, n_probes", [(1e-3, 3), (1e-2, 1)])
 @pytest.mark.parametrize("name", ["I", "II", "III", "IV", "V"])
 def test_probe_records_match_probes_sampled_alone(
@@ -299,7 +313,7 @@ def test_probe_records_match_probes_sampled_alone(
         return runs
 
     monkeypatch.setattr(orbit, "integrate_many", kept)
-    calls = _counting_hermite(monkeypatch)
+    calls = _counting_dense(monkeypatch)
     probe = stability_probe(M, report, refs, delta=delta,
                             n_probes=n_probes)
     monkeypatch.undo()
@@ -382,15 +396,16 @@ def test_short_period_probes_agree_within_bound():
 def test_riding_probe_errors_are_the_separate_runs_errors(MI):
     # canonical I near K at large scales, its horizon four periods: at
     # 1e12 the start's steps clear the floor and the probes' do not, at
-    # 1e13 neither do; either way the error is the one that
-    # detect_period then stability_probe raise, with the probe's own
-    # index or integrate's one-start message
+    # 1e14 neither do (at 1e13 the start's DOP853 steps still clear it);
+    # either way the error is the one that detect_period then
+    # stability_probe raise, with the probe's own index or integrate's
+    # one-start message
     section = kernel_line_section(MI)
     z = np.asarray(section.midpoint(), dtype=float)
     x0 = z + 1e-7 * np.array([1.0, -1.0, 0.0, 0.0])
     refs = select_reference_points(MI, section, x0)
     T = detect_period(MI, x0, section, refs).period
-    for s, row in ((1e12, 0), (1e13, None)):
+    for s, row in ((1e12, 0), (1e14, None)):
         errors = []
         for run in (certify_orbit, _apart):
             with pytest.raises(StepSizeUnderflow) as exc:
