@@ -3,8 +3,8 @@
 The screen needs two numbers per start: the smallest strategy share on
 accepted nodes inside an observation window, and the smallest share at
 the end.  :func:`window_and_final_min` runs all starts (one matrix or
-one each) as one lockstep batch of the Dormand-Prince 5(4) pair
-(:data:`replicator4._rk.DOPRI5`) on :func:`replicator4.dynamics.batch_field`
+one each) as one lockstep batch on :func:`replicator4.dynamics.batch_field`,
+the run :func:`replicator4.dynamics.integrate` makes of each start alone,
 and reduces each iteration to those two minima; nothing else is stored.
 """
 
@@ -25,8 +25,8 @@ def window_and_final_min(A, X0, t_end, win_lo, rtol, atol):
     """
     u = gauge(np.log(np.asarray(X0, dtype=float)))
     wmin = np.ones(len(u))
-    for t, u, _, ok, _ in _rk.lockstep(batch_field(A), u, t_end, rtol,
-                                       atol, gauge, _rk.DOPRI5):
+    for t, u, ok, _ in _rk.lockstep(batch_field(A), u, t_end, rtol, atol,
+                                    gauge):
         wmin = np.where(ok & (t >= win_lo),
                         np.minimum(wmin, np.exp(u.min(axis=-1))), wmin)
     return wmin, np.exp(u.min(axis=-1))

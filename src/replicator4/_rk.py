@@ -1,4 +1,4 @@
-"""Embedded explicit Runge-Kutta stepping, generic over the tableau.
+"""Embedded explicit Runge-Kutta stepping with DOP853.
 
 Generic over the state dimension; knows nothing about the simplex.  The
 drivers supply the vector field in log coordinates and renormalize the
@@ -6,30 +6,27 @@ gauge after every accepted step, which is why this is hand-rolled rather
 than a wrapper: off-the-shelf steppers expose no per-accepted-step
 projection, and the drift accounting downstream depends on it.
 
-The trial step (:func:`attempt`), the step-size controller
-(:func:`control`) and the driver (:func:`lockstep`) exist once, and take
-the pair as data, a :class:`Tableau`.  :func:`lockstep` advances a
-(B, n) batch of independent runs, each row with its own time, step,
-accept decision and end.  Its consumers, all on the field
-:func:`replicator4.dynamics.batch_field`: every run that makes a
-:class:`replicator4.dynamics.Trajectory` (:data:`DOP853`), and the
-permanence screen (:data:`DOPRI5`;
-:func:`replicator4._fastprobe.window_and_final_min`).  The field takes
-exp without a max shift (see :mod:`replicator4.dynamics`), so a grossly
-oversized trial can overflow: :func:`control` rejects its NaN error
-estimate, and :func:`lockstep` keeps numpy's warnings off around it.
+One pair, Dormand-Prince 8(5,3) (DOP853) as module constants, one trial
+step (:func:`attempt`), one controller (:func:`control`) and one driver,
+:func:`lockstep`, which advances a (B, n) batch of independent runs,
+each row with its own time, step, accept decision and end.  Its
+consumers, all on :func:`replicator4.dynamics.batch_field`: every run
+that makes a :class:`replicator4.dynamics.Trajectory`, and the
+permanence screen (:func:`replicator4._fastprobe.window_and_final_min`).
+The field takes exp without a max shift (see :mod:`replicator4.dynamics`),
+so a grossly oversized trial can overflow: :func:`control` rejects its
+NaN error estimate, and :func:`lockstep` keeps numpy's warnings off
+around it.
 
 Characteristics
 ---------------
-* :data:`DOP853`: order 8, error estimate from the order-5 and order-3
-  embedded formulae combined as in Hairer's code, PI controller (factor
-  0.9 err^-0.117 err_prev^0.04 clipped to [0.333, 6]), 12 evaluations
-  per trial step; its order-7 continuous extension costs 3 more per
-  accepted step, paid after the run by a run that is interpolated
+* order 8, error estimate from the order-5 and order-3 embedded formulae
+  combined as in Hairer's code, 12 evaluations per trial step
+* PI controller: factor 0.9 err^-0.117 err_prev^0.04 clipped to
+  [0.333, 6]
+* order-7 continuous extension, 3 more evaluations per accepted step,
+  paid after the run by a run that is interpolated
   (:func:`dense_coefficients`, :func:`interpolate`)
-* :data:`DOPRI5`: order 5, order-4 error estimate, PI controller
-  (0.9 err^-0.17 err_prev^0.04 clipped to [0.2, 5]), 6 evaluations per
-  trial step
 * first same as last: the last stage is the field at the new state,
   and the projection hook is a gauge shift the field ignores, so it
   serves as the derivative at the accepted point (plus one evaluation
@@ -37,7 +34,6 @@ Characteristics
 
 References
 ----------
-Dormand, Prince: "A family of embedded Runge-Kutta formulae" (1980).
 Prince, Dormand: "High order embedded Runge-Kutta formulae", J. Comput.
 Appl. Math. 7 (1981).
 Hairer, Norsett, Wanner: "Solving ODEs I", sections II.4 and II.5 for
@@ -46,60 +42,42 @@ the controller, the FSAL stage and DOP853, II.6 for dense output.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 import numpy as np
 
 from .errors import StepSizeUnderflow
 
 MIN_STEP = 1e-13
 
-#: An embedded pair as data.  ``rows[s]``, stage s's row as a (1, s)
-#: matrix, so that each stage sum is one matrix product with the stages
-#: flattened to (s, size); the last row gives the new state, whose field
-#: is the last stage.  ``err``, the error-weight rows; ``norm``, the
-#: reduction of the weighted error vectors, (len(err), ..., n), to one
-#: estimate per step.  The controller's factor, ``safety err^-alpha
-#: err_prev^beta`` clipped to [fac_min, fac_max].  ``extra`` and
-#: ``dense``, the continuous extension's stage and coefficient rows.
-Tableau = namedtuple("Tableau", "rows err norm alpha beta safety fac_min "
-                     "fac_max extra dense", defaults=((), None))
+#: the controller's factor, SAFETY err^-ALPHA err_prev^BETA, clipped to
+#: [FAC_MIN, FAC_MAX]
+SAFETY, ALPHA, BETA, FAC_MIN, FAC_MAX = 0.9, 0.117, 0.04, 0.333, 6.0
 
 
 def _rows(A) -> tuple:
     return tuple(np.array(row, dtype=float).reshape(1, -1) for row in A)
 
 
-def _norm_853(e):
-    """Hairer's |e5|^2 / sqrt(n (|e5|^2 + 0.01 |e3|^2)), 0 for e = 0."""
+def _norm(e):
+    """Hairer's |e5|^2 / sqrt(n (|e5|^2 + 0.01 |e3|^2)), 0 for e = 0:
+    one estimate per step from the (2, ..., n) weighted error vectors."""
     e5, e3 = (e ** 2).sum(axis=-1)
     return e5 / np.sqrt(e.shape[-1] * (e5 + 0.01 * e3) + 1e-300)
 
 
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-DOPRI5 = Tableau(
-    rows=_rows(((), (1 / 5,), (3 / 40, 9 / 40),
-                (44 / 45, -56 / 15, 32 / 9),
-                (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-                (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
-                 -5103 / 18656), _B5)),
-    err=np.array([_B5 + (0.0,)]) - np.array(
-        [[5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-          187 / 2100, 1 / 40]]),
-    norm=lambda e: np.sqrt((e[0] ** 2).sum(axis=-1) / e.shape[-1]),
-    alpha=0.17, beta=0.04, safety=0.9, fac_min=0.2, fac_max=5.0)
-
-# DOP853 as printed in Hairer's dop853.f: stage rows 2-12, the order-8
-# weights, the order-5 error row and the order-3 weights (subtracted from
-# the order-8 ones), the extension's stage rows 14-16 and its four rows.
+# DOP853 as printed in Hairer's dop853.f.  ROWS[s], stage s's row as a
+# (1, s) matrix, so that each stage sum is one matrix product with the
+# stages flattened to (s, size): stage rows 2-12, then the order-8
+# weights, which give the new state, whose field is the last stage.
+# ERR, the order-5 error row and the order-3 weights subtracted from the
+# order-8 ones.  EXTRA and DENSE, the continuous extension's stage rows
+# 14-16 and its four coefficient rows.
 _B8 = (5.42937341165687622380535766363e-2, 0, 0, 0, 0,
        4.45031289275240888144113950566, 1.89151789931450038304281599044,
        -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
        -1.52160949662516078556178806805e-1,
        2.01365400804030348374776537501e-1,
        4.47106157277725905176885569043e-2)
-DOP853 = Tableau(
-    rows=_rows(((), (5.26001519587677318785587544488e-2,), (
+ROWS = _rows(((), (5.26001519587677318785587544488e-2,), (
         1.97250569845378994544595329183e-2,
         5.91751709536136983633785987549e-2), (
         2.95875854768068491816892993775e-2, 0,
@@ -143,8 +121,8 @@ DOP853 = Tableau(
         2.79488845294199600508499808837e1,
         -2.85899827713502369474065508674,
         -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
-        6.43392746015763530355970484046e-1), _B8)),
-    err=np.array([[
+        6.43392746015763530355970484046e-1), _B8))
+ERR = np.array([[
         0.1312004499419488073250102996e-1, 0, 0, 0, 0,
         -0.1225156446376204440720569753e+1,
         -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
@@ -153,10 +131,8 @@ DOP853 = Tableau(
         -0.2235530786388629525884427845e-1, 0], _B8 + (0,)]) - np.array([
         [0] * 13, [0.244094488188976377952755905512, 0, 0, 0, 0, 0, 0, 0,
                    0.733846688281611857341361741547, 0, 0,
-                   0.220588235294117647058823529412e-1, 0]]),
-    norm=_norm_853, alpha=0.117, beta=0.04, safety=0.9, fac_min=0.333,
-    fac_max=6.0,
-    extra=_rows(((
+                   0.220588235294117647058823529412e-1, 0]])
+EXTRA = _rows(((
         5.61675022830479523392909219681e-2, 0, 0, 0, 0, 0,
         2.53500210216624811088794765333e-1,
         -2.46239037470802489917441475441e-1,
@@ -176,8 +152,8 @@ DOP853 = Tableau(
         -4.69762141536116384314449447206, 7.68342119606259904184240953878,
         4.06898981839711007970213554331, 3.56727187455281109270669543021e-1,
         0, 0, 0, -1.39902416515901462129418009734e-3,
-        2.9475147891527723389556272149, -9.15095847217987001081870187138))),
-    dense=np.array([[
+        2.9475147891527723389556272149, -9.15095847217987001081870187138)))
+DENSE = np.array([[
         -0.84289382761090128651353491142e+1, 0, 0, 0, 0,
         0.56671495351937776962531783590, -0.30689499459498916912797304727e+1,
         0.23846676565120698287728149680e+1, 0.21170345824450282767155149946e+1,
@@ -218,48 +194,47 @@ DOP853 = Tableau(
         -0.43533456590011143754432175058e+2,
         0.96324553959188282948394950600e+2,
         -0.39177261675615439165231486172e+2,
-        -0.14972683625798562581422125276e+3]]))
+        -0.14972683625798562581422125276e+3]])
+_ALL_ROWS = ROWS + EXTRA
 
 
-def _stages(fun, u, h, K, rows, first):
-    """K[s] = fun(u + h rows[s] K[:s]) for s from ``first`` on; returns
-    the last stage's state."""
+def _stages(fun, u, h, K, first):
+    """K[s] = fun(u + h ROWS[s] K[:s]) for s from ``first`` to the end of
+    K, going on with EXTRA past ROWS; returns the last stage's state."""
     Kf = K.reshape(len(K), -1)
-    for s in range(first, len(rows)):
-        v = u + h * np.dot(rows[s], Kf[:s]).reshape(u.shape)
+    for s in range(first, len(K)):
+        v = u + h * np.dot(_ALL_ROWS[s], Kf[:s]).reshape(u.shape)
         K[s] = fun(v)
     return v
 
 
-def attempt(fun, u, f, h, rtol, atol, K, tab):
-    """One trial step of ``tab`` of size h from state u with derivative
-    f = fun(u).
+def attempt(fun, u, f, h, rtol, atol, K):
+    """One trial step of size h from state u with derivative f = fun(u).
 
     ``u`` and ``f`` have shape (..., n) and ``h`` shape (..., 1), one
-    step per leading index; ``K``, scratch of shape (len(tab.rows),) +
+    step per leading index; ``K``, scratch of shape (len(ROWS),) +
     u.shape, ends up holding the stages, ``K[-1]`` being ``fun(u_new)``.
-    Returns the new state and ``tab.norm`` of the error vectors weighted
-    by ``atol + rtol * max(1, |u_new|)``; the step is acceptable where
-    that is at most one.
+    Returns the new state and the norm of the error vectors weighted by
+    ``atol + rtol * max(1, |u_new|)``; the step is acceptable where that
+    is at most one.
     """
     K[0] = f
-    u_new = _stages(fun, u, h, K, tab.rows, 1)
-    err = h * np.dot(tab.err, K.reshape(len(K), -1)).reshape(
-        (-1,) + u.shape)
+    u_new = _stages(fun, u, h, K, 1)
+    err = h * np.dot(ERR, K.reshape(len(K), -1)).reshape((-1,) + u.shape)
     w = atol + rtol * np.maximum(1.0, np.abs(u_new))
-    return u_new, tab.norm(err / w)
+    return u_new, _norm(err / w)
 
 
-def control(h, err, err_prev, tab):
+def control(h, err, err_prev):
     """Accept decision and next step size after trial steps of size h.
 
     Elementwise over ``h``, ``err`` and ``err_prev`` (floats or arrays
     of one shape).  A step is accepted when ``err <= 1``.  The next step
-    is h times ``safety err^-alpha err_prev^beta`` after an accepted step
-    and ``safety err^-alpha`` after a rejected one, clipped to
-    [fac_min, fac_max] of ``tab`` (a rejected step has err > 1, so its
-    factor stays below the safety factor).  A NaN error estimate rejects
-    the step and shrinks it by fac_min.
+    is h times ``SAFETY err^-ALPHA err_prev^BETA`` after an accepted step
+    and ``SAFETY err^-ALPHA`` after a rejected one, clipped to
+    [FAC_MIN, FAC_MAX] (a rejected step has err > 1, so its factor stays
+    below SAFETY).  A NaN error estimate rejects the step and shrinks it
+    by FAC_MIN.
 
     Returns ``(accept, h_next, err_prev_next)``, where the error carried
     to the next PI factor is the accepted one, floored at 1e-10.
@@ -268,16 +243,14 @@ def control(h, err, err_prev, tab):
     # The 1e-300 keeps err = 0 finite (any err below 1e-284 gets the
     # largest factor either way); err_prev ** 0 = 1 drops the PI term
     # after a rejection.
-    fac = (tab.safety * (err + 1e-300) ** -tab.alpha
-           * err_prev ** (tab.beta * accept))
-    # NaN guard: fmax ignores NaN, so a NaN estimate gets fac_min
-    fac = np.minimum(np.fmax(fac, tab.fac_min), tab.fac_max)
+    fac = SAFETY * (err + 1e-300) ** -ALPHA * err_prev ** (BETA * accept)
+    # NaN guard: fmax ignores NaN, so a NaN estimate gets FAC_MIN
+    fac = np.minimum(np.fmax(fac, FAC_MIN), FAC_MAX)
     return accept, h * fac, np.where(accept, np.fmax(err, 1e-10), err_prev)
 
 
-def lockstep(fun, u0, t_end, rtol, atol, project, tab):
-    """Advance a (B, n) batch of runs of u' = fun(u) from t = 0 to t_end
-    with the pair ``tab``.
+def lockstep(fun, u0, t_end, rtol, atol, project):
+    """Advance a (B, n) batch of runs of u' = fun(u) from t = 0 to t_end.
 
     ``t_end`` is a scalar or a (B,) array read on every iteration, which
     a consumer may change between iterations (inf: no end yet).  Rows
@@ -286,7 +259,7 @@ def lockstep(fun, u0, t_end, rtol, atol, project, tab):
     a raised end.  A row is projected, and takes the last stage as its
     derivative, only after a step it accepts.  A step that would leave
     less than :data:`MIN_STEP` to go takes the whole rest, so every row
-    ends at exactly its end.  Yields ``(t, u, f, ok, K)`` per iteration,
+    ends at exactly its end.  Yields ``(t, u, ok, K)`` per iteration,
     ``ok`` marking the rows that accepted and ``K`` the trial's stages,
     a scratch array overwritten by the next iteration.  A live step
     below :data:`MIN_STEP` raises StepSizeUnderflow with the row, its
@@ -298,7 +271,7 @@ def lockstep(fun, u0, t_end, rtol, atol, project, tab):
     # crude scale-based first step
     h = np.minimum(0.1, 0.01 / np.maximum(1e-6, np.abs(f).max(axis=-1)))
     err_prev = np.full(len(u), 1e-4)
-    K = np.empty((len(tab.rows),) + u.shape)
+    K = np.empty((len(ROWS),) + u.shape)
     per_row = np.ndim(t_end) > 0
     while True:
         rest = t_end - t
@@ -306,9 +279,9 @@ def lockstep(fun, u0, t_end, rtol, atol, project, tab):
         if not live.any():
             return
         # the whole rest where h would leave less than MIN_STEP; control
-        # shrinks a rejected step below the safety factor times it, so no
-        # rest is retried after a rejection: the run ends or underflows
-        whole = h > np.maximum(rest - MIN_STEP, tab.safety * rest)
+        # shrinks a rejected step below SAFETY times it, so no rest is
+        # retried after a rejection: the run ends or underflows
+        whole = h > np.maximum(rest - MIN_STEP, SAFETY * rest)
         step = np.where(whole, rest, h)
         low = live & (step < MIN_STEP)
         if low.any():
@@ -320,10 +293,9 @@ def lockstep(fun, u0, t_end, rtol, atol, project, tab):
         # an oversized trial can overflow exp in the shift-free field;
         # its error estimate is then NaN, and control rejects it
         with np.errstate(over="ignore", invalid="ignore"):
-            u_new, err = attempt(fun, u, f, step[:, None], rtol, atol, K,
-                                 tab)
+            u_new, err = attempt(fun, u, f, step[:, None], rtol, atol, K)
             u_new = project(u_new)
-        ok, h_next, err_next = control(step, err, err_prev, tab)
+        ok, h_next, err_next = control(step, err, err_prev)
         if per_row:  # a scalar end never moves: no idle row to keep
             h_next = np.where(live, h_next, h)
             err_next = np.where(live, err_next, err_prev)
@@ -332,28 +304,28 @@ def lockstep(fun, u0, t_end, rtol, atol, project, tab):
         t = np.where(ok, np.where(whole, t_end, t + step), t)
         u = np.where(ok[:, None], u_new, u)
         f = np.where(ok[:, None], K[-1], f)
-        yield t, u, f, ok, K
+        yield t, u, ok, K
 
 
-def dense_coefficients(fun, ts, us, ks, tab):
-    """The continuous extension of ``tab`` on the m steps of one run,
-    from its accepted times and states and its stages ks, (m, s, n).
+def dense_coefficients(fun, ts, us, ks):
+    """The continuous extension on the m steps of one run, from its
+    accepted times and states and its stages ks, (m, len(ROWS), n).
 
-    The extra stages are evaluated for all steps at once.  Returns the
+    The EXTRA stages are evaluated for all steps at once.  Returns the
     (7, m, n) coefficients of :func:`interpolate`: the state change, the
-    two Hermite terms from the end derivatives, and h ``tab.dense``
-    applied to all stages (Hairer, Norsett, Wanner, section II.6).
+    two Hermite terms from the end derivatives, and h DENSE applied to
+    all stages (Hairer, Norsett, Wanner, section II.6).
     """
-    s, u, du = len(tab.rows), us[:-1], us[1:] - us[:-1]
+    s, u, du = len(ROWS), us[:-1], us[1:] - us[:-1]
     h = (ts[1:] - ts[:-1])[:, None]
-    K = np.empty((s + len(tab.extra),) + u.shape)
+    K = np.empty((len(_ALL_ROWS),) + u.shape)
     K[:s] = ks.transpose(1, 0, 2)
-    _stages(fun, u, h, K, tab.rows + tab.extra, s)
+    _stages(fun, u, h, K, s)
     F = np.empty((7,) + u.shape)
     F[0] = du
     F[1] = h * K[0] - du
     F[2] = 2.0 * du - h * (K[s - 1] + K[0])
-    F[3:] = h * np.dot(tab.dense, K.reshape(len(K), -1)).reshape(
+    F[3:] = h * np.dot(DENSE, K.reshape(len(K), -1)).reshape(
         (-1,) + u.shape)
     return F
 

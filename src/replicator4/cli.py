@@ -38,8 +38,8 @@ from . import __version__
 from .boundary import boundary_prediction, verify_boundary
 from .dynamics import default_drift_budget, integrate, integrate_many
 from .ensembles import barycenter_starts, interior_starts
-from .errors import (PreconditionFailed, Replicator4Error,
-                     UnclassifiableSignPattern)
+from .errors import (MatrixFormatError, PreconditionFailed,
+                     Replicator4Error, UnclassifiableSignPattern)
 from .kernelgeom import (distance_to_K, kernel_line_section,
                          section_by_clipping, section_residual)
 # stability_probe is unused here; perfbench's tracer patches it by name
@@ -54,11 +54,15 @@ _SEED_ENV = "REPLICATOR4_SEED"
 
 
 def _read_matrix(args) -> PayoffMatrix:
-    if args.matrix == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.matrix, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    try:
+        if args.matrix == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.matrix, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise MatrixFormatError(
+            f"matrix input is not UTF-8 text: {exc}") from None
     exact = False if getattr(args, "float", False) else None
     return parse_matrix(text, exact=exact)
 

@@ -29,11 +29,11 @@ check a set of monitor points over its run and raise past a drift
 budget.  :func:`integrate_many` runs a batch of starts and returns one
 trajectory per start.
 
-There is one driver, :func:`replicator4._rk.lockstep`, and one field,
-:func:`batch_field`, with three consumers: :func:`integrate_many` and
-the orbit certification run of :mod:`replicator4.orbit`, on the order-8
-pair :data:`replicator4._rk.DOP853`, and the permanence screen
-(:func:`replicator4._fastprobe.window_and_final_min`) on the 5(4) pair.
+There is one pair, DOP853, one driver, :func:`replicator4._rk.lockstep`,
+and one field, :func:`batch_field`, with three consumers:
+:func:`integrate_many`, the orbit certification run of
+:mod:`replicator4.orbit` and the permanence screen
+(:func:`replicator4._fastprobe.window_and_final_min`).
 :func:`integrate` is the one-start case of :func:`integrate_many`, the
 same bits, with its monitors checked after the run.
 """
@@ -169,20 +169,20 @@ MAX_SAMPLES = 10 ** 7
 class Trajectory:
     """Accepted integration nodes plus dense evaluation between them.
 
-    ``ts``, ``us``, ``fs`` hold time, log state, and log-space
-    derivative at every accepted step (including t0), and ``ks`` the
-    DOP853 stages of each step.  Dense evaluation is DOP853's order-7
-    continuous extension on the bracketing step (:meth:`dense`), built
-    for all steps on first use, so a run read only at its nodes never
-    pays for it.  It is the one sampling path: :meth:`x_at`,
-    :meth:`sample`, the certified orbit's sample cloud and the stability
-    probes in :mod:`replicator4.orbit` go through it.
+    ``ts`` and ``us`` hold time and log state at every accepted step
+    (including t0), and ``ks`` the DOP853 stages of each step, whose
+    first and last are the log-space derivative at its ends.  Dense
+    evaluation is DOP853's order-7 continuous extension on the
+    bracketing step (:meth:`dense`), built for all steps on first use,
+    so a run read only at its nodes never pays for it.  It is the one
+    sampling path: :meth:`x_at`, :meth:`sample`, the certified orbit's
+    sample cloud and the stability probes in :mod:`replicator4.orbit` go
+    through it.
     """
 
     A: np.ndarray
     ts: np.ndarray
     us: np.ndarray
-    fs: np.ndarray
     ks: np.ndarray = field(repr=False)
     naccept: int
     nreject: int
@@ -203,7 +203,7 @@ class Trajectory:
     def coefficients(self) -> np.ndarray:
         """:func:`replicator4._rk.dense_coefficients` of every step."""
         return _rk.dense_coefficients(batch_field(self.A), self.ts, self.us,
-                                      self.ks, _rk.DOP853)
+                                      self.ks)
 
     def pieces(self, k) -> tuple:
         """:func:`replicator4._rk.interpolate`'s arguments on steps k."""
@@ -354,26 +354,25 @@ def _integrate(A, x0, t_end, rtol, atol, monitors, drift_budget, riders):
 
 
 def _history(A, P, t_end, rtol, atol):
-    """The DOP853 lockstep run of starts P as (t, u, f, ok, rejected,
-    stages) entries, with no stages in the first."""
-    fun = batch_field(A)
+    """The lockstep run of starts P as (t, u, ok, rejected, stages)
+    entries, with no stages in the first."""
     u = gauge(np.log(P))
     t, no = np.zeros(len(u)), np.zeros(len(u), dtype=bool)
-    yield t, u, fun(u), ~no, no, None
-    for t_new, u, f, ok, K in _rk.lockstep(fun, u, t_end, rtol, atol, gauge,
-                                           _rk.DOP853):
-        yield t_new, u, f, ok, (t < t_end) & ~ok, K.copy()
+    yield t, u, ~no, no, None
+    for t_new, u, ok, K in _rk.lockstep(batch_field(A), u, t_end, rtol, atol,
+                                        gauge):
+        yield t_new, u, ok, (t < t_end) & ~ok, K.copy()
         t = t_new
 
 
 def _trajectories(A, hist, rtol, atol) -> list[Trajectory]:
     """One :class:`Trajectory` per row of :func:`_history`'s entries."""
     *nodes, ks = zip(*hist)
-    ts, us, fs, oks, rej = (np.array(v) for v in nodes)
+    ts, us, oks, rej = (np.array(v) for v in nodes)
     ks = np.array(ks[1:])
     A = np.broadcast_to(A, (oks.shape[1],) + A.shape[-2:])
-    return [Trajectory(A=A[b], ts=ts[k, b], us=us[k, b], fs=fs[k, b],
-                       ks=ks[k[1:], :, b], naccept=int(k.sum()) - 1,
+    return [Trajectory(A=A[b], ts=ts[k, b], us=us[k, b], ks=ks[k[1:], :, b],
+                       naccept=int(k.sum()) - 1,
                        nreject=int(rej[:, b].sum()), rtol=rtol, atol=atol)
             for b, k in enumerate(oks.T)]
 
@@ -391,9 +390,8 @@ def integrate_many(M, X0, t_end: float, rtol: float = 1e-10,
     batch, because :func:`replicator4._rk.attempt` makes each stage sum
     one BLAS product whose rounding depends on a column's place in it
     (its dense output, built from its own steps, adds no such dependence).
-    Raises
-    PreconditionFailed as :func:`integrate` does, for any start, an
-    empty batch or a stack of the wrong length, and StepSizeUnderflow
+    It raises PreconditionFailed as :func:`integrate` does, for any start,
+    an empty batch or a stack of the wrong length, and StepSizeUnderflow
     with the ``row`` of the start whose step fell below the floor.
     """
     A = _as_array(M)

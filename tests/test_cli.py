@@ -294,6 +294,22 @@ def test_malformed_matrix_exits_one(tmp_path, capsys):
     assert json.loads(err)["error"]["type"] == "MatrixFormatError"
 
 
+def test_matrix_input_that_is_not_utf8_exits_one(tmp_path, monkeypatch,
+                                                 capsys):
+    # a byte-order mark of UTF-16 in front of a valid matrix, from a file
+    # and from a stdin that decodes strictly
+    data = b"\xff\xfe" + M_IV_TEXT.encode()
+    path = tmp_path / "bad.bin"
+    path.write_bytes(data)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data),
+                                                       encoding="utf-8"))
+    for source in (str(path), "-"):
+        code, out, err = run(["classify", "--matrix", source], capsys)
+        assert (code, out) == (1, "")
+        payload = validated(err, "error")
+        assert payload["error"]["type"] == "MatrixFormatError"
+
+
 def _scaled_text(s: float) -> str:
     """M_I_TEXT times s, with float tokens."""
     return " ".join(tok if tok == "/" else repr(int(tok) * s)

@@ -134,8 +134,7 @@ def test_overflowing_trial_is_rejected_quietly(monkeypatch):
     # class IV times 1e4, started next to its equilibrium: the field is
     # small there, so the first steps are large and one trial stage's
     # log state exceeds log(max float), where exp overflows; its error
-    # estimate is NaN, the step is rejected and shrunk by the pair's
-    # lower clip, with either pair
+    # estimate is NaN, the step is rejected and shrunk by the lower clip
     M = canonical_matrix("IV")
     z = np.asarray(kernel_line_section(M).midpoint(), dtype=float)
     x0 = z + 1e-6 * np.array([1.0, -1.0, 1.0, -1.0])
@@ -155,23 +154,22 @@ def test_overflowing_trial_is_rejected_quietly(monkeypatch):
         return u_new, err
 
     monkeypatch.setattr(_rk, "attempt", recorded)
-    for tab in (_rk.DOPRI5, _rk.DOP853):
-        overflows.clear()
-        trials.clear()
-        steps = list(_rk.lockstep(fun, gauge(np.log(x0))[None, :], t_end,
-                                  1e-6, 1e-12, gauge, tab))
-        # one field evaluation per stage row of a trial step, after one
-        # at the start
-        s = len(tab.rows) - 1
-        over = [any(overflows[1 + s * k:1 + s * (k + 1)])
-                for k in range(len(steps))]
-        assert 0 < over.count(True) < len(steps)
-        for k, (t, u, f, ok, _) in enumerate(steps):
-            if over[k]:
-                assert np.isnan(trials[k][1]) and not ok[0]
-                assert trials[k + 1][0] == tab.fac_min * trials[k][0]
-            assert np.isfinite(u).all() and np.isfinite(f).all()
-        assert steps[-1][0][0] == t_end
+    # each step with its last stage, the derivative an accepted one keeps
+    steps = [(t, u, ok, K[-1].copy()) for t, u, ok, K in _rk.lockstep(
+        fun, gauge(np.log(x0))[None, :], t_end, 1e-6, 1e-12, gauge)]
+    # one field evaluation per stage row of a trial step, after one at
+    # the start
+    s = len(_rk.ROWS) - 1
+    over = [any(overflows[1 + s * k:1 + s * (k + 1)])
+            for k in range(len(steps))]
+    assert 0 < over.count(True) < len(steps)
+    for k, (t, u, ok, f) in enumerate(steps):
+        if over[k]:
+            assert np.isnan(trials[k][1]) and not ok[0]
+            assert trials[k + 1][0] == _rk.FAC_MIN * trials[k][0]
+        assert np.isfinite(u).all()
+        assert not ok[0] or np.isfinite(f).all()
+    assert steps[-1][0][0] == t_end
     monkeypatch.undo()
     for traj in (integrate(A, x0, t_end, rtol=1e-6),
                  integrate_many(A, [x0, X0], t_end, rtol=1e-6)[0]):
@@ -287,28 +285,27 @@ def test_runs_end_exactly_at_t_end(name, x0, t_end):
 def test_rejected_last_step_is_not_retaken_without_end():
     # near t_end the controller rejects the whole rest and asks for a
     # step that would leave less than the floor to go; retaking the rest
-    # would be rejected again at every iteration
-    A = canonical_matrix("V").array * 404035249566.62714
-    x0 = [0.10526295621627181, 0.2752705560774696, 0.24483724444336802,
-          0.37462924326289077]
-    t_end = 1.1328429245160266e-10
+    # would be rejected again at every iteration (inputs from a seeded scan
+    # over scale, t_end, rtol and Dirichlet starts)
+    A = canonical_matrix("V").array * 3307081010733.2573
+    x0 = [0.29846879960674905, 0.3153295686305692, 0.1905172562864277,
+          0.19568437547625403]
+    t_end = 1.3197973312030568e-11
     with pytest.raises(StepSizeUnderflow) as exc:
         for n, _ in enumerate(_rk.lockstep(
                 batch_field(A), gauge(np.log(x0))[None, :], t_end,
-                2.463896714689186e-10, 1e-12, gauge, _rk.DOPRI5)):
+                2.2762298686515608e-10, 1e-12, gauge)):
             assert n < 10_000
     assert 0.0 < exc.value.h < 1e-13
     assert t_end - 1e-12 < exc.value.t < t_end
 
 
-#: stage nodes c_2, c_3, ... in closed form (Hairer, Norsett, Wanner,
-#: sections II.5 and II.6): the last is the weights' sum, 1; DOP853's
-#: then go on with its extension's three stages
-NODES = {"DOPRI5": (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1, 1),
-         "DOP853": ((12 - 2 * math.sqrt(6)) / 135, (6 - math.sqrt(6)) / 45,
-                    (6 - math.sqrt(6)) / 30, (6 + math.sqrt(6)) / 30, 1 / 3,
-                    1 / 4, 4 / 13, 127 / 195, 3 / 5, 6 / 7, 1, 1, 1 / 10,
-                    1 / 5, 7 / 9)}
+#: DOP853's stage nodes c_2, c_3, ... in closed form (Hairer, Norsett,
+#: Wanner, sections II.5 and II.6): the last of ROWS is the weights' sum,
+#: 1; then come the extension's three stages
+NODES = ((12 - 2 * math.sqrt(6)) / 135, (6 - math.sqrt(6)) / 45,
+         (6 - math.sqrt(6)) / 30, (6 + math.sqrt(6)) / 30, 1 / 3, 1 / 4,
+         4 / 13, 127 / 195, 3 / 5, 6 / 7, 1, 1, 1 / 10, 1 / 5, 7 / 9)
 
 
 def _sums_to(row, value):
@@ -316,25 +313,22 @@ def _sums_to(row, value):
     return abs(math.fsum(row) - value) <= 1e-15 * np.abs(row).sum()
 
 
-@pytest.mark.parametrize("name", ["DOPRI5", "DOP853"])
-def test_tableau_consistency_sums(name):
+def test_tableau_consistency_sums():
     # every stage row sums to its node, the last row (the weights) to 1,
-    # every error row to 0; DOP853's extension rows sum to their nodes
-    # and its coefficient rows to 0, so that a constant field gives the
-    # linear interpolant
-    tab = getattr(_rk, name)
-    rows = [r[0] for r in tab.rows[1:] + tab.extra]
-    assert len(rows) == len(NODES[name])
-    assert all(_sums_to(row, c) for row, c in zip(rows, NODES[name]))
-    assert all(_sums_to(row, 0.0) for row in tab.err)
-    assert tab.err.shape[1] == len(tab.rows)
-    if tab.dense is not None:
-        assert tab.dense.shape == (4, len(tab.rows) + len(tab.extra))
-        assert all(_sums_to(row, 0.0) for row in tab.dense)
+    # every error row to 0; the extension rows sum to their nodes and the
+    # coefficient rows to 0, so that a constant field gives the linear
+    # interpolant
+    rows = [r[0] for r in _rk.ROWS[1:] + _rk.EXTRA]
+    assert len(rows) == len(NODES)
+    assert all(_sums_to(row, c) for row, c in zip(rows, NODES))
+    assert all(_sums_to(row, 0.0) for row in _rk.ERR)
+    assert _rk.ERR.shape[1] == len(_rk.ROWS)
+    assert _rk.DENSE.shape == (4, len(_rk.ROWS) + len(_rk.EXTRA))
+    assert all(_sums_to(row, 0.0) for row in _rk.DENSE)
 
 
-def _logistic_steps(tab, t_end, n):
-    """n fixed steps of ``tab`` through attempt, the controller bypassed,
+def _logistic_steps(t_end, n):
+    """n fixed steps through attempt, the controller bypassed,
     on the 2-strategy skew game in shares: x1' = x1 (1 - x1), logistic.
     Returns the times, states and stages."""
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -343,11 +337,11 @@ def _logistic_steps(tab, t_end, n):
         return x * (x @ A.T)
 
     x = np.array([[0.1, 0.9]])
-    f, K = fun(x), np.empty((len(tab.rows), 1, 2))
+    f, K = fun(x), np.empty((len(_rk.ROWS), 1, 2))
     xs, ks = [x[0]], []
     for _ in range(n):
         x, _ = _rk.attempt(fun, x, f, np.full((1, 1), t_end / n), 1.0, 1.0,
-                           K, tab)
+                           K)
         f = K[-1].copy()
         xs.append(x[0])
         ks.append(K[:, 0].copy())
@@ -359,25 +353,24 @@ def _logistic(t):
     return e / (0.9 + e)
 
 
-def test_convergence_order_of_both_pairs():
+def test_convergence_order():
     # fixed steps over 10 time units, halved from 2 to 0.25: the error's
-    # log2 ratio per halving is the observed order.  Measured: DOPRI5's
-    # nodes 5.41, 5.45, 5.33; DOP853's nodes 9.95, 8.03, 8.41 and its
-    # continuous extension at quarter steps 8.05, 8.11, 8.16 (an order-7
-    # extension errs O(h^8) per step, below the order-8 node error it
-    # inherits).  A wrong digit in any stage, weight or extension row
-    # fails these bounds, one in an error row the consistency sums.
+    # log2 ratio per halving is the observed order.  Measured: the nodes
+    # 9.95, 8.03, 8.41 and the continuous extension at quarter steps
+    # 8.05, 8.11, 8.16 (an order-7 extension errs O(h^8) per step, below
+    # the order-8 node error it inherits).  A wrong digit in any stage,
+    # weight or extension row fails these bounds, one in an error row the
+    # consistency sums.
     counts = (5, 10, 20, 40)
-    for tab, order in ((_rk.DOPRI5, 4.8), (_rk.DOP853, 7.8)):
-        err = []
-        for n in counts:
-            _, ts, xs, _ = _logistic_steps(tab, 10.0, n)
-            err.append(np.abs(xs[:, 0] - _logistic(ts)).max())
-        assert (np.log2(np.divide(err[:-1], err[1:])) >= order).all(), err
     err = []
     for n in counts:
-        fun, ts, xs, ks = _logistic_steps(_rk.DOP853, 10.0, n)
-        F = _rk.dense_coefficients(fun, ts, xs, ks, _rk.DOP853)
+        _, ts, xs, _ = _logistic_steps(10.0, n)
+        err.append(np.abs(xs[:, 0] - _logistic(ts)).max())
+    assert (np.log2(np.divide(err[:-1], err[1:])) >= 7.8).all(), err
+    err = []
+    for n in counts:
+        fun, ts, xs, ks = _logistic_steps(10.0, n)
+        F = _rk.dense_coefficients(fun, ts, xs, ks)
         k = np.repeat(np.arange(n), 3)
         t = ts[k] + np.tile([0.25, 0.5, 0.75], n) * (ts[k + 1] - ts[k])
         x = _rk.interpolate(t, ts[k], ts[k + 1], xs[k], *F[:, k])
@@ -435,22 +428,20 @@ def test_controller_is_elementwise_and_guards_nan():
     h = np.array([0.01, 0.02, 0.03, 0.04])
     err = np.array([np.nan, 0.0, 2.0, 0.5])
     prev = np.array([1e-4, 1e-3, 1e-2, 1e-1])
-    for tab in (_rk.DOPRI5, _rk.DOP853):
-        accept, h_next, prev_next = _rk.control(h, err, prev, tab)
-        assert accept.tolist() == [False, True, False, True]
-        # NaN rejects and shrinks by the minimum factor, err = 0 grows by
-        # the maximum, a rejection keeps the PI memory
-        assert h_next[0] == tab.fac_min * h[0]
-        assert h_next[1] == tab.fac_max * h[1]
-        assert tab.fac_min * h[2] < h_next[2] < h[2]
-        assert prev_next.tolist() == [1e-4, 1e-10, 1e-2, 0.5]
-        for k in range(4):
-            one = _rk.control(float(h[k]), float(err[k]), float(prev[k]),
-                              tab)
-            assert one[0] == accept[k]
-            assert float(one[1]) == h_next[k]
-            assert float(one[2]) == prev_next[k]
-    assert (_rk.DOPRI5.fac_min, _rk.DOPRI5.fac_max) == (0.2, 5.0)
+    accept, h_next, prev_next = _rk.control(h, err, prev)
+    assert accept.tolist() == [False, True, False, True]
+    # NaN rejects and shrinks by the minimum factor, err = 0 grows by the
+    # maximum, a rejection keeps the PI memory
+    assert h_next[0] == _rk.FAC_MIN * h[0]
+    assert h_next[1] == _rk.FAC_MAX * h[1]
+    assert _rk.FAC_MIN * h[2] < h_next[2] < h[2]
+    assert prev_next.tolist() == [1e-4, 1e-10, 1e-2, 0.5]
+    for k in range(4):
+        one = _rk.control(float(h[k]), float(err[k]), float(prev[k]))
+        assert one[0] == accept[k]
+        assert float(one[1]) == h_next[k]
+        assert float(one[2]) == prev_next[k]
+    assert (_rk.FAC_MIN, _rk.FAC_MAX) == (0.333, 6.0)
 
 
 def test_integrate_many_rows_match_integrate(MI):
@@ -460,7 +451,7 @@ def test_integrate_many_rows_match_integrate(MI):
         one = integrate(MI, start, 20.0, rtol=1e-10, atol=1e-12)
         assert traj.t_end == 20.0
         # one field, one driver: the same bits alone or in a batch
-        for name in ("ts", "us", "fs"):
+        for name in ("ts", "us", "ks"):
             assert np.array_equal(getattr(traj, name), getattr(one, name))
         ts, xs = traj.sample(0.05)
         ts1, xs1 = one.sample(0.05)
@@ -472,7 +463,7 @@ def test_integrate_many_row_is_batch_independent(MIII):
     batch = integrate_many(MIII, STARTS, 10.0, rtol=1e-8)
     for start, traj in zip(STARTS, batch):
         alone = integrate_many(MIII, [start], 10.0, rtol=1e-8)[0]
-        for name in ("ts", "us", "fs"):
+        for name in ("ts", "us", "ks"):
             assert np.array_equal(getattr(traj, name), getattr(alone, name))
         assert (traj.naccept, traj.nreject) == (alone.naccept,
                                                 alone.nreject)
@@ -485,7 +476,7 @@ def test_integrate_many_stacked_rows_match_one_row_runs():
     for A, start, traj in zip(mats, STARTS, batch):
         alone = integrate_many(A, [start], 10.0, rtol=1e-8)[0]
         assert np.array_equal(traj.A, A)
-        for name in ("ts", "us", "fs"):
+        for name in ("ts", "us", "ks"):
             assert np.array_equal(getattr(traj, name), getattr(alone, name))
         assert (traj.naccept, traj.nreject) == (alone.naccept,
                                                 alone.nreject)
@@ -500,7 +491,7 @@ def test_integrate_many_counts_steps_per_row(MI):
         # the batch, one trial step each
         u0 = gauge(np.log(start))[None, :]
         iterations = sum(1 for _ in _rk.lockstep(
-            batch_field(MI.array), u0, 20.0, 1e-4, 1e-12, gauge, _rk.DOP853))
+            batch_field(MI.array), u0, 20.0, 1e-4, 1e-12, gauge))
         assert traj.naccept + traj.nreject == iterations
         assert traj.naccept == len(traj.ts) - 1
 
@@ -514,19 +505,14 @@ def _counted(fun, calls):
 
 def test_field_evaluations_per_trial_step(MI, monkeypatch):
     # first same as last: one evaluation at the start, then one per stage
-    # row of each trial step, accepted or rejected: six for the screen's
-    # 5(4) pair, twelve for DOP853, in lockstep alone and under integrate
-    # (whose history takes the start's derivative with one more call,
-    # outside the driver); rtol 1e-4 so that some steps are rejected
+    # row of each trial step, accepted or rejected, twelve, in lockstep
+    # alone and under integrate; rtol 1e-4 so that some steps are rejected
     calls = []
-    u0 = gauge(np.log(X0))[None, :]
-    for tab, per_trial in ((_rk.DOPRI5, 6), (_rk.DOP853, 12)):
-        calls.clear()
-        oks = [ok[0] for *_, ok, _ in _rk.lockstep(
-            _counted(batch_field(MI.array), calls), u0, 20.0, 1e-4, 1e-12,
-            gauge, tab)]
-        assert 0 < oks.count(False)
-        assert len(calls) == 1 + per_trial * len(oks)
+    oks = [ok[0] for *_, ok, _ in _rk.lockstep(
+        _counted(batch_field(MI.array), calls), gauge(np.log(X0))[None, :],
+        20.0, 1e-4, 1e-12, gauge)]
+    assert 0 < oks.count(False)
+    assert len(calls) == 1 + 12 * len(oks)
 
     lockstep = _rk.lockstep
     monkeypatch.setattr(_rk, "lockstep", lambda fun, *args: lockstep(
@@ -570,9 +556,9 @@ def test_integrate_many_validates_every_start(MI):
 
 
 def _accepted(steps, b):
-    """Row b's accepted times, states and derivatives from lockstep."""
-    return [np.array(v) for v in zip(*[(t[b], u[b], f[b])
-                                       for t, u, f, ok, _ in steps if ok[b]])]
+    """Row b's accepted times and states from lockstep."""
+    return [np.array(v) for v in zip(*[(t[b], u[b])
+                                       for t, u, ok, _ in steps if ok[b]])]
 
 
 def test_lockstep_end_array_matches_scalar_runs(MI):
@@ -586,7 +572,7 @@ def test_lockstep_end_array_matches_scalar_runs(MI):
     for x0, end, traj in zip(STARTS, ends, trajs):
         alone = integrate_many(MI, [x0], float(end), rtol=1e-4)[0]
         assert (traj.naccept, traj.nreject) == (alone.naccept, alone.nreject)
-        for name in ("ts", "us", "fs"):
+        for name in ("ts", "us", "ks"):
             assert np.array_equal(getattr(traj, name), getattr(alone, name))
 
 
@@ -597,8 +583,7 @@ def test_lockstep_raised_end_continues_the_run(MI):
         """Row 0's nodes when its end goes from old_end to new_end at the
         first iteration for which raise_at(t0, iterations idle) holds."""
         ends, steps, idle = np.array([old_end, 20.0]), [], 0
-        for step in _rk.lockstep(fun, u0, ends, 1e-6, 1e-12, gauge,
-                                 _rk.DOP853):
+        for step in _rk.lockstep(fun, u0, ends, 1e-6, 1e-12, gauge):
             steps.append(step)
             if ends[0] == old_end and raise_at(step[0][0], idle):
                 ends[0] = new_end
@@ -607,7 +592,7 @@ def test_lockstep_raised_end_continues_the_run(MI):
 
     # raised while still more than a step short of its end: one run
     alone = _accepted(list(_rk.lockstep(fun, u0[:1], 12.0, 1e-6, 1e-12,
-                                        gauge, _rk.DOP853)), 0)
+                                        gauge)), 0)
     early = run(lambda t, idle: t > 2.5)
     # raised after it stopped: it goes on from its own step and PI
     # memory, however long it stood idle (its last step was cut to land

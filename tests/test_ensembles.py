@@ -8,11 +8,13 @@ import pytest
 
 from replicator4 import (PayoffMatrix, PreconditionFailed, StepSizeUnderflow,
                          build_digraph, canonical_matrix, classify_matrix,
-                         kernel_line_section,
+                         integrate, kernel_line_section,
                          sample_acyclic_singular, sample_class_matrix,
                          sample_cyclic_nonsingular)
-from replicator4.ensembles import (CANONICAL_UPPER, barycenter_starts,
-                                   interior_starts, permanence_probe)
+from replicator4.ensembles import (CANONICAL_UPPER, SCREEN_ATOL, SCREEN_RTOL,
+                                   SCREEN_T_END, SCREEN_WINDOW,
+                                   barycenter_starts, interior_starts,
+                                   permanence_probe)
 
 EXPECTED_UPPER = {
     "I": (1, 1, -2, 1, -1, 1),
@@ -122,6 +124,19 @@ def test_probe_rows_are_independent(contrast, rng):
     batch = permanence_probe(M, starts)
     singles = [permanence_probe(M, [s])[0] for s in starts]
     assert np.allclose(batch, singles, rtol=1e-9, atol=0.0)
+
+
+def test_probe_is_the_integrate_run(MI, rng):
+    # the screen reduces the run integrate makes at its tolerances: its
+    # pair is read off that trajectory's accepted nodes, bit for bit
+    bumped = PayoffMatrix.from_upper([0, 1, -1, -1, 2, 0])
+    x0 = interior_starts(kernel_line_section(MI), rng, 1)[0]
+    for M in (MI, bumped):
+        traj = integrate(M, x0, SCREEN_T_END, rtol=SCREEN_RTOL,
+                         atol=SCREEN_ATOL)
+        window = np.exp(traj.us[traj.ts >= SCREEN_WINDOW]).min()
+        assert permanence_probe(M, [x0]) == [
+            (float(window), float(np.exp(traj.us[-1]).min()))]
 
 
 def test_stacked_probe_matches_per_matrix_calls(MI, rng):

@@ -19,9 +19,12 @@ default_rng(0))`` (``S-I`` ... ``S-V``), runs ``classify`` and ``boundary``,
 so that the ensemble draws show too.
 Printed: per JSON key (list indices folded to ``[]``), CSV column or SVG
 file, how many floats moved and the largest absolute and relative move;
-every other change (a status, a string, an integer, an exit code, a
-missing value); and how many files are byte-identical.  Exits 1 when
-anything other than a float moved: a value, a key set or a file.
+per work counter (:data:`COUNTERS`, the integrator's step counts, which
+move with the integrator as floats do), how many moved and the largest
+move; every other change (a status, a string, another integer, an exit
+code, a missing value); and how many files are byte-identical.  Exits 1
+when anything other than a float or a work counter moved: a value, a key
+set or a file.
 """
 
 import json
@@ -51,6 +54,8 @@ MATRICES = ([(c, RUNS) for c in CLASSES] + [("Iq", RUNS[:2])]
             + [("I4", (RUNS[0], RUNS[2]))]
             + [(c + s, SCALED_RUNS) for s in SCALES for c in CLASSES]
             + [("S-" + c, SAMPLED_RUNS) for c in CLASSES])
+#: integer keys that count integration work rather than state a result
+COUNTERS = ("simulate.drift.naccept", "simulate.drift.nreject")
 NUM = re.compile(r"-?\d+\.\d*(?:e[-+]?\d+)?|-?\d+e[-+]?\d+")
 TEXT = ("from fractions import Fraction\n"
         "import numpy as np\n"
@@ -113,7 +118,7 @@ def main(old: str, new: str) -> int:
         a, b = Path(tmp, "old"), Path(tmp, "new")
         run_tree(old, a)
         run_tree(new, b)
-        moves, other, same = {}, [], 0
+        moves, counts, other, same = {}, {}, [], 0
         files = sorted(a.iterdir())
         names = {p.name for p in files}
         other += [f"{p.name}: only in the new tree"
@@ -139,12 +144,19 @@ def main(old: str, new: str) -> int:
                     n, dmax, rmax = moves.get(k, (0, 0.0, 0.0))
                     moves[k] = (n + 1, max(dmax, d),
                                 max(rmax, d / max(abs(va), abs(vb))))
+                elif k in COUNTERS and type(va) is type(vb) is int:
+                    n, dmax = counts.get(k, (0, 0))
+                    counts[k] = (n + 1, max(dmax, abs(va - vb)))
                 else:
                     other.append(f"{pa.name} {k}: {va!r} -> {vb!r}")
     print(f"{'key':60} {'moved':>6} {'max abs':>10} {'max rel':>10}")
     for k, (n, d, r) in sorted(moves.items()):
         print(f"{k:60} {n:6d} {d:10.3g} {r:10.3g}")
-    print("\n".join(other) or "no status or non-float changes")
+    if counts:
+        print(f"\n{'work counter':60} {'moved':>6} {'max abs':>10}")
+        for k, (n, d) in sorted(counts.items()):
+            print(f"{k:60} {n:6d} {d:10d}")
+    print("\n".join(other) or "no changes but floats and work counters")
     print(f"{same} of {len(files)} files byte-identical")
     return 1 if other else 0
 
