@@ -42,7 +42,7 @@ from .errors import (MatrixFormatError, PreconditionFailed,
                      Replicator4Error, UnclassifiableSignPattern)
 from .kernelgeom import (distance_to_K, kernel_line_section,
                          section_by_clipping, section_residual)
-# stability_probe is unused here; perfbench's tracer patches it by name
+# select_reference_points, stability_probe: unused; perfbench patches them
 from .orbit import (ALGEBRA_TOL, CLOSURE_TOL, HORIZON, K_DISTANCE_TOL,
                     PHI_DRIFT_TOL, TUBE_FACTOR, V_DRIFT_TOL, certify_orbit,
                     detect_period, select_reference_points, stability_probe)
@@ -190,29 +190,18 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _refs_json(refs) -> dict:
-    return {
-        "z1": [float(v) for v in refs.z1],
-        "z2": [float(v) for v in refs.z2],
-        "c1": refs.c1,
-        "c2": refs.c2,
-        "margin": refs.margin,
-    }
-
-
 def _cmd_orbit(args) -> int:
     M = _read_matrix(args)
     seed = _seed_of(args)
     section = kernel_line_section(M)
     x0 = _parse_x0(args.x0) if args.x0 else _seeded_starts(section, seed, 1)[0]
-    refs = select_reference_points(M, section, x0)
-    run = dict(section=section, refs=refs, rtol=args.rtol, atol=args.atol,
+    run = dict(section=section, rtol=args.rtol, atol=args.atol,
                closure_tol=args.closure_tol, horizon=args.horizon)
     report = detect_period(M, x0, **run) if args.skip_stability else \
         certify_orbit(M, x0, **run, delta=args.delta, n_probes=args.probes,
                       seed=seed)
     out = report.to_json()
-    out["reference_points"] = _refs_json(refs)
+    out["reference_points"] = report.refs.to_json()
     _write(_dump(out), args.out)
     return 0
 
@@ -280,21 +269,14 @@ def _cmd_verify(args) -> int:
 
     if section is not None:
         x0 = _seeded_starts(section, seed, 1)[0]
-        refs = select_reference_points(M, section, x0)
-        report = certify_orbit(M, x0, section, refs, rtol=args.rtol,
-                               seed=seed)
+        report = certify_orbit(M, x0, section, rtol=args.rtol, seed=seed)
         orbit_ok = (report.closure_residual <= CLOSURE_TOL
                     and report.avg_distance_to_K <= K_DISTANCE_TOL
                     and max(report.phi_drift.values()) <= PHI_DRIFT_TOL)
-        checks["orbit"] = {
-            "status": "pass" if orbit_ok else "fail",
-            "x0": [float(v) for v in report.x0],
-            "period": report.period,
-            "closure_residual": report.closure_residual,
-            "avg_distance_to_K": report.avg_distance_to_K,
-            "phi_drift": {k: float(v) for k, v in
-                          report.phi_drift.items()},
-        }
+        orbit = report.to_json()
+        checks["orbit"] = {"status": "pass" if orbit_ok else "fail", **{
+            k: orbit[k] for k in ("x0", "period", "closure_residual",
+                                  "avg_distance_to_K", "phi_drift")}}
         probe = report.stability
         stab_ok = (probe.max_tube_distance <= TUBE_FACTOR * probe.delta
                    and probe.v_drift_max <= V_DRIFT_TOL)

@@ -24,8 +24,8 @@ Relative entropy with respect to any interior equilibrium z,
     phi_z(x) = - sum_i z_i log(x_i / z_i),
 
 is a first integral of the flow.  Its numerical drift is the integration
-quality signal everything downstream trusts, so :func:`integrate` can
-check a set of monitor points over its run and raise past a drift
+quality signal everything downstream trusts, so :func:`entropy_drift`
+checks a set of monitor points over a run and raises past a drift
 budget.  :func:`integrate_many` runs a batch of starts and returns one
 trajectory per start.
 
@@ -188,7 +188,6 @@ class Trajectory:
     nreject: int
     rtol: float
     atol: float
-    monitors: tuple = ()
     drift: dict = field(default_factory=dict)
 
     @property
@@ -285,12 +284,10 @@ def integrate(M, x0, t_end: float, rtol: float = 1e-10,
     x0 : array-like
         Strictly interior simplex point of matching dimension.
     monitors : sequence of (label, z)
-        Interior or boundary equilibria whose relative entropy is
-        checked at every accepted node once the run reaches t_end.  If
-        any drifts beyond ``drift_budget`` (default
-        :func:`default_drift_budget`), DriftBudgetExceeded is raised for
-        the first node over it; the monitor values end up in
-        ``Trajectory.drift``.
+        Interior or boundary equilibria whose relative entropy
+        :func:`entropy_drift` checks at every accepted node against
+        ``drift_budget`` (default :func:`default_drift_budget`) once the
+        run reaches t_end; the largest drifts go to ``Trajectory.drift``.
 
     Raises
     ------
@@ -304,17 +301,39 @@ def integrate(M, x0, t_end: float, rtol: float = 1e-10,
     DriftBudgetExceeded
         See above; signals the tolerance was too loose for this run.
     """
-    return _integrate(_as_array(M), x0, t_end, rtol, atol, monitors,
-                      drift_budget, ())[0]
+    traj = _integrate(_as_array(M), x0, t_end, rtol, atol, ())[0]
+    traj.drift = entropy_drift(traj, x0, monitors, drift_budget)
+    return traj
 
 
-def _integrate(A, x0, t_end, rtol, atol, monitors, drift_budget, riders):
-    """:func:`integrate`'s trajectory from x0, and ``end(t)``, which runs
-    the ``riders``, started in x0's lockstep batch with an open end, on to
-    t and returns their trajectories; their errors keep the batch row."""
+def entropy_drift(traj: Trajectory, x0, monitors: Sequence,
+                  budget: float | None = None) -> dict:
+    """The largest drift |phi_z(x) - phi_z(x0)| over the accepted nodes of
+    ``traj``, the run from x0, for each ``(label, z)`` of ``monitors``;
+    DriftBudgetExceeded for the first node where one passes ``budget``
+    (default: :func:`default_drift_budget` of the run)."""
+    if budget is None:
+        budget = default_drift_budget(traj.rtol, traj.t_end, traj.A)
     mon = [(str(label), check_simplex_point(z)) for (label, z) in monitors]
-    budget = default_drift_budget(rtol, t_end, A) if drift_budget is None \
-        else drift_budget
+    p, xs = check_simplex_point(x0), traj.xs[1:]
+    d = np.abs([phi(xs, z) - phi(p, z) for _, z in mon]).reshape(
+        len(mon), len(xs))
+    over = (d > budget).any(axis=0)
+    if over.any():
+        k = int(np.argmax(over))
+        i = int(np.argmax(d[:, k] > budget))
+        label, t_new = mon[i][0], float(traj.ts[k + 1])
+        raise DriftBudgetExceeded(
+            f"monitor {label!r} drifted {d[i, k]:.3e} past budget "
+            f"{budget:.3e} at t = {t_new:.6g}", label=label,
+            drift=float(d[i, k]), budget=budget, t=t_new)
+    return {l: float(v) for (l, _), v in zip(mon, d.max(axis=1, initial=0.0))}
+
+
+def _integrate(A, x0, t_end, rtol, atol, riders):
+    """:func:`integrate`'s trajectory from x0, unchecked, and ``end(t)``,
+    which runs the ``riders``, started in x0's lockstep batch with an open
+    end, on to t and returns their trajectories (errors keep the row)."""
     ends = np.full(1 + len(riders), np.inf)
     ends[0] = t_end
     run = _history(A, _check_run(A, [x0, *riders], t_end, rtol, atol), ends,
@@ -330,21 +349,6 @@ def _integrate(A, x0, t_end, rtol, atol, monitors, drift_budget, riders):
             f"step size {err.h:.3e} fell below {_rk.MIN_STEP:.1e} at "
             f"t = {err.t:.6g}", t=err.t, h=err.h, state=err.state) from None
     traj = _trajectories(A, hist, rtol, atol)[0]
-    p, xs = check_simplex_point(x0), traj.xs[1:]
-    d = np.abs([phi(xs, z) - phi(p, z) for _, z in mon]).reshape(
-        len(mon), len(xs))
-    over = (d > budget).any(axis=0)
-    if over.any():
-        k = int(np.argmax(over))
-        i = int(np.argmax(d[:, k] > budget))
-        label, t_new = mon[i][0], float(traj.ts[k + 1])
-        raise DriftBudgetExceeded(
-            f"monitor {label!r} drifted {d[i, k]:.3e} past budget "
-            f"{budget:.3e} at t = {t_new:.6g}", label=label,
-            drift=float(d[i, k]), budget=budget, t=t_new)
-    traj.monitors = tuple(mon)
-    traj.drift = {l: float(v)
-                  for (l, _), v in zip(mon, d.max(axis=1, initial=0.0))}
 
     def end(t: float) -> list[Trajectory]:
         ends[1:] = t

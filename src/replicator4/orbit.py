@@ -4,18 +4,18 @@ Interior trajectories of a permanent conservative game lie on joint
 level sets of two independent relative entropies and are closed curves.
 Certification is numerical and split in three:
 
-1. pick two reference equilibria z', z'' on the segment K whose
-   entropies cut the trajectory transversally (the level-set Jacobian
-   keeps a safe smallest singular value along the orbit),
-2. integrate once at the working tolerance and find the first return to
+1. integrate once at the working tolerance and find the first return to
    a Poincare section through the start point: each upward crossing of
    the section is located by bisection on dense output, and the first
    one whose state lies within ``closure_tol`` of the start is the
    period,
-3. probe Lyapunov stability: perturbed starts, riding along step 2's
+2. pick two reference equilibria z', z'' on K whose entropies cut the
+   certified orbit transversally (the level-set Jacobian keeps a safe
+   smallest singular value over its samples), and bound their drift,
+3. probe Lyapunov stability: perturbed starts, riding along step 1's
    run (:func:`certify_orbit`), must stay in a thin tube around the
    certified orbit for three periods while the quadratic level-set
-   function V barely moves.
+   function V of step 2's pair barely moves.
 
 The section's normal is the initial velocity, so the section is
 transversal at the start by construction.  The orbit leaves the start
@@ -33,8 +33,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _rk
 from .dynamics import (Trajectory, _as_array, _integrate, check_finite,
-                       integrate, integrate_many, phi, phi_gradient,
-                       sample_grid, softmax, vector_field)
+                       entropy_drift, integrate, integrate_many, phi,
+                       phi_gradient, sample_grid, softmax, vector_field)
 from .errors import (EquilibriumStart, NoClosureFound, PreconditionFailed,
                      ProbeEscaped, SelectionExhausted, StepSizeUnderflow)
 from .kernelgeom import NullLineSection, distance_to_K
@@ -48,12 +48,10 @@ TANGENT_BASIS = np.array([
     [0.0, 0.0, -3 / np.sqrt(12)],
 ])
 
-#: partners z(c) that select_reference_points tries, in order; its margin
-#: arc (time units, rtol, atol, points of its even grid), skip radius and
-#: least margin accepted
+#: partners z(c) that select_reference_points tries, in order; its skip
+#: radius and least margin accepted
 CANDIDATES = (0.25, 0.75, 0.4, 0.6, 0.3, 0.7, 0.2, 0.8,
               0.45, 0.55, 0.35, 0.65, 0.15, 0.85, 0.1, 0.9)
-ARC_TIME, ARC_RTOL, ARC_ATOL, ARC_POINTS = 2.0, 1e-8, 1e-11, 33
 SKIP_TOL, MARGIN_TOL = 1e-6, 1e-8
 #: intervals of the certified period's grid; stability samples per period
 N_SAMPLES, SAMPLES_PER_PERIOD = 2048, 512
@@ -68,11 +66,11 @@ PHI_DRIFT_TOL, V_DRIFT_TOL, ALGEBRA_TOL = 1e-8, 1e-8, 1e-10
 class ReferencePair:
     """Two reference equilibria z(c1), z(c2) on K with their margin.
 
-    ``margin`` is the smallest singular value, over an even grid on a
-    short arc of the actual trajectory, of the 2x3 Jacobian of
-    (phi_z', phi_z'') restricted to the simplex tangent plane.  A healthy
-    margin means the two entropies are independent constraints near the
-    orbit.
+    ``margin`` is the smallest singular value, over the certified
+    orbit's sample cloud (``OrbitReport.orbit_samples``), of the 2x3
+    Jacobian of (phi_z', phi_z'') restricted to the simplex tangent
+    plane.  A healthy margin means the two entropies are independent
+    constraints all along the orbit.
     """
 
     z1: np.ndarray
@@ -80,6 +78,10 @@ class ReferencePair:
     c1: float
     c2: float
     margin: float
+
+    def to_json(self) -> dict:
+        return dict(vars(self), z1=[float(v) for v in self.z1],
+                    z2=[float(v) for v in self.z2])
 
 
 @dataclass
@@ -92,14 +94,8 @@ class StabilityProbe:
     escaped: tuple
 
     def to_json(self) -> dict:
-        return {
-            "delta": self.delta,
-            "n_probes": self.n_probes,
-            "max_tube_distance": self.max_tube_distance,
-            "v_drift_max": self.v_drift_max,
-            "escaped": list(self.escaped),
-            "probes": [dict(p) for p in self.probes],
-        }
+        return dict(vars(self), escaped=list(self.escaped),
+                    probes=[dict(p) for p in self.probes])
 
 
 @dataclass
@@ -131,26 +127,9 @@ class OrbitReport:
         }
 
 
-def select_reference_points(M, section: NullLineSection, x0) -> ReferencePair:
-    """Choose z' = z(1/2) and a transversal partner z'' on K.
-
-    The forbidden parameter values are where a candidate's entropy
-    cannot separate x0 from the two points where the phi_z' level set
-    of x0 meets K; the map c -> phi_z(c)(x0) - phi_z(c)(alpha) is affine
-    in c, so each intersection alpha rules out at most one root.
-    :data:`CANDIDATES` within :data:`SKIP_TOL` of a root (or of 1/2
-    itself) are skipped, the rest are tried in order, and the first whose
-    margin, the least over :data:`ARC_POINTS` evenly spaced points of an
-    arc of :data:`ARC_TIME` time units, clears :data:`MARGIN_TOL` is
-    accepted.
-
-    Raises
-    ------
-    PreconditionFailed
-        If x0 is not interior or sits on K (no orbit to certify).
-    SelectionExhausted
-        If every candidate is skipped or fails the margin.
-    """
+def _candidates(section: NullLineSection, x0) -> tuple:
+    """z', the partners (c, z(c)) :func:`select_reference_points` tries for
+    x0, in order, and the forbidden roots: x0's alone, so before any run."""
     p = np.asarray(x0, dtype=float)
     if not np.all(p > 0):
         raise PreconditionFailed("x0 must be interior")
@@ -199,8 +178,7 @@ def select_reference_points(M, section: NullLineSection, x0) -> ReferencePair:
     lx = np.log(p)
     bad = []
     for ca in c_alpha:
-        alpha = z_of(ca)
-        la = np.log(alpha)
+        la = np.log(z_of(ca))
         pc0 = float(-(zm * (lx - la)).sum())
         pc1 = float(-(zp * (lx - la)).sum())
         q = pc1 - pc0
@@ -208,18 +186,17 @@ def select_reference_points(M, section: NullLineSection, x0) -> ReferencePair:
             root = -pc0 / q
             if 0.0 < root < 1.0:
                 bad.append(root)
+    return z1, [(c, z_of(c)) for c in CANDIDATES if abs(c - 0.5) >= SKIP_TOL
+                and all(abs(c - b) >= SKIP_TOL for b in bad)], bad
 
-    arc = integrate(M, p, ARC_TIME, rtol=ARC_RTOL, atol=ARC_ATOL).x_at(
-        np.linspace(0.0, ARC_TIME, ARC_POINTS))
-    grad1 = phi_gradient(arc, z1) @ TANGENT_BASIS
 
-    for c in CANDIDATES:
-        if abs(c - 0.5) < SKIP_TOL:
-            continue
-        if any(abs(c - b) < SKIP_TOL for b in bad):
-            continue
-        z2 = z_of(c)
-        grad2 = phi_gradient(arc, z2) @ TANGENT_BASIS
+def _pick(candidates: tuple, samples: np.ndarray) -> ReferencePair:
+    """The first of :func:`_candidates`' partners whose margin over the
+    points ``samples`` clears :data:`MARGIN_TOL`."""
+    z1, partners, bad = candidates
+    grad1 = phi_gradient(samples, z1) @ TANGENT_BASIS
+    for c, z2 in partners:
+        grad2 = phi_gradient(samples, z2) @ TANGENT_BASIS
         margin = float(np.linalg.svd(np.stack((grad1, grad2), axis=1),
                                      compute_uv=False)[:, -1].min())
         if margin > MARGIN_TOL:
@@ -228,6 +205,30 @@ def select_reference_points(M, section: NullLineSection, x0) -> ReferencePair:
     raise SelectionExhausted(
         f"no candidate among {len(CANDIDATES)} cleared margin "
         f"{MARGIN_TOL:.1e} (forbidden roots at {bad})")
+
+
+def select_reference_points(section: NullLineSection, x0,
+                            samples) -> ReferencePair:
+    """Choose z' = z(1/2) and a transversal partner z'' on K for the orbit
+    through x0, sampled at the points ``samples``.
+
+    The forbidden parameter values are where a candidate's entropy
+    cannot separate x0 from the two points where the phi_z' level set
+    of x0 meets K; the map c -> phi_z(c)(x0) - phi_z(c)(alpha) is affine
+    in c, so each intersection alpha rules out at most one root.
+    :data:`CANDIDATES` within :data:`SKIP_TOL` of a root (or of 1/2
+    itself) are skipped, the rest are tried in order, and the first whose
+    margin, the least over ``samples``, clears :data:`MARGIN_TOL` is
+    accepted.
+
+    Raises
+    ------
+    PreconditionFailed
+        If x0 is not interior or sits on K (no orbit to certify).
+    SelectionExhausted
+        If every candidate is skipped or fails the margin.
+    """
+    return _pick(_candidates(section, x0), samples)
 
 
 #: time units of :func:`detect_period`'s first integration, and the
@@ -291,8 +292,8 @@ def first_closure(trajs: Sequence[Trajectory], ps, f0s,
             for t, r in zip(np.split(t, splits), np.split(r, splits))]
 
 
-def close_orbits(Ms, ps, f0s, trajs, closure_tol: float, horizon: float,
-                 monitors: Sequence = ()) -> list:
+def close_orbits(Ms, ps, f0s, trajs, closure_tol: float,
+                 horizon: float) -> list:
     """``(run, t, residual, closed)`` for each start ``ps[j]`` of ``Ms[j]``,
     with normal ``f0s[j]`` and first run ``trajs[j]``: the period, or if
     none closes inside ``horizon`` the best return (None if none).  Open
@@ -311,21 +312,21 @@ def close_orbits(Ms, ps, f0s, trajs, closure_tol: float, horizon: float,
         for j in todo:
             trajs[j] = integrate(
                 Ms[j], ps[j], min(2 * trajs[j].t_end, horizon),
-                rtol=trajs[j].rtol, atol=trajs[j].atol, monitors=monitors)
+                rtol=trajs[j].rtol, atol=trajs[j].atol)
     return out
 
 
-def _period(M, p, section, refs, rtol, atol, closure_tol, horizon, starts):
-    """:func:`detect_period`'s report, and the runs of the probe ``starts``
-    from p's batch, ended at 3T once T is known (or where they stand)."""
+def _period(M, p, section, cands, rtol, atol, closure_tol, horizon, starts):
+    """:func:`detect_period`'s report, its pair from p's :func:`_candidates`
+    ``cands``, and the runs of the probe ``starts`` from p's batch, ended
+    at 3T once T is known (or where they stand)."""
     check_finite("horizon", horizon)
     check_finite("closure_tol", closure_tol)
     f0 = section_normal(M, p)
-    monitors = [("z1", refs.z1), ("z2", refs.z2)] if refs is not None else []
     traj, end = _integrate(_as_array(M), p, min(FIRST_SPAN, horizon), rtol,
-                           atol, monitors, None, starts)
+                           atol, starts)
     (traj, period, residual, closed), = close_orbits(
-        [M], [p], [f0], [traj], closure_tol, horizon, monitors)
+        [M], [p], [f0], [traj], closure_tol, horizon)
     if period is None:
         raise NoClosureFound(f"no section return inside horizon {horizon}")
     if not closed:
@@ -334,49 +335,56 @@ def _period(M, p, section, refs, rtol, atol, closure_tol, horizon, starts):
             f"at t = {period:.6g}, misses x0 by {residual:.3e} "
             f"(tolerance {closure_tol:.1e})",
             candidate_period=period, candidate_residual=residual)
-    probes = end(3.0 * period)
 
     grid = np.linspace(0.0, period, N_SAMPLES + 1)
     samples = traj.x_at(grid)
     w = np.ones(len(grid))
     w[0] = w[-1] = 0.5
     x_avg = (w[:, None] * samples).sum(axis=0) / w.sum()
-    dist = distance_to_K(x_avg, section) if section is not None else None
+    refs, dist, drift = None, None, {}
+    if section is not None:
+        dist = distance_to_K(x_avg, section)
+        refs = _pick(cands, samples)
+        drift = entropy_drift(traj, p, (("z1", refs.z1), ("z2", refs.z2)))
 
     return OrbitReport(
         x0=p, period=period, closure_residual=residual,
-        time_average=x_avg, avg_distance_to_K=dist,
-        phi_drift=dict(traj.drift), refs=refs, rtol=rtol,
-        orbit_samples=samples), probes
+        time_average=x_avg, avg_distance_to_K=dist, phi_drift=drift,
+        refs=refs, rtol=rtol, orbit_samples=samples), end(3.0 * period)
 
 
 def detect_period(M, x0, section: NullLineSection | None = None,
-                  refs: ReferencePair | None = None, rtol: float = 1e-10,
-                  atol: float = 1e-12, closure_tol: float = CLOSURE_TOL,
+                  rtol: float = 1e-10, atol: float = 1e-12,
+                  closure_tol: float = CLOSURE_TOL,
                   horizon: float = HORIZON) -> OrbitReport:
     """Certify the trajectory through x0 as a closed orbit.
 
-    One integration at the requested tolerance, with the reference
-    entropies monitored, runs for :data:`FIRST_SPAN` time units (or
-    ``horizon`` if shorter).  The period follows :func:`first_closure`;
-    while no return closes, the run is repeated over twice the span, up to
-    ``horizon`` (:func:`close_orbits`).  The report carries the period,
-    the closure residual |x(T) - x0|, the trapezoid time average over
-    :data:`N_SAMPLES` intervals with its distance to K, and the entropy
-    drifts monitored over the whole run.
+    One integration at the requested tolerance runs for
+    :data:`FIRST_SPAN` time units (or ``horizon`` if shorter).  The period
+    follows :func:`first_closure`; while no return closes, the run is
+    repeated over twice the span, up to ``horizon`` (:func:`close_orbits`).
+    The report carries the period, the closure residual |x(T) - x0|, and
+    the trapezoid time average over the :data:`N_SAMPLES` intervals of the
+    orbit's sample cloud; with a ``section``, also the average's distance
+    to K, the reference pair :func:`select_reference_points` takes from
+    the cloud, and both entropies' drift over the run.
 
     Raises
     ------
     PreconditionFailed
-        If ``horizon`` or ``closure_tol`` is not finite and positive.
+        If ``horizon`` or ``closure_tol`` is not finite and positive, or,
+        before any run, if x0 is not interior or sits on K.
     EquilibriumStart
         If the field at x0 is numerically zero (:func:`section_normal`).
     NoClosureFound
         If no return closes within ``closure_tol`` inside the horizon;
         the best candidate period and residual ride on the exception.
+    SelectionExhausted
+        If no partner on K clears the margin over the sample cloud.
     """
     p = np.asarray(x0, dtype=float)
-    return _period(M, p, section, refs, rtol, atol, closure_tol, horizon,
+    cands = None if section is None else _candidates(section, p)
+    return _period(M, p, section, cands, rtol, atol, closure_tol, horizon,
                    ())[0]
 
 
@@ -438,6 +446,7 @@ def _max_distance_to_samples(points: np.ndarray, ref: np.ndarray,
 
 def _probe_starts(x0, delta, n_probes, seed) -> np.ndarray:
     """:func:`stability_probe`'s starts, or its PreconditionFailed."""
+    check_finite("delta", delta, strict=False)
     if n_probes < 1:
         raise PreconditionFailed(f"n_probes = {n_probes}; a stability "
                                  "probe needs at least one start")
@@ -453,9 +462,9 @@ def _probe_starts(x0, delta, n_probes, seed) -> np.ndarray:
     return starts
 
 
-def _graded(report, refs, delta, trajs) -> StabilityProbe:
+def _graded(report, delta, trajs) -> StabilityProbe:
     """:func:`stability_probe`'s record of the probe runs ``trajs``."""
-    x0 = report.x0
+    x0, refs = report.x0, report.refs
     T = report.period
     c1 = phi(x0, refs.z1)
     c2 = phi(x0, refs.z2)
@@ -489,10 +498,12 @@ def _graded(report, refs, delta, trajs) -> StabilityProbe:
     return probe
 
 
-def stability_probe(M, report: OrbitReport, refs: ReferencePair,
-                    delta: float = 1e-3, n_probes: int = 16, seed: int = 0,
-                    rtol: float = 1e-10, atol: float = 1e-12
-                    ) -> StabilityProbe:
+_NO_REFS = "a stability probe needs reference points: certify with a section"
+
+
+def stability_probe(M, report: OrbitReport, delta: float = 1e-3,
+                    n_probes: int = 16, seed: int = 0, rtol: float = 1e-10,
+                    atol: float = 1e-12) -> StabilityProbe:
     """Integrate perturbed starts for three periods and measure escape.
 
     Perturbations are ``delta`` times random unit vectors in the simplex
@@ -503,7 +514,8 @@ def stability_probe(M, report: OrbitReport, refs: ReferencePair,
     report records the worst distance to the certified orbit's sample
     cloud and the drift of
     V(x) = (phi_z'(x) - c')^2 + (phi_z''(x) - c'')^2, whose level c',
-    c'' values are pinned at the unperturbed start.  The worst distance
+    c'' values are pinned at the unperturbed start and z', z'' are the
+    report's reference pair (``report.refs``).  The worst distance
     is exact; the search skips the probe points that a phase guess, the
     sample time modulo the period, shows cannot hold it
     (:func:`_max_distance_to_samples`).
@@ -511,38 +523,44 @@ def stability_probe(M, report: OrbitReport, refs: ReferencePair,
     Raises
     ------
     PreconditionFailed
-        If ``n_probes < 1``, or if some perturbed start leaves the open
-        simplex (delta too large for this orbit's clearance).
+        If the report has no reference pair (certified without a
+        section), ``delta`` is not finite and nonnegative, ``n_probes <
+        1``, or some perturbed start leaves the open simplex (delta too
+        large for this orbit's clearance).
     ProbeEscaped
         If a probe's tube distance exceeds :data:`TUBE_FACTOR` times
         ``delta``, plus one sample gap.
         The full probe record is attached to the exception.
     """
+    if report.refs is None:
+        raise PreconditionFailed(_NO_REFS)
     starts = _probe_starts(report.x0, delta, n_probes, seed)
-    return _graded(report, refs, delta, integrate_many(
+    return _graded(report, delta, integrate_many(
         M, starts, 3.0 * report.period, rtol=rtol, atol=atol))
 
 
-def certify_orbit(M, x0, section: NullLineSection | None,
-                  refs: ReferencePair, rtol: float = 1e-10,
+def certify_orbit(M, x0, section: NullLineSection, rtol: float = 1e-10,
                   atol: float = 1e-12, closure_tol: float = CLOSURE_TOL,
                   horizon: float = HORIZON, delta: float = 1e-3,
                   n_probes: int = 16, seed: int = 0) -> OrbitReport:
     """:func:`detect_period`'s report with :func:`stability_probe`'s record
     as ``stability``, the probes riding along the period's run; the record
-    is the same unless 3T ends near or inside the first span.  After a
-    PreconditionFailed or a step underflow the two run apart, so that
-    their errors are raised as, and in the order, they were."""
+    is the same unless 3T ends near or inside the first span.  x0 and the
+    probes' arguments are checked before any run; after a step underflow
+    the two run apart, so that the error is the one they raise."""
     p = np.asarray(x0, dtype=float)
+    if section is None:
+        raise PreconditionFailed(_NO_REFS)
+    cands = _candidates(section, p)
+    starts = _probe_starts(p, delta, n_probes, seed)
     try:
-        report, trajs = _period(M, p, section, refs, rtol, atol, closure_tol,
-                                horizon, _probe_starts(p, delta, n_probes,
-                                                       seed))
-    except (PreconditionFailed, StepSizeUnderflow):
-        report = detect_period(M, p, section, refs, rtol, atol, closure_tol,
+        report, trajs = _period(M, p, section, cands, rtol, atol,
+                                closure_tol, horizon, starts)
+    except StepSizeUnderflow:
+        report = detect_period(M, p, section, rtol, atol, closure_tol,
                                horizon)
-        report.stability = stability_probe(M, report, refs, delta, n_probes,
-                                           seed, rtol, atol)
+        report.stability = stability_probe(M, report, delta, n_probes, seed,
+                                           rtol, atol)
         return report
-    report.stability = _graded(report, refs, delta, trajs)
+    report.stability = _graded(report, delta, trajs)
     return report

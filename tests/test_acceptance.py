@@ -19,8 +19,8 @@ from replicator4 import (PayoffMatrix, UnclassifiableSignPattern, ZeroMatrix,
                          interior_starts, is_permanent, kernel_line_section,
                          permanence_probe, sample_acyclic_singular,
                          sample_class_matrix, sample_cyclic_nonsingular,
-                         section_by_clipping, select_reference_points,
-                         stability_probe, verify_boundary)
+                         section_by_clipping, stability_probe,
+                         verify_boundary)
 from replicator4 import boundary
 from replicator4.ensembles import barycenter_starts
 
@@ -28,7 +28,7 @@ SEED = 20260814
 CLASS_NAMES = ("I", "II", "III", "IV", "V")
 UPPER_INDEX = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
-Run = namedtuple("Run", "name M section refs x0 traj coarse fine")
+Run = namedtuple("Run", "name M section x0 traj coarse fine")
 
 
 @pytest.fixture(scope="module")
@@ -61,15 +61,13 @@ def certified_runs():
         section = kernel_line_section(M)
         rng = np.random.default_rng(SEED)
         for x0 in interior_starts(section, rng, 3):
-            refs = select_reference_points(M, section, x0)
+            fine = detect_period(M, x0, section=section, rtol=1e-10)
+            refs = fine.refs
             traj = integrate(M, x0, 100.0, rtol=1e-10,
                              monitors=[("z1", refs.z1), ("z2", refs.z2)])
-            coarse = detect_period(M, x0, section=section, refs=refs,
-                                   rtol=1e-8, atol=1e-10)
-            fine = detect_period(M, x0, section=section, refs=refs,
-                                 rtol=1e-10)
-            runs.append(Run(name, M, section, refs, x0, traj, coarse,
-                            fine))
+            coarse = detect_period(M, x0, section=section, rtol=1e-8,
+                                   atol=1e-10)
+            runs.append(Run(name, M, section, x0, traj, coarse, fine))
     return runs
 
 
@@ -168,7 +166,7 @@ def test_orbit_time_averages_lie_on_equilibrium_segment(certified_runs):
 def test_certified_orbits_survive_stability_probe(certified_runs):
     """16 probes at delta = 1e-3: tube <= 50 delta, V drift <= 1e-8."""
     for k, run in enumerate(certified_runs):
-        probe = stability_probe(run.M, run.fine, run.refs, delta=1e-3,
+        probe = stability_probe(run.M, run.fine, delta=1e-3,
                                 n_probes=16, seed=SEED + k)
         assert probe.max_tube_distance <= 50 * probe.delta, run.name
         assert probe.v_drift_max <= 1e-8, run.name

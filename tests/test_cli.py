@@ -363,8 +363,8 @@ def test_nonfinite_or_overflowing_matrix_exits_one(cmd, options, text,
 
 def test_orbit_probes_ride_along_the_period_run(tmp_path, monkeypatch,
                                                 capsys):
-    # one lockstep batch for the reference arc, one for the start and
-    # its probes; --skip-stability leaves the start's row alone
+    # one lockstep batch for the start and its probes, the reference
+    # points taken from its samples; --skip-stability leaves its row alone
     batches = []
     lockstep = replicator4._rk.lockstep
 
@@ -375,13 +375,29 @@ def test_orbit_probes_ride_along_the_period_run(tmp_path, monkeypatch,
     monkeypatch.setattr(replicator4._rk, "lockstep", counted)
     path = matrix_file(tmp_path, format_matrix(canonical_matrix("III")))
     out = str(tmp_path / "orbit.json")
-    for options, want in (([], [1, 17]), (["--probes", "3"], [1, 4]),
-                          (["--skip-stability"], [1, 1])):
+    for options, want in (([], [17]), (["--probes", "3"], [4]),
+                          (["--skip-stability"], [1])):
         batches.clear()
         code, _, err = run(["orbit", "--matrix", path, "--seed", "3",
                             "--out", out] + options, capsys)
         assert (code, err) == (0, "")
         assert batches == want, options
+
+
+def test_orbit_start_on_K_fails_before_any_run(tmp_path, monkeypatch,
+                                               capsys):
+    # the barycenter lies on canonical IV's K: no orbit, and no run
+    batches = []
+    monkeypatch.setattr(replicator4._rk, "lockstep",
+                        lambda fun, u0, *args: batches.append(len(u0)))
+    code, out, err = run(["orbit", "--matrix",
+                          matrix_file(tmp_path, M_IV_TEXT),
+                          "--x0", "0.25,0.25,0.25,0.25"], capsys)
+    assert (code, out) == (1, "")
+    payload = validated(err, "error")
+    assert payload["error"]["type"] == "PreconditionFailed"
+    assert "equilibrium segment" in payload["error"]["message"]
+    assert batches == []
 
 
 def test_each_command_computes_K_once(tmp_path, monkeypatch, capsys):
@@ -443,6 +459,8 @@ def test_classify_and_kernel_are_scale_free(s, tmp_path, capsys):
     ["orbit", "--horizon", "nan"],
     ["orbit", "--horizon", "inf"],
     ["orbit", "--closure-tol", "-1"],
+    ["orbit", "--delta", "-0.001"],
+    ["orbit", "--delta", "nan"],
 ])
 def test_bad_option_values_exit_one_with_error_json(argv, tmp_path, capsys):
     code, out, err = run(

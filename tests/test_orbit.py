@@ -13,8 +13,8 @@ from replicator4 import (EquilibriumStart, NoClosureFound, PayoffMatrix,
                          PreconditionFailed, ProbeEscaped, StepSizeUnderflow,
                          boundary_prediction, canonical_matrix, detect_period,
                          distance_to_K, face_subsystem, integrate,
-                         kernel_line_section, phi, select_reference_points,
-                         stability_probe)
+                         kernel_line_section, phi, phi_gradient,
+                         select_reference_points, stability_probe)
 from replicator4 import _rk, orbit
 from replicator4.boundary import _face_starts
 from replicator4.cli import _seeded_starts
@@ -32,9 +32,8 @@ X_I = np.array([0.1, 0.2, 0.3, 0.4])
 def certified_MIV():
     M = canonical_matrix("IV")
     section = kernel_line_section(M)
-    refs = select_reference_points(M, section, X_IV)
-    report = detect_period(M, X_IV, section=section, refs=refs)
-    return M, section, refs, report
+    report = detect_period(M, X_IV, section=section)
+    return M, section, report.refs, report
 
 
 def test_reference_points_MIV(certified_MIV):
@@ -48,16 +47,16 @@ def test_reference_points_MIV(certified_MIV):
 
 def test_reference_points_MV(MV):
     section = kernel_line_section(MV)
-    refs = select_reference_points(MV, section, [0.4, 0.1, 0.3, 0.2])
+    refs = detect_period(MV, [0.4, 0.1, 0.3, 0.2], section=section).refs
     assert np.allclose(refs.z1, [0.25] * 4, atol=1e-12)
     assert refs.margin > 1e-8
 
 
 def test_reference_selection_rejects_point_on_K(MIV):
     section = kernel_line_section(MIV)
+    on_K = [0.5, 1 / 6, 1 / 6, 1 / 6]
     with pytest.raises(PreconditionFailed):
-        select_reference_points(MIV, section,
-                                [0.5, 1 / 6, 1 / 6, 1 / 6])
+        select_reference_points(section, on_K, [on_K])
 
 
 def test_period_MIV_regression(certified_MIV):
@@ -71,8 +70,7 @@ def test_period_MIV_regression(certified_MIV):
 
 def test_period_MI_regression(MI):
     section = kernel_line_section(MI)
-    refs = select_reference_points(MI, section, X_I)
-    report = detect_period(MI, X_I, section=section, refs=refs)
+    report = detect_period(MI, X_I, section=section)
     assert report.period == pytest.approx(9.761204, abs=1e-3)
     assert report.closure_residual <= 1e-6
     assert report.avg_distance_to_K <= 1e-4
@@ -134,8 +132,8 @@ def test_orbit_report_json(certified_MIV):
 
 
 def test_stability_probe_MIV(certified_MIV):
-    M, _, refs, report = certified_MIV
-    probe = stability_probe(M, report, refs, delta=1e-3, n_probes=16)
+    M, _, _, report = certified_MIV
+    probe = stability_probe(M, report, delta=1e-3, n_probes=16)
     assert probe.max_tube_distance <= 5e-2
     assert probe.v_drift_max <= 1e-8
     assert probe.escaped == ()
@@ -281,10 +279,22 @@ def certified_from_X_I():
     for name in ("I", "II", "III", "IV", "V"):
         M = canonical_matrix(name)
         section = kernel_line_section(M)
-        refs = select_reference_points(M, section, X_I)
-        out[name] = M, refs, detect_period(M, X_I, section=section,
-                                           refs=refs)
+        report = detect_period(M, X_I, section=section)
+        out[name] = M, report.refs, report
     return out
+
+
+def test_reference_margin_is_taken_over_the_certified_orbit(
+        certified_from_X_I):
+    # the least smallest singular value of the tangent-plane Jacobian of
+    # (phi_z', phi_z'') over the whole sample cloud, not over a short arc
+    _, refs, report = certified_from_X_I["I"]
+    samples = report.orbit_samples
+    assert len(samples) == orbit.N_SAMPLES + 1
+    jac = np.stack([phi_gradient(samples, z) @ orbit.TANGENT_BASIS
+                    for z in (refs.z1, refs.z2)], axis=1)
+    want = min(np.linalg.svd(j, compute_uv=False)[-1] for j in jac)
+    assert refs.margin == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("name", ["I", "II", "III", "IV", "V"])
@@ -314,8 +324,7 @@ def test_probe_records_match_probes_sampled_alone(
 
     monkeypatch.setattr(orbit, "integrate_many", kept)
     calls = _counting_dense(monkeypatch)
-    probe = stability_probe(M, report, refs, delta=delta,
-                            n_probes=n_probes)
+    probe = stability_probe(M, report, delta=delta, n_probes=n_probes)
     monkeypatch.undo()
     # each probe's samples come from one dense evaluation
     assert len(calls) == n_probes
@@ -332,23 +341,23 @@ def test_probe_records_match_probes_sampled_alone(
 
 
 def test_stability_probe_zero_delta(certified_MIV):
-    M, _, refs, report = certified_MIV
-    probe = stability_probe(M, report, refs, delta=0.0, n_probes=3)
+    M, _, _, report = certified_MIV
+    probe = stability_probe(M, report, delta=0.0, n_probes=3)
     gaps = np.linalg.norm(np.diff(report.orbit_samples, axis=0), axis=1)
     assert probe.max_tube_distance <= gaps.max()
     assert probe.v_drift_max <= 1e-8
 
 
 def test_stability_probe_large_delta(certified_MIV):
-    M, _, refs, report = certified_MIV
+    M, _, _, report = certified_MIV
     with pytest.raises((PreconditionFailed, ProbeEscaped)):
-        stability_probe(M, report, refs, delta=0.3, n_probes=16)
+        stability_probe(M, report, delta=0.3, n_probes=16)
 
 
-def _apart(M, x0, section, refs, seed, delta=1e-3, horizon=orbit.HORIZON):
+def _apart(M, x0, section, seed, delta=1e-3, horizon=orbit.HORIZON):
     """detect_period, then stability_probe on its report."""
-    report = detect_period(M, x0, section, refs, horizon=horizon)
-    report.stability = stability_probe(M, report, refs, delta, seed=seed)
+    report = detect_period(M, x0, section, horizon=horizon)
+    report.stability = stability_probe(M, report, delta, seed=seed)
     return report
 
 
@@ -359,9 +368,8 @@ def test_probes_riding_along_keep_every_bit(name):
     M = canonical_matrix(name)
     section = kernel_line_section(M)
     x0 = _seeded_starts(section, 3, 1)[0]
-    refs = select_reference_points(M, section, x0)
-    fused = certify_orbit(M, x0, section, refs, seed=3)
-    apart = _apart(M, x0, section, refs, 3)
+    fused = certify_orbit(M, x0, section, seed=3)
+    apart = _apart(M, x0, section, 3)
     assert fused.to_json() == apart.to_json()
     assert np.array_equal(fused.orbit_samples, apart.orbit_samples)
     assert (fused.period > orbit.FIRST_SPAN) == (name == "IV")
@@ -376,9 +384,8 @@ def test_short_period_probes_agree_within_bound():
                                 exact=True)
     section = kernel_line_section(M)
     x0 = _seeded_starts(section, 3, 1)[0]
-    refs = select_reference_points(M, section, x0)
-    fused = certify_orbit(M, x0, section, refs, seed=3)
-    apart = _apart(M, x0, section, refs, 3)
+    fused = certify_orbit(M, x0, section, seed=3)
+    apart = _apart(M, x0, section, 3)
     assert 3.0 * fused.period < orbit.FIRST_SPAN
     a, b = fused.to_json(), apart.to_json()
     sa, sb = a.pop("stability"), b.pop("stability")
@@ -403,13 +410,12 @@ def test_riding_probe_errors_are_the_separate_runs_errors(MI):
     section = kernel_line_section(MI)
     z = np.asarray(section.midpoint(), dtype=float)
     x0 = z + 1e-7 * np.array([1.0, -1.0, 0.0, 0.0])
-    refs = select_reference_points(MI, section, x0)
-    T = detect_period(MI, x0, section, refs).period
+    T = detect_period(MI, x0, section).period
     for s, row in ((1e12, 0), (1e14, None)):
         errors = []
         for run in (certify_orbit, _apart):
             with pytest.raises(StepSizeUnderflow) as exc:
-                run(s * MI.array, x0, section, refs, seed=0, delta=1e-2,
+                run(s * MI.array, x0, section, seed=0, delta=1e-2,
                     horizon=4.0 * T / s)
             errors.append(exc.value)
         fused, apart = errors
