@@ -33,7 +33,8 @@ from fractions import Fraction
 import numpy as np
 
 # integrate and detect_period are unused; perfbench's tracer patches both
-from .dynamics import integrate, integrate_many, vector_field  # noqa: F401
+from .dynamics import (_integrate, integrate,  # noqa: F401
+                       integrate_many, vector_field)
 from .errors import PreconditionFailed, PredictionViolated
 from .orbit import (CLOSURE_TOL, FIRST_SPAN, HORIZON,  # noqa: F401
                     close_orbits, detect_period, section_normal)
@@ -373,18 +374,18 @@ def _score(outcome, sub, starts, trajs) -> RegionResult:
                         outcome.to_json(), measured)
 
 
-def _simulate(regions) -> list:
-    """Trajectories of each (outcome, sub, starts, horizon, rtol) region
-    (none if horizon is None), from one :func:`integrate_many` call per
-    subsystem order, horizon and rtol."""
+def _simulate(regions, rtol: float) -> list:
+    """Trajectories of each (outcome, sub, starts, horizon) region (none if
+    horizon is None), from one :func:`integrate_many` call per subsystem
+    order and horizon."""
     groups = {}
-    for r, (_, sub, starts, horizon, rtol) in enumerate(regions):
+    for r, (_, sub, starts, horizon) in enumerate(regions):
         if horizon is not None:
             A = sub.array
-            groups.setdefault((sub.n, horizon, rtol), []).extend(
+            groups.setdefault((sub.n, horizon), []).extend(
                 (r, A, x0) for x0 in starts)
     out = [[] for _ in regions]
-    for (_, horizon, rtol), rows in groups.items():
+    for (_, horizon), rows in groups.items():
         owners, mats, X0 = zip(*rows)
         for r, traj in zip(owners, integrate_many(
                 np.array(mats), X0, horizon, rtol=rtol, atol=ATOL)):
@@ -409,13 +410,11 @@ def verify_boundary(M: PayoffMatrix,
     at most ``closure_tol``; ratio claims are recorded as measured, never
     failed on the ratio itself.
 
-    The runs go out as at most four lockstep batches, one per subsystem
-    order, horizon and rtol.  The returns of all periodic starts are
-    bisected together; a start whose run has no closing return runs
-    again over 50, then 100, then :data:`~replicator4.orbit.HORIZON` =
-    200 time units, as
-    :func:`replicator4.orbit.detect_period` runs it after its first 25
-    (:func:`replicator4.orbit.close_orbits`).
+    The runs go out as at most four lockstep batches: one per subsystem
+    order and horizon, and one for all periodic starts at rtol no finer
+    than 1e-10.  Their returns are bisected together; a start with no
+    closing return continues in its batch to 50, 100, then 200 time units
+    (:data:`~replicator4.orbit.HORIZON`), as in ``detect_period``.
 
     Raises PredictionViolated (report attached) when any region fails
     and ``raise_on_violation`` is set, and PreconditionFailed when
@@ -430,28 +429,27 @@ def verify_boundary(M: PayoffMatrix,
     rng = np.random.default_rng(seed)
     regions = [(e, M.submatrix([e.edge[0] - 1, e.edge[1] - 1]).to_float(),
                 _edge_starts(e),
-                min(50.0, t_end) if e.kind == "all_equilibria" else t_end,
-                rtol) for e in prediction.edges]
+                min(50.0, t_end) if e.kind == "all_equilibria" else t_end)
+               for e in prediction.edges]
     # every face draws its starts from the one rng, in face order
     for f in prediction.faces:
         sub = face_subsystem(M, f.face).to_float()
-        if f.kind == "periodic":
-            horizon, tol = FIRST_SPAN, max(rtol, 1e-10)
-        else:
-            horizon = None if f.kind == "all_equilibria" else t_end
-            tol = rtol
         regions.append((f, sub, _face_starts(f, sub, rng, samples_per_region),
-                        horizon, tol))
-    runs = _simulate(regions)
-    rows = [(r, i, sub, x0, section_normal(sub, x0)) for r, (outcome, sub,
-            starts, _, _) in enumerate(regions) if outcome.kind == "periodic"
-            for i, x0 in enumerate(starts)]
-    for (r, i, *_), record in zip(rows, close_orbits(
-            *([row[k] for row in rows] for k in (2, 3, 4)),
-            [runs[r][i] for r, i, *_ in rows], closure_tol, HORIZON)):
-        runs[r][i] = record
+                        None if f.kind in ("periodic", "all_equilibria")
+                        else t_end))
+    runs = _simulate(regions, rtol)
+    rows = [(r, sub, x0) for r, (outcome, sub, starts, _) in enumerate(regions)
+            if outcome.kind == "periodic" for x0 in starts]
+    if rows:
+        owners, subs, ps = zip(*rows)
+        until = _integrate(np.array([sub.array for sub in subs]), ps,
+                           [FIRST_SPAN] * len(ps), max(rtol, 1e-10), ATOL)
+        for r, record in zip(owners, close_orbits(
+                until, ps, [section_normal(*row) for row in zip(subs, ps)],
+                FIRST_SPAN, closure_tol, HORIZON)):
+            runs[r].append(record)
     results = [_score(outcome, sub, starts, trajs)
-               for (outcome, sub, starts, _, _), trajs in zip(regions, runs)]
+               for (outcome, sub, starts, _), trajs in zip(regions, runs)]
     passed = all(r.status != "fail" for r in results)
     report = BoundaryReport(regions=tuple(results), passed=passed,
                             seed=seed, t_end=t_end, rtol=rtol)

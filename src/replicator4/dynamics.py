@@ -31,11 +31,11 @@ trajectory per start.
 
 There is one pair, DOP853, one driver, :func:`replicator4._rk.lockstep`,
 and one field, :func:`batch_field`, with three consumers:
-:func:`integrate_many`, the orbit certification run of
-:mod:`replicator4.orbit` and the permanence screen
-(:func:`replicator4._fastprobe.window_and_final_min`).
-:func:`integrate` is the one-start case of :func:`integrate_many`, the
-same bits, with its monitors checked after the run.
+:func:`integrate_many`, the permanence screen
+(:func:`replicator4._fastprobe.window_and_final_min`) and :func:`_integrate`,
+whose rows continue on a raised end: :func:`integrate`, its one-start case
+with :func:`integrate_many`'s bits and its monitors checked after the run,
+the certified orbits and the boundary's periodic faces.
 """
 
 from __future__ import annotations
@@ -250,18 +250,23 @@ def default_drift_budget(rtol: float, t_end: float, A: np.ndarray) -> float:
     return 100.0 * rtol * max(1.0, t_end) * max(1.0, norm)
 
 
+def check_order(x0, n: int) -> np.ndarray:
+    """x0 as an array; PreconditionFailed unless it is one point in R^n."""
+    p = np.asarray(x0, dtype=float)
+    if p.ndim != 1:
+        raise PreconditionFailed("a simplex point is a 1-d vector")
+    if p.size != n:
+        raise PreconditionFailed(f"x0 has {p.size} coordinates, "
+                                 f"matrix order is {n}")
+    return p
+
+
 def _check_run(A: np.ndarray, starts, t_end: float, rtol: float,
                atol: float) -> np.ndarray:
     """Validated interior starts of matching dimension, one per row,
     for a run to t_end at the given tolerances."""
-    n = A.shape[-1]
-    P = []
-    for x0 in starts:
-        p = check_simplex_point(x0, require_interior=True)
-        if p.size != n:
-            raise PreconditionFailed(f"x0 has {p.size} coordinates, "
-                                     f"matrix order is {n}")
-        P.append(p)
+    P = [check_simplex_point(check_order(x0, A.shape[-1]),
+                             require_interior=True) for x0 in starts]
     if not P:
         raise PreconditionFailed("a run needs at least one start")
     check_stack(A, len(P))
@@ -301,7 +306,7 @@ def integrate(M, x0, t_end: float, rtol: float = 1e-10,
     DriftBudgetExceeded
         See above; signals the tolerance was too loose for this run.
     """
-    traj = _integrate(_as_array(M), x0, t_end, rtol, atol, ())[0]
+    traj = _integrate(_as_array(M), [x0], [t_end], rtol, atol)([0], t_end)[0]
     traj.drift = entropy_drift(traj, x0, monitors, drift_budget)
     return traj
 
@@ -330,31 +335,29 @@ def entropy_drift(traj: Trajectory, x0, monitors: Sequence,
     return {l: float(v) for (l, _), v in zip(mon, d.max(axis=1, initial=0.0))}
 
 
-def _integrate(A, x0, t_end, rtol, atol, riders):
-    """:func:`integrate`'s trajectory from x0, unchecked, and ``end(t)``,
-    which runs the ``riders``, started in x0's lockstep batch with an open
-    end, on to t and returns their trajectories (errors keep the row)."""
-    ends = np.full(1 + len(riders), np.inf)
-    ends[0] = t_end
-    run = _history(A, _check_run(A, [x0, *riders], t_end, rtol, atol), ends,
-                   rtol, atol)
+def _integrate(A, starts, ends, rtol, atol):
+    """The checked lockstep run of ``starts`` to ``ends`` (inf: riding
+    along), as ``until(rows, t)``: it sets the end of ``rows`` to t, runs
+    the batch on until they reach it and returns every row's trajectory.
+    One row raises :func:`integrate`'s StepSizeUnderflow; a batch, its row."""
+    P = _check_run(A, starts, min(ends), rtol, atol)
+    ends = np.array(ends, dtype=float)
+    run = _history(A, P, ends, rtol, atol)
     hist = [next(run)]
-    try:
-        while hist[-1][0][0] < t_end:
-            hist.append(next(run))
-    except StepSizeUnderflow as err:
-        if err.row:
-            raise
-        raise StepSizeUnderflow(
-            f"step size {err.h:.3e} fell below {_rk.MIN_STEP:.1e} at "
-            f"t = {err.t:.6g}", t=err.t, h=err.h, state=err.state) from None
-    traj = _trajectories(A, hist, rtol, atol)[0]
 
-    def end(t: float) -> list[Trajectory]:
-        ends[1:] = t
-        hist.extend(run)
-        return _trajectories(A, hist, rtol, atol)[1:]
-    return traj, end
+    def until(rows, t: float) -> list[Trajectory]:
+        ends[rows] = t
+        try:
+            while (hist[-1][0][rows] < t).any():
+                hist.append(next(run))
+        except StepSizeUnderflow as e:
+            if len(P) > 1:
+                raise
+            raise StepSizeUnderflow(
+                f"step size {e.h:.3e} fell below {_rk.MIN_STEP:.1e} at "
+                f"t = {e.t:.6g}", t=e.t, h=e.h, state=e.state) from None
+        return _trajectories(A, hist, rtol, atol)
+    return until
 
 
 def _history(A, P, t_end, rtol, atol):

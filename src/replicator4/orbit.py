@@ -32,9 +32,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _rk
-from .dynamics import (Trajectory, _as_array, _integrate, check_finite,
-                       entropy_drift, integrate, integrate_many, phi,
-                       phi_gradient, sample_grid, softmax, vector_field)
+# integrate is unused; perfbench's tracer patches it
+from .dynamics import (Trajectory, _as_array, _integrate,  # noqa: F401
+                       check_finite, check_order, entropy_drift, integrate,
+                       integrate_many, phi, phi_gradient, sample_grid,
+                       softmax, vector_field)
 from .errors import (EquilibriumStart, NoClosureFound, PreconditionFailed,
                      ProbeEscaped, SelectionExhausted, StepSizeUnderflow)
 from .kernelgeom import NullLineSection, distance_to_K
@@ -232,7 +234,7 @@ def select_reference_points(section: NullLineSection, x0,
 
 
 #: time units of :func:`detect_period`'s first integration, and the
-#: horizon up to which a run that does not close is repeated
+#: horizon up to which a run that does not close continues
 FIRST_SPAN, HORIZON = 25.0, 200.0
 
 
@@ -292,14 +294,15 @@ def first_closure(trajs: Sequence[Trajectory], ps, f0s,
             for t, r in zip(np.split(t, splits), np.split(r, splits))]
 
 
-def close_orbits(Ms, ps, f0s, trajs, closure_tol: float,
+def close_orbits(until, ps, f0s, span: float, closure_tol: float,
                  horizon: float) -> list:
-    """``(run, t, residual, closed)`` for each start ``ps[j]`` of ``Ms[j]``,
-    with normal ``f0s[j]`` and first run ``trajs[j]``: the period, or if
-    none closes inside ``horizon`` the best return (None if none).  Open
-    starts run again (:func:`integrate`) over twice the span, up to it."""
-    trajs, out, todo = list(trajs), [None] * len(ps), range(len(ps))
+    """``(run, t, residual, closed)`` for each start ``ps[j]``, row j of
+    ``until`` (:func:`replicator4.dynamics._integrate`), with normal
+    ``f0s[j]``: the period, or if none closes inside ``horizon`` the best
+    return (None if none).  Open rows run on to span, 2 span, ... horizon."""
+    out, todo = [None] * len(ps), list(range(len(ps)))
     while todo:
+        trajs = until(todo, min(span, horizon))
         for j, (returns, residuals, first) in zip(todo, first_closure(
                 *([v[j] for j in todo] for v in (trajs, ps, f0s)),
                 closure_tol)):
@@ -308,11 +311,8 @@ def close_orbits(Ms, ps, f0s, trajs, closure_tol: float,
             out[j] = (trajs[j], None, None, False) if k is None else (
                 trajs[j], float(returns[k]), float(residuals[k]),
                 first is not None)
-        todo = [j for j in todo if not out[j][3] and trajs[j].t_end < horizon]
-        for j in todo:
-            trajs[j] = integrate(
-                Ms[j], ps[j], min(2 * trajs[j].t_end, horizon),
-                rtol=trajs[j].rtol, atol=trajs[j].atol)
+        todo = [j for j in todo if not out[j][3] and span < horizon]
+        span *= 2
     return out
 
 
@@ -323,10 +323,10 @@ def _period(M, p, section, cands, rtol, atol, closure_tol, horizon, starts):
     check_finite("horizon", horizon)
     check_finite("closure_tol", closure_tol)
     f0 = section_normal(M, p)
-    traj, end = _integrate(_as_array(M), p, min(FIRST_SPAN, horizon), rtol,
-                           atol, starts)
+    until = _integrate(_as_array(M), [p, *starts],
+                       [FIRST_SPAN] + [np.inf] * len(starts), rtol, atol)
     (traj, period, residual, closed), = close_orbits(
-        [M], [p], [f0], [traj], closure_tol, horizon)
+        until, [p], [f0], FIRST_SPAN, closure_tol, horizon)
     if period is None:
         raise NoClosureFound(f"no section return inside horizon {horizon}")
     if not closed:
@@ -347,10 +347,11 @@ def _period(M, p, section, cands, rtol, atol, closure_tol, horizon, starts):
         refs = _pick(cands, samples)
         drift = entropy_drift(traj, p, (("z1", refs.z1), ("z2", refs.z2)))
 
-    return OrbitReport(
+    report = OrbitReport(
         x0=p, period=period, closure_residual=residual,
         time_average=x_avg, avg_distance_to_K=dist, phi_drift=drift,
-        refs=refs, rtol=rtol, orbit_samples=samples), end(3.0 * period)
+        refs=refs, rtol=rtol, orbit_samples=samples)
+    return report, until(range(1, 1 + len(starts)), 3.0 * period)[1:]
 
 
 def detect_period(M, x0, section: NullLineSection | None = None,
@@ -361,8 +362,8 @@ def detect_period(M, x0, section: NullLineSection | None = None,
 
     One integration at the requested tolerance runs for
     :data:`FIRST_SPAN` time units (or ``horizon`` if shorter).  The period
-    follows :func:`first_closure`; while no return closes, the run is
-    repeated over twice the span, up to ``horizon`` (:func:`close_orbits`).
+    follows :func:`first_closure`; while no return closes, the same run
+    continues to twice the span, up to ``horizon`` (:func:`close_orbits`).
     The report carries the period, the closure residual |x(T) - x0|, and
     the trapezoid time average over the :data:`N_SAMPLES` intervals of the
     orbit's sample cloud; with a ``section``, also the average's distance
@@ -373,7 +374,7 @@ def detect_period(M, x0, section: NullLineSection | None = None,
     ------
     PreconditionFailed
         If ``horizon`` or ``closure_tol`` is not finite and positive, or,
-        before any run, if x0 is not interior or sits on K.
+        before any run, if x0 has the wrong shape, is not interior or on K.
     EquilibriumStart
         If the field at x0 is numerically zero (:func:`section_normal`).
     NoClosureFound
@@ -382,7 +383,7 @@ def detect_period(M, x0, section: NullLineSection | None = None,
     SelectionExhausted
         If no partner on K clears the margin over the sample cloud.
     """
-    p = np.asarray(x0, dtype=float)
+    p = check_order(x0, _as_array(M).shape[-1])
     cands = None if section is None else _candidates(section, p)
     return _period(M, p, section, cands, rtol, atol, closure_tol, horizon,
                    ())[0]
@@ -544,11 +545,11 @@ def certify_orbit(M, x0, section: NullLineSection, rtol: float = 1e-10,
                   horizon: float = HORIZON, delta: float = 1e-3,
                   n_probes: int = 16, seed: int = 0) -> OrbitReport:
     """:func:`detect_period`'s report with :func:`stability_probe`'s record
-    as ``stability``, the probes riding along the period's run; the record
-    is the same unless 3T ends near or inside the first span.  x0 and the
+    as ``stability``, the probes riding along the period's whole run; the
+    record is the same unless 3T ends near or inside that run.  x0 and the
     probes' arguments are checked before any run; after a step underflow
     the two run apart, so that the error is the one they raise."""
-    p = np.asarray(x0, dtype=float)
+    p = check_order(x0, _as_array(M).shape[-1])
     if section is None:
         raise PreconditionFailed(_NO_REFS)
     cands = _candidates(section, p)

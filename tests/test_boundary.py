@@ -268,45 +268,60 @@ def test_batched_boundary_periods_match_detect_period(name, monkeypatch):
             assert period == pytest.approx(rep.period, rel=1e-9, abs=0.0)
 
 
-def test_periodic_face_beyond_first_span_falls_back(monkeypatch):
+def test_periodic_face_beyond_first_span_continues(monkeypatch):
     # a quarter of class I's payoffs: face periods near 44, past the
-    # batch's 25 time units, so every periodic start runs again over 50
-    # time units, as detect_period runs it; with closure_tol = 1e-300
-    # none closes, and each runs over 50, 100 and 200 time units
+    # batch's 25 time units, so every periodic start's run continues in
+    # its lockstep batch to 50 time units; with closure_tol = 1e-300 none
+    # closes, and the rows go on to 100 and 200 in that same batch
     M = PayoffMatrix.from_upper([Fraction(v, 4) for v in CANONICAL_UPPER["I"]],
                                 exact=True)
     faces = _periodic_face_starts(M, 0)
-    runs = []
+    lockstep, handle = _rk.lockstep, boundary._integrate
+    close = boundary.close_orbits
+    batches, spans, records = [], [], []
 
-    def batch(A, X0, t_end, **kwargs):
-        runs.append((A.shape[-1], t_end, len(X0)))
-        return integrate_many(A, X0, t_end, **kwargs)
+    def stepped(fun, u0, t_end, *args):
+        batches.append((u0.shape, np.ndim(t_end)))
+        return lockstep(fun, u0, t_end, *args)
 
-    def rerun(M, x0, t_end, **kwargs):
-        runs.append((M.n, t_end, 1))
-        return integrate(M, x0, t_end, **kwargs)
+    def opened(*args):
+        until = handle(*args)
+
+        def traced(rows, t):
+            spans.append((list(rows), t))
+            return until(rows, t)
+        return traced
+
+    def closed(*args):
+        records.append(close(*args))
+        return records[-1]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a serial run inside verify_boundary")
 
-    monkeypatch.setattr(boundary, "integrate_many", batch)
-    monkeypatch.setattr(orbit, "integrate", rerun)
+    monkeypatch.setattr(_rk, "lockstep", stepped)
+    monkeypatch.setattr(boundary, "_integrate", opened)
+    monkeypatch.setattr(boundary, "close_orbits", closed)
+    monkeypatch.setattr(orbit, "integrate", forbidden)
     monkeypatch.setattr(boundary, "integrate", forbidden)
     monkeypatch.setattr(boundary, "detect_period", forbidden)
     # the other regions run to t_end = 10 only, and are not graded here
     report = verify_boundary(M, seed=0, t_end=10.0, raise_on_violation=False)
-    # (order, span, rows) of each run: the simulation's batches, then the
-    # reruns, with no second run over the first 25 time units
-    simulated = runs[:-6]
-    assert [r for r in simulated if r[1] != 10.0] == [(3, 25.0, 6)]
-    assert runs[-6:] == [(3, 50.0, 1)] * 6
-    runs.clear()
+    # one lockstep batch with per-row ends: the six periodic starts
+    assert [b for b in batches if b[1]] == [((6, 3), 1)]
+    assert spans == [(list(range(6)), 25.0), (list(range(6)), 50.0)]
+    assert [run.t_end for run, *_ in records[0]] == [50.0] * 6
+    batches.clear()
+    spans.clear()
     failed = verify_boundary(M, seed=0, samples_per_region=1, t_end=10.0,
                              closure_tol=1e-300, raise_on_violation=False)
-    assert [r for r in runs[:-6] if r[1] != 10.0] == [(3, 25.0, 2)]
-    assert runs[-6:] == [(3, span, 1) for span in (50.0, 100.0, 200.0)
-                         for _ in range(2)]
+    assert [b for b in batches if b[1]] == [((2, 3), 1)]
+    assert spans == [([0, 1], t) for t in (25.0, 50.0, 100.0, 200.0)]
     monkeypatch.undo()
+    # the batch's 3-strategy rows round by their place in it, so they
+    # match the one-row runs of detect_period to rounding only (measured:
+    # periods at most 2.3e-15 relative, residuals 8.7e-16 absolute, and
+    # the failing candidate's 2.0e-15 and 5.8e-15)
     by_region = {r.region: r for r in report.regions}
     assert len(faces) == 2
     for region, (sub, starts) in faces.items():
@@ -314,9 +329,10 @@ def test_periodic_face_beyond_first_span_falls_back(monkeypatch):
                               closure_tol=1e-6) for x0 in starts]
         measured = by_region[region].measured
         assert by_region[region].status == "pass"
-        assert measured["periods"] == [rep.period for rep in reps]
-        assert measured["max_closure_residual"] == max(
-            rep.closure_residual for rep in reps)
+        assert measured["periods"] == pytest.approx(
+            [rep.period for rep in reps], rel=1e-12, abs=0.0)
+        assert measured["max_closure_residual"] == pytest.approx(
+            max(rep.closure_residual for rep in reps), rel=0.0, abs=1e-12)
         assert min(measured["periods"]) > 25.0
     # a failing region reports its start's best candidate
     failed = {r.region: r for r in failed.regions}
@@ -326,6 +342,6 @@ def test_periodic_face_beyond_first_span_falls_back(monkeypatch):
                       closure_tol=1e-300)
     assert [r.status for r in failed.values() if r.region in faces] == [
         "fail", "fail"]
-    assert failed[region].measured == {
+    assert failed[region].measured == pytest.approx({
         "closure_residual": exc.value.candidate_residual,
-        "candidate_period": exc.value.candidate_period}
+        "candidate_period": exc.value.candidate_period}, rel=1e-12, abs=1e-12)

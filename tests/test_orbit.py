@@ -364,7 +364,7 @@ def _apart(M, x0, section, seed, delta=1e-3, horizon=orbit.HORIZON):
 @pytest.mark.parametrize("name", ["I", "IV", "V"])
 def test_probes_riding_along_keep_every_bit(name):
     # at this start IV's period lies past the first span, so its run
-    # closes only on close_orbits' rerun, while the probes wait
+    # closes only once it continues past it, with the probes riding along
     M = canonical_matrix(name)
     section = kernel_line_section(M)
     x0 = _seeded_starts(section, 3, 1)[0]
@@ -373,6 +373,51 @@ def test_probes_riding_along_keep_every_bit(name):
     assert fused.to_json() == apart.to_json()
     assert np.array_equal(fused.orbit_samples, apart.orbit_samples)
     assert (fused.period > orbit.FIRST_SPAN) == (name == "IV")
+
+
+def _lockstep_calls(monkeypatch) -> list:
+    """The batch size of every _rk.lockstep call from now on; a call to
+    orbit.integrate fails the test."""
+    calls, lockstep = [], _rk.lockstep
+
+    def counted(fun, u0, *args):
+        calls.append(len(u0))
+        return lockstep(fun, u0, *args)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("orbit.integrate ran")
+
+    monkeypatch.setattr(_rk, "lockstep", counted)
+    monkeypatch.setattr(orbit, "integrate", forbidden)
+    return calls
+
+
+def test_open_orbit_continues_its_run(monkeypatch):
+    # canonical IV at this start has T ~ 41.1, past the first span: the
+    # orbit's row continues in its lockstep batch instead of running again
+    M = canonical_matrix("IV")
+    section = kernel_line_section(M)
+    x0 = _seeded_starts(section, 3, 1)[0]
+    calls = _lockstep_calls(monkeypatch)
+    report = certify_orbit(M, x0, section, seed=3)
+    assert calls == [17]
+    calls.clear()
+    assert detect_period(M, x0, section).period == report.period
+    assert calls == [1]
+    assert report.period > orbit.FIRST_SPAN
+
+
+@pytest.mark.parametrize("x0", [[0.4, 0.3, 0.3], [0.3, 0.2, 0.2, 0.2, 0.1],
+                                [[0.4, 0.3, 0.2, 0.1]]])
+@pytest.mark.parametrize("with_section", [True, False])
+def test_wrong_shaped_start_fails_before_any_run(MIV, x0, with_section,
+                                                 monkeypatch):
+    section = kernel_line_section(MIV) if with_section else None
+    calls = _lockstep_calls(monkeypatch)
+    for run in (detect_period, certify_orbit):
+        with pytest.raises(PreconditionFailed):
+            run(MIV, x0, section)
+    assert calls == []
 
 
 def test_short_period_probes_agree_within_bound():

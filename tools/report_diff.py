@@ -5,16 +5,16 @@
 Each tree's ``src/`` runs ``orbit`` (seed 3), ``boundary`` (seed 0),
 ``verify`` (seed 1), ``simulate`` and ``portrait`` (seed 0), ``classify``
 and ``kernel``, so that every subcommand's report is diffed, and on class I
-at a quarter of its payoffs, ``Iq``, ``orbit`` and ``boundary``: its face
-periods lie past the boundary's first 25 time units, and its orbit is
-probed on a matrix that is not a unit representative.  Class I at four
-times its payoffs, ``I4``, runs ``orbit`` and ``verify``: its period is
-about 2.4, so three periods end inside the first 25 time units, and the
-stability probes, which ride along the period's run, are sampled from
-longer runs than their own.  Float twins of
-I-V scaled by 1e-13 and 1e13 (``I1e-13``, ``I1e13``, ...) run ``classify``
-and ``kernel --float``, so that float-mode decisions show in the diff.  One
-seeded relabeled sample per class, ``sample_class_matrix(c,
+at a quarter of its payoffs, ``Iq``, ``orbit``, ``boundary`` and ``verify``:
+its orbit and face periods lie past the first 25 time units, so their
+runs continue past them, and its orbit is probed on a matrix that is not a
+unit representative.  Class I at four times its payoffs, ``I4``, runs
+``orbit`` and ``verify``: its period is about 2.4, so three periods end
+inside the first 25 time units, and the stability probes, which ride along
+the period's run, are sampled from longer runs than their own.  Float
+twins of I-V scaled by 1e-13 and 1e13 (``I1e-13``, ``I1e13``, ...) run
+``classify`` and ``kernel --float``, so that float-mode decisions show in
+the diff.  One seeded relabeled sample per class, ``sample_class_matrix(c,
 default_rng(0))`` (``S-I`` ... ``S-V``), runs ``classify`` and ``boundary``,
 so that the ensemble draws show too.
 Printed: per JSON key (list indices folded to ``[]``), CSV column or SVG
@@ -22,9 +22,9 @@ file, how many floats moved and the largest absolute and relative move;
 per work counter (:data:`COUNTERS`, the integrator's step counts, which
 move with the integrator as floats do), how many moved and the largest
 move; every other change (a status, a string, another integer, an exit
-code, a missing value); and how many files are byte-identical.  Exits 1
-when anything other than a float or a work counter moved: a value, a key
-set or a file.
+code, a missing value); each file that is not byte-identical, and how many
+are.  Exits 1 when anything other than a float or a work counter moved: a
+value, a key set or a file.
 """
 
 import json
@@ -50,7 +50,7 @@ SCALES = ("1e-13", "1e13")
 SAMPLED_RUNS = (("classify", (), ".json"),
                 ("boundary", ("--seed", "0"), ".json"))
 #: (name, runs) per matrix, in the order TEXT prints them
-MATRICES = ([(c, RUNS) for c in CLASSES] + [("Iq", RUNS[:2])]
+MATRICES = ([(c, RUNS) for c in CLASSES] + [("Iq", RUNS[:3])]
             + [("I4", (RUNS[0], RUNS[2]))]
             + [(c + s, SCALED_RUNS) for s in SCALES for c in CLASSES]
             + [("S-" + c, SAMPLED_RUNS) for c in CLASSES])
@@ -118,7 +118,7 @@ def main(old: str, new: str) -> int:
         a, b = Path(tmp, "old"), Path(tmp, "new")
         run_tree(old, a)
         run_tree(new, b)
-        moves, counts, other, same = {}, {}, [], 0
+        moves, counts, other, differ = {}, {}, [], []
         files = sorted(a.iterdir())
         names = {p.name for p in files}
         other += [f"{p.name}: only in the new tree"
@@ -129,8 +129,8 @@ def main(old: str, new: str) -> int:
                          "exit": ".exit"}.get(ext, "")
             pb = b / pa.name
             if pb.exists() and pa.read_bytes() == pb.read_bytes():
-                same += 1
                 continue
+            differ.append(pa.name)
             la = list(leaves(pa, key))
             lb = list(leaves(pb, key)) if pb.exists() else []
             if [k for k, _ in la] != [k for k, _ in lb]:
@@ -157,7 +157,9 @@ def main(old: str, new: str) -> int:
         for k, (n, d) in sorted(counts.items()):
             print(f"{k:60} {n:6d} {d:10d}")
     print("\n".join(other) or "no changes but floats and work counters")
-    print(f"{same} of {len(files)} files byte-identical")
+    for name in differ:
+        print(f"differs: {name}")
+    print(f"{len(files) - len(differ)} of {len(files)} files byte-identical")
     return 1 if other else 0
 
 
