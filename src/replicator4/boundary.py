@@ -21,8 +21,8 @@ the sign structure:
   preserves that spectator's coordinate and converges to an edge point.
 
 :func:`verify_boundary` turns the prediction table into simulations of
-the face and edge subsystems, run as a few lockstep batches with one
-payoff matrix per row, and scores each region.
+the face and edge subsystems, run as one lockstep batch per subsystem
+order with one payoff matrix and one end per row, and scores each region.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 # integrate and detect_period are unused; perfbench's tracer patches both
 from .dynamics import (_integrate, integrate,  # noqa: F401
-                       integrate_many, vector_field)
+                       check_finite, vector_field)
 from .errors import PreconditionFailed, PredictionViolated
 from .orbit import (CLOSURE_TOL, FIRST_SPAN, HORIZON,  # noqa: F401
                     close_orbits, detect_period, section_normal)
@@ -374,25 +374,6 @@ def _score(outcome, sub, starts, trajs) -> RegionResult:
                         outcome.to_json(), measured)
 
 
-def _simulate(regions, rtol: float) -> list:
-    """Trajectories of each (outcome, sub, starts, horizon) region (none if
-    horizon is None), from one :func:`integrate_many` call per subsystem
-    order and horizon."""
-    groups = {}
-    for r, (_, sub, starts, horizon) in enumerate(regions):
-        if horizon is not None:
-            A = sub.array
-            groups.setdefault((sub.n, horizon), []).extend(
-                (r, A, x0) for x0 in starts)
-    out = [[] for _ in regions]
-    for (_, horizon), rows in groups.items():
-        owners, mats, X0 = zip(*rows)
-        for r, traj in zip(owners, integrate_many(
-                np.array(mats), X0, horizon, rtol=rtol, atol=ATOL)):
-            out[r].append(traj)
-    return out
-
-
 def verify_boundary(M: PayoffMatrix,
                     prediction: BoundaryPrediction | None = None,
                     seed: int = 0, samples_per_region: int = 3,
@@ -410,11 +391,14 @@ def verify_boundary(M: PayoffMatrix,
     at most ``closure_tol``; ratio claims are recorded as measured, never
     failed on the ratio itself.
 
-    The runs go out as at most four lockstep batches: one per subsystem
-    order and horizon, and one for all periodic starts at rtol no finer
-    than 1e-10.  Their returns are bisected together; a start with no
-    closing return continues in its batch to 50, 100, then 200 time units
-    (:data:`~replicator4.orbit.HORIZON`), as in ``detect_period``.
+    The runs go out as one lockstep batch per subsystem order, every row
+    with its own end: an all-equilibria edge runs to min(50, t_end), a
+    periodic face to :data:`~replicator4.orbit.FIRST_SPAN`, an
+    all-equilibria face not at all, and every other region to t_end, all
+    at ``rtol``.  The periodic starts' returns are bisected together; a
+    start with no closing return continues in its batch to 50, 100, then
+    200 time units (:data:`~replicator4.orbit.HORIZON`), as in
+    ``detect_period``.
 
     Raises PredictionViolated (report attached) when any region fails
     and ``raise_on_violation`` is set, and PreconditionFailed when
@@ -424,6 +408,8 @@ def verify_boundary(M: PayoffMatrix,
         raise PreconditionFailed(
             f"samples_per_region = {samples_per_region}; every region "
             "needs at least one start")
+    # checked here: a batch checks only its least end
+    check_finite("t_end", t_end)
     if prediction is None:
         prediction = boundary_prediction(M)
     rng = np.random.default_rng(seed)
@@ -435,18 +421,24 @@ def verify_boundary(M: PayoffMatrix,
     for f in prediction.faces:
         sub = face_subsystem(M, f.face).to_float()
         regions.append((f, sub, _face_starts(f, sub, rng, samples_per_region),
-                        None if f.kind in ("periodic", "all_equilibria")
-                        else t_end))
-    runs = _simulate(regions, rtol)
-    rows = [(r, sub, x0) for r, (outcome, sub, starts, _) in enumerate(regions)
-            if outcome.kind == "periodic" for x0 in starts]
-    if rows:
-        owners, subs, ps = zip(*rows)
-        until = _integrate(np.array([sub.array for sub in subs]), ps,
-                           [FIRST_SPAN] * len(ps), max(rtol, 1e-10), ATOL)
-        for r, record in zip(owners, close_orbits(
-                until, ps, [section_normal(*row) for row in zip(subs, ps)],
-                FIRST_SPAN, closure_tol, HORIZON)):
+                        None if f.kind == "all_equilibria" else
+                        FIRST_SPAN if f.kind == "periodic" else t_end))
+    runs = [[] for _ in regions]
+    for n in (2, 3):
+        # periodic starts first: close_orbits' start j is row j of until
+        rows = sorted(((o.kind == "periodic", r, sub, x0, end)
+                       for r, (o, sub, starts, end) in enumerate(regions)
+                       if sub.n == n and end is not None for x0 in starts),
+                      key=lambda row: not row[0])
+        periodic, owners, subs, ps, ends = zip(*rows)
+        until = _integrate(np.array([sub.array for sub in subs]), ps, ends,
+                           rtol, ATOL)
+        k = sum(periodic)
+        records = close_orbits(
+            until, ps[:k], [section_normal(*row) for row in zip(subs, ps[:k])],
+            FIRST_SPAN, closure_tol, HORIZON)
+        trajs = until(range(k, len(ps)), ends[k:])
+        for r, record in zip(owners, records + trajs[k:]):
             runs[r].append(record)
     results = [_score(outcome, sub, starts, trajs)
                for (outcome, sub, starts, _), trajs in zip(regions, runs)]

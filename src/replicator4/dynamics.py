@@ -35,7 +35,8 @@ and one field, :func:`batch_field`, with three consumers:
 (:func:`replicator4._fastprobe.window_and_final_min`) and :func:`_integrate`,
 whose rows continue on a raised end: :func:`integrate`, its one-start case
 with :func:`integrate_many`'s bits and its monitors checked after the run,
-the certified orbits and the boundary's periodic faces.
+the certified orbits and every boundary region, one batch per subsystem
+order.
 """
 
 from __future__ import annotations
@@ -337,15 +338,17 @@ def entropy_drift(traj: Trajectory, x0, monitors: Sequence,
 
 def _integrate(A, starts, ends, rtol, atol):
     """The checked lockstep run of ``starts`` to ``ends`` (inf: riding
-    along), as ``until(rows, t)``: it sets the end of ``rows`` to t, runs
-    the batch on until they reach it and returns every row's trajectory.
-    One row raises :func:`integrate`'s StepSizeUnderflow; a batch, its row."""
+    along), as ``until(rows, t)``: it sets the end of ``rows`` to t, one
+    end for all or an array with one per row, runs the batch on until they
+    reach it and returns every row's trajectory.  Only the least end is
+    checked.  One row raises :func:`integrate`'s StepSizeUnderflow; a
+    batch, its row."""
     P = _check_run(A, starts, min(ends), rtol, atol)
     ends = np.array(ends, dtype=float)
     run = _history(A, P, ends, rtol, atol)
     hist = [next(run)]
 
-    def until(rows, t: float) -> list[Trajectory]:
+    def until(rows, t) -> list[Trajectory]:
         ends[rows] = t
         try:
             while (hist[-1][0][rows] < t).any():

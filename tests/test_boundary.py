@@ -18,8 +18,8 @@ from replicator4 import (NoClosureFound, PayoffMatrix, PredictionViolated,
                          face_subsystem, integrate, kernel_line_section,
                          predict_edge, predict_face, verify_boundary)
 from replicator4 import _rk, boundary, orbit
-from replicator4.boundary import _face_starts, face_nodes, unstable_vertices
-from replicator4.dynamics import integrate_many
+from replicator4.boundary import (FaceOutcome, _face_starts, face_nodes,
+                                  unstable_vertices)
 from replicator4.ensembles import CANONICAL_UPPER
 from oracles import relabel_rows
 
@@ -233,11 +233,11 @@ def _periodic_face_starts(M, seed, samples=3):
 @pytest.mark.parametrize("name", ["I", "II", "III", "IV", "V"])
 def test_batched_boundary_periods_match_detect_period(name, monkeypatch):
     M = canonical_matrix(name)
-    batches = []
+    lockstep, batches = _rk.lockstep, []
 
-    def counted(*args, **kwargs):
-        batches.append(args)
-        return integrate_many(*args, **kwargs)
+    def stepped(fun, u0, t_end, *args):
+        batches.append((u0.shape[1], np.ndim(t_end)))
+        return lockstep(fun, u0, t_end, *args)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a serial run inside verify_boundary")
@@ -249,13 +249,14 @@ def test_batched_boundary_periods_match_detect_period(name, monkeypatch):
         dense.append(len(args[0]))
         return interpolate(*args)
 
-    monkeypatch.setattr(boundary, "integrate_many", counted)
+    monkeypatch.setattr(_rk, "lockstep", stepped)
     monkeypatch.setattr(boundary, "integrate", forbidden)
     monkeypatch.setattr(boundary, "detect_period", forbidden)
     monkeypatch.setattr(_rk, "interpolate", evaluated)
     report = verify_boundary(M, seed=0)
     monkeypatch.undo()
-    assert 1 <= len(batches) <= 4
+    # one batch per subsystem order, each with per-row ends
+    assert batches == [(2, 1), (3, 1)]
     # the returns of all periodic starts are bisected together
     assert len(dense) <= 64
     by_region = {r.region: r for r in report.regions}
@@ -268,13 +269,61 @@ def test_batched_boundary_periods_match_detect_period(name, monkeypatch):
             assert period == pytest.approx(rep.period, rel=1e-9, abs=0.0)
 
 
+def test_every_boundary_run_uses_the_stated_rtol(MI, monkeypatch):
+    lockstep, rtols = _rk.lockstep, []
+
+    def stepped(fun, u0, t_end, rtol, *args):
+        rtols.append(rtol)
+        return lockstep(fun, u0, t_end, rtol, *args)
+
+    monkeypatch.setattr(_rk, "lockstep", stepped)
+    report = verify_boundary(MI, rtol=1e-12)
+    assert rtols == [1e-12, 1e-12]
+    assert report.rtol == 1e-12
+    assert report.passed
+    assert {r.status for r in report.regions} == {"pass"}
+
+
+#: class I at a quarter of its payoffs, whose face periods are near 44,
+#: and a matrix whose face x_4 = 0 and three edges are all equilibria
+IQ = PayoffMatrix.from_upper([Fraction(v, 4) for v in CANONICAL_UPPER["I"]],
+                             exact=True)
+FLAT_FACE = PayoffMatrix.from_upper([0, 0, 1, 0, 1, 1], exact=True)
+
+
+@pytest.mark.parametrize(
+    "M", [canonical_matrix(c) for c in ("I", "II", "III", "IV", "V")]
+    + [IQ, FLAT_FACE], ids=["I", "II", "III", "IV", "V", "Iq", "flat"])
+def test_each_region_runs_to_its_own_end(M, monkeypatch):
+    score, scored = boundary._score, []
+
+    def graded(outcome, sub, starts, runs):
+        scored.append((outcome, starts, runs))
+        return score(outcome, sub, starts, runs)
+
+    monkeypatch.setattr(boundary, "_score", graded)
+    verify_boundary(M, seed=0, t_end=60.0, raise_on_violation=False)
+    assert len(scored) == 10
+    for outcome, starts, runs in scored:
+        if outcome.kind == "periodic":  # to the span it closed in
+            for run, period, _, closed in runs:
+                assert closed
+                assert run.t_end == min(s for s in (25.0, 50.0, 100.0, 200.0)
+                                        if s > period)
+        elif isinstance(outcome, FaceOutcome) and \
+                outcome.kind == "all_equilibria":
+            assert runs == []
+        else:
+            end = 50.0 if outcome.kind == "all_equilibria" else 60.0
+            assert [run.t_end for run in runs] == [end] * len(starts)
+
+
 def test_periodic_face_beyond_first_span_continues(monkeypatch):
-    # a quarter of class I's payoffs: face periods near 44, past the
-    # batch's 25 time units, so every periodic start's run continues in
-    # its lockstep batch to 50 time units; with closure_tol = 1e-300 none
-    # closes, and the rows go on to 100 and 200 in that same batch
-    M = PayoffMatrix.from_upper([Fraction(v, 4) for v in CANONICAL_UPPER["I"]],
-                                exact=True)
+    # IQ's face periods lie past the batch's 25 time units, so every
+    # periodic start's run continues in its lockstep batch to 50 time
+    # units; with closure_tol = 1e-300 none closes, and the rows go on to
+    # 100 and 200 in that same batch
+    M = IQ
     faces = _periodic_face_starts(M, 0)
     lockstep, handle = _rk.lockstep, boundary._integrate
     close = boundary.close_orbits
@@ -288,7 +337,7 @@ def test_periodic_face_beyond_first_span_continues(monkeypatch):
         until = handle(*args)
 
         def traced(rows, t):
-            spans.append((list(rows), t))
+            spans.append((list(rows), np.asarray(t).tolist()))
             return until(rows, t)
         return traced
 
@@ -307,16 +356,21 @@ def test_periodic_face_beyond_first_span_continues(monkeypatch):
     monkeypatch.setattr(boundary, "detect_period", forbidden)
     # the other regions run to t_end = 10 only, and are not graded here
     report = verify_boundary(M, seed=0, t_end=10.0, raise_on_violation=False)
-    # one lockstep batch with per-row ends: the six periodic starts
-    assert [b for b in batches if b[1]] == [((6, 3), 1)]
-    assert spans == [(list(range(6)), 25.0), (list(range(6)), 50.0)]
-    assert [run.t_end for run, *_ in records[0]] == [50.0] * 6
+    # one batch per subsystem order with per-row ends: the 18 edge starts,
+    # then the six periodic face starts ahead of the other faces' six
+    assert batches == [((18, 2), 1), ((12, 3), 1)]
+    assert spans == [(list(range(18)), [10.0] * 18),
+                     (list(range(6)), 25.0), (list(range(6)), 50.0),
+                     (list(range(6, 12)), [10.0] * 6)]
+    assert [run.t_end for run, *_ in records[-1]] == [50.0] * 6
     batches.clear()
     spans.clear()
     failed = verify_boundary(M, seed=0, samples_per_region=1, t_end=10.0,
                              closure_tol=1e-300, raise_on_violation=False)
-    assert [b for b in batches if b[1]] == [((2, 3), 1)]
-    assert spans == [([0, 1], t) for t in (25.0, 50.0, 100.0, 200.0)]
+    assert batches == [((18, 2), 1), ((4, 3), 1)]
+    assert spans == [(list(range(18)), [10.0] * 18)] + [
+        ([0, 1], t) for t in (25.0, 50.0, 100.0, 200.0)] + [
+        ([2, 3], [10.0, 10.0])]
     monkeypatch.undo()
     # the batch's 3-strategy rows round by their place in it, so they
     # match the one-row runs of detect_period to rounding only (measured:

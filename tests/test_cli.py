@@ -448,6 +448,8 @@ def test_classify_and_kernel_are_scale_free(s, tmp_path, capsys):
     ["orbit", "--probes", "0"],
     ["orbit", "--probes", "-1"],
     ["boundary", "--samples", "-1"],
+    ["boundary", "--t-end", "nan"],
+    ["boundary", "--t-end", "inf"],
     ["portrait", "--starts", "-2"],
     ["simulate", "--t-end", "nan"],
     ["simulate", "--t-end", "inf"],

@@ -11,7 +11,10 @@ runs continue past them, and its orbit is probed on a matrix that is not a
 unit representative.  Class I at four times its payoffs, ``I4``, runs
 ``orbit`` and ``verify``: its period is about 2.4, so three periods end
 inside the first 25 time units, and the stability probes, which ride along
-the period's run, are sampled from longer runs than their own.  Float
+the period's run, are sampled from longer runs than their own.  Class I
+runs ``boundary`` again at ``--rtol 1e-12`` (``I-rtol12``), so that the
+tolerance of every boundary run, the periodic faces' included, shows in
+the diff.  Float
 twins of I-V scaled by 1e-13 and 1e13 (``I1e-13``, ``I1e13``, ...) run
 ``classify`` and ``kernel --float``, so that float-mode decisions show in
 the diff.  One seeded relabeled sample per class, ``sample_class_matrix(c,
@@ -47,11 +50,12 @@ RUNS = (("orbit", ("--seed", "3"), ".json"),
 SCALED_RUNS = (("classify", ("--float",), ".json"),
                ("kernel", ("--float",), ".json"))
 SCALES = ("1e-13", "1e13")
+FINE_RUNS = (("boundary", ("--seed", "0", "--rtol", "1e-12"), ".json"),)
 SAMPLED_RUNS = (("classify", (), ".json"),
                 ("boundary", ("--seed", "0"), ".json"))
 #: (name, runs) per matrix, in the order TEXT prints them
 MATRICES = ([(c, RUNS) for c in CLASSES] + [("Iq", RUNS[:3])]
-            + [("I4", (RUNS[0], RUNS[2]))]
+            + [("I4", (RUNS[0], RUNS[2])), ("I-rtol12", FINE_RUNS)]
             + [(c + s, SCALED_RUNS) for s in SCALES for c in CLASSES]
             + [("S-" + c, SAMPLED_RUNS) for c in CLASSES])
 #: integer keys that count integration work rather than state a result
@@ -68,6 +72,7 @@ TEXT = ("from fractions import Fraction\n"
         "    [Fraction(v, 4) for v in CANONICAL_UPPER['I']], exact=True)))\n"
         "print(format_matrix(P.from_upper(\n"
         "    [4 * v for v in CANONICAL_UPPER['I']], exact=True)))\n"
+        "print(format_matrix(canonical_matrix('I')))\n"
         f"for s in {SCALES!r}:\n"
         f"    for c in {CLASSES!r}: print(format_matrix(P.from_rows(\n"
         "        canonical_matrix(c).array * float(s))))\n"
