@@ -233,8 +233,10 @@ class Trajectory:
 
 
 def sample_grid(t_end: float, dt: float) -> np.ndarray:
-    """Times 0, dt, 2 dt, ... up to and including t_end; dt is finite,
-    positive and gives at most MAX_SAMPLES steps."""
+    """Times 0, dt, 2 dt, ..., K dt with K = round(t_end / dt), the last
+    clipped to t_end: the grid ends before t_end when t_end / dt rounds
+    down (``sample_grid(1.0, 0.3)`` ends at 0.9).  dt is finite, positive
+    and gives at most MAX_SAMPLES steps."""
     check_finite("sampling step dt", dt)
     if not t_end / dt <= MAX_SAMPLES:
         raise PreconditionFailed(f"sampling step dt = {dt} gives more "
@@ -340,10 +342,12 @@ def _integrate(A, starts, ends, rtol, atol):
     """The checked lockstep run of ``starts`` to ``ends`` (inf: riding
     along), as ``until(rows, t)``: it sets the end of ``rows`` to t, one
     end for all or an array with one per row, runs the batch on until they
-    reach it and returns every row's trajectory.  Only the least end is
-    checked.  One row raises :func:`integrate`'s StepSizeUnderflow; a
-    batch, its row."""
-    P = _check_run(A, starts, min(ends), rtol, atol)
+    reach it and returns every row's trajectory.  The first ends are
+    checked as ``t_end`` is, through their least (NaN if any end is NaN),
+    so each is finite and positive, or inf, and one is finite; ``until``
+    does not check the ends it sets.  One row raises :func:`integrate`'s
+    StepSizeUnderflow; a batch, its row."""
+    P = _check_run(A, starts, np.min(ends), rtol, atol)
     ends = np.array(ends, dtype=float)
     run = _history(A, P, ends, rtol, atol)
     hist = [next(run)]

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _rk
 # integrate is unused; perfbench's tracer patches it
@@ -414,35 +413,49 @@ def _max_distance_to_samples(points: np.ndarray, ref: np.ndarray,
                              phase: np.ndarray):
     """``_min_distance_to_samples(p, ref).max()``, bit for bit, for each
     set p of the (..., m, n) stack ``points`` (a float for one set), from
-    the exact search on as few points as a phase guess allows.
+    one exact search on as few points as a phase guess allows.
 
-    ``phase`` holds, for each of a set's m points, the index of the ref
-    row it is expected to sit near.  The direct distance to the ref rows
-    within 8 of that index, cyclically, bounds each point's distance from
-    above.  The exact search runs on blocks of 64 points in descending
-    order of that bound, and stops once the next block's largest bound is
-    clearly below the running max.  The margin, 1e-9 relative and 1e-14
-    on the squares, covers the rounding of the augmented product's
-    argmin, so a pruned point cannot hold the max.  A bad guess only
-    makes the bounds loose and the search longer.
+    ``phase`` holds, for each point (broadcast over the stack), the index
+    of the ref row it is expected to sit near.  From there each point
+    follows its own phase: twice, its guess moves by its offset along the
+    cloud's tangent, in rows (``np.gradient`` of ref), which on a smooth
+    cloud lands on the nearest row, and the direct distance to the row it
+    lands on bounds the point's distance from above.  The exact search
+    runs on the 4 largest bounds of each set and then, in one more call
+    for all sets, on every point whose bound is not clearly below its
+    set's running max.  The margin, 1e-9 relative and 1e-14 on the
+    squares, covers the rounding of the augmented product's argmin, so a
+    pruned point cannot hold the max.  A bad guess only makes the bounds
+    loose and the search longer.  Bounds are taken over chunks of 2**15
+    points, 1 MB per temporary at n = 4.
     """
-    # window[i] holds ref rows phase[i] - 8 ... phase[i] + 8, cyclically
-    pad = ref.take(np.arange(-8, len(ref) + 8), axis=0, mode="wrap")
-    window = sliding_window_view(pad, (17, ref.shape[1]))[
-        np.asarray(phase) % len(ref), 0]
-    R = _augmented(ref)
-    best = np.zeros(points.shape[:-2])
-    for j in np.ndindex(best.shape):
-        diff = points[j][:, None, :] - window
-        bound_sq = np.einsum("ijk,ijk->ij", diff, diff).min(axis=1)
-        order = np.argsort(-bound_sq, kind="stable")
-        for i in range(0, len(order), 64):
-            best[j] = max(best[j], float(_min_distance_to_samples(
-                points[j][order[i:i + 64]], ref, R).max()))
-            if (i + 64 < len(order) and bound_sq[order[i + 64]] + 1e-14
-                    < (best[j] * (1.0 - 1e-9)) ** 2):
-                break
-    return best[()]
+    m, n = points.shape[-2:]
+    flat = points.reshape(-1, n)
+    guess = np.broadcast_to(phase, points.shape[:-1]).ravel()
+    tangent = np.gradient(ref, axis=0)
+    sq = (tangent ** 2).sum(axis=1)
+    refT = ref.T.copy()
+    stepT = np.divide(tangent.T, sq, out=np.zeros_like(refT), where=sq > 0)
+    bound = np.empty(len(flat))
+    for lo in range(0, len(flat), 1 << 15):
+        chunk = slice(lo, lo + (1 << 15))
+        xs, k = flat[chunk].T, guess[chunk]
+        for _ in range(2):
+            k = k + np.rint(np.einsum("ij,ij->j", xs - refT.take(
+                k, 1, mode="wrap"), stepT.take(k, 1, mode="wrap"))).astype(int)
+        d = xs - refT.take(k, 1, mode="wrap")
+        bound[chunk] = np.einsum("ij,ij->j", d, d)
+    bound = bound.reshape(-1, m)
+    top = min(4, m)
+    todo = bound >= np.partition(bound, m - top, axis=1)[:, m - top, None]
+    R, best = _augmented(ref), np.zeros(len(bound))
+    while todo.any():
+        j, i = np.nonzero(todo)
+        np.maximum.at(best, j, _min_distance_to_samples(flat[j * m + i],
+                                                        ref, R))
+        bound[j, i] = -np.inf
+        todo = bound + 1e-14 >= ((best * (1.0 - 1e-9)) ** 2)[:, None]
+    return best.reshape(points.shape[:-2])[()]
 
 
 def _probe_starts(x0, delta, n_probes, seed) -> np.ndarray:
@@ -517,9 +530,10 @@ def stability_probe(M, report: OrbitReport, delta: float = 1e-3,
     V(x) = (phi_z'(x) - c')^2 + (phi_z''(x) - c'')^2, whose level c',
     c'' values are pinned at the unperturbed start and z', z'' are the
     report's reference pair (``report.refs``).  The worst distance
-    is exact; the search skips the probe points that a phase guess, the
-    sample time modulo the period, shows cannot hold it
-    (:func:`_max_distance_to_samples`).
+    is exact: from the sample time modulo the period, each probe point
+    follows its own phase to a nearby sample, whose distance bounds its
+    own, and one search for all probes skips the points whose bound shows
+    they cannot hold a probe's worst (:func:`_max_distance_to_samples`).
 
     Raises
     ------

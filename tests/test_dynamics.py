@@ -555,6 +555,15 @@ def test_integrate_many_validates_every_start(MI):
         integrate_many(np.array([MI.array] * 3), STARTS, 1.0)
 
 
+@pytest.mark.parametrize("ends", [[50.0, math.nan], [math.nan, 50.0],
+                                  [50.0, -1.0], [math.inf, math.inf]])
+def test_every_run_end_is_checked(MI, ends):
+    # a NaN end after the first was accepted, and its row never ran
+    with pytest.raises(PreconditionFailed, match="must be finite and "
+                       "positive"):
+        dynamics._integrate(MI.array, [X0, X0], ends, 1e-10, 1e-12)
+
+
 def _accepted(steps, b):
     """Row b's accepted times and states from lockstep."""
     return [np.array(v) for v in zip(*[(t[b], u[b])

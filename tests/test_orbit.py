@@ -186,12 +186,73 @@ def test_pruned_tube_distance_is_exact(certified_MIV, rng, monkeypatch):
         got = _max_distance_to_samples(points, ref, guess)
         assert got == _min_distance_to_samples(points, ref).max()
         if k in (0, 3):
-            # a good guess leaves most points unsearched
-            assert sum(searched) < len(points) / 4
-    # a sample cloud shorter than the window
+            # a good guess leaves every point but the 4 largest bounds
+            # unsearched
+            assert searched == [4]
+    # a sample cloud of five rows, too coarse for its tangent
     few = ref[::512]
     assert (_max_distance_to_samples(probe, few, phase // 512)
             == _min_distance_to_samples(probe, few).max())
+
+
+def test_stacked_tube_distances_are_each_sets_own(certified_MIV):
+    # sets of one stack with guesses of different quality: good, half the
+    # cloud off, all zeros; each entry is its own set's brute force
+    M, _, _, report = certified_MIV
+    ref, T = report.orbit_samples, report.period
+    n = len(ref) - 1
+    starts = X_IV + 1e-3 * np.array([[0.5, -0.2, -0.1, -0.2],
+                                     [-0.3, 0.4, 0.1, -0.2],
+                                     [0.1, 0.1, -0.4, 0.2]])
+    sampled = [traj.sample(T / 512) for traj in integrate_many(M, starts,
+                                                               3 * T)]
+    points = np.array([xs for _, xs in sampled])
+    phase = np.rint(np.mod(sampled[0][0], T) / T * n).astype(int)
+    guesses = np.array([phase, (phase + n // 2) % n, np.zeros_like(phase)])
+    got = _max_distance_to_samples(points, ref, guesses)
+    assert got.shape == (3,)
+    for k in range(3):
+        assert got[k] == _min_distance_to_samples(points[k], ref).max()
+    one = _max_distance_to_samples(points[1], ref, guesses[1])
+    assert isinstance(one, float) and one == got[1]
+
+
+@pytest.mark.parametrize("delta, n_probes", [(0.0, 16), (1e-3, 1)])
+def test_certified_tube_distances_match_brute_force(certified_MIV, delta,
+                                                    n_probes, monkeypatch):
+    # delta = 0: 16 identical probes, so bounds tie in every set
+    M, section, _, _ = certified_MIV
+    graded = []
+    search = orbit._max_distance_to_samples
+
+    def kept(points, ref, phase):
+        graded.append((points, ref))
+        return search(points, ref, phase)
+
+    monkeypatch.setattr(orbit, "_max_distance_to_samples", kept)
+    probe = certify_orbit(M, X_IV, section, delta=delta,
+                          n_probes=n_probes).stability
+    (points, ref), = graded
+    assert len(probe.probes) == len(points) == n_probes
+    for xs, record in zip(points, probe.probes):
+        assert record["tube_distance"] == _min_distance_to_samples(
+            xs, ref).max()
+
+
+def test_certify_searches_the_top_bounds_alone(certified_MIV, monkeypatch):
+    # the exact search of one 16-probe certificate takes each probe's 4
+    # largest bounds in one call, and no point survives them
+    M, section, _, _ = certified_MIV
+    searched = []
+    search = orbit._min_distance_to_samples
+
+    def counted(points, samples, R=None):
+        searched.append(len(points))
+        return search(points, samples, R)
+
+    monkeypatch.setattr(orbit, "_min_distance_to_samples", counted)
+    certify_orbit(M, X_IV, section)
+    assert searched == [64]
 
 
 def _reference_crossings(traj, p, f0):

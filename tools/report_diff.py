@@ -14,10 +14,12 @@ inside the first 25 time units, and the stability probes, which ride along
 the period's run, are sampled from longer runs than their own.  Class I
 runs ``boundary`` again at ``--rtol 1e-12`` (``I-rtol12``), so that the
 tolerance of every boundary run, the periodic faces' included, shows in
-the diff.  Float
-twins of I-V scaled by 1e-13 and 1e13 (``I1e-13``, ``I1e13``, ...) run
-``classify`` and ``kernel --float``, so that float-mode decisions show in
-the diff.  One seeded relabeled sample per class, ``sample_class_matrix(c,
+the diff.  Class I also runs ``orbit`` with ``--delta 0`` (``I-delta0``:
+16 identical probes, whose tube bounds tie) and with ``--probes 1``
+(``I-probes1``), so that the degenerate tube searches show in the diff.
+Float twins of I-V scaled by 1e-13 and 1e13 (``I1e-13``, ``I1e13``, ...)
+run ``classify`` and ``kernel --float``, so that float-mode decisions show
+in the diff.  One seeded relabeled sample per class, ``sample_class_matrix(c,
 default_rng(0))`` (``S-I`` ... ``S-V``), runs ``classify`` and ``boundary``,
 so that the ensemble draws show too.
 Printed: per JSON key (list indices folded to ``[]``), CSV column or SVG
@@ -51,11 +53,15 @@ SCALED_RUNS = (("classify", ("--float",), ".json"),
                ("kernel", ("--float",), ".json"))
 SCALES = ("1e-13", "1e13")
 FINE_RUNS = (("boundary", ("--seed", "0", "--rtol", "1e-12"), ".json"),)
+TUBE_RUNS = (("I-delta0", ("orbit", ("--seed", "3", "--delta", "0"), ".json")),
+             ("I-probes1", ("orbit", ("--seed", "3", "--probes", "1"),
+                            ".json")))
 SAMPLED_RUNS = (("classify", (), ".json"),
                 ("boundary", ("--seed", "0"), ".json"))
 #: (name, runs) per matrix, in the order TEXT prints them
 MATRICES = ([(c, RUNS) for c in CLASSES] + [("Iq", RUNS[:3])]
             + [("I4", (RUNS[0], RUNS[2])), ("I-rtol12", FINE_RUNS)]
+            + [(name, (run,)) for name, run in TUBE_RUNS]
             + [(c + s, SCALED_RUNS) for s in SCALES for c in CLASSES]
             + [("S-" + c, SAMPLED_RUNS) for c in CLASSES])
 #: integer keys that count integration work rather than state a result
@@ -72,7 +78,7 @@ TEXT = ("from fractions import Fraction\n"
         "    [Fraction(v, 4) for v in CANONICAL_UPPER['I']], exact=True)))\n"
         "print(format_matrix(P.from_upper(\n"
         "    [4 * v for v in CANONICAL_UPPER['I']], exact=True)))\n"
-        "print(format_matrix(canonical_matrix('I')))\n"
+        "for _ in range(3): print(format_matrix(canonical_matrix('I')))\n"
         f"for s in {SCALES!r}:\n"
         f"    for c in {CLASSES!r}: print(format_matrix(P.from_rows(\n"
         "        canonical_matrix(c).array * float(s))))\n"
