@@ -67,11 +67,11 @@ PHI_DRIFT_TOL, V_DRIFT_TOL, ALGEBRA_TOL = 1e-8, 1e-8, 1e-10
 class ReferencePair:
     """Two reference equilibria z(c1), z(c2) on K with their margin.
 
-    ``margin`` is the smallest singular value, over the certified
-    orbit's sample cloud (``OrbitReport.orbit_samples``), of the 2x3
-    Jacobian of (phi_z', phi_z'') restricted to the simplex tangent
-    plane.  A healthy margin means the two entropies are independent
-    constraints all along the orbit.
+    ``margin`` is the least smallest singular value, over the certified
+    orbit's samples (``OrbitReport.orbit_samples``), of the 2x3 Jacobian
+    of (phi_z', phi_z'') on the simplex tangent plane: LAPACK's, on the
+    samples a closed-form bound cannot rule out (:func:`_pick`).  A
+    healthy margin means the entropies are independent along the orbit.
     """
 
     z1: np.ndarray
@@ -193,12 +193,24 @@ def _candidates(section: NullLineSection, x0) -> tuple:
 
 def _pick(candidates: tuple, samples: np.ndarray) -> ReferencePair:
     """The first of :func:`_candidates`' partners whose margin over the
-    points ``samples`` clears :data:`MARGIN_TOL`."""
+    points ``samples``, LAPACK's least smallest singular value, bit for
+    bit, clears :data:`MARGIN_TOL`.  The closed form sigma_min^2 = |a x
+    b|^2 / sigma_max^2 (Cauchy-Binet) for rows a, b errs by a few eps
+    sigma_max, as LAPACK does (2.7 at most between the two on I-V), so
+    only samples within 1e-9 relative plus 1e-13 times the cloud's
+    sigma_max of its least value, or that overflow, go to LAPACK."""
     z1, partners, bad = candidates
     grad1 = phi_gradient(samples, z1) @ TANGENT_BASIS
     for c, z2 in partners:
         grad2 = phi_gradient(samples, z2) @ TANGENT_BASIS
-        margin = float(np.linalg.svd(np.stack((grad1, grad2), axis=1),
+        with np.errstate(over="ignore", invalid="ignore"):
+            g11, g22, g12 = (np.einsum("ij,ij->i", u, v) for u, v in (
+                (grad1, grad1), (grad2, grad2), (grad1, grad2)))
+            smax = np.sqrt(0.5 * (g11 + g22 + np.hypot(g11 - g22, 2 * g12)))
+            bound = np.linalg.norm(np.cross(grad1, grad2), axis=1) / smax
+            near = ~(bound > bound.min() * (1.0 + 1e-9) + 1e-13 * smax.max()
+                     ) | np.isinf(bound)
+        margin = float(np.linalg.svd(np.stack((grad1[near], grad2[near]), 1),
                                      compute_uv=False)[:, -1].min())
         if margin > MARGIN_TOL:
             return ReferencePair(z1=z1, z2=z2, c1=0.5, c2=float(c),
@@ -219,17 +231,23 @@ def select_reference_points(section: NullLineSection, x0,
     in c, so each intersection alpha rules out at most one root.
     :data:`CANDIDATES` within :data:`SKIP_TOL` of a root (or of 1/2
     itself) are skipped, the rest are tried in order, and the first whose
-    margin, the least over ``samples``, clears :data:`MARGIN_TOL` is
-    accepted.
+    margin, the least over ``samples`` (taken by LAPACK where a bound says
+    it can sit, :func:`_pick`), clears :data:`MARGIN_TOL` is accepted.
 
     Raises
     ------
     PreconditionFailed
-        If x0 is not interior or sits on K (no orbit to certify).
+        Before any work, if x0 is not one point or ``samples`` no stack
+        of interior points; then if x0 is not interior or sits on K.
     SelectionExhausted
         If every candidate is skipped or fails the margin.
     """
-    return _pick(_candidates(section, x0), samples)
+    n, cloud = section.as_array().shape[1], np.asarray(samples, dtype=float)
+    if cloud.shape[1:] != (n,) or not len(cloud) or not np.all(
+            np.isfinite(cloud) & (cloud > 0)):
+        raise PreconditionFailed(f"samples, shape {cloud.shape}, must be a "
+                                 f"nonempty stack of interior points in R^{n}")
+    return _pick(_candidates(section, check_order(x0, n)), cloud)
 
 
 #: time units of :func:`detect_period`'s first integration, and the
@@ -258,36 +276,53 @@ def first_closure(trajs: Sequence[Trajectory], ps, f0s,
 
     A trajectory's brackets are halved, at most 90 times, until each is
     narrower than 1e-16 relative or none has a midpoint strictly inside:
-    from then on the midpoint, the time returned, no longer changes.  The
-    trajectories still halving share one dense evaluation per halving;
-    each takes the section sign on its own rows, so keeps its bits alone."""
+    from then on the midpoint, the time returned, no longer changes.  One
+    dense evaluation serves six halvings, at each midpoint of a heap whose
+    node q has halves 2q + 1 (hi = mid) and 2q + 2 (lo = mid); the signs
+    of a trajectory's nodes are one stacked product, whose (brackets, n)
+    slices round as one halving's would, and the rules above walk it."""
     ss = [(traj.xs - p) @ f0 for traj, p, f0 in zip(trajs, ps, f0s)]
     ks = [np.flatnonzero((s[1:-1] < 0) & (s[2:] >= 0)) + 1 for s in ss]
     counts = np.array([len(k) for k in ks], dtype=int)
-    owner = np.repeat(np.arange(len(trajs)), counts)
+    splits = np.cumsum(counts)[:-1]
     # a bracket stays on its step
     nodes = [np.concatenate(v) for v in zip(*(
         traj.pieces(k) for traj, k in zip(trajs, ks)))]
-    lo, hi, halving = nodes[0].copy(), nodes[1].copy(), counts > 0
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        halving &= np.bincount(owner, (lo < mid) & (mid < hi),
-                               minlength=len(trajs)) > 0
-        if not halving.any():
-            break
-        rows = halving[owner]
-        x = softmax(_rk.interpolate(mid[rows], *(v[rows] for v in nodes)))
-        below = np.concatenate([
-            (x[end - counts[j]:end] - ps[j]) @ f0s[j] for j, end in zip(
-                np.flatnonzero(halving), np.cumsum(counts[halving]))]) < 0
-        lo[rows] = np.where(below, mid[rows], lo[rows])
-        hi[rows] = np.where(below, hi[rows], mid[rows])
-        wide = ~(hi - lo <= 1e-16 * np.maximum(1.0, hi))
-        halving &= np.bincount(owner, wide, minlength=len(trajs)) > 0
-    t = 0.5 * (lo + hi)
+    lo, hi = nodes[0].tolist(), nodes[1].tolist()
+    own = [r.tolist() for r in np.split(np.arange(len(lo)), splits)]
+    live, level = [j for j in range(len(trajs)) if counts[j]], 0
+    while level < 90 and (live := [j for j in live if any(
+            lo[i] < 0.5 * (lo[i] + hi[i]) < hi[i] for i in own[j])]):
+        rows = [i for j in live for i in own[j]]
+        L, H = np.empty((2, 63, len(rows)))
+        L[0], H[0] = [lo[i] for i in rows], [hi[i] for i in rows]
+        for a in (0, 1, 3, 7, 15):
+            # nodes q = a .. 2a, one level, and their halves 2q + 1, 2q + 2
+            lk, hk = L[2 * a + 1:4 * a + 3], H[2 * a + 1:4 * a + 3]
+            lk[::2], hk[1::2] = L[a:2 * a + 1], H[a:2 * a + 1]
+            lk[1::2] = hk[::2] = 0.5 * (L[a:2 * a + 1] + H[a:2 * a + 1])
+        mids = 0.5 * (L + H)
+        x = softmax(_rk.interpolate(mids, *(v[rows] for v in nodes)))
+        still, col = [], 0
+        for j in live:
+            cols, col = slice(col, col + counts[j]), col + counts[j]
+            below = ((x[:, cols] - ps[j]) @ f0s[j] < 0).tolist()
+            m, q = mids[:, cols].tolist(), [0] * counts[j]
+            for d in range(6):  # the while checks level 0 and level 6
+                for c, i in enumerate(own[j]):
+                    b = below[q[c]][c]
+                    (lo if b else hi)[i], q[c] = m[q[c]][c], 2 * q[c] + 1 + b
+                if all(hi[i] - lo[i] <= 1e-16 * max(1.0, hi[i])
+                       for i in own[j]) or d < 5 and not any(
+                           lo[i] < m[q[c]][c] < hi[i]
+                           for c, i in enumerate(own[j])):
+                    break
+            else:
+                still.append(j)
+        live, level = still, level + 6
+    t = 0.5 * (np.array(lo) + np.array(hi))
     r = np.linalg.norm(softmax(_rk.interpolate(t, *nodes)) - np.repeat(
         np.reshape(ps, (len(trajs), -1)), counts, axis=0), axis=-1)
-    splits = np.cumsum(counts)[:-1]
     return [(t, r, next((int(i) for i in np.flatnonzero(r <= closure_tol)),
                         None))
             for t, r in zip(np.split(t, splits), np.split(r, splits))]

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from replicator4 import (EquilibriumStart, NoClosureFound, PayoffMatrix,
-                         PreconditionFailed, ProbeEscaped, StepSizeUnderflow,
+                         PreconditionFailed, ProbeEscaped, SelectionExhausted,
+                         StepSizeUnderflow,
                          boundary_prediction, canonical_matrix, detect_period,
                          distance_to_K, face_subsystem, integrate,
                          kernel_line_section, phi, phi_gradient,
@@ -268,6 +269,49 @@ def _reference_crossings(traj, p, f0):
     return 0.5 * (lo + hi)
 
 
+def _halving_closure(trajs, ps, f0s, closure_tol):
+    """first_closure as one dense evaluation per halving, with the same
+    stop rules: the loop that six-level subtrees replaced, kept as the
+    bit-for-bit reference."""
+    ss = [(traj.xs - p) @ f0 for traj, p, f0 in zip(trajs, ps, f0s)]
+    ks = [np.flatnonzero((s[1:-1] < 0) & (s[2:] >= 0)) + 1 for s in ss]
+    counts = np.array([len(k) for k in ks], dtype=int)
+    owner = np.repeat(np.arange(len(trajs)), counts)
+    # a bracket stays on its step
+    nodes = [np.concatenate(v) for v in zip(*(
+        traj.pieces(k) for traj, k in zip(trajs, ks)))]
+    lo, hi, halving = nodes[0].copy(), nodes[1].copy(), counts > 0
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        halving &= np.bincount(owner, (lo < mid) & (mid < hi),
+                               minlength=len(trajs)) > 0
+        if not halving.any():
+            break
+        rows = halving[owner]
+        x = softmax(_rk.interpolate(mid[rows], *(v[rows] for v in nodes)))
+        below = np.concatenate([
+            (x[end - counts[j]:end] - ps[j]) @ f0s[j] for j, end in zip(
+                np.flatnonzero(halving), np.cumsum(counts[halving]))]) < 0
+        lo[rows] = np.where(below, mid[rows], lo[rows])
+        hi[rows] = np.where(below, hi[rows], mid[rows])
+        wide = ~(hi - lo <= 1e-16 * np.maximum(1.0, hi))
+        halving &= np.bincount(owner, wide, minlength=len(trajs)) > 0
+    t = 0.5 * (lo + hi)
+    r = np.linalg.norm(softmax(_rk.interpolate(t, *nodes)) - np.repeat(
+        np.reshape(ps, (len(trajs), -1)), counts, axis=0), axis=-1)
+    splits = np.cumsum(counts)[:-1]
+    return [(t, r, next((int(i) for i in np.flatnonzero(r <= closure_tol)),
+                        None))
+            for t, r in zip(np.split(t, splits), np.split(r, splits))]
+
+
+def _assert_same_closures(got, want):
+    assert len(got) == len(want)
+    for (t, r, first), (t1, r1, first1) in zip(got, want):
+        assert np.array_equal(t, t1) and np.array_equal(r, r1)
+        assert first == first1
+
+
 def _counting_dense(monkeypatch):
     """Patch the package's dense evaluator; returns its call list."""
     calls = []
@@ -288,11 +332,39 @@ def test_bisection_stops_at_float_resolution(monkeypatch):
         f0 = section_normal(M, X_I)
         want = _reference_crossings(traj, X_I, f0)
         calls = _counting_dense(monkeypatch)
-        (got, _, first), = first_closure([traj], [X_I], [f0], 1e-6)
+        got = first_closure([traj], [X_I], [f0], 1e-6)
         monkeypatch.undo()
-        assert first == 0
-        assert np.array_equal(got, want)
-        assert len(calls) <= 64
+        assert got[0][2] == 0
+        assert np.array_equal(got[0][0], want)
+        _assert_same_closures(got, _halving_closure([traj], [X_I], [f0],
+                                                    1e-6))
+        # 48-49 halvings, six to a dense evaluation, then the residuals
+        assert len(calls) == (10 if name == "V" else 9)
+
+
+@pytest.mark.parametrize("scale, span, as_90", [(16, 25.0, True),
+                                                (256, 0.2, False)])
+def test_returns_before_t1_match_the_halving_loop(monkeypatch, scale, span,
+                                                  as_90):
+    # class I at 16 times its payoffs has period 0.61 from X_I, so its
+    # first return takes the absolute width 1e-16, below 1 ulp there; at
+    # 256 times the period is 0.038, and a run to 0.2 stops every bracket
+    # at 1e-16, some ulps wide, short of 90 halvings
+    M = PayoffMatrix.from_upper([scale * v for v in CANONICAL_UPPER["I"]],
+                                exact=True)
+    ps = [X_I, X_IV]
+    trajs = integrate_many(M, ps, span)
+    f0s = [section_normal(M, p) for p in ps]
+    calls = _counting_dense(monkeypatch)
+    got = first_closure(trajs, ps, f0s, 1e-6)
+    monkeypatch.undo()
+    assert got[0][0][0] < 1.0 and got[1][0][0] < 1.0
+    assert [g[2] for g in got] == [0, 0]
+    _assert_same_closures(got, _halving_closure(trajs, ps, f0s, 1e-6))
+    halved = [np.array_equal(t, _reference_crossings(traj, p, f0))
+              for traj, p, f0, (t, _, _) in zip(trajs, ps, f0s, got)]
+    assert halved == [as_90] * 2
+    assert len(calls) == 9
 
 
 def test_batched_closure_matches_one_element_calls(monkeypatch, rng):
@@ -322,7 +394,9 @@ def test_batched_closure_matches_one_element_calls(monkeypatch, rng):
     batch = first_closure(trajs, ps, f0s, 1e-6)
     monkeypatch.undo()
     assert len(trajs) >= 10
-    assert len(calls) <= 64
+    # 50 halvings for all brackets together, six to a dense evaluation
+    assert len(calls) == 10
+    _assert_same_closures(batch, _halving_closure(trajs, ps, f0s, 1e-6))
     for traj, p, f0, (t, r, first) in zip(trajs, ps, f0s, batch):
         (t1, r1, first1), = first_closure([traj], [p], [f0], 1e-6)
         assert np.array_equal(t, t1) and np.array_equal(r, r1)
@@ -355,7 +429,101 @@ def test_reference_margin_is_taken_over_the_certified_orbit(
     jac = np.stack([phi_gradient(samples, z) @ orbit.TANGENT_BASIS
                     for z in (refs.z1, refs.z2)], axis=1)
     want = min(np.linalg.svd(j, compute_uv=False)[-1] for j in jac)
-    assert refs.margin == pytest.approx(want, rel=1e-12)
+    assert refs.margin == want
+
+
+def _smallest_singular_values(z1, z2, samples):
+    """LAPACK's smallest singular value of each sample's Jacobian."""
+    jac = np.stack([phi_gradient(samples, z) @ orbit.TANGENT_BASIS
+                    for z in (z1, z2)], axis=1)
+    return np.linalg.svd(jac, compute_uv=False)[:, -1]
+
+
+def _brute_force_pick(cands, samples):
+    """(c2, margin) of the first partner whose least LAPACK value over
+    the whole cloud clears MARGIN_TOL, or None."""
+    z1, partners, _ = cands
+    for c, z2 in partners:
+        margin = float(_smallest_singular_values(z1, z2, samples).min())
+        if margin > orbit.MARGIN_TOL:
+            return c, margin
+    return None
+
+
+def _picked(cands, samples, monkeypatch):
+    """_pick's (c2, margin), or None, and the rows LAPACK saw per try."""
+    rows, svd = [], np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        rows.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    try:
+        refs = orbit._pick(cands, samples)
+    except SelectionExhausted:
+        refs = None
+    monkeypatch.undo()
+    return refs and (refs.c2, refs.margin), rows
+
+
+def _near_K(cands, partner, margin):
+    """A point beside z' whose Jacobian with the partner's z'' has about
+    the smallest singular value ``margin``: on K the two are dependent."""
+    z1, partners, _ = cands
+    v = orbit.TANGENT_BASIS[:, 0]
+    eps = 1e-6 * margin / _smallest_singular_values(
+        z1, partners[partner][1], [z1 + 1e-6 * v])[0]
+    return z1 + eps * v
+
+
+def test_pick_margin_is_the_lapack_minimum(certified_from_X_I, monkeypatch):
+    M, refs, report = certified_from_X_I["I"]
+    cands = orbit._candidates(kernel_line_section(M), X_I)
+    cloud = report.orbit_samples
+    got, rows = _picked(cands, cloud, monkeypatch)
+    assert got == _brute_force_pick(cands, cloud) == (refs.c2, refs.margin)
+    # LAPACK sees the one sample where the least bound sits
+    assert rows == [1]
+
+    # a second sample whose value ties the least one to 1e-13 relative
+    s = _smallest_singular_values(cands[0], refs.z2, cloud)
+    i = int(np.argmin(s))
+    twin = cloud[i] * (1.0 + 1e-13 * np.array([1.0, -1.0, 1.0, -1.0]))
+    t = _smallest_singular_values(cands[0], refs.z2, [twin])[0]
+    assert 0.0 < abs(t - s[i]) <= 1e-12 * s[i]
+    for tied in (np.vstack((cloud, twin)), np.vstack((twin, cloud))):
+        got, rows = _picked(cands, tied, monkeypatch)
+        assert got == _brute_force_pick(cands, tied)
+        assert rows == [2]
+
+    # a near-degenerate first partner: its margin just below and just
+    # above MARGIN_TOL, so that it is rejected, then accepted
+    first = cands[1][0][0]
+    for factor, accepted in ((1.0 - 1e-4, False), (1.0 + 1e-4, True)):
+        near = np.vstack((cloud, _near_K(cands, 0, factor * 1e-8)))
+        got, rows = _picked(cands, near, monkeypatch)
+        assert got == _brute_force_pick(cands, near)
+        assert (got is not None and got[0] == first) == accepted
+        assert rows[0] == 1
+
+    # a share of 1e-160 overflows the bound's squares: LAPACK sees all
+    tiny = np.vstack((cloud, [1e-160, 0.3, 0.3, 0.4]))
+    got, rows = _picked(cands, tiny, monkeypatch)
+    assert got == _brute_force_pick(cands, tiny)
+    assert rows == [len(tiny)]
+
+
+@pytest.mark.parametrize("samples", [[], np.empty((0, 4)),
+                                     np.full((3, 3), 0.25), np.full(4, 0.25),
+                                     [[0.5, 0.5, 0.0, 0.0]],
+                                     [[0.5, 0.5, -0.1, 0.1]],
+                                     [[np.nan] * 4]],
+                         ids=["empty", "no rows", "3 columns", "1-d",
+                              "on the boundary", "negative", "nan"])
+def test_reference_selection_checks_the_cloud(MIV, samples):
+    with pytest.raises(PreconditionFailed):
+        select_reference_points(kernel_line_section(MIV), X_IV, samples)
 
 
 @pytest.mark.parametrize("name", ["I", "II", "III", "IV", "V"])

@@ -11,7 +11,10 @@ runs continue past them, and its orbit is probed on a matrix that is not a
 unit representative.  Class I at four times its payoffs, ``I4``, runs
 ``orbit`` and ``verify``: its period is about 2.4, so three periods end
 inside the first 25 time units, and the stability probes, which ride along
-the period's run, are sampled from longer runs than their own.  Class I
+the period's run, are sampled from longer runs than their own.  Class I at
+16 times its payoffs, ``I16``, runs ``orbit`` and ``boundary``: its period
+is about 0.6, so the first section returns lie at t < 1, where the
+bisection's width bound is absolute rather than relative.  Class I
 runs ``boundary`` again at ``--rtol 1e-12`` (``I-rtol12``), so that the
 tolerance of every boundary run, the periodic faces' included, shows in
 the diff.  Class I also runs ``orbit`` with ``--delta 0`` (``I-delta0``:
@@ -60,7 +63,8 @@ SAMPLED_RUNS = (("classify", (), ".json"),
                 ("boundary", ("--seed", "0"), ".json"))
 #: (name, runs) per matrix, in the order TEXT prints them
 MATRICES = ([(c, RUNS) for c in CLASSES] + [("Iq", RUNS[:3])]
-            + [("I4", (RUNS[0], RUNS[2])), ("I-rtol12", FINE_RUNS)]
+            + [("I4", (RUNS[0], RUNS[2])), ("I16", RUNS[:2]),
+               ("I-rtol12", FINE_RUNS)]
             + [(name, (run,)) for name, run in TUBE_RUNS]
             + [(c + s, SCALED_RUNS) for s in SCALES for c in CLASSES]
             + [("S-" + c, SAMPLED_RUNS) for c in CLASSES])
@@ -78,6 +82,8 @@ TEXT = ("from fractions import Fraction\n"
         "    [Fraction(v, 4) for v in CANONICAL_UPPER['I']], exact=True)))\n"
         "print(format_matrix(P.from_upper(\n"
         "    [4 * v for v in CANONICAL_UPPER['I']], exact=True)))\n"
+        "print(format_matrix(P.from_upper(\n"
+        "    [16 * v for v in CANONICAL_UPPER['I']], exact=True)))\n"
         "for _ in range(3): print(format_matrix(canonical_matrix('I')))\n"
         f"for s in {SCALES!r}:\n"
         f"    for c in {CLASSES!r}: print(format_matrix(P.from_rows(\n"
