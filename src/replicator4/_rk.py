@@ -22,6 +22,8 @@ Characteristics
 ---------------
 * order 8, error estimate from the order-5 and order-3 embedded formulae
   combined as in Hairer's code, 12 evaluations per trial step
+* no allocation in the stage loop but the field's result: a run holds
+  its stages, their views and one stage state buffer (:func:`_views`)
 * PI controller: factor 0.9 err^-0.117 err_prev^0.04 clipped to
   [0.333, 6]
 * order-7 continuous extension, 3 more evaluations per accepted step,
@@ -198,28 +200,41 @@ DENSE = np.array([[
 _ALL_ROWS = ROWS + EXTRA
 
 
-def _stages(fun, u, h, K, first):
+def _views(K):
+    """A run's scratch on stages K: the flat heads K[:s] and the views
+    K[s], and one stage state buffer with its flat (1, size) view."""
+    Kf, v = K.reshape(len(K), -1), np.empty(K.shape[1:])
+    return [Kf[:s] for s in range(len(K))], list(K), v, v.reshape(1, -1)
+
+
+def _stages(fun, u, h, K, first, views=None):
     """K[s] = fun(u + h ROWS[s] K[:s]) for s from ``first`` to the end of
-    K, going on with EXTRA past ROWS; returns the last stage's state."""
-    Kf = K.reshape(len(K), -1)
+    K, going on with EXTRA past ROWS, each state summed in place, in the
+    same order, in the buffer of ``views`` (:func:`_views` of K, built
+    here if not given), which it returns holding the last state."""
+    heads, stages, v, flat = views or _views(K)
+    h = np.repeat(h, v.shape[-1], axis=-1)  # the same products, unbroadcast
     for s in range(first, len(K)):
-        v = u + h * np.dot(_ALL_ROWS[s], Kf[:s]).reshape(u.shape)
-        K[s] = fun(v)
+        np.dot(_ALL_ROWS[s], heads[s], out=flat)
+        np.multiply(h, v, out=v)
+        np.add(u, v, out=v)
+        stages[s][...] = fun(v)
     return v
 
 
-def attempt(fun, u, f, h, rtol, atol, K):
+def attempt(fun, u, f, h, rtol, atol, K, views=None):
     """One trial step of size h from state u with derivative f = fun(u).
 
     ``u`` and ``f`` have shape (..., n) and ``h`` shape (..., 1), one
     step per leading index; ``K``, scratch of shape (len(ROWS),) +
     u.shape, ends up holding the stages, ``K[-1]`` being ``fun(u_new)``.
-    Returns the new state and the norm of the error vectors weighted by
+    Returns the new state, in the buffer of K's ``views`` (as
+    :func:`_stages`), and the norm of the error vectors weighted by
     ``atol + rtol * max(1, |u_new|)``; the step is acceptable where that
     is at most one.
     """
     K[0] = f
-    u_new = _stages(fun, u, h, K, 1)
+    u_new = _stages(fun, u, h, K, 1, views)
     err = h * np.dot(ERR, K.reshape(len(K), -1)).reshape((-1,) + u.shape)
     w = atol + rtol * np.maximum(1.0, np.abs(u_new))
     return u_new, _norm(err / w)
@@ -257,13 +272,16 @@ def lockstep(fun, u0, t_end, rtol, atol, project):
     keep their own time, step, PI memory and accept decision; a row at
     or past its end takes no step, and keeps its step and PI memory for
     a raised end.  A row is projected, and takes the last stage as its
-    derivative, only after a step it accepts.  A step that would leave
-    less than :data:`MIN_STEP` to go takes the whole rest, so every row
-    ends at exactly its end.  Yields ``(t, u, ok, K)`` per iteration,
-    ``ok`` marking the rows that accepted and ``K`` the trial's stages,
-    a scratch array overwritten by the next iteration.  A live step
-    below :data:`MIN_STEP` raises StepSizeUnderflow with the row, its
-    time, step and state.
+    derivative, only after a step it accepts (``project`` returns a new
+    array: the trial's buffer is reused), and when every row accepts a
+    step short of its end, takes the trial as it is, without selects.  A
+    step that would leave less than :data:`MIN_STEP` to go takes the
+    whole rest, so every row ends at exactly its end.  Yields ``(t, u,
+    ok, K)`` per iteration, ``ok`` marking the rows that accepted and
+    ``K`` the trial's stages, scratch (viewed once per call, :func:`_views`)
+    overwritten by the next iteration.  A live step not at least
+    :data:`MIN_STEP` (NaN too) raises StepSizeUnderflow with the row,
+    its time, step and state.
     """
     u = u0
     f = fun(u)
@@ -272,6 +290,7 @@ def lockstep(fun, u0, t_end, rtol, atol, project):
     h = np.minimum(0.1, 0.01 / np.maximum(1e-6, np.abs(f).max(axis=-1)))
     err_prev = np.full(len(u), 1e-4)
     K = np.empty((len(ROWS),) + u.shape)
+    V = _views(K)
     per_row = np.ndim(t_end) > 0
     while True:
         rest = t_end - t
@@ -283,7 +302,7 @@ def lockstep(fun, u0, t_end, rtol, atol, project):
         # retried after a rejection: the run ends or underflows
         whole = h > np.maximum(rest - MIN_STEP, SAFETY * rest)
         step = np.where(whole, rest, h)
-        low = live & (step < MIN_STEP)
+        low = live & ~(step >= MIN_STEP)  # a NaN step too
         if low.any():
             i = int(np.argmax(low))
             raise StepSizeUnderflow(
@@ -293,7 +312,7 @@ def lockstep(fun, u0, t_end, rtol, atol, project):
         # an oversized trial can overflow exp in the shift-free field;
         # its error estimate is then NaN, and control rejects it
         with np.errstate(over="ignore", invalid="ignore"):
-            u_new, err = attempt(fun, u, f, step[:, None], rtol, atol, K)
+            u_new, err = attempt(fun, u, f, step[:, None], rtol, atol, K, V)
             u_new = project(u_new)
         ok, h_next, err_next = control(step, err, err_prev)
         if per_row:  # a scalar end never moves: no idle row to keep
@@ -301,9 +320,12 @@ def lockstep(fun, u0, t_end, rtol, atol, project):
             err_next = np.where(live, err_next, err_prev)
         h, err_prev = h_next, err_next
         ok &= live
-        t = np.where(ok, np.where(whole, t_end, t + step), t)
-        u = np.where(ok[:, None], u_new, u)
-        f = np.where(ok[:, None], K[-1], f)
+        if ok.all() and not whole.any():  # the values the selects take
+            t, u, f = t + step, u_new, K[-1].copy()
+        else:
+            t = np.where(ok, np.where(whole, t_end, t + step), t)
+            u = np.where(ok[:, None], u_new, u)
+            f = np.where(ok[:, None], K[-1], f)
         yield t, u, ok, K
 
 

@@ -75,14 +75,23 @@ def batch_field(A):
     One multiply-sum of exp(u) against ``[A; 1^T]`` (see the module
     docstring), broadcast, not BLAS, whose rounding depends on the
     batch size: so each row's result does not depend on the others.
+    The exp, the product and the sums go into scratch this field holds,
+    one set per input shape; each call returns a fresh (B, n) array.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[-1]
     aug = np.concatenate((A, np.ones(A.shape[:-2] + (1, n))), axis=-2)
+    scratch = {}
 
     def fun(u):
-        y = np.add.reduce(np.exp(u)[:, None, :] * aug, -1)
-        return y[:, :n] / y[:, n:]
+        if u.shape not in scratch:
+            e, y = np.empty(u.shape), np.empty((len(u), n + 1))
+            scratch[u.shape] = (e, e[:, None, :], np.empty(
+                (len(u), n + 1, n)), y, y[:, :n], y[:, n:])
+        e, e3, prod, y, num, den = scratch[u.shape]
+        np.exp(u, out=e)
+        np.add.reduce(np.multiply(e3, aug, out=prod), -1, out=y)
+        return num / den
     return fun
 
 
@@ -123,9 +132,12 @@ def _as_array(M) -> np.ndarray:
 
 
 def check_stack(A: np.ndarray, count: int) -> None:
-    """Raise PreconditionFailed unless A is one matrix or ``count`` of them."""
+    """Raise PreconditionFailed unless A is one matrix or ``count`` of
+    them, with finite entries."""
     if A.ndim == 3 and len(A) != count:
         raise PreconditionFailed(f"{len(A)} matrices for {count} starts")
+    if not np.isfinite(A).all():
+        raise PreconditionFailed("matrix entries must be finite")
 
 
 def vector_field(M, x) -> np.ndarray:

@@ -17,7 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import _fastprobe
-from .dynamics import _as_array, check_stack
+from .dynamics import _as_array, check_order, check_stack
+from .errors import PreconditionFailed
 from .kernelgeom import NullLineSection
 from .payoff import PayoffMatrix
 from .signgraph import build_digraph
@@ -171,11 +172,16 @@ def permanence_probe(M, starts) -> list:
     integration nodes: those :func:`replicator4.dynamics.integrate` takes
     at the screen's tolerances, about 2.5 times sparser than a 5th-order
     pair's, so the window minimum is sampled as coarsely.  All starts
-    run in one lockstep batch, each with its own step control.
+    run in one lockstep batch, each with its own step control.  Each
+    start, a finite, positive point of order n, is scaled to unit sum.
     """
     A = _as_array(M)
     check_stack(A, len(starts))
-    X0 = np.array(starts, dtype=float).reshape(len(starts), A.shape[-1])
+    X0 = np.reshape([check_order(x, A.shape[-1]) for x in starts],
+                    (len(starts), A.shape[-1]))
+    if not ((X0 > 0) & (X0 < np.inf)).all():
+        raise PreconditionFailed(f"starts {X0.tolist()} must be finite "
+                                 "and positive")
     wmin, fmin = _fastprobe.window_and_final_min(
         A, X0 / X0.sum(axis=1, keepdims=True), SCREEN_T_END, SCREEN_WINDOW,
         SCREEN_RTOL, SCREEN_ATOL)

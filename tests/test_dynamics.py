@@ -612,3 +612,171 @@ def test_lockstep_raised_end_continues_the_run(MI):
     for a, b, c, d in zip(alone, early, *late):
         assert np.array_equal(a, b) and np.array_equal(c, d)
     assert 5.0 in late[0][0] and 5.0 not in alone[0]
+
+
+def test_nan_field_raises_instead_of_spinning(monkeypatch):
+    # a NaN field gives a NaN first step, which `step < MIN_STEP` let
+    # through, and t never advanced; each run is bounded so that a spin
+    # fails the test instead of hanging it
+    lockstep = _rk.lockstep
+
+    def bounded(*args):
+        for n, step in enumerate(lockstep(*args)):
+            assert n < 1_000
+            yield step
+
+    monkeypatch.setattr(_rk, "lockstep", bounded)
+    bad = np.array([[0.0, np.nan], [np.nan, 0.0]])
+    with pytest.raises(StepSizeUnderflow) as exc:
+        for _ in _rk.lockstep(batch_field(bad), gauge(np.log([[0.5, 0.5]])),
+                              1.0, 1e-10, 1e-12, gauge):
+            pass
+    assert exc.value.row == 0 and np.isnan(exc.value.h)
+    assert exc.value.t == 0.0
+    for entry in (np.nan, np.inf):
+        A = np.array([[0.0, entry], [-1.0, 0.0]])
+        with pytest.raises(PreconditionFailed, match="must be finite"):
+            integrate(A, [0.5, 0.5], 1.0)
+        with pytest.raises(PreconditionFailed, match="must be finite"):
+            integrate_many(np.array([A, -A]), [[0.5, 0.5]] * 2, 1.0)
+
+
+# The stage loop, its trial step, the field and lockstep as they were
+# before the stage states, the field's exp, product and sums and the
+# stages' views were held for a whole run, and before an all-accepted
+# iteration skipped its selects: kept as the bit-for-bit reference.
+
+def _allocating_stages(fun, u, h, K, first):
+    Kf = K.reshape(len(K), -1)
+    for s in range(first, len(K)):
+        v = u + h * np.dot(_rk._ALL_ROWS[s], Kf[:s]).reshape(u.shape)
+        K[s] = fun(v)
+    return v
+
+
+def _allocating_attempt(fun, u, f, h, rtol, atol, K):
+    K[0] = f
+    u_new = _allocating_stages(fun, u, h, K, 1)
+    err = h * np.dot(_rk.ERR, K.reshape(len(K), -1)).reshape((-1,) + u.shape)
+    w = atol + rtol * np.maximum(1.0, np.abs(u_new))
+    return u_new, _rk._norm(err / w)
+
+
+def _allocating_field(A):
+    A = np.asarray(A, dtype=float)
+    n = A.shape[-1]
+    aug = np.concatenate((A, np.ones(A.shape[:-2] + (1, n))), axis=-2)
+
+    def fun(u):
+        y = np.add.reduce(np.exp(u)[:, None, :] * aug, -1)
+        return y[:, :n] / y[:, n:]
+    return fun
+
+
+def _selecting_lockstep(fun, u0, t_end, rtol, atol, project):
+    u = u0
+    f = fun(u)
+    t = np.zeros(len(u))
+    h = np.minimum(0.1, 0.01 / np.maximum(1e-6, np.abs(f).max(axis=-1)))
+    err_prev = np.full(len(u), 1e-4)
+    K = np.empty((len(_rk.ROWS),) + u.shape)
+    per_row = np.ndim(t_end) > 0
+    while True:
+        rest = t_end - t
+        live = rest > 0
+        if not live.any():
+            return
+        whole = h > np.maximum(rest - _rk.MIN_STEP, _rk.SAFETY * rest)
+        step = np.where(whole, rest, h)
+        assert not (live & (step < _rk.MIN_STEP)).any()
+        with np.errstate(over="ignore", invalid="ignore"):
+            u_new, err = _allocating_attempt(fun, u, f, step[:, None], rtol,
+                                             atol, K)
+            u_new = project(u_new)
+        ok, h_next, err_next = _rk.control(step, err, err_prev)
+        if per_row:
+            h_next = np.where(live, h_next, h)
+            err_next = np.where(live, err_next, err_prev)
+        h, err_prev = h_next, err_next
+        ok &= live
+        t = np.where(ok, np.where(whole, t_end, t + step), t)
+        u = np.where(ok[:, None], u_new, u)
+        f = np.where(ok[:, None], K[-1], f)
+        yield t, u, ok, K
+
+
+def _skew(rng, n, size=()):
+    M = rng.normal(size=size + (n, n))
+    return M - np.swapaxes(M, -1, -2)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _kernel_cases():
+    """(A, starts, ends, rtol): seeded runs of order 2, 3 and 4 with
+    per-row ends, a stack with one end, and class IV at 1e4 times, whose
+    trials overflow.  Row 2 of the second class I run lands on its end in
+    an iteration that every row accepts, from a t with t + (end - t) !=
+    end."""
+    rng = np.random.default_rng(23)
+    ends = np.array([20.0, 7.5, 12.0, 20.0, 3.0])
+    duel = [[0.5, 0.5], [0.9, 0.1], [0.1, 0.9], [0.999, 1e-3], [1e-6, 1.0]]
+    rps = np.array([[0.0, 1.0, -2.0], [-1.0, 0.0, 1.5], [2.0, -1.5, 0.0]])
+    stack = np.array([canonical_matrix(c).array * s for c, s in
+                      (("I", 1.0), ("II", 2.0), ("III", 0.5), ("V", 3.0))])
+    M = canonical_matrix("IV")
+    z = np.asarray(kernel_line_section(M).midpoint(), dtype=float)
+    return [(np.array([[0.0, 3.0], [-3.0, 0.0]]), duel, ends, 1e-4),
+            (rps, rng.dirichlet(np.ones(3), size=5), ends, 1e-4),
+            (canonical_matrix("I").array, rng.dirichlet(np.ones(4), size=5),
+             ends, 1e-4),
+            (canonical_matrix("I").array, STARTS,
+             np.array([20.0, 7.5, 0.0515, 12.0]), 1e-4),
+            (stack, rng.dirichlet(np.ones(4), size=4), 20.0, 1e-4),
+            (M.array * 1e4, [z + 1e-6 * np.array([1, -1, 1, -1]), X0],
+             np.array([0.1, 0.05]), 1e-6)]
+
+
+def test_lockstep_keeps_the_allocating_kernels_bits():
+    # every iteration's times, states, accept flags and last stage are the
+    # bits of the allocating stage loop, field and selects, through
+    # all-accepted iterations (one where a row lands on its end), rejected
+    # steps, rows idle at their ends and, on class IV, overflowing trials
+    seen = np.zeros(4, dtype=int)
+    for A, starts, ends, rtol in _kernel_cases():
+        u0 = gauge(np.log(np.asarray(starts)))
+        got = _rk.lockstep(batch_field(A), u0, ends, rtol, 1e-12, gauge)
+        want = _selecting_lockstep(_allocating_field(A), u0, ends, rtol,
+                                   1e-12, gauge)
+        t0 = np.zeros(len(u0))
+        for (t, u, ok, K), (t1, u1, ok1, K1) in zip(got, want, strict=True):
+            assert _same_bits(t, t1) and _same_bits(u, u1)
+            assert _same_bits(ok, ok1) and _same_bits(K[-1], K1[-1])
+            landed = (t == ends) & (t0 + (ends - t0) != ends)
+            seen += (ok.all(), (~ok & (t0 < ends)).any(),
+                     (t0 >= ends).any(), ok.all() and landed.any())
+            t0 = t
+    assert seen.all(), seen
+
+
+def test_field_result_is_not_its_scratch(rng):
+    # the field keeps its exp, product and sums per input shape, and each
+    # call returns a fresh array with the allocating field's bits
+    for A in (canonical_matrix("III").array, _skew(rng, 3, (6,))):
+        n = A.shape[-1]
+        fun, ref = batch_field(A), _allocating_field(A)
+        U = [gauge(np.log(rng.dirichlet(np.ones(n), size=6)))
+             for _ in range(3)]
+        first = fun(U[0])
+        kept = first.copy()
+        second = fun(U[1])
+        if A.ndim == 2:
+            other = fun(U[2][:2])
+            assert _same_bits(other, ref(U[2][:2]))
+        assert _same_bits(first, kept) and _same_bits(first, ref(U[0]))
+        assert _same_bits(second, ref(U[1]))
+        assert not np.shares_memory(first, second)
+        assert _same_bits(fun(U[0]), kept)

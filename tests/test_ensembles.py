@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from replicator4 import _fastprobe
 from replicator4 import (PayoffMatrix, PreconditionFailed, StepSizeUnderflow,
                          build_digraph, canonical_matrix, classify_matrix,
                          integrate, kernel_line_section,
@@ -160,3 +161,34 @@ def test_probe_step_underflow_carries_start_row(MI, rng):
     assert err.t >= 0.0
     assert 0.0 < err.h < 1e-13
     assert np.allclose(np.exp(err.state), starts[err.row])
+
+
+@pytest.mark.parametrize("starts, match", [
+    ([[0.3, 0.3, 0.4]], "3 coordinates, matrix order is 4"),
+    ([[0.0, 0.5, 0.25, 0.25]], "finite and positive"),
+    ([[np.nan, 0.3, 0.3, 0.4]], "finite and positive"),
+    ([[0.6, 0.6, -0.1, -0.1]], "finite and positive"),
+    ([[0.25, 0.25, 0.25, np.inf]], "finite and positive"),
+    ([[0.25] * 4, [[0.25] * 4]], "1-d vector")])
+def test_probe_rejects_bad_starts_before_any_run(MI, starts, match,
+                                                 monkeypatch):
+    # a 3-coordinate start raised numpy's reshape error and a zero share
+    # gave (0.0, 0.0) with a divide-by-zero warning; NaN, negative and
+    # infinite shares ran forever
+    runs = []
+    monkeypatch.setattr(_fastprobe, "window_and_final_min",
+                        lambda *args: runs.append(args))
+    with pytest.raises(PreconditionFailed, match=match):
+        permanence_probe(MI, starts)
+    with pytest.raises(PreconditionFailed, match="matrix entries must be "
+                       "finite"):
+        permanence_probe(np.where(MI.array > 0, np.nan, MI.array),
+                         [[0.25] * 4])
+    assert runs == []
+
+
+def test_probe_scales_starts_to_unit_sum(MI, rng):
+    starts = interior_starts(kernel_line_section(MI), rng, 2)
+    assert permanence_probe(MI, [4.0 * x for x in starts]) == \
+        permanence_probe(MI, starts)
+    assert permanence_probe(MI, []) == []

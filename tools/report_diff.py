@@ -25,6 +25,12 @@ run ``classify`` and ``kernel --float``, so that float-mode decisions show
 in the diff.  One seeded relabeled sample per class, ``sample_class_matrix(c,
 default_rng(0))`` (``S-I`` ... ``S-V``), runs ``classify`` and ``boundary``,
 so that the ensemble draws show too.
+The permanence screen runs in process, ``permanence_probe`` with five
+starts each on canonical I-V (``interior_starts``) and on one
+``sample_cyclic_nonsingular`` and one ``sample_acyclic_singular`` draw
+(``barycenter_starts``), all from ``default_rng(0)``, then on the seven
+as one stack; its pairs go to ``screen.probe.json`` as JSON numbers,
+which round-trip every bit (156 files compared in all).
 Printed: per JSON key (list indices folded to ``[]``), CSV column or SVG
 file, how many floats moved and the largest absolute and relative move;
 per work counter (:data:`COUNTERS`, the integrator's step counts, which
@@ -91,12 +97,37 @@ TEXT = ("from fractions import Fraction\n"
         f"for c in {CLASSES!r}: print(format_matrix(sample_class_matrix(\n"
         "    c, np.random.default_rng(0))))")
 
+SCREEN = ("import json\n"
+          "import numpy as np\n"
+          "from replicator4 import canonical_matrix, kernel_line_section\n"
+          "from replicator4.ensembles import (barycenter_starts, "
+          "interior_starts,\n"
+          "    permanence_probe, sample_acyclic_singular, "
+          "sample_cyclic_nonsingular)\n"
+          "rng, out, mats = np.random.default_rng(0), {}, []\n"
+          f"for c in {CLASSES!r}:\n"
+          "    M = canonical_matrix(c)\n"
+          "    out[c] = permanence_probe(M, interior_starts(\n"
+          "        kernel_line_section(M), rng, 5))\n"
+          "    mats.append(M.array)\n"
+          "for name, sample in (('cyclic', sample_cyclic_nonsingular),\n"
+          "                     ('acyclic', sample_acyclic_singular)):\n"
+          "    M = sample(rng)\n"
+          "    out[name] = permanence_probe(M, barycenter_starts(rng, 5))\n"
+          "    mats.append(M.array)\n"
+          "out['stack'] = permanence_probe(np.array(mats),\n"
+          "                                barycenter_starts(rng, len(mats)))\n"
+          "print(json.dumps(out, indent=1))")
+
 
 def run_tree(tree: str, out: Path) -> None:
     env = dict(os.environ, PYTHONPATH=str(Path(tree, "src").resolve()))
     texts = subprocess.run([sys.executable, "-c", TEXT], env=env, check=True,
                            text=True, capture_output=True).stdout.split("\n")
     out.mkdir()
+    Path(out, "screen.probe.json").write_text(subprocess.run(
+        [sys.executable, "-c", SCREEN], env=env, check=True, text=True,
+        capture_output=True).stdout)
     for (name, runs), text in zip(MATRICES, texts):
         for cmd, options, ext in runs:
             stem = out / f"{cmd}.{name}"
