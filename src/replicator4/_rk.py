@@ -9,10 +9,11 @@ projection, and the drift accounting downstream depends on it.
 One pair, Dormand-Prince 8(5,3) (DOP853) as module constants, one trial
 step (:func:`attempt`), one controller (:func:`control`) and one driver,
 :func:`lockstep`, which advances a (B, n) batch of independent runs,
-each row with its own time, step, accept decision and end.  Its
-consumers, all on :func:`replicator4.dynamics.batch_field`: every run
-that makes a :class:`replicator4.dynamics.Trajectory`, and the
-permanence screen (:func:`replicator4._fastprobe.window_and_final_min`).
+each row with its own time, step, accept decision and end.  Its two
+consumers, both on :func:`replicator4.dynamics.batch_field`:
+:func:`replicator4.dynamics._integrate`, the one run that makes a
+:class:`replicator4.dynamics.Trajectory`, and the permanence screen
+(:func:`replicator4._fastprobe.window_and_final_min`).
 The field takes exp without a max shift (see :mod:`replicator4.dynamics`),
 so a grossly oversized trial can overflow: :func:`control` rejects its
 NaN error estimate, and :func:`lockstep` keeps numpy's warnings off
@@ -268,10 +269,11 @@ def lockstep(fun, u0, t_end, rtol, atol, project):
     """Advance a (B, n) batch of runs of u' = fun(u) from t = 0 to t_end.
 
     ``t_end`` is a scalar or a (B,) array read on every iteration, which
-    a consumer may change between iterations (inf: no end yet).  Rows
-    keep their own time, step, PI memory and accept decision; a row at
-    or past its end takes no step, and keeps its step and PI memory for
-    a raised end.  A row is projected, and takes the last stage as its
+    a consumer may change between iterations (inf: no end yet); one end
+    rule serves both, so an array of one value takes a scalar's steps.
+    Rows keep their own time, step, PI memory and accept decision; a row
+    at or past its end takes no step, and keeps its step and PI memory
+    for a raised end.  A row is projected, and takes the last stage as its
     derivative, only after a step it accepts (``project`` returns a new
     array: the trial's buffer is reused), and when every row accepts a
     step short of its end, takes the trial as it is, without selects.  A
@@ -291,11 +293,11 @@ def lockstep(fun, u0, t_end, rtol, atol, project):
     err_prev = np.full(len(u), 1e-4)
     K = np.empty((len(ROWS),) + u.shape)
     V = _views(K)
-    per_row = np.ndim(t_end) > 0
     while True:
         rest = t_end - t
         live = rest > 0
-        if not live.any():
+        nlive = np.count_nonzero(live)
+        if not nlive:
             return
         # the whole rest where h would leave less than MIN_STEP; control
         # shrinks a rejected step below SAFETY times it, so no rest is
@@ -315,7 +317,7 @@ def lockstep(fun, u0, t_end, rtol, atol, project):
             u_new, err = attempt(fun, u, f, step[:, None], rtol, atol, K, V)
             u_new = project(u_new)
         ok, h_next, err_next = control(step, err, err_prev)
-        if per_row:  # a scalar end never moves: no idle row to keep
+        if nlive < len(t):  # an idle row keeps its step and PI memory
             h_next = np.where(live, h_next, h)
             err_next = np.where(live, err_next, err_prev)
         h, err_prev = h_next, err_next

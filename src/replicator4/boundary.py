@@ -36,8 +36,8 @@ import numpy as np
 from .dynamics import (_integrate, integrate,  # noqa: F401
                        check_finite, vector_field)
 from .errors import PreconditionFailed, PredictionViolated
-from .orbit import (CLOSURE_TOL, FIRST_SPAN, HORIZON,  # noqa: F401
-                    close_orbits, detect_period, section_normal)
+from .orbit import (CLOSURE_TOL, HORIZON, close_orbits,  # noqa: F401
+                    detect_period, section_normal)
 from .payoff import PayoffMatrix, Scalar, format_matrix, scalar_to_json
 
 #: grading bounds (see verify_boundary) and every run's absolute tolerance
@@ -393,12 +393,13 @@ def verify_boundary(M: PayoffMatrix,
 
     The runs go out as one lockstep batch per subsystem order, every row
     with its own end: an all-equilibria edge runs to min(50, t_end), a
-    periodic face to :data:`~replicator4.orbit.FIRST_SPAN`, an
-    all-equilibria face not at all, and every other region to t_end, all
-    at ``rtol``.  The periodic starts' returns are bisected together; a
-    start with no closing return continues in its batch to 50, 100, then
-    200 time units (:data:`~replicator4.orbit.HORIZON`), as in
-    ``detect_period``.
+    periodic face until it closes, an all-equilibria face not at all, and
+    every other region to t_end, all at ``rtol``.  A periodic face's end
+    is seeded with :data:`~replicator4.orbit.HORIZON`, and
+    :func:`~replicator4.orbit.close_orbits` sets its spans, as in
+    ``detect_period``: the starts' returns are bisected together, and a
+    start with no closing return continues in its batch up to the
+    horizon.
 
     Raises PredictionViolated (report attached) when any region fails
     and ``raise_on_violation`` is set, and PreconditionFailed when
@@ -422,7 +423,7 @@ def verify_boundary(M: PayoffMatrix,
         sub = face_subsystem(M, f.face).to_float()
         regions.append((f, sub, _face_starts(f, sub, rng, samples_per_region),
                         None if f.kind == "all_equilibria" else
-                        FIRST_SPAN if f.kind == "periodic" else t_end))
+                        HORIZON if f.kind == "periodic" else t_end))
     runs = [[] for _ in regions]
     for n in (2, 3):
         # periodic starts first: close_orbits' start j is row j of until
@@ -436,7 +437,7 @@ def verify_boundary(M: PayoffMatrix,
         k = sum(periodic)
         records = close_orbits(
             until, ps[:k], [section_normal(*row) for row in zip(subs, ps[:k])],
-            FIRST_SPAN, closure_tol, HORIZON)
+            closure_tol, HORIZON)
         trajs = until(range(k, len(ps)), ends[k:])
         for r, record in zip(owners, records + trajs[k:]):
             runs[r].append(record)

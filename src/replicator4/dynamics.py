@@ -30,13 +30,13 @@ budget.  :func:`integrate_many` runs a batch of starts and returns one
 trajectory per start.
 
 There is one pair, DOP853, one driver, :func:`replicator4._rk.lockstep`,
-and one field, :func:`batch_field`, with three consumers:
-:func:`integrate_many`, the permanence screen
-(:func:`replicator4._fastprobe.window_and_final_min`) and :func:`_integrate`,
-whose rows continue on a raised end: :func:`integrate`, its one-start case
-with :func:`integrate_many`'s bits and its monitors checked after the run,
-the certified orbits and every boundary region, one batch per subsystem
-order.
+and one field, :func:`batch_field`, with two consumers: the permanence
+screen (:func:`replicator4._fastprobe.window_and_final_min`) and
+:func:`_integrate`, the one run handle that makes trajectories, whose rows
+continue on a raised end: :func:`integrate_many`, every row to one end,
+:func:`integrate`, its one-start case with its monitors checked after the
+run, the certified orbits and their probes, and every boundary region,
+one batch per subsystem order.
 """
 
 from __future__ import annotations
@@ -276,21 +276,6 @@ def check_order(x0, n: int) -> np.ndarray:
     return p
 
 
-def _check_run(A: np.ndarray, starts, t_end: float, rtol: float,
-               atol: float) -> np.ndarray:
-    """Validated interior starts of matching dimension, one per row,
-    for a run to t_end at the given tolerances."""
-    P = [check_simplex_point(check_order(x0, A.shape[-1]),
-                             require_interior=True) for x0 in starts]
-    if not P:
-        raise PreconditionFailed("a run needs at least one start")
-    check_stack(A, len(P))
-    check_finite("t_end", t_end)
-    check_finite("rtol", rtol)
-    check_finite("atol", atol, strict=False)
-    return np.array(P)
-
-
 def integrate(M, x0, t_end: float, rtol: float = 1e-10,
               atol: float = 1e-12, monitors: Sequence = (),
               drift_budget: float | None = None) -> Trajectory:
@@ -321,7 +306,7 @@ def integrate(M, x0, t_end: float, rtol: float = 1e-10,
     DriftBudgetExceeded
         See above; signals the tolerance was too loose for this run.
     """
-    traj = _integrate(_as_array(M), [x0], [t_end], rtol, atol)([0], t_end)[0]
+    traj = integrate_many(M, [x0], t_end, rtol, atol)[0]
     traj.drift = entropy_drift(traj, x0, monitors, drift_budget)
     return traj
 
@@ -351,62 +336,57 @@ def entropy_drift(traj: Trajectory, x0, monitors: Sequence,
 
 
 def _integrate(A, starts, ends, rtol, atol):
-    """The checked lockstep run of ``starts`` to ``ends`` (inf: riding
-    along), as ``until(rows, t)``: it sets the end of ``rows`` to t, one
-    end for all or an array with one per row, runs the batch on until they
-    reach it and returns every row's trajectory.  The first ends are
-    checked as ``t_end`` is, through their least (NaN if any end is NaN),
-    so each is finite and positive, or inf, and one is finite; ``until``
-    does not check the ends it sets.  One row raises :func:`integrate`'s
-    StepSizeUnderflow; a batch, its row."""
-    P = _check_run(A, starts, np.min(ends), rtol, atol)
-    ends = np.array(ends, dtype=float)
-    run = _history(A, P, ends, rtol, atol)
-    hist = [next(run)]
+    """The checked lockstep run of ``starts`` to ``ends`` (one for all or
+    one per row; inf: riding along), as ``until(rows, end)``: it sets the
+    end of ``rows`` to ``end``, one for all or an array with one per row,
+    runs the batch on until they reach it and returns every row's
+    trajectory.  The starts are checked as :func:`integrate_many` states;
+    the first ends as ``t_end`` is, through their least (NaN if any end is
+    NaN), so each is finite and positive, or inf, and one is finite;
+    ``until`` does not check the ends it sets.  One row raises
+    :func:`integrate`'s StepSizeUnderflow; a batch, its row."""
+    P = [check_simplex_point(check_order(x0, A.shape[-1]),
+                             require_interior=True) for x0 in starts]
+    if not P:
+        raise PreconditionFailed("a run needs at least one start")
+    check_stack(A, len(P))
+    check_finite("t_end", np.min(ends))
+    check_finite("rtol", rtol)
+    check_finite("atol", atol, strict=False)
+    ends = np.full(len(P), ends, dtype=float)
+    u0 = gauge(np.log(P))
+    run = _rk.lockstep(batch_field(A), u0, ends, rtol, atol, gauge)
+    # (t, u, ok, rejected, stages) per iteration, with no stages at t = 0
+    no = np.zeros(len(P), dtype=bool)
+    hist = [(np.zeros(len(P)), u0, ~no, no, None)]
+    stack = np.broadcast_to(A, (len(P),) + A.shape[-2:])
 
-    def until(rows, t) -> list[Trajectory]:
-        ends[rows] = t
+    def until(rows, end) -> list[Trajectory]:
+        ends[rows] = end
         try:
-            while (hist[-1][0][rows] < t).any():
-                hist.append(next(run))
+            while (hist[-1][0][rows] < end).any():
+                t, u, ok, K = next(run)
+                hist.append((t, u, ok, (hist[-1][0] < ends) & ~ok, K.copy()))
         except StepSizeUnderflow as e:
             if len(P) > 1:
                 raise
             raise StepSizeUnderflow(
                 f"step size {e.h:.3e} fell below {_rk.MIN_STEP:.1e} at "
                 f"t = {e.t:.6g}", t=e.t, h=e.h, state=e.state) from None
-        return _trajectories(A, hist, rtol, atol)
+        *nodes, ks = zip(*hist)
+        ts, us, oks, rej = (np.array(v) for v in nodes)
+        ks = np.array(ks[1:])
+        return [Trajectory(A=stack[b], ts=ts[k, b], us=us[k, b],
+                           ks=ks[k[1:], :, b], naccept=int(k.sum()) - 1,
+                           nreject=int(rej[:, b].sum()), rtol=rtol, atol=atol)
+                for b, k in enumerate(oks.T)]
     return until
-
-
-def _history(A, P, t_end, rtol, atol):
-    """The lockstep run of starts P as (t, u, ok, rejected, stages)
-    entries, with no stages in the first."""
-    u = gauge(np.log(P))
-    t, no = np.zeros(len(u)), np.zeros(len(u), dtype=bool)
-    yield t, u, ~no, no, None
-    for t_new, u, ok, K in _rk.lockstep(batch_field(A), u, t_end, rtol, atol,
-                                        gauge):
-        yield t_new, u, ok, (t < t_end) & ~ok, K.copy()
-        t = t_new
-
-
-def _trajectories(A, hist, rtol, atol) -> list[Trajectory]:
-    """One :class:`Trajectory` per row of :func:`_history`'s entries."""
-    *nodes, ks = zip(*hist)
-    ts, us, oks, rej = (np.array(v) for v in nodes)
-    ks = np.array(ks[1:])
-    A = np.broadcast_to(A, (oks.shape[1],) + A.shape[-2:])
-    return [Trajectory(A=A[b], ts=ts[k, b], us=us[k, b], ks=ks[k[1:], :, b],
-                       naccept=int(k.sum()) - 1,
-                       nreject=int(rej[:, b].sum()), rtol=rtol, atol=atol)
-            for b, k in enumerate(oks.T)]
 
 
 def integrate_many(M, X0, t_end: float, rtol: float = 1e-10,
                    atol: float = 1e-12) -> list[Trajectory]:
     """One :class:`Trajectory` per interior start (row of X0), without
-    monitors, from one lockstep run (:func:`replicator4._rk.lockstep`).
+    monitors, from one :func:`_integrate` run of every start to t_end.
 
     ``M`` is one matrix, or a (B, n, n) stack with one per start, which
     becomes that start's ``Trajectory.A``.  Each start keeps its own
@@ -418,14 +398,14 @@ def integrate_many(M, X0, t_end: float, rtol: float = 1e-10,
     (its dense output, built from its own steps, adds no such dependence).
     It raises PreconditionFailed as :func:`integrate` does, for any start,
     an empty batch or a stack of the wrong length, and StepSizeUnderflow
-    with the ``row`` of the start whose step fell below the floor.
+    as :func:`_integrate` does: with the ``row`` of the start whose step
+    fell below the floor, or for one start, :func:`integrate`'s.
     """
-    A = _as_array(M)
-    P = _check_run(A, X0, t_end, rtol, atol)
-    return _trajectories(A, _history(A, P, t_end, rtol, atol), rtol, atol)
+    return _integrate(_as_array(M), X0, t_end, rtol, atol)(slice(None),
+                                                             t_end)
 
 
 def phi_drift(traj: Trajectory, z) -> float:
-    """Max deviation of phi_z from its initial value over accepted nodes."""
-    vals = phi(traj.xs, check_simplex_point(z))
-    return float(np.abs(vals - vals[0]).max())
+    """Max deviation of phi_z from its initial value over accepted nodes:
+    :func:`entropy_drift` from the run's first node, with no budget."""
+    return entropy_drift(traj, traj.xs[0], (("z", z),), np.inf)["z"]

@@ -250,7 +250,7 @@ def select_reference_points(section: NullLineSection, x0,
     return _pick(_candidates(section, check_order(x0, n)), cloud)
 
 
-#: time units of :func:`detect_period`'s first integration, and the
+#: time units of :func:`close_orbits`' first span, and the default
 #: horizon up to which a run that does not close continues
 FIRST_SPAN, HORIZON = 25.0, 200.0
 
@@ -328,13 +328,15 @@ def first_closure(trajs: Sequence[Trajectory], ps, f0s,
             for t, r in zip(np.split(t, splits), np.split(r, splits))]
 
 
-def close_orbits(until, ps, f0s, span: float, closure_tol: float,
-                 horizon: float) -> list:
+def close_orbits(until, ps, f0s, closure_tol: float, horizon: float) -> list:
     """``(run, t, residual, closed)`` for each start ``ps[j]``, row j of
     ``until`` (:func:`replicator4.dynamics._integrate`), with normal
     ``f0s[j]``: the period, or if none closes inside ``horizon`` the best
-    return (None if none).  Open rows run on to span, 2 span, ... horizon."""
-    out, todo = [None] * len(ps), list(range(len(ps)))
+    return (None if none).  The rows' ends go to :data:`FIRST_SPAN` (or
+    ``horizon`` if shorter) before they take a step, so a caller seeds
+    them with anything no shorter, ``horizon`` say; open rows run on to
+    twice the span, four times, ... up to ``horizon``."""
+    out, todo, span = [None] * len(ps), list(range(len(ps))), FIRST_SPAN
     while todo:
         trajs = until(todo, min(span, horizon))
         for j, (returns, residuals, first) in zip(todo, first_closure(
@@ -358,9 +360,9 @@ def _period(M, p, section, cands, rtol, atol, closure_tol, horizon, starts):
     check_finite("closure_tol", closure_tol)
     f0 = section_normal(M, p)
     until = _integrate(_as_array(M), [p, *starts],
-                       [FIRST_SPAN] + [np.inf] * len(starts), rtol, atol)
+                       [horizon] + [np.inf] * len(starts), rtol, atol)
     (traj, period, residual, closed), = close_orbits(
-        until, [p], [f0], FIRST_SPAN, closure_tol, horizon)
+        until, [p], [f0], closure_tol, horizon)
     if period is None:
         raise NoClosureFound(f"no section return inside horizon {horizon}")
     if not closed:
@@ -394,10 +396,10 @@ def detect_period(M, x0, section: NullLineSection | None = None,
                   horizon: float = HORIZON) -> OrbitReport:
     """Certify the trajectory through x0 as a closed orbit.
 
-    One integration at the requested tolerance runs for
-    :data:`FIRST_SPAN` time units (or ``horizon`` if shorter).  The period
-    follows :func:`first_closure`; while no return closes, the same run
-    continues to twice the span, up to ``horizon`` (:func:`close_orbits`).
+    One integration at the requested tolerance runs until the orbit
+    closes (:func:`close_orbits`): for :data:`FIRST_SPAN` time units (or
+    ``horizon`` if shorter), and while no return closes, on to twice the
+    span, up to ``horizon``.  The period follows :func:`first_closure`.
     The report carries the period, the closure residual |x(T) - x0|, and
     the trapezoid time average over the :data:`N_SAMPLES` intervals of the
     orbit's sample cloud; with a ``section``, also the average's distance

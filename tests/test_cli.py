@@ -400,6 +400,45 @@ def test_orbit_start_on_K_fails_before_any_run(tmp_path, monkeypatch,
     assert batches == []
 
 
+@pytest.mark.parametrize("starts, prefix", [
+    ("1", "step size"), ("2", "batch row 0: step size")])
+def test_portrait_underflow_exits_one_with_error_json(starts, prefix,
+                                                      tmp_path, capsys):
+    # one start raises the one-run error, a batch its row's
+    text = "0 1e15 1e15 -2e15 / -1e15 0 1e15 -1e15 / -1e15 -1e15 0 1e15 " \
+           "/ 2e15 1e15 -1e15 0"
+    code, out, err = run(["portrait", "--matrix", matrix_file(tmp_path, text),
+                          "--starts", starts], capsys)
+    assert (code, out) == (1, "")
+    payload = validated(err, "error")
+    assert payload["error"]["type"] == "StepSizeUnderflow"
+    assert payload["error"]["message"].startswith(prefix)
+
+
+def test_verify_takes_the_tube_verdict_from_certify(tmp_path, monkeypatch,
+                                                    capsys):
+    # a worst tube distance past 50 delta but within one sample gap more
+    # is inside the certified tube: certify_orbit's verdict, which verify
+    # reports, not a second bound without the gap
+    certify = cli.certify_orbit
+
+    def widened(*args, **kwargs):
+        report = certify(*args, **kwargs)
+        gap = np.linalg.norm(np.diff(report.orbit_samples, axis=0),
+                             axis=1).max()
+        probe = report.stability
+        probe.max_tube_distance = 50.0 * probe.delta + 0.5 * gap
+        assert probe.escaped == ()
+        return report
+
+    monkeypatch.setattr(cli, "certify_orbit", widened)
+    code, out, _ = run(
+        ["verify", "--matrix", matrix_file(tmp_path, M_IV_TEXT)], capsys)
+    stability = json.loads(out)["checks"]["stability"]
+    assert stability["max_tube_distance"] > 50.0 * 1e-3
+    assert (code, stability["status"]) == (0, "pass")
+
+
 def test_each_command_computes_K_once(tmp_path, monkeypatch, capsys):
     calls = []
 

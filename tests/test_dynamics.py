@@ -542,6 +542,15 @@ def test_integrate_many_underflow_carries_row(MI):
     assert err.t == 0.0
     assert 0.0 < err.h < 1e-13
     assert np.allclose(np.exp(err.state), X0)
+    # alone, that start raises integrate's one-run error, with no row
+    errors = []
+    for run, x0 in ((integrate_many, [X0]), (integrate, X0)):
+        with pytest.raises(StepSizeUnderflow) as exc:
+            run(MI.array * 1e15, x0, 1.0)
+        errors.append(exc.value)
+    many, one = errors
+    assert many.row is None and str(many).startswith("step size")
+    assert str(many) == str(one) and (many.t, many.h) == (one.t, one.h)
 
 
 def test_integrate_many_validates_every_start(MI):
@@ -570,19 +579,45 @@ def _accepted(steps, b):
                                        for t, u, ok, _ in steps if ok[b]])]
 
 
+def _scalar_run(A, x0, end, rtol):
+    """One start's accepted times, states and stages, and its accept and
+    reject counts, from lockstep alone with a scalar end."""
+    u0 = gauge(np.log([check_simplex_point(x0)]))
+    steps = [(t[0], u[0], ok[0], K[:, 0].copy()) for t, u, ok, K in
+             _rk.lockstep(batch_field(A), u0, end, rtol, 1e-12, gauge)]
+    kept = [step for step in steps if step[2]]
+    ts, us, _, ks = zip(*kept)
+    return (np.array((0.0, *ts)), np.array((u0[0], *us)), np.array(ks),
+            len(kept), len(steps) - len(kept))
+
+
 def test_lockstep_end_array_matches_scalar_runs(MI):
     # a per-row end runs each row as a scalar end runs it alone, with the
     # same accept and reject counts; rtol 1e-4 so that steps are rejected
     ends = np.array([7.5, 20.0, 3.0, 12.5])
-    P = np.array([check_simplex_point(x0) for x0 in STARTS])
-    trajs = dynamics._trajectories(MI.array, dynamics._history(
-        MI.array, P, ends, 1e-4, 1e-12), 1e-4, 1e-12)
+    trajs = dynamics._integrate(MI.array, STARTS, ends, 1e-4, 1e-12)(
+        slice(None), ends)
     assert sum(traj.nreject for traj in trajs) > 0
     for x0, end, traj in zip(STARTS, ends, trajs):
-        alone = integrate_many(MI, [x0], float(end), rtol=1e-4)[0]
-        assert (traj.naccept, traj.nreject) == (alone.naccept, alone.nreject)
-        for name in ("ts", "us", "ks"):
-            assert np.array_equal(getattr(traj, name), getattr(alone, name))
+        ts, us, ks, naccept, nreject = _scalar_run(MI.array, x0, float(end),
+                                                   1e-4)
+        assert (traj.naccept, traj.nreject) == (naccept, nreject)
+        for name, want in (("ts", ts), ("us", us), ("ks", ks)):
+            assert _same_bits(getattr(traj, name), want)
+
+
+def test_lockstep_has_one_end_rule(MI):
+    # a scalar end and a per-row array of the same value take the same
+    # steps, iteration by iteration, also once some rows stand idle
+    u0 = gauge(np.log(STARTS))
+    scalar, array = (_rk.lockstep(batch_field(MI.array), u0, end, 1e-4, 1e-12,
+                                  gauge) for end in (20.0, np.full(4, 20.0)))
+    idle = 0
+    for (t, u, ok, K), (t1, u1, ok1, K1) in zip(scalar, array, strict=True):
+        assert _same_bits(t, t1) and _same_bits(u, u1)
+        assert _same_bits(ok, ok1) and _same_bits(K, K1)
+        idle += 0 < (t == 20.0).sum() < len(t)
+    assert idle > 1
 
 
 def test_lockstep_raised_end_continues_the_run(MI):

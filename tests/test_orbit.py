@@ -583,6 +583,22 @@ def test_stability_probe_large_delta(certified_MIV):
         stability_probe(M, report, delta=0.3, n_probes=16)
 
 
+def test_one_probe_underflow_is_the_one_run_error(certified_MIV):
+    # one probe runs as integrate runs its start: the error has no row
+    M, _, _, report = certified_MIV
+    start = orbit._probe_starts(report.x0, 1e-3, 1, 0)[0]
+    errors = []
+    for run in (lambda A: stability_probe(A, report, n_probes=1),
+                lambda A: integrate(A, start, 3.0 * report.period)):
+        with pytest.raises(StepSizeUnderflow) as exc:
+            run(M.array * 1e15)
+        errors.append(exc.value)
+    probe, alone = errors
+    assert probe.row is None and str(probe).startswith("step size")
+    assert str(probe) == str(alone) and (probe.t, probe.h) == (alone.t,
+                                                                alone.h)
+
+
 def _apart(M, x0, section, seed, delta=1e-3, horizon=orbit.HORIZON):
     """detect_period, then stability_probe on its report."""
     report = detect_period(M, x0, section, horizon=horizon)

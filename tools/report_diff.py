@@ -37,8 +37,9 @@ per work counter (:data:`COUNTERS`, the integrator's step counts, which
 move with the integrator as floats do), how many moved and the largest
 move; every other change (a status, a string, another integer, an exit
 code, a missing value); each file that is not byte-identical, and how many
-are.  Exits 1 when anything other than a float or a work counter moved: a
-value, a key set or a file.
+are.  First it prints each tree's non-blank line count of
+``src/replicator4/*.py``.  Exits 1 when anything other than a float or a
+work counter moved: a value, a key set or a file.
 """
 
 import json
@@ -161,7 +162,16 @@ def leaves(path: Path, key: str):
         yield f"{key}:text", NUM.sub("#", text)
 
 
+def source_lines(tree: str) -> int:
+    """Non-blank lines of the tree's ``src/replicator4/*.py``."""
+    return sum(bool(line.strip()) for path in sorted(
+        Path(tree, "src", "replicator4").glob("*.py"))
+        for line in path.read_text().splitlines())
+
+
 def main(old: str, new: str) -> int:
+    print(f"non-blank lines in src/replicator4/*.py: {source_lines(old)} -> "
+          f"{source_lines(new)}")
     with tempfile.TemporaryDirectory() as tmp:
         a, b = Path(tmp, "old"), Path(tmp, "new")
         run_tree(old, a)
