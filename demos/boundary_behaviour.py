@@ -33,7 +33,7 @@ print("  unstable vertices:", list(prediction.unstable_vertices))
 # every region gets simulated starts; "pass" means the trajectory did
 # what the table said within tolerance, "measured" means the region
 # only records a quantity instead of being graded
-report = verify_boundary(M, prediction, seed=0, raise_on_violation=False)
+report = verify_boundary(M, prediction, seed=0)
 print(f"\nverified (seed 0, t_end {report.t_end}): passed={report.passed}")
 for region in report.regions:
     print(f"  {region.region:10s} {region.status}")

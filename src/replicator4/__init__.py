@@ -11,10 +11,9 @@ __version__ = "0.1.0"
 from .errors import (DriftBudgetExceeded, EmptyKernelSection,
                      EquilibriumStart, InconsistentClass,
                      MatrixFormatError, NoClosureFound, NotConservative,
-                     PreconditionFailed, PredictionViolated, ProbeEscaped,
-                     RankError, Replicator4Error, SelectionExhausted,
-                     StepSizeUnderflow, UnclassifiableSignPattern,
-                     ZeroMatrix)
+                     PreconditionFailed, RankError, Replicator4Error,
+                     SelectionExhausted, StepSizeUnderflow,
+                     UnclassifiableSignPattern, ZeroMatrix)
 from .payoff import PayoffMatrix, format_matrix, parse_matrix, to_skew
 from .signgraph import (ClassLabel, SignDigraph, build_digraph, classify,
                         classify_matrix, is_permanent)
@@ -41,7 +40,7 @@ __all__ = [
     "RankError", "PreconditionFailed", "UnclassifiableSignPattern",
     "InconsistentClass", "EmptyKernelSection", "StepSizeUnderflow",
     "DriftBudgetExceeded", "EquilibriumStart", "NoClosureFound",
-    "SelectionExhausted", "ProbeEscaped", "PredictionViolated",
+    "SelectionExhausted",
     "PayoffMatrix", "parse_matrix", "format_matrix", "to_skew",
     "SignDigraph", "ClassLabel", "build_digraph", "classify",
     "classify_matrix", "is_permanent",

@@ -35,7 +35,7 @@ import numpy as np
 # integrate and detect_period are unused; perfbench's tracer patches both
 from .dynamics import (_integrate, integrate,  # noqa: F401
                        check_finite, vector_field)
-from .errors import PreconditionFailed, PredictionViolated
+from .errors import PreconditionFailed
 from .orbit import (CLOSURE_TOL, HORIZON, close_orbits,  # noqa: F401
                     detect_period, section_normal)
 from .payoff import PayoffMatrix, Scalar, format_matrix, scalar_to_json
@@ -378,8 +378,7 @@ def verify_boundary(M: PayoffMatrix,
                     prediction: BoundaryPrediction | None = None,
                     seed: int = 0, samples_per_region: int = 3,
                     t_end: float = 200.0, rtol: float = 1e-8,
-                    closure_tol: float = CLOSURE_TOL,
-                    raise_on_violation: bool = True) -> BoundaryReport:
+                    closure_tol: float = CLOSURE_TOL) -> BoundaryReport:
     """Simulate every face and edge region and score the predictions.
 
     Scoring: vertex convergence needs the predicted winner within
@@ -401,9 +400,10 @@ def verify_boundary(M: PayoffMatrix,
     start with no closing return continues in its batch up to the
     horizon.
 
-    Raises PredictionViolated (report attached) when any region fails
-    and ``raise_on_violation`` is set, and PreconditionFailed when
-    ``samples_per_region < 1``.
+    The report is returned whatever the verdict: a failed region is its
+    ``status``, and ``passed`` is false when any region fails.  Raises
+    PreconditionFailed when ``samples_per_region < 1`` or ``t_end`` is
+    not finite and positive.
     """
     if samples_per_region < 1:
         raise PreconditionFailed(
@@ -439,15 +439,10 @@ def verify_boundary(M: PayoffMatrix,
             until, ps[:k], [section_normal(*row) for row in zip(subs, ps[:k])],
             closure_tol, HORIZON)
         trajs = until(range(k, len(ps)), ends[k:])
-        for r, record in zip(owners, records + trajs[k:]):
+        for r, record in zip(owners, records + trajs):
             runs[r].append(record)
     results = [_score(outcome, sub, starts, trajs)
                for (outcome, sub, starts, _), trajs in zip(regions, runs)]
-    passed = all(r.status != "fail" for r in results)
-    report = BoundaryReport(regions=tuple(results), passed=passed,
-                            seed=seed, t_end=t_end, rtol=rtol)
-    if not passed and raise_on_violation:
-        bad = [r.region for r in results if r.status == "fail"]
-        raise PredictionViolated(
-            f"simulation contradicts predictions in {bad}", report=report)
-    return report
+    return BoundaryReport(regions=tuple(results),
+                          passed=all(r.status != "fail" for r in results),
+                          seed=seed, t_end=t_end, rtol=rtol)

@@ -15,10 +15,12 @@ Conventions
   byte-identical bytes out,
 * every report follows its versioned schema under
   ``replicator4/schemas/``, which the test suite validates it against,
-* ``verify`` grades against the acceptance bounds of
-  :mod:`replicator4.orbit` (``K_DISTANCE_TOL``, ``PHI_DRIFT_TOL``,
-  ``V_DRIFT_TOL``), and takes the closure and tube verdicts from
-  ``certify_orbit``, which checks ``CLOSURE_TOL`` and ``TUBE_FACTOR``,
+* ``verify`` grades the bounds of :mod:`replicator4.orbit` from
+  ``certify_orbit``'s record, ``TUBE_FACTOR`` from the probe record's
+  ``escaped``; only a start that never closes raises (``NoClosureFound``),
+* a failed check comes back as a record, and the CLI makes it an exit
+  code: ``orbit`` (escaped probes) and ``boundary`` (a failed region)
+  exit 1 with an error, ``verify`` exits 1 after writing its report,
 * exit status 0 on success, 1 with a structured JSON error on stderr
   for domain failures, 2 for argument errors (argparse's own exit).
 
@@ -36,7 +38,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, orbit
 from .boundary import boundary_prediction, verify_boundary
 from .dynamics import default_drift_budget, integrate, integrate_many
 from .ensembles import barycenter_starts, interior_starts
@@ -202,6 +204,11 @@ def _cmd_orbit(args) -> int:
     report = detect_period(M, x0, **run) if args.skip_stability else \
         certify_orbit(M, x0, **run, delta=args.delta, n_probes=args.probes,
                       seed=seed)
+    probe = report.stability
+    if probe is not None and probe.escaped:
+        _emit_error("ProbeEscaped", f"{len(probe.escaped)} of {probe.n_probes}"
+                    f" probes left the {orbit.TUBE_FACTOR} * delta tube")
+        return 1
     out = report.to_json()
     out["reference_points"] = report.refs.to_json()
     _write(_dump(out), args.out)
@@ -212,8 +219,7 @@ def _cmd_boundary(args) -> int:
     M = _read_matrix(args)
     report = verify_boundary(M, boundary_prediction(M), seed=_seed_of(args),
                              samples_per_region=args.samples,
-                             t_end=args.t_end, rtol=args.rtol,
-                             raise_on_violation=False)
+                             t_end=args.t_end, rtol=args.rtol)
     _write(_dump(report.to_json()), args.out)
     if not report.passed:
         bad = [r.region for r in report.regions if r.status == "fail"]
@@ -272,14 +278,14 @@ def _cmd_verify(args) -> int:
     if section is not None:
         x0 = _seeded_starts(section, seed, 1)[0]
         report = certify_orbit(M, x0, section, rtol=args.rtol, seed=seed)
-        # certify_orbit owns the closure (NoClosureFound past CLOSURE_TOL)
-        # and the tube (probe.escaped, with its one-sample-gap slack)
+        # every bound is graded here from the record, the tube from
+        # probe.escaped; only a start that never closes raises
         orbit_ok = (report.avg_distance_to_K <= K_DISTANCE_TOL
                     and max(report.phi_drift.values()) <= PHI_DRIFT_TOL)
-        orbit = report.to_json()
+        certified = report.to_json()
         checks["orbit"] = {"status": "pass" if orbit_ok else "fail", **{
-            k: orbit[k] for k in ("x0", "period", "closure_residual",
-                                  "avg_distance_to_K", "phi_drift")}}
+            k: certified[k] for k in ("x0", "period", "closure_residual",
+                                      "avg_distance_to_K", "phi_drift")}}
         probe = report.stability
         stab_ok = not probe.escaped and probe.v_drift_max <= V_DRIFT_TOL
         checks["stability"] = {
@@ -291,8 +297,7 @@ def _cmd_verify(args) -> int:
         checks["orbit"] = {"status": "skipped"}
         checks["stability"] = {"status": "skipped"}
 
-    breport = verify_boundary(M, boundary_prediction(M), seed=seed,
-                              raise_on_violation=False)
+    breport = verify_boundary(M, boundary_prediction(M), seed=seed)
     checks["boundary"] = {
         "status": "pass" if breport.passed else "fail",
         "regions": {r.region: r.status for r in breport.regions},

@@ -197,15 +197,18 @@ class Trajectory:
     ts: np.ndarray
     us: np.ndarray
     ks: np.ndarray = field(repr=False)
-    naccept: int
     nreject: int
     rtol: float
-    atol: float
     drift: dict = field(default_factory=dict)
 
     @property
     def t_end(self) -> float:
         return float(self.ts[-1])
+
+    @property
+    def naccept(self) -> int:
+        """Accepted steps, one per node after t0."""
+        return len(self.ts) - 1
 
     @property
     def xs(self) -> np.ndarray:
@@ -338,13 +341,14 @@ def entropy_drift(traj: Trajectory, x0, monitors: Sequence,
 def _integrate(A, starts, ends, rtol, atol):
     """The checked lockstep run of ``starts`` to ``ends`` (one for all or
     one per row; inf: riding along), as ``until(rows, end)``: it sets the
-    end of ``rows`` to ``end``, one for all or an array with one per row,
-    runs the batch on until they reach it and returns every row's
-    trajectory.  The starts are checked as :func:`integrate_many` states;
-    the first ends as ``t_end`` is, through their least (NaN if any end is
-    NaN), so each is finite and positive, or inf, and one is finite;
-    ``until`` does not check the ends it sets.  One row raises
-    :func:`integrate`'s StepSizeUnderflow; a batch, its row."""
+    end of ``rows`` (indices or a slice) to ``end``, one for all or an
+    array with one per row, runs the batch on until they reach it and
+    returns the trajectories of ``rows``, in their order.  The starts are
+    checked as :func:`integrate_many` states; the first ends as ``t_end``
+    is, through their least (NaN if any end is NaN), so each is finite and
+    positive, or inf, and one is finite; ``until`` does not check the ends
+    it sets.  One row raises :func:`integrate`'s StepSizeUnderflow; a
+    batch, its row."""
     P = [check_simplex_point(check_order(x0, A.shape[-1]),
                              require_interior=True) for x0 in starts]
     if not P:
@@ -362,6 +366,7 @@ def _integrate(A, starts, ends, rtol, atol):
     stack = np.broadcast_to(A, (len(P),) + A.shape[-2:])
 
     def until(rows, end) -> list[Trajectory]:
+        rows = np.arange(len(P))[rows]
         ends[rows] = end
         try:
             while (hist[-1][0][rows] < end).any():
@@ -377,9 +382,9 @@ def _integrate(A, starts, ends, rtol, atol):
         ts, us, oks, rej = (np.array(v) for v in nodes)
         ks = np.array(ks[1:])
         return [Trajectory(A=stack[b], ts=ts[k, b], us=us[k, b],
-                           ks=ks[k[1:], :, b], naccept=int(k.sum()) - 1,
-                           nreject=int(rej[:, b].sum()), rtol=rtol, atol=atol)
-                for b, k in enumerate(oks.T)]
+                           ks=ks[k[1:], :, b], nreject=int(rej[:, b].sum()),
+                           rtol=rtol)
+                for b, k in zip(rows, oks.T[rows])]
     return until
 
 
@@ -401,8 +406,8 @@ def integrate_many(M, X0, t_end: float, rtol: float = 1e-10,
     as :func:`_integrate` does: with the ``row`` of the start whose step
     fell below the floor, or for one start, :func:`integrate`'s.
     """
-    return _integrate(_as_array(M), X0, t_end, rtol, atol)(slice(None),
-                                                             t_end)
+    return _integrate(_as_array(M), X0, t_end, rtol, atol)(
+        range(len(X0)), t_end)
 
 
 def phi_drift(traj: Trajectory, z) -> float:

@@ -5,6 +5,10 @@ Everything raised on purpose by this package derives from
 Subclasses double as builtin types where a builtin fits (bad input is a
 ``ValueError``, a rank failure is an ``ArithmeticError``) so idiomatic
 ``except`` clauses keep working.
+
+A failed check raises nothing: its verdict is a field of the record it
+returns (``StabilityProbe.escaped``, ``BoundaryReport.passed``).
+Exceptions are for bad input and for runs that leave nothing to grade.
 """
 
 from __future__ import annotations
@@ -115,23 +119,3 @@ class NoClosureFound(Replicator4Error):
 
 class SelectionExhausted(Replicator4Error):
     """No reference-point candidate met the transversality margin."""
-
-
-class ProbeEscaped(Replicator4Error):
-    """A stability probe left the acceptance tube.
-
-    The full probe record is attached so the result is reported rather
-    than silently discarded.
-    """
-
-    def __init__(self, message: str, probe=None):
-        super().__init__(message)
-        self.probe = probe
-
-
-class PredictionViolated(Replicator4Error):
-    """Simulated boundary behaviour contradicts the predicted outcome."""
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report

@@ -37,7 +37,7 @@ from .dynamics import (Trajectory, _as_array, _integrate,  # noqa: F401
                        integrate_many, phi, phi_gradient, sample_grid,
                        softmax, vector_field)
 from .errors import (EquilibriumStart, NoClosureFound, PreconditionFailed,
-                     ProbeEscaped, SelectionExhausted, StepSizeUnderflow)
+                     SelectionExhausted, StepSizeUnderflow)
 from .kernelgeom import NullLineSection, distance_to_K
 from .payoff import ZERO_TOL
 
@@ -339,13 +339,13 @@ def close_orbits(until, ps, f0s, closure_tol: float, horizon: float) -> list:
     out, todo, span = [None] * len(ps), list(range(len(ps))), FIRST_SPAN
     while todo:
         trajs = until(todo, min(span, horizon))
-        for j, (returns, residuals, first) in zip(todo, first_closure(
-                *([v[j] for j in todo] for v in (trajs, ps, f0s)),
-                closure_tol)):
+        found = first_closure(trajs, [ps[j] for j in todo],
+                              [f0s[j] for j in todo], closure_tol)
+        for j, traj, (returns, residuals, first) in zip(todo, trajs, found):
             k = first if first is not None or not returns.size \
                 else int(np.argmin(residuals))
-            out[j] = (trajs[j], None, None, False) if k is None else (
-                trajs[j], float(returns[k]), float(residuals[k]),
+            out[j] = (traj, None, None, False) if k is None else (
+                traj, float(returns[k]), float(residuals[k]),
                 first is not None)
         todo = [j for j in todo if not out[j][3] and span < horizon]
         span *= 2
@@ -387,7 +387,7 @@ def _period(M, p, section, cands, rtol, atol, closure_tol, horizon, starts):
         x0=p, period=period, closure_residual=residual,
         time_average=x_avg, avg_distance_to_K=dist, phi_drift=drift,
         refs=refs, rtol=rtol, orbit_samples=samples)
-    return report, until(range(1, 1 + len(starts)), 3.0 * period)[1:]
+    return report, until(range(1, 1 + len(starts)), 3.0 * period)
 
 
 def detect_period(M, x0, section: NullLineSection | None = None,
@@ -534,19 +534,13 @@ def _graded(report, delta, trajs) -> StabilityProbe:
     tube = _max_distance_to_samples(xs, ref, phase)
     escaped = tuple(int(k) for k in np.flatnonzero(
         tube > TUBE_FACTOR * delta + slack))
-    n_probes = len(trajs)
-    probe = StabilityProbe(
-        delta=delta, n_probes=n_probes, max_tube_distance=float(tube.max()),
+    return StabilityProbe(
+        delta=delta, n_probes=len(trajs), max_tube_distance=float(tube.max()),
         v_drift_max=float(v_drift.max()), escaped=escaped,
         probes=tuple({"probe": k, "v0": float(v[k, 0]),
                       "v_drift": float(v_drift[k]),
                       "tube_distance": float(tube[k])}
-                     for k in range(n_probes)))
-    if escaped:
-        raise ProbeEscaped(
-            f"{len(escaped)} of {n_probes} probes left the "
-            f"{TUBE_FACTOR} * delta tube", probe=probe)
-    return probe
+                     for k in range(len(trajs))))
 
 
 _NO_REFS = "a stability probe needs reference points: certify with a section"
@@ -571,6 +565,8 @@ def stability_probe(M, report: OrbitReport, delta: float = 1e-3,
     follows its own phase to a nearby sample, whose distance bounds its
     own, and one search for all probes skips the points whose bound shows
     they cannot hold a probe's worst (:func:`_max_distance_to_samples`).
+    ``escaped`` lists the probes past :data:`TUBE_FACTOR` times ``delta``
+    plus one sample gap; an escape is the record's verdict, not an error.
 
     Raises
     ------
@@ -579,10 +575,6 @@ def stability_probe(M, report: OrbitReport, delta: float = 1e-3,
         section), ``delta`` is not finite and nonnegative, ``n_probes <
         1``, or some perturbed start leaves the open simplex (delta too
         large for this orbit's clearance).
-    ProbeEscaped
-        If a probe's tube distance exceeds :data:`TUBE_FACTOR` times
-        ``delta``, plus one sample gap.
-        The full probe record is attached to the exception.
     """
     if report.refs is None:
         raise PreconditionFailed(_NO_REFS)
@@ -599,7 +591,9 @@ def certify_orbit(M, x0, section: NullLineSection, rtol: float = 1e-10,
     as ``stability``, the probes riding along the period's whole run; the
     record is the same unless 3T ends near or inside that run.  x0 and the
     probes' arguments are checked before any run; after a step underflow
-    the two run apart, so that the error is the one they raise."""
+    the two run apart, so that the error is the one they raise.  It raises
+    as the two do (PreconditionFailed before any run without a ``section``);
+    escaped probes raise nothing, they fill the record's ``escaped``."""
     p = check_order(x0, _as_array(M).shape[-1])
     if section is None:
         raise PreconditionFailed(_NO_REFS)

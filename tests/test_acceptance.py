@@ -180,8 +180,7 @@ def test_boundary_predictions_hold_in_simulation():
     for name in ("I", "IV", "V"):
         M = canonical_matrix(name)
         report = verify_boundary(M, boundary_prediction(M), seed=SEED,
-                                 t_end=200.0, rtol=1e-8,
-                                 raise_on_violation=False)
+                                 t_end=200.0, rtol=1e-8)
         assert report.passed, name
         for region in report.regions:
             assert region.status == "pass", (name, region.region)

@@ -439,6 +439,39 @@ def test_verify_takes_the_tube_verdict_from_certify(tmp_path, monkeypatch,
     assert (code, stability["status"]) == (0, "pass")
 
 
+def test_verify_grades_an_escaped_probe(tmp_path, monkeypatch, capsys):
+    # with no tube every probe escapes: the report says stability "fail",
+    # the boundary is still graded, and verify exits 1 with a quiet stderr
+    monkeypatch.setattr(replicator4.orbit, "TUBE_FACTOR", 0.0)
+    path = matrix_file(tmp_path, format_matrix(canonical_matrix("IV")))
+    code, out, err = run(["verify", "--matrix", path], capsys)
+    assert (code, err) == (1, "")
+    doc = validated(out, "verify")
+    checks = doc["checks"]
+    assert checks["stability"]["status"] == "fail"
+    assert checks["stability"]["max_tube_distance"] > 0.0
+    assert checks["boundary"]["status"] == "pass"
+    assert len(checks["boundary"]["regions"]) == 10
+    assert doc["passed"] is False
+
+
+def test_orbit_escaped_probe_exits_one_with_error_json(tmp_path,
+                                                       monkeypatch, capsys):
+    # the escape is the record's; orbit turns it into the error object,
+    # its message reading the factor at the time of the call
+    monkeypatch.setattr(replicator4.orbit, "TUBE_FACTOR", 0.0)
+    path = matrix_file(tmp_path, format_matrix(canonical_matrix("IV")))
+    report = tmp_path / "orbit.json"
+    code, out, err = run(["orbit", "--matrix", path], capsys)
+    assert (code, out) == (1, "")
+    assert err == ('{\n  "error": {\n    "message": "16 of 16 probes left '
+                   'the 0.0 * delta tube",\n    "type": "ProbeEscaped"\n'
+                   '  }\n}\n')
+    validated(err, "error")
+    code, out, _ = run(["orbit", "--matrix", path, "--out", str(report)],
+                       capsys)
+    assert (code, out, report.exists()) == (1, "", False)
+
 def test_each_command_computes_K_once(tmp_path, monkeypatch, capsys):
     calls = []
 

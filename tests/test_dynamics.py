@@ -606,6 +606,27 @@ def test_lockstep_end_array_matches_scalar_runs(MI):
             assert _same_bits(getattr(traj, name), want)
 
 
+def test_until_builds_only_the_rows_it_is_asked_for(MI, monkeypatch):
+    # a subset of rows makes one trajectory per row asked for, in that
+    # order, the same bits as the batch's every-row answer
+    built, make = [], dynamics.Trajectory
+
+    def counted(**fields):
+        built.append(fields)
+        return make(**fields)
+
+    monkeypatch.setattr(dynamics, "Trajectory", counted)
+    ends = np.array([7.5, 20.0, 3.0, 12.5])
+    until = dynamics._integrate(MI.array, STARTS, ends, 1e-4, 1e-12)
+    some = until([3, 1], ends[[3, 1]])
+    assert len(built) == 2
+    every = until(slice(None), ends)
+    assert len(built) == 2 + len(STARTS)
+    for traj, want in zip(some, (every[3], every[1]), strict=True):
+        assert traj.nreject == want.nreject
+        for name in ("ts", "us", "ks"):
+            assert _same_bits(getattr(traj, name), getattr(want, name))
+
 def test_lockstep_has_one_end_rule(MI):
     # a scalar end and a per-row array of the same value take the same
     # steps, iteration by iteration, also once some rows stand idle

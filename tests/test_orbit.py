@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from replicator4 import (EquilibriumStart, NoClosureFound, PayoffMatrix,
-                         PreconditionFailed, ProbeEscaped, SelectionExhausted,
+                         PreconditionFailed, SelectionExhausted,
                          StepSizeUnderflow,
                          boundary_prediction, canonical_matrix, detect_period,
                          distance_to_K, face_subsystem, integrate,
@@ -578,9 +578,14 @@ def test_stability_probe_zero_delta(certified_MIV):
 
 
 def test_stability_probe_large_delta(certified_MIV):
+    # a start outside the simplex raises before any run; a probe that
+    # runs but leaves the tube is the record's verdict, not an error
     M, _, _, report = certified_MIV
-    with pytest.raises((PreconditionFailed, ProbeEscaped)):
-        stability_probe(M, report, delta=0.3, n_probes=16)
+    try:
+        probe = stability_probe(M, report, delta=0.3, n_probes=16)
+    except PreconditionFailed:
+        return
+    assert probe.escaped
 
 
 def test_one_probe_underflow_is_the_one_run_error(certified_MIV):

@@ -24,13 +24,18 @@ Float twins of I-V scaled by 1e-13 and 1e13 (``I1e-13``, ``I1e13``, ...)
 run ``classify`` and ``kernel --float``, so that float-mode decisions show
 in the diff.  One seeded relabeled sample per class, ``sample_class_matrix(c,
 default_rng(0))`` (``S-I`` ... ``S-V``), runs ``classify`` and ``boundary``,
-so that the ensemble draws show too.
+so that the ensemble draws show too.  Two runs take error paths, so that
+their exit codes and error objects show: ``verify`` on exact class I at
+a thousandth of its payoffs (``I-milli``), whose orbit finds no section
+return inside the horizon (``NoClosureFound``), and ``orbit --x0`` with
+coordinates that do not sum to 1 on class I (``I-badx0``,
+``PreconditionFailed``).
 The permanence screen runs in process, ``permanence_probe`` with five
 starts each on canonical I-V (``interior_starts``) and on one
 ``sample_cyclic_nonsingular`` and one ``sample_acyclic_singular`` draw
 (``barycenter_starts``), all from ``default_rng(0)``, then on the seven
 as one stack; its pairs go to ``screen.probe.json`` as JSON numbers,
-which round-trip every bit (156 files compared in all).
+which round-trip every bit (158 files compared in all).
 Printed: per JSON key (list indices folded to ``[]``), CSV column or SVG
 file, how many floats moved and the largest absolute and relative move;
 per work counter (:data:`COUNTERS`, the integrator's step counts, which
@@ -68,13 +73,17 @@ TUBE_RUNS = (("I-delta0", ("orbit", ("--seed", "3", "--delta", "0"), ".json")),
                             ".json")))
 SAMPLED_RUNS = (("classify", (), ".json"),
                 ("boundary", ("--seed", "0"), ".json"))
+ERROR_RUNS = (("I-milli", RUNS[2]),
+              ("I-badx0", ("orbit", ("--x0", "0.25,0.25,0.25,0.26"),
+                           ".json")))
 #: (name, runs) per matrix, in the order TEXT prints them
 MATRICES = ([(c, RUNS) for c in CLASSES] + [("Iq", RUNS[:3])]
             + [("I4", (RUNS[0], RUNS[2])), ("I16", RUNS[:2]),
                ("I-rtol12", FINE_RUNS)]
             + [(name, (run,)) for name, run in TUBE_RUNS]
             + [(c + s, SCALED_RUNS) for s in SCALES for c in CLASSES]
-            + [("S-" + c, SAMPLED_RUNS) for c in CLASSES])
+            + [("S-" + c, SAMPLED_RUNS) for c in CLASSES]
+            + [(name, (run,)) for name, run in ERROR_RUNS])
 #: integer keys that count integration work rather than state a result
 COUNTERS = ("simulate.drift.naccept", "simulate.drift.nreject")
 NUM = re.compile(r"-?\d+\.\d*(?:e[-+]?\d+)?|-?\d+e[-+]?\d+")
@@ -96,7 +105,10 @@ TEXT = ("from fractions import Fraction\n"
         f"    for c in {CLASSES!r}: print(format_matrix(P.from_rows(\n"
         "        canonical_matrix(c).array * float(s))))\n"
         f"for c in {CLASSES!r}: print(format_matrix(sample_class_matrix(\n"
-        "    c, np.random.default_rng(0))))")
+        "    c, np.random.default_rng(0))))\n"
+        "print(format_matrix(P.from_upper(\n"
+        "    [Fraction(v, 1000) for v in CANONICAL_UPPER['I']], exact=True)))\n"
+        "print(format_matrix(canonical_matrix('I')))")
 
 SCREEN = ("import json\n"
           "import numpy as np\n"
