@@ -379,12 +379,12 @@ def _integrate(A, starts, ends, rtol, atol):
                 f"step size {e.h:.3e} fell below {_rk.MIN_STEP:.1e} at "
                 f"t = {e.t:.6g}", t=e.t, h=e.h, state=e.state) from None
         *nodes, ks = zip(*hist)
-        ts, us, oks, rej = (np.array(v) for v in nodes)
-        ks = np.array(ks[1:])
-        return [Trajectory(A=stack[b], ts=ts[k, b], us=us[k, b],
-                           ks=ks[k[1:], :, b], nreject=int(rej[:, b].sum()),
+        ts, us, oks, rej = (np.array([v[rows] for v in c]) for c in nodes)
+        ks = np.array([K[:, rows] for K in ks[1:]])
+        return [Trajectory(A=stack[b], ts=ts[k, j], us=us[k, j],
+                           ks=ks[k[1:], :, j], nreject=int(rej[:, j].sum()),
                            rtol=rtol)
-                for b, k in zip(rows, oks.T[rows])]
+                for j, (b, k) in enumerate(zip(rows, oks.T))]
     return until
 
 

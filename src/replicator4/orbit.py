@@ -9,9 +9,11 @@ Certification is numerical and split in three:
    the section is located by bisection on dense output, and the first
    one whose state lies within ``closure_tol`` of the start is the
    period,
-2. pick two reference equilibria z', z'' on K whose entropies cut the
-   certified orbit transversally (the level-set Jacobian keeps a safe
-   smallest singular value over its samples), and bound their drift,
+2. pick two reference equilibria from K and the orbit's samples alone:
+   z' = z(1/2) and the first partner z'' of a fixed list such that the
+   two entropies cut the certified orbit transversally (the level-set
+   Jacobian keeps a safe smallest singular value over the samples), and
+   bound their drift,
 3. probe Lyapunov stability: perturbed starts, riding along step 1's
    run (:func:`certify_orbit`), must stay in a thin tube around the
    certified orbit for three periods while the quadratic level-set
@@ -49,11 +51,11 @@ TANGENT_BASIS = np.array([
     [0.0, 0.0, -3 / np.sqrt(12)],
 ])
 
-#: partners z(c) that select_reference_points tries, in order; its skip
-#: radius and least margin accepted
+#: partners z(c) that select_reference_points tries, in order, and the
+#: least margin it accepts
 CANDIDATES = (0.25, 0.75, 0.4, 0.6, 0.3, 0.7, 0.2, 0.8,
               0.45, 0.55, 0.35, 0.65, 0.15, 0.85, 0.1, 0.9)
-SKIP_TOL, MARGIN_TOL = 1e-6, 1e-8
+MARGIN_TOL = 1e-8
 #: intervals of the certified period's grid; stability samples per period
 N_SAMPLES, SAMPLES_PER_PERIOD = 2048, 512
 #: acceptance bounds, the table ``verify`` reads: closure residual, tube
@@ -128,80 +130,31 @@ class OrbitReport:
         }
 
 
-def _candidates(section: NullLineSection, x0) -> tuple:
-    """z', the partners (c, z(c)) :func:`select_reference_points` tries for
-    x0, in order, and the forbidden roots: x0's alone, so before any run."""
+def _check_start(section: NullLineSection, x0) -> None:
+    """PreconditionFailed unless x0 is interior and off K: x0's own checks,
+    so they run before any run."""
     p = np.asarray(x0, dtype=float)
     if not np.all(p > 0):
         raise PreconditionFailed("x0 must be interior")
     if distance_to_K(p, section) <= 1e-8:
         raise PreconditionFailed("x0 lies on the equilibrium segment; "
                                  "there is no orbit through it")
+
+
+def _pick(section: NullLineSection, samples: np.ndarray) -> ReferencePair:
+    """z' = z(1/2) and the first partner z(c), c in :data:`CANDIDATES` in
+    order, whose margin over the points ``samples``, LAPACK's least
+    smallest singular value, bit for bit, clears :data:`MARGIN_TOL`.  The
+    closed form sigma_min^2 = |a x b|^2 / sigma_max^2 (Cauchy-Binet) for
+    rows a, b errs by a few eps sigma_max, as LAPACK does (2.7 at most
+    between the two on I-V), so only samples within 1e-9 relative plus
+    1e-13 times the cloud's sigma_max of its least value, or that
+    overflow, go to LAPACK."""
     zm, zp = section.as_array()
-
-    def z_of(c: float) -> np.ndarray:
-        return (1.0 - c) * zm + c * zp
-
-    z1 = z_of(0.5)
-    target = phi(p, z1)
-
-    def g(c: float) -> float:
-        return phi(z_of(c), z1) - target
-
-    def bracket_root(c_in: float, c_out_start: float, shrink_toward: float
-                     ) -> float:
-        # walk c_out toward the endpoint until g changes sign, then bisect
-        c_out = c_out_start
-        for _ in range(60):
-            if g(c_out) > 0:
-                break
-            c_out = shrink_toward + (c_out - shrink_toward) * 0.5
-        else:
-            raise PreconditionFailed(
-                "could not bracket the level-set intersection with K")
-        lo, hi = (c_out, c_in) if c_out < c_in else (c_in, c_out)
-        # g(lo) and g(hi) have opposite signs by construction
-        glo = g(lo)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            gm = g(mid)
-            if (gm > 0) == (glo > 0):
-                lo, glo = mid, gm
-            else:
-                hi = mid
-            if hi - lo < 1e-15:
-                break
-        return 0.5 * (lo + hi)
-
-    c_alpha = (bracket_root(0.5, 0.25, 0.0), bracket_root(0.5, 0.75, 1.0))
-
-    # forbidden c: phi_z(c) cannot separate x0 from alpha
-    lx = np.log(p)
-    bad = []
-    for ca in c_alpha:
-        la = np.log(z_of(ca))
-        pc0 = float(-(zm * (lx - la)).sum())
-        pc1 = float(-(zp * (lx - la)).sum())
-        q = pc1 - pc0
-        if abs(q) > 1e-14:
-            root = -pc0 / q
-            if 0.0 < root < 1.0:
-                bad.append(root)
-    return z1, [(c, z_of(c)) for c in CANDIDATES if abs(c - 0.5) >= SKIP_TOL
-                and all(abs(c - b) >= SKIP_TOL for b in bad)], bad
-
-
-def _pick(candidates: tuple, samples: np.ndarray) -> ReferencePair:
-    """The first of :func:`_candidates`' partners whose margin over the
-    points ``samples``, LAPACK's least smallest singular value, bit for
-    bit, clears :data:`MARGIN_TOL`.  The closed form sigma_min^2 = |a x
-    b|^2 / sigma_max^2 (Cauchy-Binet) for rows a, b errs by a few eps
-    sigma_max, as LAPACK does (2.7 at most between the two on I-V), so
-    only samples within 1e-9 relative plus 1e-13 times the cloud's
-    sigma_max of its least value, or that overflow, go to LAPACK."""
-    z1, partners, bad = candidates
+    z1 = 0.5 * zm + 0.5 * zp
     grad1 = phi_gradient(samples, z1) @ TANGENT_BASIS
-    for c, z2 in partners:
+    for c in CANDIDATES:
+        z2 = (1.0 - c) * zm + c * zp
         grad2 = phi_gradient(samples, z2) @ TANGENT_BASIS
         with np.errstate(over="ignore", invalid="ignore"):
             g11, g22, g12 = (np.einsum("ij,ij->i", u, v) for u, v in (
@@ -215,9 +168,8 @@ def _pick(candidates: tuple, samples: np.ndarray) -> ReferencePair:
         if margin > MARGIN_TOL:
             return ReferencePair(z1=z1, z2=z2, c1=0.5, c2=float(c),
                                  margin=margin)
-    raise SelectionExhausted(
-        f"no candidate among {len(CANDIDATES)} cleared margin "
-        f"{MARGIN_TOL:.1e} (forbidden roots at {bad})")
+    raise SelectionExhausted(f"no candidate among {len(CANDIDATES)} "
+                             f"cleared margin {MARGIN_TOL:.1e}")
 
 
 def select_reference_points(section: NullLineSection, x0,
@@ -225,14 +177,13 @@ def select_reference_points(section: NullLineSection, x0,
     """Choose z' = z(1/2) and a transversal partner z'' on K for the orbit
     through x0, sampled at the points ``samples``.
 
-    The forbidden parameter values are where a candidate's entropy
-    cannot separate x0 from the two points where the phi_z' level set
-    of x0 meets K; the map c -> phi_z(c)(x0) - phi_z(c)(alpha) is affine
-    in c, so each intersection alpha rules out at most one root.
-    :data:`CANDIDATES` within :data:`SKIP_TOL` of a root (or of 1/2
-    itself) are skipped, the rest are tried in order, and the first whose
-    margin, the least over ``samples`` (taken by LAPACK where a bound says
-    it can sit, :func:`_pick`), clears :data:`MARGIN_TOL` is accepted.
+    The pair depends on K and ``samples`` alone: the partners z(c), c in
+    :data:`CANDIDATES`, are tried in order, and the first whose margin,
+    the least over ``samples`` (taken by LAPACK where a bound says it can
+    sit, :func:`_pick`), clears :data:`MARGIN_TOL` is accepted.  No
+    partner needs skipping for x0: every interior orbit off K is periodic,
+    so the only c whose entropy cannot tell x0 from the points where x0's
+    phi_z' level set meets K is 1/2, z' itself.
 
     Raises
     ------
@@ -240,14 +191,15 @@ def select_reference_points(section: NullLineSection, x0,
         Before any work, if x0 is not one point or ``samples`` no stack
         of interior points; then if x0 is not interior or sits on K.
     SelectionExhausted
-        If every candidate is skipped or fails the margin.
+        If every candidate fails the margin.
     """
     n, cloud = section.as_array().shape[1], np.asarray(samples, dtype=float)
     if cloud.shape[1:] != (n,) or not len(cloud) or not np.all(
             np.isfinite(cloud) & (cloud > 0)):
         raise PreconditionFailed(f"samples, shape {cloud.shape}, must be a "
                                  f"nonempty stack of interior points in R^{n}")
-    return _pick(_candidates(section, check_order(x0, n)), cloud)
+    _check_start(section, check_order(x0, n))
+    return _pick(section, cloud)
 
 
 #: time units of :func:`close_orbits`' first span, and the default
@@ -352,10 +304,9 @@ def close_orbits(until, ps, f0s, closure_tol: float, horizon: float) -> list:
     return out
 
 
-def _period(M, p, section, cands, rtol, atol, closure_tol, horizon, starts):
-    """:func:`detect_period`'s report, its pair from p's :func:`_candidates`
-    ``cands``, and the runs of the probe ``starts`` from p's batch, ended
-    at 3T once T is known (or where they stand)."""
+def _period(M, p, section, rtol, atol, closure_tol, horizon, starts):
+    """:func:`detect_period`'s report and the runs of the probe ``starts``
+    from p's batch, ended at 3T once T is known (or where they stand)."""
     check_finite("horizon", horizon)
     check_finite("closure_tol", closure_tol)
     f0 = section_normal(M, p)
@@ -380,7 +331,7 @@ def _period(M, p, section, cands, rtol, atol, closure_tol, horizon, starts):
     refs, dist, drift = None, None, {}
     if section is not None:
         dist = distance_to_K(x_avg, section)
-        refs = _pick(cands, samples)
+        refs = _pick(section, samples)
         drift = entropy_drift(traj, p, (("z1", refs.z1), ("z2", refs.z2)))
 
     report = OrbitReport(
@@ -410,7 +361,9 @@ def detect_period(M, x0, section: NullLineSection | None = None,
     ------
     PreconditionFailed
         If ``horizon`` or ``closure_tol`` is not finite and positive, or,
-        before any run, if x0 has the wrong shape, is not interior or on K.
+        before any run, if x0 has the wrong shape, is not interior or, with
+        a ``section``, lies on K (:func:`_check_start`; the pair asks
+        nothing more of x0).
     EquilibriumStart
         If the field at x0 is numerically zero (:func:`section_normal`).
     NoClosureFound
@@ -420,9 +373,9 @@ def detect_period(M, x0, section: NullLineSection | None = None,
         If no partner on K clears the margin over the sample cloud.
     """
     p = check_order(x0, _as_array(M).shape[-1])
-    cands = None if section is None else _candidates(section, p)
-    return _period(M, p, section, cands, rtol, atol, closure_tol, horizon,
-                   ())[0]
+    if section is not None:
+        _check_start(section, p)
+    return _period(M, p, section, rtol, atol, closure_tol, horizon, ())[0]
 
 
 def _augmented(ref: np.ndarray) -> np.ndarray:
@@ -597,11 +550,11 @@ def certify_orbit(M, x0, section: NullLineSection, rtol: float = 1e-10,
     p = check_order(x0, _as_array(M).shape[-1])
     if section is None:
         raise PreconditionFailed(_NO_REFS)
-    cands = _candidates(section, p)
+    _check_start(section, p)
     starts = _probe_starts(p, delta, n_probes, seed)
     try:
-        report, trajs = _period(M, p, section, cands, rtol, atol,
-                                closure_tol, horizon, starts)
+        report, trajs = _period(M, p, section, rtol, atol, closure_tol,
+                                horizon, starts)
     except StepSizeUnderflow:
         report = detect_period(M, p, section, rtol, atol, closure_tol,
                                horizon)

@@ -61,9 +61,6 @@ class SignDigraph:
     def has_cycle(self) -> bool:
         return bool(self.three_cycles or self.four_cycles)
 
-    def out_neighbors(self, i: int) -> tuple:
-        return tuple(j for (a, j) in self.edges if a == i)
-
     def to_dict(self, label: ClassLabel | None = None) -> dict:
         return {
             "edges": [list(e) for e in self.edges],

@@ -196,23 +196,12 @@ def test_verify_boundary_MII_includes_measured_ratio(MII):
     assert all(r.status == "pass" for r in graded)
 
 
-def test_verify_boundary_flags_wrong_prediction(MIV):
-    pred = boundary_prediction(MIV)
-    edges = list(pred.edges)
-    k = next(i for i, e in enumerate(edges) if e.kind == "vertex")
-    wrong = edges[k].__class__(edge=edges[k].edge, kind="vertex",
-                               vertex=edges[k].edge[0]
-                               if edges[k].vertex != edges[k].edge[0]
-                               else edges[k].edge[1])
-    edges[k] = wrong
-    doctored = pred.__class__(edges=tuple(edges), faces=pred.faces,
-                              equilibria=pred.equilibria,
-                              unstable_vertices=pred.unstable_vertices)
+def test_verify_boundary_flags_wrong_prediction(MIV, doctored_IV):
+    doctored, region = doctored_IV
     # the verdict is the returned report's: one failed region, no raise
     report = verify_boundary(MIV, doctored, t_end=60.0)
     failed = [r for r in report.regions if r.status == "fail"]
-    assert [r.region for r in failed] == [
-        f"edge:{wrong.edge[0]}-{wrong.edge[1]}"]
+    assert [r.region for r in failed] == [region]
     assert not report.passed
 
 

@@ -472,6 +472,67 @@ def test_orbit_escaped_probe_exits_one_with_error_json(tmp_path,
                        capsys)
     assert (code, out, report.exists()) == (1, "", False)
 
+#: class I from x proportional to (1, 1, 1e-6, 1), 1e-6 from a face
+X_EDGE = ("0.33333322222225925,0.33333322222225925,"
+          "3.3333322222225924e-07,0.33333322222225925")
+
+
+def test_orbit_near_the_boundary_certifies(tmp_path, capsys):
+    # the start's only refusal is its probes': at the default delta some
+    # leave the simplex, at 1e-8 they stay inside and the orbit certifies
+    path = matrix_file(tmp_path, M_I_TEXT)
+    code, out, err = run(["orbit", "--matrix", path, "--x0", X_EDGE,
+                          "--delta", "1e-8"], capsys)
+    assert (code, err) == (0, "")
+    doc = validated(out, "orbit")
+    assert doc["closure_residual"] <= 1e-6
+    assert max(doc["phi_drift"].values()) <= 1e-8
+    assert doc["stability"]["escaped"] == []
+    code, out, err = run(["orbit", "--matrix", path, "--x0", X_EDGE],
+                         capsys)
+    assert (code, out) == (1, "")
+    assert err == ('{\n  "error": {\n    "message": "probe 2 start leaves the '
+                   'simplex; delta = 0.001 is too large for this orbit",\n'
+                   '    "type": "PreconditionFailed"\n  }\n}\n')
+    validated(err, "error")
+
+
+def test_verify_float_matrix_takes_the_tolerance_pfaffian_check(tmp_path,
+                                                               capsys):
+    # float arithmetic grades pf^2 = det on the unit-scale entries within
+    # ALGEBRA_TOL rather than exactly
+    code, out, err = run(["verify", "--float", "--seed", "1", "--matrix",
+                          matrix_file(tmp_path, M_I_TEXT)], capsys)
+    assert (code, err) == (0, "")
+    doc = validated(out, "verify")
+    assert doc["config"]["arithmetic"] == "float"
+    assert {c["status"] for c in doc["checks"].values()} == {"pass"}
+    assert isinstance(doc["checks"]["pfaffian_vs_determinant"]["pfaffian"],
+                      float)
+    assert doc["passed"] is True
+
+
+def test_boundary_violation_exits_one_and_writes_the_report(
+        tmp_path, monkeypatch, capsys, doctored_IV):
+    # a region that contradicts the table: the report is still written,
+    # passed false, and boundary exits 1 with the error object
+    doctored, region = doctored_IV
+    monkeypatch.setattr(cli, "boundary_prediction", lambda M: doctored)
+    report = tmp_path / "boundary.json"
+    code, out, err = run(["boundary", "--matrix",
+                          matrix_file(tmp_path, M_IV_TEXT), "--t-end", "60",
+                          "--out", str(report)], capsys)
+    assert (code, out) == (1, "")
+    assert region == "edge:2-3"
+    assert err == ('{\n  "error": {\n    "message": "regions '
+                   "['edge:2-3'] contradict the prediction table\",\n"
+                   '    "type": "PredictionViolated"\n  }\n}\n')
+    validated(err, "error")
+    doc = validated(report.read_text(encoding="utf-8"), "boundary")
+    assert doc["passed"] is False
+    assert doc["regions"][region]["status"] == "fail"
+
+
 def test_each_command_computes_K_once(tmp_path, monkeypatch, capsys):
     calls = []
 

@@ -20,7 +20,8 @@ from replicator4 import _rk, orbit
 from replicator4.boundary import _face_starts
 from replicator4.cli import _seeded_starts
 from replicator4.dynamics import integrate_many, softmax
-from replicator4.ensembles import CANONICAL_UPPER
+from replicator4.ensembles import (CANONICAL_UPPER, interior_starts,
+                                   sample_class_matrix)
 from replicator4.orbit import (_max_distance_to_samples,
                                _min_distance_to_samples, certify_orbit,
                                first_closure, section_normal)
@@ -439,18 +440,25 @@ def _smallest_singular_values(z1, z2, samples):
     return np.linalg.svd(jac, compute_uv=False)[:, -1]
 
 
-def _brute_force_pick(cands, samples):
-    """(c2, margin) of the first partner whose least LAPACK value over
-    the whole cloud clears MARGIN_TOL, or None."""
-    z1, partners, _ = cands
-    for c, z2 in partners:
-        margin = float(_smallest_singular_values(z1, z2, samples).min())
+def _z(section, c):
+    """z(c) on K, as the package parametrizes it."""
+    zm, zp = section.as_array()
+    return (1.0 - c) * zm + c * zp
+
+
+def _brute_force_pick(section, samples):
+    """(c2, margin) of the first partner z(c), c in CANDIDATES in order,
+    whose least LAPACK value over the whole cloud with z' = z(1/2) clears
+    MARGIN_TOL, or None."""
+    for c in orbit.CANDIDATES:
+        margin = float(_smallest_singular_values(
+            _z(section, 0.5), _z(section, c), samples).min())
         if margin > orbit.MARGIN_TOL:
             return c, margin
     return None
 
 
-def _picked(cands, samples, monkeypatch):
+def _picked(section, samples, monkeypatch):
     """_pick's (c2, margin), or None, and the rows LAPACK saw per try."""
     rows, svd = [], np.linalg.svd
 
@@ -460,58 +468,94 @@ def _picked(cands, samples, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     try:
-        refs = orbit._pick(cands, samples)
+        refs = orbit._pick(section, samples)
     except SelectionExhausted:
         refs = None
     monkeypatch.undo()
     return refs and (refs.c2, refs.margin), rows
 
 
-def _near_K(cands, partner, margin):
-    """A point beside z' whose Jacobian with the partner's z'' has about
-    the smallest singular value ``margin``: on K the two are dependent."""
-    z1, partners, _ = cands
-    v = orbit.TANGENT_BASIS[:, 0]
+def _near_K(section, c, margin, at=0.5):
+    """A point beside z(at), z' by default, whose Jacobian with the
+    partner z(c) has about the smallest singular value ``margin``: on K
+    the two are dependent."""
+    z1, v, x = _z(section, 0.5), orbit.TANGENT_BASIS[:, 0], _z(section, at)
     eps = 1e-6 * margin / _smallest_singular_values(
-        z1, partners[partner][1], [z1 + 1e-6 * v])[0]
-    return z1 + eps * v
+        z1, _z(section, c), [x + 1e-6 * v])[0]
+    return x + eps * v
 
 
 def test_pick_margin_is_the_lapack_minimum(certified_from_X_I, monkeypatch):
     M, refs, report = certified_from_X_I["I"]
-    cands = orbit._candidates(kernel_line_section(M), X_I)
+    section = kernel_line_section(M)
     cloud = report.orbit_samples
-    got, rows = _picked(cands, cloud, monkeypatch)
-    assert got == _brute_force_pick(cands, cloud) == (refs.c2, refs.margin)
+    got, rows = _picked(section, cloud, monkeypatch)
+    assert got == _brute_force_pick(section, cloud) == (refs.c2, refs.margin)
     # LAPACK sees the one sample where the least bound sits
     assert rows == [1]
 
     # a second sample whose value ties the least one to 1e-13 relative
-    s = _smallest_singular_values(cands[0], refs.z2, cloud)
+    s = _smallest_singular_values(refs.z1, refs.z2, cloud)
     i = int(np.argmin(s))
     twin = cloud[i] * (1.0 + 1e-13 * np.array([1.0, -1.0, 1.0, -1.0]))
-    t = _smallest_singular_values(cands[0], refs.z2, [twin])[0]
+    t = _smallest_singular_values(refs.z1, refs.z2, [twin])[0]
     assert 0.0 < abs(t - s[i]) <= 1e-12 * s[i]
     for tied in (np.vstack((cloud, twin)), np.vstack((twin, cloud))):
-        got, rows = _picked(cands, tied, monkeypatch)
-        assert got == _brute_force_pick(cands, tied)
+        got, rows = _picked(section, tied, monkeypatch)
+        assert got == _brute_force_pick(section, tied)
         assert rows == [2]
 
     # a near-degenerate first partner: its margin just below and just
     # above MARGIN_TOL, so that it is rejected, then accepted
-    first = cands[1][0][0]
+    first = orbit.CANDIDATES[0]
     for factor, accepted in ((1.0 - 1e-4, False), (1.0 + 1e-4, True)):
-        near = np.vstack((cloud, _near_K(cands, 0, factor * 1e-8)))
-        got, rows = _picked(cands, near, monkeypatch)
-        assert got == _brute_force_pick(cands, near)
+        near = np.vstack((cloud, _near_K(section, first, factor * 1e-8)))
+        got, rows = _picked(section, near, monkeypatch)
+        assert got == _brute_force_pick(section, near)
         assert (got is not None and got[0] == first) == accepted
         assert rows[0] == 1
 
     # a share of 1e-160 overflows the bound's squares: LAPACK sees all
     tiny = np.vstack((cloud, [1e-160, 0.3, 0.3, 0.4]))
-    got, rows = _picked(cands, tiny, monkeypatch)
-    assert got == _brute_force_pick(cands, tiny)
+    got, rows = _picked(section, tiny, monkeypatch)
+    assert got == _brute_force_pick(section, tiny)
     assert rows == [len(tiny)]
+
+
+def test_reference_pair_is_the_first_candidate_that_clears_the_margin():
+    # on seeded class draws the pair comes from K and the cloud alone: the
+    # first z(c), c in CANDIDATES in order, whose margin clears MARGIN_TOL,
+    # also when a point beside z(0.25) fails the partners up to z(0.7)
+    rng = np.random.default_rng(26)
+    for name in ("I", "II", "III", "IV", "V"):
+        M = sample_class_matrix(name, rng)
+        section = kernel_line_section(M)
+        (x0,) = interior_starts(section, rng, 1)
+        report = detect_period(M, x0, section=section)
+        cloud = report.orbit_samples
+        near = np.vstack((cloud, _near_K(section, 0.25,
+                                         0.9 * orbit.MARGIN_TOL, at=0.25)))
+        for samples in (cloud, near):
+            refs = select_reference_points(section, x0, samples)
+            want = _brute_force_pick(section, samples)
+            assert (refs.c2, refs.margin) == want, name
+            assert np.array_equal(refs.z1, _z(section, 0.5))
+            assert np.array_equal(refs.z2, _z(section, refs.c2))
+        assert (report.refs.c2, report.refs.margin) == _brute_force_pick(
+            section, cloud)
+        assert refs.c2 == 0.2, name
+
+
+#: class I from x proportional to (1, 1, 1e-6, 1), 1e-6 from a face
+X_EDGE = np.array([1.0, 1.0, 1e-6, 1.0]) / 3.000001
+
+
+def test_start_near_the_boundary_certifies(MI):
+    # nothing in the reference pair refuses a valid start near a face
+    report = detect_period(MI, X_EDGE, section=kernel_line_section(MI))
+    assert report.closure_residual <= orbit.CLOSURE_TOL
+    assert max(report.phi_drift.values()) <= orbit.PHI_DRIFT_TOL
+    assert report.refs.margin > orbit.MARGIN_TOL
 
 
 @pytest.mark.parametrize("samples", [[], np.empty((0, 4)),

@@ -29,13 +29,16 @@ their exit codes and error objects show: ``verify`` on exact class I at
 a thousandth of its payoffs (``I-milli``), whose orbit finds no section
 return inside the horizon (``NoClosureFound``), and ``orbit --x0`` with
 coordinates that do not sum to 1 on class I (``I-badx0``,
-``PreconditionFailed``).
+``PreconditionFailed``).  Class I also runs ``orbit --skip-stability``
+from x proportional to (1, 1, 1e-6, 1) (``I-edge``), a start near a face,
+and ``verify --float`` (seed 1, ``I-float``), so that float-mode
+``verify`` and its tolerance Pfaffian check show in the diff.
 The permanence screen runs in process, ``permanence_probe`` with five
 starts each on canonical I-V (``interior_starts``) and on one
 ``sample_cyclic_nonsingular`` and one ``sample_acyclic_singular`` draw
 (``barycenter_starts``), all from ``default_rng(0)``, then on the seven
 as one stack; its pairs go to ``screen.probe.json`` as JSON numbers,
-which round-trip every bit (158 files compared in all).
+which round-trip every bit (162 files in all when ``I-edge`` certifies).
 Printed: per JSON key (list indices folded to ``[]``), CSV column or SVG
 file, how many floats moved and the largest absolute and relative move;
 per work counter (:data:`COUNTERS`, the integrator's step counts, which
@@ -76,6 +79,13 @@ SAMPLED_RUNS = (("classify", (), ".json"),
 ERROR_RUNS = (("I-milli", RUNS[2]),
               ("I-badx0", ("orbit", ("--x0", "0.25,0.25,0.25,0.26"),
                            ".json")))
+#: class I from x proportional to (1, 1, 1e-6, 1), and float-mode verify
+EDGE_AND_FLOAT_RUNS = (
+    ("I-edge", ("orbit", ("--skip-stability", "--x0",
+                          "0.33333322222225925,0.33333322222225925,"
+                          "3.3333322222225924e-07,0.33333322222225925"),
+                ".json")),
+    ("I-float", ("verify", ("--float", "--seed", "1"), ".json")))
 #: (name, runs) per matrix, in the order TEXT prints them
 MATRICES = ([(c, RUNS) for c in CLASSES] + [("Iq", RUNS[:3])]
             + [("I4", (RUNS[0], RUNS[2])), ("I16", RUNS[:2]),
@@ -83,7 +93,8 @@ MATRICES = ([(c, RUNS) for c in CLASSES] + [("Iq", RUNS[:3])]
             + [(name, (run,)) for name, run in TUBE_RUNS]
             + [(c + s, SCALED_RUNS) for s in SCALES for c in CLASSES]
             + [("S-" + c, SAMPLED_RUNS) for c in CLASSES]
-            + [(name, (run,)) for name, run in ERROR_RUNS])
+            + [(name, (run,)) for name, run in ERROR_RUNS]
+            + [(name, (run,)) for name, run in EDGE_AND_FLOAT_RUNS])
 #: integer keys that count integration work rather than state a result
 COUNTERS = ("simulate.drift.naccept", "simulate.drift.nreject")
 NUM = re.compile(r"-?\d+\.\d*(?:e[-+]?\d+)?|-?\d+e[-+]?\d+")
@@ -108,7 +119,7 @@ TEXT = ("from fractions import Fraction\n"
         "    c, np.random.default_rng(0))))\n"
         "print(format_matrix(P.from_upper(\n"
         "    [Fraction(v, 1000) for v in CANONICAL_UPPER['I']], exact=True)))\n"
-        "print(format_matrix(canonical_matrix('I')))")
+        "for _ in range(3): print(format_matrix(canonical_matrix('I')))")
 
 SCREEN = ("import json\n"
           "import numpy as np\n"
