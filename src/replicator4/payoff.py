@@ -15,8 +15,9 @@ a_ij / max|a|, so that A and sA (s > 0, which only rescales time) get the
 same answers: an entry is zero when its unit-scale magnitude is at most
 ``ZERO_TOL`` = 1e-12, and A is singular when the Pfaffian of the
 unit-scale entries is at most ``SINGULAR_TOL`` = 1e-10 in magnitude.
-Both rules are computed once per matrix (:attr:`PayoffMatrix.signs`,
-:meth:`PayoffMatrix.is_singular`), and every other module reads them.
+Both rules, and the float view behind ``array``, are computed once per
+matrix (:attr:`PayoffMatrix.signs`, :meth:`PayoffMatrix.is_singular`),
+and every other module reads them.
 The formulas below are plain field arithmetic shared by both modes,
 with no numpy on exact entries.
 """
@@ -141,7 +142,11 @@ class PayoffMatrix:
     @property
     def array(self) -> np.ndarray:
         """Entries as a fresh float64 array, bounded as :meth:`to_float`."""
-        return np.array(_float_rows(self.rows))
+        return np.array(self._floats)
+
+    @cached_property
+    def _floats(self) -> tuple:
+        return tuple(map(tuple, _float_rows(self.rows)))
 
     @classmethod
     def from_rows(cls, rows, exact: bool | None = None) -> "PayoffMatrix":
@@ -221,7 +226,7 @@ class PayoffMatrix:
         float input's bound on max|a| (MatrixFormatError past it)."""
         if not self.exact:
             return self
-        return PayoffMatrix(tuple(map(tuple, _float_rows(self.rows))), False)
+        return PayoffMatrix(self._floats, False)
 
     def max_abs(self) -> Scalar:
         return max(abs(v) for row in self.rows for v in row)
@@ -261,9 +266,15 @@ class PayoffMatrix:
         """Determinant by cofactor expansion.
 
         Deliberately not computed from the Pfaffian: this is the
-        independent route used to cross-check pf(A)^2 = det(A).
+        independent route used to cross-check pf(A)^2 = det(A).  Exact
+        mode expands the integers D*A, D the lcm of the denominators, and
+        divides by D^n: no Pfaffian there either.
         """
-        return _det_cofactor([list(r) for r in self.rows])
+        if not self.exact:
+            return _det_cofactor([list(r) for r in self.rows])
+        d = math.lcm(*(v.denominator for row in self.rows for v in row))
+        m = [[v.numerator * d // v.denominator for v in r] for r in self.rows]
+        return Fraction(_det_cofactor(m), d ** self.n)
 
     def is_singular(self) -> bool:
         """Whether det(A) = 0 (the one singularity rule): pf == 0 in exact

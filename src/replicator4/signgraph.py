@@ -5,14 +5,15 @@ a_ij > 0 (strategy i gains against j).  Skewness forbids 2-cycles, so on
 four nodes every directed cycle has length 3 or 4 and both kinds can be
 enumerated outright.  Permanence of the flow is equivalent to det(A) = 0
 together with G_A containing a directed cycle, and the digraphs of
-singular conservative games fall into five isomorphism classes; this
-module recognizes them by exhaustive relabeling against one canonical
-representative per class.
+singular conservative games fall into five isomorphism classes.  A sign
+pattern's digraph is built once, and its class comes from a table that
+exhaustive relabeling against one representative per class fills at import.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from .errors import UnclassifiableSignPattern
@@ -26,9 +27,6 @@ CANONICAL_EDGES = {
     "IV": frozenset({(2, 4), (3, 2), (4, 3)}),
     "V": frozenset({(1, 3), (2, 4), (3, 2), (4, 1)}),
 }
-
-CLASS_NAMES = ("I", "II", "III", "IV", "V")
-
 
 @dataclass(frozen=True)
 class ClassLabel:
@@ -98,16 +96,29 @@ def build_digraph(M: PayoffMatrix) -> SignDigraph:
     if M.n != 4:
         raise ValueError(f"sign digraph is defined on 4 strategies, "
                          f"got n = {M.n}")
-    return digraph_from_edges((i + 1, j + 1)
-                              for i, row in enumerate(M.signs)
+    return _digraph_of_signs(M.signs)
+
+
+@lru_cache(maxsize=3 ** 6)  # one entry per 4x4 skew sign pattern
+def _digraph_of_signs(signs: tuple) -> SignDigraph:
+    return digraph_from_edges((i + 1, j + 1) for i, row in enumerate(signs)
                               for j, s in enumerate(row) if s > 0)
+
+
+#: edge set -> label, for the 74 edge sets some relabeling pi sends onto a
+#: canonical one; pi runs backwards, so the smallest such pi is kept
+_CLASS_TABLE = {
+    frozenset((pi.index(a) + 1, pi.index(b) + 1) for (a, b) in edges):
+    ClassLabel(name, pi) for pi in reversed(list(permutations((1, 2, 3, 4))))
+    for name, edges in CANONICAL_EDGES.items()}
 
 
 def classify(G: SignDigraph) -> ClassLabel:
     """Match G against the five canonical classes by relabeling.
 
-    All 24 node permutations are tried; the classes are mutually
-    non-isomorphic, so at most one matches.
+    G's edge set is looked up in a table that tried all 24 node
+    permutations at import, keeping the smallest that matches; the
+    classes are mutually non-isomorphic, so at most one matches.
 
     Raises
     ------
@@ -121,12 +132,8 @@ def classify(G: SignDigraph) -> ClassLabel:
     if not G.has_cycle:
         raise UnclassifiableSignPattern(
             "digraph has no directed cycle", reason="acyclic")
-    eset = frozenset(G.edges)
-    for pi in permutations((1, 2, 3, 4)):
-        mapped = frozenset((pi[i - 1], pi[j - 1]) for (i, j) in eset)
-        for name in CLASS_NAMES:
-            if mapped == CANONICAL_EDGES[name]:
-                return ClassLabel(name, pi)
+    if (label := _CLASS_TABLE.get(frozenset(G.edges))) is not None:
+        return label
     raise UnclassifiableSignPattern(
         "cyclic digraph matches no canonical class "
         "(no singular skew matrix carries this sign pattern)",

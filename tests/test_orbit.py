@@ -669,6 +669,37 @@ def test_probes_riding_along_keep_every_bit(name):
     assert (fused.period > orbit.FIRST_SPAN) == (name == "IV")
 
 
+def test_fallback_after_a_probe_underflow_returns_the_apart_report(
+        monkeypatch):
+    # the riding batch underflows only when asked for probe rows, past the
+    # orbit's closing run: certify_orbit then runs detect_period and
+    # stability_probe apart, and returns their report rather than raising
+    M = canonical_matrix("I")
+    section = kernel_line_section(M)
+    x0 = _seeded_starts(section, 3, 1)[0]
+    apart = _apart(M, x0, section, 3)
+    integrate, asked = orbit._integrate, []
+
+    def probes_underflow(*args):
+        until = integrate(*args)
+
+        def until_or_underflow(rows, end):
+            rows = list(rows)
+            if rows and min(rows) > 0:
+                asked.append((rows, end))
+                raise StepSizeUnderflow("step size underflow", t=end,
+                                        row=rows[0])
+            return until(rows, end)
+        return until_or_underflow
+
+    monkeypatch.setattr(orbit, "_integrate", probes_underflow)
+    report = certify_orbit(M, x0, section, seed=3)
+    assert asked == [(list(range(1, 17)), 3.0 * apart.period)]
+    assert report.period == apart.period
+    assert report.stability.to_json() == apart.stability.to_json()
+    assert report.to_json() == apart.to_json()
+
+
 def _lockstep_calls(monkeypatch) -> list:
     """The batch size of every _rk.lockstep call from now on; a call to
     orbit.integrate fails the test."""

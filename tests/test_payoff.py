@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from replicator4 import (MatrixFormatError, NotConservative, PayoffMatrix,
                          ZeroMatrix, canonical_matrix, format_matrix,
                          parse_matrix, to_skew)
+from replicator4.ensembles import (sample_class_matrix,
+                                   sample_cyclic_nonsingular)
 from oracles import det_leibniz
 
 M_I_TEXT = "0 1 1 -2 / -1 0 1 -1 / -1 -1 0 1 / 2 1 -1 0"
@@ -150,6 +152,67 @@ def test_pfaffian_squared_is_determinant(u):
 def test_cofactor_determinant_matches_leibniz(u):
     M = PayoffMatrix.from_upper(u)
     assert M.determinant() == det_leibniz(M.rows)
+
+
+def _mixed_denominator_matrices():
+    """Seeded exact matrices whose entries have unequal denominators:
+    free draws, cyclic nonsingular draws and class draws with a solved
+    a14 (class I's first draw from seed 0 has a13 = -205/96)."""
+    rng = np.random.default_rng(0)
+    mats = [sample_class_matrix(c, rng) for c in ("I", "II", "III", "V")
+            for _ in range(3)]
+    mats += [sample_cyclic_nonsingular(rng) for _ in range(8)]
+    for _ in range(20):
+        mats.append(PayoffMatrix.from_upper([Fraction(
+            int(rng.integers(-60, 61)), int(rng.choice((1, 3, 7, 16, 96))))
+            for _ in range(6)]))
+    return mats
+
+
+def test_exact_determinant_is_leibniz_on_mixed_denominators():
+    mats = _mixed_denominator_matrices()
+    assert Fraction(-205, 96) in mats[0].rows[0]
+    nonzero = 0
+    for M in mats:
+        det = M.determinant()
+        assert isinstance(det, Fraction) and det == det_leibniz(M.rows)
+        nonzero += det != 0
+    assert nonzero >= 8  # every cyclic nonsingular draw, at least
+    # orders 2 and 3: det = a12^2, and 0 for odd skew order
+    for rows, det in (([[0, Fraction(3, 7)], [Fraction(-3, 7), 0]],
+                       Fraction(9, 49)),
+                      ([[0, Fraction(1, 6), Fraction(-5, 4)],
+                        [Fraction(-1, 6), 0, 2], [Fraction(5, 4), -2, 0]],
+                       0)):
+        M = PayoffMatrix.from_rows(rows)
+        assert M.determinant() == det_leibniz(M.rows) == det
+
+
+def _float_cofactor(rows):
+    """Float-mode cofactor expansion as it stood before exact mode went to
+    integers, verbatim."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    total = rows[0][0] * 0
+    sign = 1
+    for col in range(n):
+        if rows[0][col] != 0:
+            minor = [[rows[r][c] for c in range(n) if c != col]
+                     for r in range(1, n)]
+            total = total + sign * rows[0][col] * _float_cofactor(minor)
+        sign = -sign
+    return total
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
+def test_float_determinant_keeps_its_bits(scale):
+    mats = [canonical_matrix(c) for c in ("I", "II", "III", "IV", "V")]
+    for M in mats + _mixed_denominator_matrices():
+        F = PayoffMatrix.from_rows(M.array * scale)
+        det = F.determinant()
+        assert isinstance(det, float)
+        assert det.hex() == _float_cofactor([list(r) for r in F.rows]).hex()
 
 
 @given(upper6)

@@ -6,8 +6,10 @@ notes: the class I representative does contain a directed 4-cycle
 (1,2,3,4), which both routes below confirm.
 """
 
-from itertools import permutations
+from collections import Counter
+from itertools import permutations, product
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,7 +17,12 @@ from hypothesis import strategies as st
 from replicator4 import (PayoffMatrix, UnclassifiableSignPattern,
                          build_digraph, canonical_matrix, classify,
                          classify_matrix, is_permanent)
-from replicator4.signgraph import CANONICAL_EDGES, digraph_from_edges
+from replicator4.ensembles import (sample_acyclic_singular,
+                                   sample_class_matrix,
+                                   sample_cyclic_nonsingular)
+from replicator4.payoff import ZERO_TOL
+from replicator4.signgraph import (CANONICAL_EDGES, ClassLabel,
+                                   _digraph_of_signs, digraph_from_edges)
 from oracles import has_cycle_dfs, relabel_edges, relabel_rows, simple_cycles
 
 sign6 = st.tuples(*[st.sampled_from((-1, 0, 1))] * 6).filter(
@@ -137,3 +144,77 @@ def test_float_zero_threshold():
     noisy[1, 0] = -1e-13
     G2 = build_digraph(PayoffMatrix.from_rows(noisy))
     assert set(G2.edges) == set(CANONICAL_EDGES["V"])
+
+
+CLASS_NAMES = ("I", "II", "III", "IV", "V")
+
+
+def _relabeling_search(G):
+    """classify as it was before its table: the 24 relabelings tried in
+    ``permutations`` order against each canonical edge set, verbatim."""
+    if not G.has_cycle:
+        raise UnclassifiableSignPattern(
+            "digraph has no directed cycle", reason="acyclic")
+    eset = frozenset(G.edges)
+    for pi in permutations((1, 2, 3, 4)):
+        mapped = frozenset((pi[i - 1], pi[j - 1]) for (i, j) in eset)
+        for name in CLASS_NAMES:
+            if mapped == CANONICAL_EDGES[name]:
+                return ClassLabel(name, pi)
+    raise UnclassifiableSignPattern(
+        "cyclic digraph matches no canonical class "
+        "(no singular skew matrix carries this sign pattern)",
+        reason="unmatched")
+
+
+def _outcome(classifier, G):
+    try:
+        label = classifier(G)
+    except UnclassifiableSignPattern as exc:
+        return "refused", exc.reason, str(exc)
+    return label.name, label.relabeling
+
+
+def test_table_answers_as_the_search_on_every_sign_pattern():
+    # all 3^6 oriented sign patterns on 4 nodes, a12, a13, ..., a34
+    pairs = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+    seen = Counter()
+    for u in product((-1, 0, 1), repeat=6):
+        G = digraph_from_edges((i, j) if s > 0 else (j, i)
+                               for (i, j), s in zip(pairs, u) if s)
+        out = _outcome(classify, G)
+        assert out == _outcome(_relabeling_search, G)
+        seen[out[1] if out[0] == "refused" else out[0]] += 1
+    # 24 relabelings over each class's automorphisms: 74 labelled sets
+    assert seen == {"I": 24, "II": 12, "III": 24, "IV": 8, "V": 6,
+                    "acyclic": 543, "unmatched": 112}
+
+
+def test_digraph_is_built_once_per_sign_pattern(rng):
+    A = sample_class_matrix("III", rng)
+    twin = PayoffMatrix.from_rows(A.array)
+    triple = PayoffMatrix.from_rows([[3 * v for v in r] for r in A.rows])
+    assert not twin.exact and triple.exact
+    assert build_digraph(twin) is build_digraph(A)
+    assert build_digraph(triple) is build_digraph(A)
+
+
+def test_float_entry_at_the_zero_threshold_drops_its_edge():
+    V = canonical_matrix("V")
+    for a12, edge in ((1.0, True), (2 * ZERO_TOL, True), (ZERO_TOL, False),
+                      (ZERO_TOL / 2, False)):
+        rows = V.array
+        rows[0, 1], rows[1, 0] = a12, -a12
+        M = PayoffMatrix.from_rows(rows)
+        assert M.max_abs() == 1.0
+        assert ((1, 2) in build_digraph(M).edges) == edge
+        assert (build_digraph(M) is build_digraph(V)) == (not edge)
+
+
+def test_digraph_cache_is_bounded_by_the_sign_patterns():
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        for sample in (sample_cyclic_nonsingular, sample_acyclic_singular):
+            build_digraph(sample(rng))
+    info = _digraph_of_signs.cache_info()
+    assert info.maxsize == 3 ** 6 and info.currsize <= 3 ** 6

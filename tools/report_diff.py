@@ -23,22 +23,24 @@ the diff.  Class I also runs ``orbit`` with ``--delta 0`` (``I-delta0``:
 Float twins of I-V scaled by 1e-13 and 1e13 (``I1e-13``, ``I1e13``, ...)
 run ``classify`` and ``kernel --float``, so that float-mode decisions show
 in the diff.  One seeded relabeled sample per class, ``sample_class_matrix(c,
-default_rng(0))`` (``S-I`` ... ``S-V``), runs ``classify`` and ``boundary``,
-so that the ensemble draws show too.  Two runs take error paths, so that
-their exit codes and error objects show: ``verify`` on exact class I at
-a thousandth of its payoffs (``I-milli``), whose orbit finds no section
-return inside the horizon (``NoClosureFound``), and ``orbit --x0`` with
-coordinates that do not sum to 1 on class I (``I-badx0``,
-``PreconditionFailed``).  Class I also runs ``orbit --skip-stability``
-from x proportional to (1, 1, 1e-6, 1) (``I-edge``), a start near a face,
-and ``verify --float`` (seed 1, ``I-float``), so that float-mode
-``verify`` and its tolerance Pfaffian check show in the diff.
+default_rng(0))`` (``S-I`` ... ``S-V``), runs ``classify``, ``kernel`` and
+``boundary``, so that the ensemble draws show too, with the class and the
+exact K endpoints of a relabeled draw with unequal denominators.  Two
+runs take error paths, so that their exit codes and error objects show:
+``verify`` on exact class I at a thousandth of its payoffs
+(``I-milli``), whose orbit finds no section return inside the horizon
+(``NoClosureFound``), and ``orbit --x0`` with coordinates that do not
+sum to 1 on class I (``I-badx0``, ``PreconditionFailed``).  Class I also
+runs ``orbit --skip-stability`` from x proportional to (1, 1, 1e-6, 1)
+(``I-edge``), a start near a face, and ``verify --float`` (seed 1,
+``I-float``), so that float-mode ``verify`` and its tolerance Pfaffian
+check show in the diff.
 The permanence screen runs in process, ``permanence_probe`` with five
 starts each on canonical I-V (``interior_starts``) and on one
 ``sample_cyclic_nonsingular`` and one ``sample_acyclic_singular`` draw
 (``barycenter_starts``), all from ``default_rng(0)``, then on the seven
 as one stack; its pairs go to ``screen.probe.json`` as JSON numbers,
-which round-trip every bit (162 files in all when ``I-edge`` certifies).
+which round-trip every bit (172 files in all when ``I-edge`` certifies).
 Printed: per JSON key (list indices folded to ``[]``), CSV column or SVG
 file, how many floats moved and the largest absolute and relative move;
 per work counter (:data:`COUNTERS`, the integrator's step counts, which
@@ -75,6 +77,7 @@ TUBE_RUNS = (("I-delta0", ("orbit", ("--seed", "3", "--delta", "0"), ".json")),
              ("I-probes1", ("orbit", ("--seed", "3", "--probes", "1"),
                             ".json")))
 SAMPLED_RUNS = (("classify", (), ".json"),
+                ("kernel", (), ".json"),
                 ("boundary", ("--seed", "0"), ".json"))
 ERROR_RUNS = (("I-milli", RUNS[2]),
               ("I-badx0", ("orbit", ("--x0", "0.25,0.25,0.25,0.26"),
