@@ -217,10 +217,10 @@ def predict_face(M: PayoffMatrix, i: int) -> FaceOutcome:
     module docstring for the case split), so it applies in any labeling.
     """
     p, q, r = face_nodes(i)
-    a = M.rows
+    a, sg = M.rows, M.signs
 
     def s(m, n):
-        return M.signs[m - 1][n - 1]
+        return sg[m - 1][n - 1]
 
     zero_pairs = [pair for pair in ((p, q), (p, r), (q, r)) if s(*pair) == 0]
 

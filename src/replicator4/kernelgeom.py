@@ -17,6 +17,7 @@ simplex and is used only to cross-check the closed forms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -123,13 +124,13 @@ def kernel_basis(M: PayoffMatrix):
             raise RankError(f"null space has dimension {len(basis)}, "
                             "expected 2")
         return [tuple(v) for v in basis]
-    A = M.array
-    _, s, vt = np.linalg.svd(A)
+    _, s, vt = np.linalg.svd(M.array)
+    s = s.tolist()
     scale = s[0] if s[0] > 0 else 1.0
-    rank = int(np.sum(s > _RTOL * scale))
+    rank = sum(v > _RTOL * scale for v in s)
     if rank != 2:
         raise RankError(f"numerical rank {rank}, expected 2 "
-                        f"(singular values {s.tolist()})")
+                        f"(singular values {s})")
     return [vt[2], vt[3]]
 
 
@@ -220,12 +221,8 @@ def edge_kernel_point(M: PayoffMatrix, i: int, j: int):
             "no unique interior edge point")
     r1 = -a[jj][k] / a[ii][k]
     r2 = -a[jj][l] / a[ii][l]
-    if M.exact:
-        consistent = (r1 == r2)
-    else:
-        consistent = abs(float(r1) - float(r2)) <= _RTOL * max(
-            1.0, abs(float(r1)))
-    if not consistent:
+    if not (r1 == r2 if M.exact else
+            abs(r1 - r2) <= _RTOL * max(1.0, abs(r1))):
         raise PreconditionFailed(
             f"cross ratios disagree ({r1} vs {r2}); "
             "matrix is not singular over this edge")
@@ -248,8 +245,9 @@ def kernel_line_section(M: PayoffMatrix) -> NullLineSection:
     The digraph is classified first; the class dictates how many
     endpoints of each kind must exist (two faces for I and II, face and
     edge for III, face and vertex for IV, two edges for V).  Endpoints
-    are then found structurally: faces with induced 3-cycles, zero pairs
-    with consistent positive cross ratios, and identically zero rows.
+    are then found structurally: faces with induced 3-cycles (read from
+    the digraph's 3-cycles), zero pairs with consistent positive cross
+    ratios, and identically zero rows.
     A mismatch between structure and class raises InconsistentClass.
     Zero entries and singularity are read from ``M`` (see
     :attr:`PayoffMatrix.signs`).
@@ -257,15 +255,11 @@ def kernel_line_section(M: PayoffMatrix) -> NullLineSection:
     if not M.is_singular():
         raise PreconditionFailed(
             "matrix is not singular; the null line misses the simplex")
-    label = classify(build_digraph(M))
+    G = build_digraph(M)
+    label = classify(G)
 
-    found = []
-    for i in (1, 2, 3, 4):
-        try:
-            z = face_kernel_point(M, i)
-        except PreconditionFailed:
-            continue
-        found.append((Locus("face", (i,)), z))
+    found = [(Locus("face", (i,)), face_kernel_point(M, i))
+             for i in (1, 2, 3, 4) if any(i not in c for c in G.three_cycles)]
     for i in (1, 2, 3, 4):
         for j in range(i + 1, 5):
             if M.signs[i - 1][j - 1] != 0:
@@ -277,13 +271,12 @@ def kernel_line_section(M: PayoffMatrix) -> NullLineSection:
             found.append((Locus("edge", (i, j)), z))
     one = Fraction(1) if M.exact else 1.0
     zero = Fraction(0) if M.exact else 0.0
-    for i in range(4):
-        if not any(M.signs[i]):
-            z = tuple(one if p == i else zero for p in range(4))
-            found.append((Locus("vertex", (i + 1,)), z))
+    found += [(Locus("vertex", (i + 1,)),
+               tuple(one if p == i else zero for p in range(4)))
+              for i in range(4) if not any(M.signs[i])]
 
-    counts = tuple(sum(1 for (l, _) in found if l.kind == k)
-                   for k in ("face", "edge", "vertex"))
+    counts = tuple(map([l.kind for l, _ in found].count,
+                       ("face", "edge", "vertex")))
     if counts != _CLASS_COMPOSITION[label.name]:
         raise InconsistentClass(
             f"class {label.name} expects endpoint composition "
@@ -312,19 +305,16 @@ def section_by_clipping(M: PayoffMatrix) -> np.ndarray:
     same locus-free rule used for display (lexicographic).
     """
     u, v = (np.asarray(b, dtype=float) for b in kernel_basis(M.to_float()))
-    su, sv = u.sum(), v.sum()
+    su, sv = float(u.sum()), float(v.sum())
     if max(abs(su), abs(sv)) <= _RTOL:
         raise EmptyKernelSection("null plane is parallel to the affine "
                                  "hull of the simplex")
-    d = sv * u - su * v
-    if np.abs(d).max() <= _RTOL:
+    d = [sv * ui - su * vi for ui, vi in zip(u.tolist(), v.tolist())]
+    if max(map(abs, d)) <= _RTOL:
         raise EmptyKernelSection("null plane meets the affine simplex "
                                  "hull in a point or not at all")
-    if abs(su) >= abs(sv):
-        p = u / su
-    else:
-        p = v / sv
-    lo, hi = -np.inf, np.inf
+    p = (u / su if abs(su) >= abs(sv) else v / sv).tolist()
+    lo, hi = -math.inf, math.inf
     for pi, di in zip(p, d):
         if abs(di) <= 1e-15:
             if pi < -1e-12:
@@ -337,14 +327,13 @@ def section_by_clipping(M: PayoffMatrix) -> np.ndarray:
             hi = min(hi, t)
     if not (lo < hi):
         raise EmptyKernelSection("null line misses the simplex interior")
-    mid = p + 0.5 * (lo + hi) * d
-    if mid.min() <= _RTOL:
+    half = 0.5 * (lo + hi)
+    if min(pi + half * di for pi, di in zip(p, d)) <= _RTOL:
         raise EmptyKernelSection("null line touches the simplex only on "
                                  "its boundary")
-    ends = np.array([p + lo * d, p + hi * d])
-    ends[np.abs(ends) < 1e-14] = 0.0
-    order = np.lexsort(ends.T[::-1])
-    return ends[order]
+    ends = ([pi + t * di for pi, di in zip(p, d)] for t in (lo, hi))
+    return np.array(sorted([0.0 if abs(x) < 1e-14 else x for x in e]
+                           for e in ends))
 
 
 def distance_to_K(x, section: NullLineSection) -> float:

@@ -34,10 +34,10 @@ import numpy as np
 
 from . import _rk
 # integrate is unused; perfbench's tracer patches it
-from .dynamics import (Trajectory, _as_array, _integrate,  # noqa: F401
-                       check_finite, check_order, entropy_drift, integrate,
-                       integrate_many, phi, phi_gradient, sample_grid,
-                       softmax, vector_field)
+from .dynamics import (MAX_SAMPLES, Trajectory, _as_array,  # noqa: F401
+                       _integrate, check_finite, check_order, entropy_drift,
+                       integrate, integrate_many, phi, phi_gradient,
+                       sample_grid, softmax, vector_field)
 from .errors import (EquilibriumStart, NoClosureFound, PreconditionFailed,
                      SelectionExhausted, StepSizeUnderflow)
 from .kernelgeom import NullLineSection, distance_to_K
@@ -454,6 +454,10 @@ def _probe_starts(x0, delta, n_probes, seed) -> np.ndarray:
     if n_probes < 1:
         raise PreconditionFailed(f"n_probes = {n_probes}; a stability "
                                  "probe needs at least one start")
+    if n_probes * (3 * SAMPLES_PER_PERIOD + 1) > MAX_SAMPLES:
+        raise PreconditionFailed(
+            f"n_probes = {n_probes}; the probes' sample grids would hold "
+            f"more than {MAX_SAMPLES:.0e} points")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n_probes, TANGENT_BASIS.shape[1]))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
@@ -526,8 +530,9 @@ def stability_probe(M, report: OrbitReport, delta: float = 1e-3,
     PreconditionFailed
         If the report has no reference pair (certified without a
         section), ``delta`` is not finite and nonnegative, ``n_probes <
-        1``, or some perturbed start leaves the open simplex (delta too
-        large for this orbit's clearance).
+        1`` or ``n_probes * (3 * SAMPLES_PER_PERIOD + 1) > MAX_SAMPLES``
+        (the probes' sample grids), or some perturbed start leaves the
+        open simplex (delta too large for this orbit's clearance).
     """
     if report.refs is None:
         raise PreconditionFailed(_NO_REFS)

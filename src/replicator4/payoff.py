@@ -30,6 +30,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Sequence, Union
 
 import numpy as np
@@ -54,50 +55,45 @@ def _parse_token(tok: str, exact: bool | None) -> Scalar:
 
     Plain integers and ``p/q`` rationals are always exact.  Decimal and
     scientific tokens become floats unless ``exact=True``, in which case
-    they are converted to the exact rational they spell.
+    they are converted to the exact rational they spell.  A token with
+    no ``/``, no ``.``, no exponent and no inf or nan spells an integer
+    or nothing, so ``int`` alone reads it.
     """
+    rational = "/" in tok
     try:
-        return int(tok)
-    except ValueError:
-        pass
-    if "/" in tok:
-        try:
-            return Fraction(tok)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise MatrixFormatError(f"bad rational token {tok!r}") from exc
-    if exact:
-        try:
-            return Fraction(tok)
-        except ValueError as exc:
-            raise MatrixFormatError(f"bad number token {tok!r}") from exc
-    try:
-        return float(tok)
-    except ValueError as exc:
-        raise MatrixFormatError(f"bad number token {tok!r}") from exc
+        if not (rational or "." in tok or "e" in tok or "E" in tok
+                or "n" in tok or "N" in tok):
+            return int(tok)
+        return Fraction(tok) if rational or exact else float(tok)
+    except (ValueError, ZeroDivisionError) as exc:
+        kind = "rational" if rational else "number"
+        raise MatrixFormatError(f"bad {kind} token {tok!r}") from exc
 
 
 def _coerce(value, exact: bool | None) -> Scalar:
+    """An entry as int, Fraction or finite float (floats first: an
+    ``isinstance(x, Fraction)`` check is slow when x is a float)."""
     if isinstance(value, str):
-        return _parse_token(value, exact)
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-        return value
-    if isinstance(value, np.integer):
-        return int(value)
+        value = _parse_token(value, exact)
     if isinstance(value, (float, np.floating)):
         value = float(value)
         if not math.isfinite(value):
             raise MatrixFormatError(f"entry {value!r} is not finite")
         return Fraction(value) if exact else value
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return value
     raise MatrixFormatError(f"unsupported entry type {type(value).__name__}")
 
 
-def _float_rows(rows) -> list:
-    """Entries as float lists; MatrixFormatError past ``_MAX_ABS``, or
-    where a nonzero exact entry rounds to 0.0 (the float view would lose
-    an edge of the sign digraph)."""
+def _float_rows(rows) -> tuple:
+    """Entries as float lists, and their max|a|; MatrixFormatError past
+    ``_MAX_ABS``, or where a nonzero exact entry rounds to 0.0 (the float
+    view would lose an edge of the sign digraph)."""
     try:
         out = [[float(v) for v in row] for row in rows]
-        m = max(abs(v) for row in out for v in row)
+        m = max(map(abs, chain.from_iterable(out)))
     except OverflowError:  # an exact entry past the float range
         m = math.inf
     if m > _MAX_ABS:
@@ -108,11 +104,7 @@ def _float_rows(rows) -> list:
            for row, fs in zip(rows, out) for v, f in zip(row, fs)):
         raise MatrixFormatError(
             "a nonzero entry rounds to 0.0 as a float; rescale the matrix")
-    return out
-
-
-def _is_exact(x: Scalar) -> bool:
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+    return out, m
 
 
 @dataclass(frozen=True)
@@ -146,7 +138,9 @@ class PayoffMatrix:
 
     @cached_property
     def _floats(self) -> tuple:
-        return tuple(map(tuple, _float_rows(self.rows)))
+        if not self.exact:  # from_rows has bounded them
+            return self.rows
+        return tuple(map(tuple, _float_rows(self.rows)[0]))
 
     @classmethod
     def from_rows(cls, rows, exact: bool | None = None) -> "PayoffMatrix":
@@ -175,14 +169,12 @@ class PayoffMatrix:
             raise MatrixFormatError("payoff matrix must be square, n >= 2")
         if all(v == 0 for r in vals for v in r):
             raise ZeroMatrix("all payoff entries are zero")
-        if exact is None:
-            exact = all(_is_exact(v) for r in vals for v in r)
-        if exact:
-            vals = [[Fraction(v) for v in row] for row in vals]
-            bound = 0
-        else:
-            vals = _float_rows(vals)
-            bound = SKEW_TOL * max(abs(v) for r in vals for v in r)
+        if exact is None:  # _coerce leaves int, Fraction or float
+            exact = not any(type(v) is float for r in vals for v in r)
+        bound = 0
+        if not exact:
+            vals, m = _float_rows(vals)
+            bound = SKEW_TOL * m
         for i in range(n):
             for j in range(i, n):
                 d = vals[i][i] if i == j else vals[i][j] + vals[j][i]
@@ -196,8 +188,10 @@ class PayoffMatrix:
         canon = [[zero] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                canon[i][j] = vals[i][j]
-                canon[j][i] = -vals[i][j]
+                v = vals[i][j]
+                if exact and type(v) is not Fraction:
+                    v = Fraction(v)
+                canon[i][j], canon[j][i] = v, -v
         return cls(tuple(tuple(r) for r in canon), exact)
 
     @classmethod
@@ -229,7 +223,11 @@ class PayoffMatrix:
         return PayoffMatrix(self._floats, False)
 
     def max_abs(self) -> Scalar:
-        return max(abs(v) for row in self.rows for v in row)
+        return self._max_abs
+
+    @cached_property
+    def _max_abs(self) -> Scalar:
+        return max(map(abs, chain.from_iterable(self.rows)))
 
     def unit(self) -> "PayoffMatrix":
         """A / max|a|: the same game on a rescaled clock, exact when A is."""
@@ -242,9 +240,12 @@ class PayoffMatrix:
         """Sign of each entry, -1, 0 or 1, row major (the one zero rule):
         exact in exact mode; 0 in float mode where |a_ij| / max|a| is at
         most ``ZERO_TOL``."""
-        tol = 0 if self.exact else ZERO_TOL * self.max_abs()
-        return tuple(tuple((v > tol) - (v < -tol) for v in row)
-                     for row in self.rows)
+        if self.exact:  # a Fraction has its numerator's sign, read fast
+            rows, tol = [[v.numerator for v in r] for r in self.rows], 0
+        else:
+            rows, tol = self.rows, ZERO_TOL * self._max_abs
+        return tuple([tuple([(v > tol) - (v < -tol) for v in row])
+                      for row in rows])
 
     def pfaffian(self) -> Scalar:
         """Pfaffian of a skew matrix of even order.
@@ -253,14 +254,7 @@ class PayoffMatrix:
         a12*a34 - a13*a24 + a14*a23, whose square is det(A).  For n = 2
         it is just a12.
         """
-        a = self.rows
-        if self.n == 2:
-            return a[0][1]
-        if self.n == 4:
-            return (a[0][1] * a[2][3]
-                    - a[0][2] * a[1][3]
-                    + a[0][3] * a[1][2])
-        raise PreconditionFailed(f"pfaffian needs order 2 or 4, got {self.n}")
+        return _pfaffian(self.rows)
 
     def determinant(self) -> Scalar:
         """Determinant by cofactor expansion.
@@ -271,7 +265,7 @@ class PayoffMatrix:
         divides by D^n: no Pfaffian there either.
         """
         if not self.exact:
-            return _det_cofactor([list(r) for r in self.rows])
+            return _det_cofactor(self.rows)
         d = math.lcm(*(v.denominator for row in self.rows for v in row))
         m = [[v.numerator * d // v.denominator for v in r] for r in self.rows]
         return Fraction(_det_cofactor(m), d ** self.n)
@@ -286,24 +280,35 @@ class PayoffMatrix:
     def _singular(self) -> bool:
         if self.exact:
             return self.pfaffian() == 0
-        return abs(self.unit().pfaffian()) <= SINGULAR_TOL
+        m = self._max_abs
+        pf = _pfaffian([[v / m for v in r] for r in self.rows])
+        return abs(pf) <= SINGULAR_TOL
 
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
 
 
-def _det_cofactor(rows) -> Scalar:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = rows[0][0] * 0
-    sign = 1
-    for col in range(n):
-        if rows[0][col] != 0:
-            minor = [[rows[r][c] for c in range(n) if c != col]
-                     for r in range(1, n)]
-            total = total + sign * rows[0][col] * _det_cofactor(minor)
+def _pfaffian(a) -> Scalar:
+    if len(a) == 2:
+        return a[0][1]
+    if len(a) == 4:
+        return a[0][1] * a[2][3] - a[0][2] * a[1][3] + a[0][3] * a[1][2]
+    raise PreconditionFailed(f"pfaffian needs order 2 or 4, got {len(a)}")
+
+
+def _det_cofactor(rows, cols=None) -> Scalar:
+    """Expansion along the top row, skipping zero entries, of the minor on
+    the last len(cols) rows and the columns ``cols`` (default: all)."""
+    cols = tuple(range(len(rows))) if cols is None else cols
+    top = rows[-len(cols)]
+    total, sign = top[cols[0]] * 0, 1
+    for k, c in enumerate(cols):
+        if top[c] != 0:
+            rest = cols[:k] + cols[k + 1:]
+            minor = (rows[-1][rest[0]] if len(rest) == 1
+                     else _det_cofactor(rows, rest))
+            total = total + sign * top[c] * minor
         sign = -sign
     return total
 

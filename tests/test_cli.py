@@ -497,6 +497,22 @@ def test_orbit_near_the_boundary_certifies(tmp_path, capsys):
     validated(err, "error")
 
 
+def test_orbit_refuses_a_probe_count_past_the_sample_bound(tmp_path,
+                                                          capsys):
+    # 6,506 probes of 1,537 samples fit in 10^7; one more is refused
+    # before any start is drawn or any run starts
+    path = matrix_file(tmp_path, M_I_TEXT)
+    for probes in (6507, 10 ** 8):
+        code, out, err = run(["orbit", "--matrix", path, "--probes",
+                              str(probes)], capsys)
+        assert (code, out) == (1, "")
+        payload = validated(err, "error")
+        assert payload["error"] == {
+            "type": "PreconditionFailed",
+            "message": f"n_probes = {probes}; the probes' sample grids "
+                       "would hold more than 1e+07 points"}
+
+
 def test_verify_float_matrix_takes_the_tolerance_pfaffian_check(tmp_path,
                                                                capsys):
     # float arithmetic grades pf^2 = det on the unit-scale entries within

@@ -18,6 +18,7 @@ from replicator4 import (EmptyKernelSection, PayoffMatrix,
                          canonical_matrix, distance_to_K, edge_kernel_point,
                          face_kernel_point, kernel_basis, kernel_line_section,
                          section_by_clipping, section_residual)
+from replicator4.ensembles import sample_class_matrix
 from oracles import det_leibniz, segment_distance_grid
 
 SPEC_SPANS = {
@@ -149,6 +150,43 @@ def test_clipping_rejects_boundary_only_null_line():
     lone = PayoffMatrix.from_upper([1, 0, 0, 0, 0, 0])
     with pytest.raises(EmptyKernelSection):
         section_by_clipping(lone.to_float())
+
+
+def _numpy_clip(M):
+    """section_by_clipping's arithmetic on numpy arrays and scalars, as it
+    stood before its loop and its ends went to Python floats, verbatim
+    (without the checks that raise)."""
+    u, v = (np.asarray(b, dtype=float) for b in kernel_basis(M.to_float()))
+    su, sv = u.sum(), v.sum()
+    d = sv * u - su * v
+    if abs(su) >= abs(sv):
+        p = u / su
+    else:
+        p = v / sv
+    lo, hi = -np.inf, np.inf
+    for pi, di in zip(p, d):
+        if abs(di) <= 1e-15:
+            continue
+        t = -pi / di
+        if di > 0:
+            lo = max(lo, t)
+        else:
+            hi = min(hi, t)
+    ends = np.array([p + lo * d, p + hi * d])
+    ends[np.abs(ends) < 1e-14] = 0.0
+    order = np.lexsort(ends.T[::-1])
+    return ends[order]
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
+def test_clipping_keeps_its_bits(scale):
+    rng = np.random.default_rng(28)
+    classes = ("I", "II", "III", "IV", "V")
+    mats = [canonical_matrix(c) for c in classes]
+    mats += [sample_class_matrix(c, rng) for c in classes for _ in range(8)]
+    for M in mats:
+        F = PayoffMatrix.from_rows(M.array * scale)
+        assert section_by_clipping(F).tobytes() == _numpy_clip(F).tobytes()
 
 
 def test_distance_to_K_frozen_value(MV):

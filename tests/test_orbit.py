@@ -19,7 +19,7 @@ from replicator4 import (EquilibriumStart, NoClosureFound, PayoffMatrix,
 from replicator4 import _rk, orbit
 from replicator4.boundary import _face_starts
 from replicator4.cli import _seeded_starts
-from replicator4.dynamics import integrate_many, softmax
+from replicator4.dynamics import MAX_SAMPLES, integrate_many, softmax
 from replicator4.ensembles import (CANONICAL_UPPER, interior_starts,
                                    sample_class_matrix)
 from replicator4.orbit import (_max_distance_to_samples,
@@ -630,6 +630,17 @@ def test_stability_probe_large_delta(certified_MIV):
     except PreconditionFailed:
         return
     assert probe.escaped
+
+
+def test_probe_count_is_bounded_by_the_sample_grid():
+    # n_probes * (3 * SAMPLES_PER_PERIOD + 1) grid points, at most
+    # MAX_SAMPLES; past it the count is refused before any draw
+    x0 = np.full(4, 0.25)
+    most = MAX_SAMPLES // (3 * orbit.SAMPLES_PER_PERIOD + 1)
+    assert orbit._probe_starts(x0, 1e-3, most, 0).shape == (most, 4)
+    for n in (most + 1, 10 ** 8, 10 ** 18):
+        with pytest.raises(PreconditionFailed, match="sample grids"):
+            orbit._probe_starts(x0, 1e-3, n, 0)
 
 
 def test_one_probe_underflow_is_the_one_run_error(certified_MIV):

@@ -5,6 +5,7 @@ sum in tests/oracles.py, which shares nothing with the package's
 cofactor expansion.
 """
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -74,6 +75,71 @@ def test_parse_decimals_take_float_path():
     M = parse_matrix(M_I_TEXT.replace("1 1 -2", "1.0 1.0 -2.0"))
     assert not M.exact
     assert isinstance(M[0, 1], float)
+
+
+def _negated(tok):
+    return tok[1:] if tok[0] == "-" else "-" + tok.lstrip("+")
+
+
+#: token -> (entry type, entry value, M.exact) or the error, for exact =
+#: None, True and False; floats by hex, so the sign of zero counts
+_TOKEN_TABLE = {
+    "+7": (("Fraction", "7", True), ("Fraction", "7", True),
+           ("float", "0x1.c000000000000p+2", False)),
+    "-0": (("Fraction", "0", True), ("Fraction", "0", True),
+           ("float", "0x0.0p+0", False)),
+    "1_000": (("Fraction", "1000", True), ("Fraction", "1000", True),
+              ("float", "0x1.f400000000000p+9", False)),
+    "1__0": (MatrixFormatError,) * 3,
+    "\u0663": (("Fraction", "3", True), ("Fraction", "3", True),
+               ("float", "0x1.8000000000000p+1", False)),
+    "1e3": (("float", "0x1.f400000000000p+9", False),
+            ("Fraction", "1000", True),
+            ("float", "0x1.f400000000000p+9", False)),
+    ".5": (("float", "0x1.0000000000000p-1", False),
+           ("Fraction", "1/2", True),
+           ("float", "0x1.0000000000000p-1", False)),
+    "-0.0": (("float", "-0x0.0p+0", False), ("Fraction", "0", True),
+             ("float", "-0x0.0p+0", False)),
+    "3/4": (("Fraction", "3/4", True), ("Fraction", "3/4", True),
+            ("float", "0x1.8000000000000p-1", False)),
+    "-3/4": (("Fraction", "-3/4", True), ("Fraction", "-3/4", True),
+             ("float", "-0x1.8000000000000p-1", False)),
+    "3/0": (MatrixFormatError,) * 3,
+    "1/2/3": (MatrixFormatError,) * 3,
+    "0x10": (MatrixFormatError,) * 3,
+    "inf": (MatrixFormatError,) * 3,
+    "nan": (MatrixFormatError,) * 3,
+}
+
+
+@pytest.mark.parametrize("tok", list(_TOKEN_TABLE))
+def test_parse_types_each_token_as_tabled(tok):
+    # the token as a12, its negation as a21, in an otherwise exact matrix
+    text = f"0 {tok} 0 0 / {_negated(tok)} 0 0 0 / 0 0 0 1 / 0 0 -1 0"
+    for exact, want in zip((None, True, False), _TOKEN_TABLE[tok]):
+        if want is MatrixFormatError:
+            with pytest.raises(MatrixFormatError):
+                parse_matrix(text, exact=exact)
+            continue
+        M = parse_matrix(text, exact=exact)
+        v = M[0, 1]
+        assert (type(v).__name__,
+                v.hex() if isinstance(v, float) else str(v),
+                M.exact) == want
+        assert M[1, 0] == -v
+
+
+@pytest.mark.parametrize("tok", ["nan", "inf", "-inf"])
+def test_non_finite_string_entries_are_refused(tok):
+    # a JSON string entry is read as a text token is, so a NaN, which
+    # passes every skew and bound test, is refused with the infinities
+    A = [[0, tok, 1, 1], [tok, 0, 1, 1], [-1, -1, 0, 1], [-1, -1, -1, 0]]
+    for read in (lambda: parse_matrix(json.dumps({"A": A})),
+                 lambda: PayoffMatrix.from_rows(A)):
+        with pytest.raises(MatrixFormatError, match=f"entry {tok} is not "
+                           "finite"):
+            read()
 
 
 def test_to_skew_is_identity_on_skew_input(MIV):
@@ -205,11 +271,31 @@ def _float_cofactor(rows):
     return total
 
 
+def _zero_pattern_matrices(rng, count):
+    """Seeded float skew matrices of order 2 to 4 whose upper entries are
+    zero with probability 1/2, at least one nonzero; a zero keeps its
+    draw's sign, so some are -0.0."""
+    mats = []
+    while len(mats) < count:
+        n = int(rng.integers(2, 5))
+        upper = rng.standard_normal(n * (n - 1) // 2)
+        upper[rng.random(upper.size) < 0.5] *= 0.0
+        if not upper.any():
+            continue
+        A = np.zeros((n, n))
+        A[np.triu_indices(n, 1)] = upper
+        mats.append(A - A.T)
+    return mats
+
+
 @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
 def test_float_determinant_keeps_its_bits(scale):
-    mats = [canonical_matrix(c) for c in ("I", "II", "III", "IV", "V")]
-    for M in mats + _mixed_denominator_matrices():
-        F = PayoffMatrix.from_rows(M.array * scale)
+    mats = [canonical_matrix(c).array
+            for c in ("I", "II", "III", "IV", "V")]
+    mats += [M.array for M in _mixed_denominator_matrices()]
+    mats += _zero_pattern_matrices(np.random.default_rng(28), 200)
+    for A in mats:
+        F = PayoffMatrix.from_rows(A * scale)
         det = F.determinant()
         assert isinstance(det, float)
         assert det.hex() == _float_cofactor([list(r) for r in F.rows]).hex()
