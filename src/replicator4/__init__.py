@@ -33,28 +33,7 @@ from .ensembles import (canonical_matrix, interior_starts,
                         sample_class_matrix, sample_cyclic_nonsingular)
 from .portrait import render_portrait
 
-__all__ = [
-    "__version__",
-    "Replicator4Error", "MatrixFormatError", "NotConservative",
-    "ZeroMatrix",
-    "RankError", "PreconditionFailed", "UnclassifiableSignPattern",
-    "InconsistentClass", "EmptyKernelSection", "StepSizeUnderflow",
-    "DriftBudgetExceeded", "EquilibriumStart", "NoClosureFound",
-    "SelectionExhausted",
-    "PayoffMatrix", "parse_matrix", "format_matrix", "to_skew",
-    "SignDigraph", "ClassLabel", "build_digraph", "classify",
-    "classify_matrix", "is_permanent",
-    "Locus", "NullLineSection", "kernel_basis", "face_kernel_point",
-    "edge_kernel_point", "kernel_line_section", "section_by_clipping",
-    "distance_to_K", "section_residual",
-    "Trajectory", "integrate", "vector_field", "phi", "phi_gradient",
-    "phi_drift",
-    "ReferencePair", "OrbitReport", "StabilityProbe",
-    "select_reference_points", "detect_period", "stability_probe",
-    "EdgeOutcome", "FaceOutcome", "BoundaryPrediction", "BoundaryReport",
-    "face_subsystem", "predict_edge", "predict_face",
-    "boundary_prediction", "verify_boundary",
-    "canonical_matrix", "sample_class_matrix", "sample_cyclic_nonsingular",
-    "sample_acyclic_singular", "interior_starts", "permanence_probe",
-    "render_portrait",
-]
+#: every name imported above, not the submodules (of ``type(errors)``)
+__all__ = ["__version__"] + [name for name, value in list(globals().items())
+                             if not name.startswith("_")
+                             and type(value) is not type(errors)]

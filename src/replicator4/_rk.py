@@ -331,17 +331,18 @@ def lockstep(fun, u0, t_end, rtol, atol, project):
         yield t, u, ok, K
 
 
-def dense_coefficients(fun, ts, us, ks):
-    """The continuous extension on the m steps of one run, from its
-    accepted times and states and its stages ks, (m, len(ROWS), n).
+def dense_coefficients(fun, h, u, du, ks, splits):
+    """The continuous extension on m steps of runs laid end to end, the
+    later runs from the step indices ``splits``: each step's size h, (m,),
+    start state u and change du, (m, n), and stages ks, (m, len(ROWS), n).
 
-    The EXTRA stages are evaluated for all steps at once.  Returns the
+    The EXTRA stages are evaluated for all steps at once, DENSE run by run
+    (BLAS rounds a product's last columns by its width).  Returns the
     (7, m, n) coefficients of :func:`interpolate`: the state change, the
     two Hermite terms from the end derivatives, and h DENSE applied to
     all stages (Hairer, Norsett, Wanner, section II.6).
     """
-    s, u, du = len(ROWS), us[:-1], us[1:] - us[:-1]
-    h = (ts[1:] - ts[:-1])[:, None]
+    s, h = len(ROWS), h[:, None]
     K = np.empty((len(_ALL_ROWS),) + u.shape)
     K[:s] = ks.transpose(1, 0, 2)
     _stages(fun, u, h, K, s)
@@ -349,8 +350,9 @@ def dense_coefficients(fun, ts, us, ks):
     F[0] = du
     F[1] = h * K[0] - du
     F[2] = 2.0 * du - h * (K[s - 1] + K[0])
-    F[3:] = h * np.dot(DENSE, K.reshape(len(K), -1)).reshape(
-        (-1,) + u.shape)
+    for k, f in zip(*(np.split(a, splits, axis=1) for a in (K, F[3:]))):
+        f[...] = np.dot(DENSE, k.reshape(len(K), -1)).reshape(f.shape)
+    F[3:] *= h
     return F
 
 

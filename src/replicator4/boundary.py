@@ -28,21 +28,22 @@ order with one payoff matrix and one end per row, and scores each region.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 # integrate and detect_period are unused; perfbench's tracer patches both
 from .dynamics import (_integrate, integrate,  # noqa: F401
-                       check_finite, vector_field)
+                       check_finite, softmax, vector_field)
 from .errors import PreconditionFailed
 from .orbit import (CLOSURE_TOL, HORIZON, close_orbits,  # noqa: F401
                     detect_period, section_normal)
-from .payoff import PayoffMatrix, Scalar, format_matrix, scalar_to_json
+from .payoff import PayoffMatrix, Scalar, scalar_to_json
 
 #: grading bounds (see verify_boundary) and every run's absolute tolerance
 VERTEX_TOL, OFF_EDGE_TOL, CONSTRAINT_TOL = 1e-4, 1e-4, 1e-3
 STATIONARITY_TOL, EDGE_DRIFT_TOL, ATOL = 1e-12, 1e-9, 1e-10
+#: most starts per region: each keeps its run's history (150 kB on I)
+MAX_SAMPLES_PER_REGION = 1000
 
 
 # An edge point's constraint grades a region's starts X0 and final
@@ -343,7 +344,7 @@ def _score(outcome, sub, starts, trajs) -> RegionResult:
                              "periods": [t for _, t, _, _ in trajs]})
 
     if outcome.kind == "vertex":
-        finals = [traj.xs[-1] for traj in trajs]
+        finals = softmax(np.array([traj.us[-1] for traj in trajs]))
         tp = pos[outcome.vertex]
         worst = min(float(xT[tp]) for xT in finals)
         ok = (all(int(np.argmax(xT)) == tp for xT in finals)
@@ -364,7 +365,7 @@ def _score(outcome, sub, starts, trajs) -> RegionResult:
 
     # edge_point: the third strategy's mass must vanish
     j, k = outcome.edge
-    X0, XT = np.array(starts), np.array([traj.xs[-1] for traj in trajs])
+    X0, XT = np.array(starts), softmax(np.array([t.us[-1] for t in trajs]))
     off = XT[:, pos[next(s for s in nodes if s not in (j, k))]]
     z = XT / (XT[:, pos[j]] + XT[:, pos[k]])[:, None]
     ok, measured = outcome.constraint.grade(X0, XT, z, pos)
@@ -402,13 +403,18 @@ def verify_boundary(M: PayoffMatrix,
 
     The report is returned whatever the verdict: a failed region is its
     ``status``, and ``passed`` is false when any region fails.  Raises
-    PreconditionFailed when ``samples_per_region < 1`` or ``t_end`` is
-    not finite and positive.
+    PreconditionFailed before any draw when ``samples_per_region`` is not
+    in 1 .. :data:`MAX_SAMPLES_PER_REGION` or ``t_end`` is not finite and
+    positive.
     """
     if samples_per_region < 1:
         raise PreconditionFailed(
             f"samples_per_region = {samples_per_region}; every region "
             "needs at least one start")
+    if samples_per_region > MAX_SAMPLES_PER_REGION:
+        raise PreconditionFailed(
+            f"samples_per_region = {samples_per_region}; a region takes at "
+            f"most {MAX_SAMPLES_PER_REGION} starts")
     # checked here: a batch checks only its least end
     check_finite("t_end", t_end)
     if prediction is None:

@@ -19,6 +19,12 @@ only on a trial with h max|a| above about 7.  Its error estimate is
 NaN, and the driver rejects it and shrinks the step by the lower clip,
 as it would any grossly oversized trial, with numpy's warnings off.
 
+numpy reduces a short last axis in one inner loop per row, slow on the
+thousands of points a run is read at.  :func:`by_columns` takes the n
+columns as whole arrays, with the same bits, for :func:`softmax`, :func:`phi`
+and the post-run sums over shares; at a lockstep iteration's few rows its
+per-call cost loses, so the field, :func:`gauge` and the error norm do not.
+
 Relative entropy with respect to any interior equilibrium z,
 
     phi_z(x) = - sum_i z_i log(x_i / z_i),
@@ -56,10 +62,19 @@ from .payoff import PayoffMatrix
 SIMPLEX_ATOL = 1e-9
 
 
+def by_columns(a: np.ndarray, op=np.add) -> np.ndarray:
+    """``op``, np.add or np.maximum, over the last axis from 0 or -inf, a
+    column at a time.  For n < 8, as here, numpy's reduce sums a row in
+    order, ((0 + a0) + a1) + ..., so the bits agree (a NaN's sign aside)."""
+    out = np.full(a.shape[:-1], 0.0 if op is np.add else -np.inf)
+    for j in range(a.shape[-1]):
+        op(out, a[..., j], out=out)
+    return out
+
+
 def softmax(u: np.ndarray) -> np.ndarray:
-    m = u.max(axis=-1, keepdims=True)
-    e = np.exp(u - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(u - by_columns(u, np.maximum)[..., None])
+    return e / by_columns(e)[..., None]
 
 
 def gauge(u: np.ndarray) -> np.ndarray:
@@ -156,14 +171,15 @@ def phi(x, z):
     share, which is what makes joint level sets compact.  ``x`` may hold
     points along leading axes, shape (..., n); one point gives a float.
     """
-    xv = np.asarray(x, dtype=float)
-    zv = np.asarray(z, dtype=float)
-    mask = zv > 0
-    xm = xv[..., mask]
+    xm = np.asarray(x, dtype=float)
+    zm = np.asarray(z, dtype=float)
+    if not (zm > 0).all():
+        xm, zm = xm[..., zm > 0], zm[zm > 0]
     if np.any(xm <= 0):
         raise PreconditionFailed(
             "phi needs positive shares wherever z is supported")
-    vals = -(zv[mask] * np.log(xm / zv[mask])).sum(axis=-1)
+    q = xm / zm  # reused: each fresh large array faults its pages in
+    vals = -by_columns(np.multiply(zm, np.log(q, out=q), out=q))
     return float(vals) if vals.ndim == 0 else vals
 
 
@@ -217,8 +233,7 @@ class Trajectory:
     @cached_property
     def coefficients(self) -> np.ndarray:
         """:func:`replicator4._rk.dense_coefficients` of every step."""
-        return _rk.dense_coefficients(batch_field(self.A), self.ts, self.us,
-                                      self.ks)
+        return dense_together([self])[0]
 
     def pieces(self, k) -> tuple:
         """:func:`replicator4._rk.interpolate`'s arguments on steps k."""
@@ -245,6 +260,22 @@ class Trajectory:
         """Uniform grid (ts, xs) with spacing dt (:func:`sample_grid`)."""
         grid = sample_grid(self.t_end, dt)
         return grid, self.x_at(grid)
+
+
+def dense_together(trajs: Sequence[Trajectory]) -> list:
+    """The ``coefficients`` of runs ``trajs``, set on each, from one
+    :func:`replicator4._rk.dense_coefficients` call: those of each run's
+    own for 4 strategies, whose stage columns sit at multiples of 4; batch
+    no 2- or 3-strategy runs, whose BLAS stage sums round by place."""
+    counts = [traj.naccept for traj in trajs]
+    splits = np.cumsum(counts)[:-1]
+    out = np.split(_rk.dense_coefficients(batch_field(np.repeat(
+        [t.A for t in trajs], counts, axis=0)), *map(np.concatenate, zip(*(
+            (np.diff(t.ts), t.us[:-1], np.diff(t.us, axis=0), t.ks)
+            for t in trajs))), splits), splits, axis=1)
+    for traj, f in zip(trajs, out):
+        traj.__dict__["coefficients"] = f
+    return out
 
 
 def sample_grid(t_end: float, dt: float) -> np.ndarray:
@@ -360,31 +391,38 @@ def _integrate(A, starts, ends, rtol, atol):
     ends = np.full(len(P), ends, dtype=float)
     u0 = gauge(np.log(P))
     run = _rk.lockstep(batch_field(A), u0, ends, rtol, atol, gauge)
-    # (t, u, ok, rejected, stages) per iteration, with no stages at t = 0
-    no = np.zeros(len(P), dtype=bool)
-    hist = [(np.zeros(len(P)), u0, ~no, no, None)]
-    stack = np.broadcast_to(A, (len(P),) + A.shape[-2:])
+    # (t, u, ok, rejected, stages) of each iteration, the first at t = 0
+    # with no stages, in arrays whose capacity doubles when they fill
+    B, n = u0.shape
+    hist = [np.zeros((64, B)), np.empty((64, B, n)), np.ones((64, B), bool),
+            np.zeros((64, B), bool), np.empty((64, len(_rk.ROWS), B, n))]
+    hist[1][0], size = u0, 1
+    stack = np.broadcast_to(A, (B, n, n))
 
     def until(rows, end) -> list[Trajectory]:
-        rows = np.arange(len(P))[rows]
+        nonlocal hist, size
+        rows = np.arange(B)[rows]
         ends[rows] = end
         try:
-            while (hist[-1][0][rows] < end).any():
+            while (hist[0][size - 1, rows] < end).any():
                 t, u, ok, K = next(run)
-                hist.append((t, u, ok, (hist[-1][0] < ends) & ~ok, K.copy()))
+                if size == len(hist[0]):
+                    hist = [np.concatenate((a, a)) for a in hist]
+                rej = (hist[0][size - 1] < ends) & ~ok
+                for a, v in zip(hist, (t, u, ok, rej, K)):
+                    a[size] = v
+                size += 1
         except StepSizeUnderflow as e:
-            if len(P) > 1:
+            if B > 1:
                 raise
             raise StepSizeUnderflow(
                 f"step size {e.h:.3e} fell below {_rk.MIN_STEP:.1e} at "
                 f"t = {e.t:.6g}", t=e.t, h=e.h, state=e.state) from None
-        *nodes, ks = zip(*hist)
-        ts, us, oks, rej = (np.array([v[rows] for v in c]) for c in nodes)
-        ks = np.array([K[:, rows] for K in ks[1:]])
-        return [Trajectory(A=stack[b], ts=ts[k, j], us=us[k, j],
-                           ks=ks[k[1:], :, j], nreject=int(rej[:, j].sum()),
-                           rtol=rtol)
-                for j, (b, k) in enumerate(zip(rows, oks.T))]
+        ts, us, oks, rej, ks = (a[:size] for a in hist)
+        return [Trajectory(A=stack[b], ts=ts[k, b], us=us[k, b],
+                           ks=ks[1:][k[1:], :, b],
+                           nreject=int(np.count_nonzero(rej[:, b])), rtol=rtol)
+                for b, k in zip(rows, oks[:, rows].T)]
     return until
 
 

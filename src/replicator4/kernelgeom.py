@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -209,34 +208,40 @@ def edge_kernel_point(M: PayoffMatrix, i: int, j: int):
         raise PreconditionFailed("edge needs two distinct indices in 1..4")
     if i > j:
         i, j = j, i
+    if M.signs[i - 1][j - 1] != 0:
+        raise PreconditionFailed(f"a[{i}][{j}] = {M.rows[i - 1][j - 1]} "
+                                 "must vanish for an edge equilibrium")
+    z, why = _edge_point(M, i, j)
+    if z is None:
+        raise PreconditionFailed(why)
+    return z
+
+
+def _edge_point(M: PayoffMatrix, i: int, j: int) -> tuple:
+    """:func:`edge_kernel_point` on the zero pair i < j: ``(point, None)``,
+    or ``(None, why)`` when the pair carries no interior point."""
     a, sg = M.rows, M.signs
     ii, jj = i - 1, j - 1
-    if sg[ii][jj] != 0:
-        raise PreconditionFailed(
-            f"a[{i}][{j}] = {a[ii][jj]} must vanish for an edge equilibrium")
     k, l = (p for p in range(4) if p not in (ii, jj))
     if sg[ii][k] == 0 or sg[ii][l] == 0:
-        raise PreconditionFailed(
-            f"edge ({i},{j}) has a neutral off-edge strategy; "
-            "no unique interior edge point")
+        return None, (f"edge ({i},{j}) has a neutral off-edge strategy; "
+                      "no unique interior edge point")
     r1 = -a[jj][k] / a[ii][k]
     r2 = -a[jj][l] / a[ii][l]
     if not (r1 == r2 if M.exact else
             abs(r1 - r2) <= _RTOL * max(1.0, abs(r1))):
-        raise PreconditionFailed(
-            f"cross ratios disagree ({r1} vs {r2}); "
-            "matrix is not singular over this edge")
+        return None, (f"cross ratios disagree ({r1} vs {r2}); "
+                      "matrix is not singular over this edge")
     if sg[jj][k] * sg[ii][k] >= 0:  # the sign of r1 is -sg[jj][k] sg[ii][k]
-        raise PreconditionFailed(
-            f"ratio {r1} is not positive; edge ({i},{j}) carries no "
-            "interior equilibrium")
+        return None, (f"ratio {r1} is not positive; edge ({i},{j}) carries "
+                      "no interior equilibrium")
     one = Fraction(1) if M.exact else 1.0
     denom = one + r1
     zero = Fraction(0) if M.exact else 0.0
     out = [zero] * 4
     out[ii] = r1 / denom
     out[jj] = one / denom
-    return tuple(out)
+    return tuple(out), None
 
 
 def kernel_line_section(M: PayoffMatrix) -> NullLineSection:
@@ -260,15 +265,9 @@ def kernel_line_section(M: PayoffMatrix) -> NullLineSection:
 
     found = [(Locus("face", (i,)), face_kernel_point(M, i))
              for i in (1, 2, 3, 4) if any(i not in c for c in G.three_cycles)]
-    for i in (1, 2, 3, 4):
-        for j in range(i + 1, 5):
-            if M.signs[i - 1][j - 1] != 0:
-                continue
-            try:
-                z = edge_kernel_point(M, i, j)
-            except PreconditionFailed:
-                continue
-            found.append((Locus("edge", (i, j)), z))
+    found += [(Locus("edge", (i, j)), z) for i in (1, 2, 3, 4)
+              for j in range(i + 1, 5) if M.signs[i - 1][j - 1] == 0
+              and (z := _edge_point(M, i, j)[0]) is not None]
     one = Fraction(1) if M.exact else 1.0
     zero = Fraction(0) if M.exact else 0.0
     found += [(Locus("vertex", (i + 1,)),

@@ -35,9 +35,10 @@ import numpy as np
 from . import _rk
 # integrate is unused; perfbench's tracer patches it
 from .dynamics import (MAX_SAMPLES, Trajectory, _as_array,  # noqa: F401
-                       _integrate, check_finite, check_order, entropy_drift,
-                       integrate, integrate_many, phi, phi_gradient,
-                       sample_grid, softmax, vector_field)
+                       _integrate, by_columns, check_finite, check_order,
+                       dense_together, entropy_drift, integrate,
+                       integrate_many, phi, phi_gradient, sample_grid,
+                       softmax, vector_field)
 from .errors import (EquilibriumStart, NoClosureFound, PreconditionFailed,
                      SelectionExhausted, StepSizeUnderflow)
 from .kernelgeom import NullLineSection, distance_to_K
@@ -396,7 +397,7 @@ def _min_distance_to_samples(points: np.ndarray, ref: np.ndarray,
     P = np.hstack((points, np.ones((len(points), 1))))
     nearest = np.concatenate([(P[i:i + 64] @ R).argmin(axis=1)
                               for i in range(0, len(P), 64)])
-    return np.sqrt(((points - ref[nearest]) ** 2).sum(axis=1))
+    return np.sqrt(by_columns((points - ref[nearest]) ** 2))
 
 
 def _max_distance_to_samples(points: np.ndarray, ref: np.ndarray,
@@ -423,7 +424,7 @@ def _max_distance_to_samples(points: np.ndarray, ref: np.ndarray,
     flat = points.reshape(-1, n)
     guess = np.broadcast_to(phase, points.shape[:-1]).ravel()
     tangent = np.gradient(ref, axis=0)
-    sq = (tangent ** 2).sum(axis=1)
+    sq = by_columns(tangent ** 2)
     refT = ref.T.copy()
     stepT = np.divide(tangent.T, sq, out=np.zeros_like(refT), where=sq > 0)
     bound = np.empty(len(flat))
@@ -481,9 +482,10 @@ def _graded(report, delta, trajs) -> StabilityProbe:
     # from it.  Allow that much on top of the acceptance bound, else
     # delta = 0 would be rejected on discretization noise alone.
     ref = report.orbit_samples
-    gaps = np.linalg.norm(np.diff(ref, axis=0), axis=1)
-    slack = float(gaps.max(initial=0.0))
+    slack = float(np.sqrt(by_columns(np.diff(ref, axis=0) ** 2)).max(
+        initial=0.0))
     ts = sample_grid(3.0 * T, 3.0 * T / (3 * SAMPLES_PER_PERIOD))
+    dense_together(trajs)
     xs = np.array([traj.x_at(ts) for traj in trajs])
     v = (phi(xs, refs.z1) - c1) ** 2 + (phi(xs, refs.z2) - c2) ** 2
     v_drift = np.abs(v - v[:, :1]).max(axis=1)

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
@@ -511,6 +512,25 @@ def test_orbit_refuses_a_probe_count_past_the_sample_bound(tmp_path,
             "type": "PreconditionFailed",
             "message": f"n_probes = {probes}; the probes' sample grids "
                        "would hold more than 1e+07 points"}
+
+
+def test_boundary_refuses_a_sample_count_past_its_bound(tmp_path, capsys):
+    # every start keeps its run's whole history, so a count past
+    # MAX_SAMPLES_PER_REGION is refused before any start is drawn: in
+    # milliseconds, where 10^8 starts would exhaust memory
+    assert replicator4.boundary.MAX_SAMPLES_PER_REGION == 1000
+    path = matrix_file(tmp_path, M_I_TEXT)
+    for samples in (1001, 10 ** 8):
+        start = time.perf_counter()
+        code, out, err = run(["boundary", "--matrix", path, "--samples",
+                              str(samples)], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        payload = validated(err, "error")
+        assert payload["error"] == {
+            "type": "PreconditionFailed",
+            "message": f"samples_per_region = {samples}; a region takes at "
+                       "most 1000 starts"}
 
 
 def test_verify_float_matrix_takes_the_tolerance_pfaffian_check(tmp_path,

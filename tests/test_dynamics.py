@@ -82,6 +82,45 @@ def test_phi_masks_unsupported_coordinates():
     assert np.isfinite(phi(x, z))
 
 
+def _hex(a):
+    return [v.hex() for v in np.ravel(a).tolist()]
+
+
+def _reductions_cases():
+    """(n, u) for n = 2, 3 and 4 on 1-, 2- and 3-d inputs: gauge-sized
+    log states and states down to -700, whose shares stay positive."""
+    rng = np.random.default_rng(29)
+    for n in (2, 3, 4):
+        for shape in ((n,), (9, n), (3, 5, n)):
+            yield n, rng.standard_normal(shape)
+            yield n, rng.uniform(-700.0, 0.0, shape)
+
+
+def test_softmax_and_phi_keep_numpys_reductions():
+    # softmax and phi as numpy's max and sum over the last axis give
+    # them, bit for bit, with z of full support and with a zero share
+    for n, u in _reductions_cases():
+        m = u.max(axis=-1, keepdims=True)
+        e = np.exp(u - m)
+        x = e / e.sum(axis=-1, keepdims=True)
+        assert _hex(softmax(u)) == _hex(x)
+        z = np.arange(1.0, n + 1.0) / (n * (n + 1) / 2)
+        for zz in (z, np.concatenate(([0.0], z[1:] / z[1:].sum()))):
+            keep = zz > 0
+            want = -(zz[keep] * np.log(x[..., keep] / zz[keep])).sum(axis=-1)
+            assert _hex(phi(x, zz)) == _hex(want)
+
+
+def test_column_reductions_are_numpys():
+    # a column at a time: numpy's sum and max over a short last axis, bit
+    # for bit, signed zeros too
+    for n, u in _reductions_cases():
+        for a in (u, np.exp(u), -np.zeros_like(u)):
+            assert _hex(dynamics.by_columns(a)) == _hex(a.sum(axis=-1))
+            assert _hex(dynamics.by_columns(a, np.maximum)) == _hex(
+                a.max(axis=-1))
+
+
 def test_check_simplex_point_contracts():
     with pytest.raises(PreconditionFailed):
         check_simplex_point([0.5, 0.5, 0.1, -0.1])
@@ -370,7 +409,8 @@ def test_convergence_order():
     err = []
     for n in counts:
         fun, ts, xs, ks = _logistic_steps(10.0, n)
-        F = _rk.dense_coefficients(fun, ts, xs, ks)
+        F = _rk.dense_coefficients(fun, np.diff(ts), xs[:-1],
+                                   np.diff(xs, axis=0), ks, [])
         k = np.repeat(np.arange(n), 3)
         t = ts[k] + np.tile([0.25, 0.5, 0.75], n) * (ts[k + 1] - ts[k])
         x = _rk.interpolate(t, ts[k], ts[k + 1], xs[k], *F[:, k])
@@ -626,6 +666,40 @@ def test_until_builds_only_the_rows_it_is_asked_for(MI, monkeypatch):
         assert traj.nreject == want.nreject
         for name in ("ts", "us", "ks"):
             assert _same_bits(getattr(traj, name), getattr(want, name))
+
+
+def test_until_in_several_calls_is_one_call(MI):
+    # rows ride along (end inf) and are ended one call at a time, over
+    # hundreds of iterations, so the history's capacity doubles between
+    # and inside calls: each row's run is the one-call and alone run
+    ends = (10.0, 60.0, 150.0)
+    until = dynamics._integrate(MI.array, STARTS[:3], [ends[0], np.inf,
+                                                      np.inf], 1e-10, 1e-12)
+    several = [until([k], end)[0] for k, end in enumerate(ends)]
+    assert several[-1].naccept + several[-1].nreject > 2 * 64
+    once = dynamics._integrate(MI.array, STARTS[:3], ends, 1e-10, 1e-12)(
+        range(3), ends)
+    for k, traj in enumerate(several):
+        alone = integrate_many(MI, STARTS[k:k + 1], ends[k])[0]
+        for other in (once[k], alone):
+            assert traj.nreject == other.nreject
+            for name in ("ts", "us", "ks"):
+                assert _same_bits(getattr(traj, name), getattr(other, name))
+
+
+def test_probe_coefficients_together_are_each_runs_own(MI):
+    # one dense_coefficients call over 16 four-strategy runs gives each
+    # run's own coefficients, bit for bit, odd step counts too, whose last
+    # step one DENSE product over all runs would round by its place
+    starts = X0 + 1e-2 * np.random.default_rng(3).dirichlet(
+        np.ones(4), 16) - 2.5e-3
+    runs = [integrate_many(MI, starts, 25.0) for _ in range(2)]
+    assert {traj.naccept % 2 for traj in runs[0]} == {0, 1}
+    together = dynamics.dense_together(runs[0])
+    for F, traj, alone in zip(together, *runs, strict=True):
+        assert traj.coefficients is F
+        assert _same_bits(F, alone.coefficients)
+
 
 def test_lockstep_has_one_end_rule(MI):
     # a scalar end and a per-row array of the same value take the same

@@ -88,6 +88,25 @@ def test_edge_point_requires_zero_payoff(MV):
         edge_kernel_point(MV, 1, 3)
 
 
+def test_edge_point_refusals_keep_their_messages():
+    # kernel_line_section skips the zero pairs that carry no point;
+    # edge_kernel_point refuses each with its own message, exact and float
+    refused = {
+        ("V", 1, 3): "a[1][3] = 1{} must vanish for an edge equilibrium",
+        ("II", 1, 2): "ratio -1{} is not positive; edge (1,2) carries no "
+                      "interior equilibrium",
+        **{("IV", 1, k): f"edge (1,{k}) has a neutral off-edge strategy; "
+                         "no unique interior edge point" for k in (2, 3, 4)}}
+    for (name, i, j), message in refused.items():
+        for M in (canonical_matrix(name), canonical_matrix(name).to_float()):
+            with pytest.raises(PreconditionFailed) as exc:
+                edge_kernel_point(M, j, i)
+            assert str(exc.value) == message.format("" if M.exact else ".0")
+            if name != "V":
+                loci = kernel_line_section(M).loci
+                assert all(locus.kind != "edge" for locus in loci)
+
+
 EXPECTED_LOCI = {
     "I": [("face", (1,)), ("face", (2,))],
     "II": [("face", (1,)), ("face", (2,))],
