@@ -27,8 +27,8 @@ def window_and_final_min(A, X0, t_end, win_lo, rtol, atol):
     wmin = np.ones(len(u))
     for t, u, ok, _ in _rk.lockstep(batch_field(A), u, t_end, rtol, atol,
                                     gauge):
-        wmin = np.where(ok & (t >= win_lo),
-                        np.minimum(wmin, np.exp(u.min(axis=-1))), wmin)
+        np.minimum(wmin, np.exp(u.min(axis=-1)), out=wmin,
+                   where=ok & (t >= win_lo))
     return wmin, np.exp(u.min(axis=-1))
 
 

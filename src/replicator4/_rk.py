@@ -23,8 +23,8 @@ Characteristics
 ---------------
 * order 8, error estimate from the order-5 and order-3 embedded formulae
   combined as in Hairer's code, 12 evaluations per trial step
-* no allocation in the stage loop but the field's result: a run holds
-  its stages, their views and one stage state buffer (:func:`_views`)
+* no allocation in the stage loop: the field fills each stage in place,
+  and a run holds its stages, their views and a state buffer (:func:`_views`)
 * PI controller: factor 0.9 err^-0.117 err_prev^0.04 clipped to
   [0.333, 6]
 * order-7 continuous extension, 3 more evaluations per accepted step,
@@ -63,7 +63,7 @@ def _rows(A) -> tuple:
 def _norm(e):
     """Hairer's |e5|^2 / sqrt(n (|e5|^2 + 0.01 |e3|^2)), 0 for e = 0:
     one estimate per step from the (2, ..., n) weighted error vectors."""
-    e5, e3 = (e ** 2).sum(axis=-1)
+    e5, e3 = np.add.reduce(np.square(e), -1)
     return e5 / np.sqrt(e.shape[-1] * (e5 + 0.01 * e3) + 1e-300)
 
 
@@ -209,17 +209,18 @@ def _views(K):
 
 
 def _stages(fun, u, h, K, first, views=None):
-    """K[s] = fun(u + h ROWS[s] K[:s]) for s from ``first`` to the end of
-    K, going on with EXTRA past ROWS, each state summed in place, in the
-    same order, in the buffer of ``views`` (:func:`_views` of K, built
-    here if not given), which it returns holding the last state."""
+    """K[s] = fun(u + h ROWS[s] K[:s]), written by ``fun(v, K[s])``, for s
+    from ``first`` to the end of K, going on with EXTRA past ROWS, each
+    state summed in place, in the same order, in the buffer of ``views``
+    (:func:`_views` of K, built here if not given), which it returns
+    holding the last state."""
     heads, stages, v, flat = views or _views(K)
     h = np.repeat(h, v.shape[-1], axis=-1)  # the same products, unbroadcast
     for s in range(first, len(K)):
         np.dot(_ALL_ROWS[s], heads[s], out=flat)
         np.multiply(h, v, out=v)
         np.add(u, v, out=v)
-        stages[s][...] = fun(v)
+        fun(v, stages[s])
     return v
 
 
@@ -266,7 +267,8 @@ def control(h, err, err_prev):
 
 
 def lockstep(fun, u0, t_end, rtol, atol, project):
-    """Advance a (B, n) batch of runs of u' = fun(u) from t = 0 to t_end.
+    """Advance a (B, n) batch of runs of u' = fun(u) from t = 0 to t_end,
+    ``fun(u, out)`` writing the field into ``out``.
 
     ``t_end`` is a scalar or a (B,) array read on every iteration, which
     a consumer may change between iterations (inf: no end yet); one end

@@ -22,8 +22,11 @@ as it would any grossly oversized trial, with numpy's warnings off.
 numpy reduces a short last axis in one inner loop per row, slow on the
 thousands of points a run is read at.  :func:`by_columns` takes the n
 columns as whole arrays, with the same bits, for :func:`softmax`, :func:`phi`
-and the post-run sums over shares; at a lockstep iteration's few rows its
-per-call cost loses, so the field, :func:`gauge` and the error norm do not.
+and the post-run sums over shares.  The field lays its product out
+strategy-major, (n, B, n + 1), and reduces the first axis: whole-batch
+adds, ((p0 + p1) + p2) + p3, the order numpy sums a short last axis in,
+so the bits are unchanged.  :func:`gauge` and the error norm cost about
+a microsecond either way at a lockstep iteration's few rows.
 
 Relative entropy with respect to any interior equilibrium z,
 
@@ -72,9 +75,10 @@ def by_columns(a: np.ndarray, op=np.add) -> np.ndarray:
     return out
 
 
-def softmax(u: np.ndarray) -> np.ndarray:
-    e = np.exp(u - by_columns(u, np.maximum)[..., None])
-    return e / by_columns(e)[..., None]
+def softmax(u: np.ndarray, out=None) -> np.ndarray:
+    e = np.subtract(u, by_columns(u, np.maximum)[..., None], out=out)
+    np.exp(e, out=e)
+    return np.divide(e, by_columns(e)[..., None], out=e)
 
 
 def gauge(u: np.ndarray) -> np.ndarray:
@@ -90,23 +94,25 @@ def batch_field(A):
     One multiply-sum of exp(u) against ``[A; 1^T]`` (see the module
     docstring), broadcast, not BLAS, whose rounding depends on the
     batch size: so each row's result does not depend on the others.
-    The exp, the product and the sums go into scratch this field holds,
-    one set per input shape; each call returns a fresh (B, n) array.
+    The exp, the strategy-major product and the sums go into scratch this
+    field holds, one set per input shape; ``fun(u, out)`` fills ``out``
+    when given, else returns a fresh (B, n) array.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[-1]
     aug = np.concatenate((A, np.ones(A.shape[:-2] + (1, n))), axis=-2)
+    augT = np.moveaxis(aug.reshape(-1, n + 1, n), -1, 0)
     scratch = {}
 
-    def fun(u):
+    def fun(u, out=None):
         if u.shape not in scratch:
             e, y = np.empty(u.shape), np.empty((len(u), n + 1))
-            scratch[u.shape] = (e, e[:, None, :], np.empty(
-                (len(u), n + 1, n)), y, y[:, :n], y[:, n:])
-        e, e3, prod, y, num, den = scratch[u.shape]
+            scratch[u.shape] = (e, e.T[:, :, None], np.empty(
+                (n, len(u), n + 1)), y, y[:, :n], y[:, n:])
+        e, eT, prod, y, num, den = scratch[u.shape]
         np.exp(u, out=e)
-        np.add.reduce(np.multiply(e3, aug, out=prod), -1, out=y)
-        return num / den
+        np.add.reduce(np.multiply(eT, augT, out=prod), 0, out=y)
+        return np.divide(num, den, out=out)
     return fun
 
 
@@ -192,6 +198,11 @@ def phi_gradient(x, z) -> np.ndarray:
 
 #: largest number of grid steps :meth:`Trajectory.sample` will produce
 MAX_SAMPLES = 10 ** 7
+#: most bytes a run's history may hold: 2.1 times the largest measured
+#: (``verify`` on canonical I times 1000, 487 MiB), 12 times canonical I's
+#: boundary run at 1,000 starts per region; a long t_end or a large payoff
+#: scale is refused as well as a large sample count
+MAX_HISTORY_BYTES = 1 << 30
 
 
 @dataclass
@@ -379,7 +390,8 @@ def _integrate(A, starts, ends, rtol, atol):
     is, through their least (NaN if any end is NaN), so each is finite and
     positive, or inf, and one is finite; ``until`` does not check the ends
     it sets.  One row raises :func:`integrate`'s StepSizeUnderflow; a
-    batch, its row."""
+    batch, its row; a history that would pass :data:`MAX_HISTORY_BYTES`,
+    PreconditionFailed."""
     P = [check_simplex_point(check_order(x0, A.shape[-1]),
                              require_interior=True) for x0 in starts]
     if not P:
@@ -407,6 +419,11 @@ def _integrate(A, starts, ends, rtol, atol):
             while (hist[0][size - 1, rows] < end).any():
                 t, u, ok, K = next(run)
                 if size == len(hist[0]):
+                    if 2 * sum(a.nbytes for a in hist) > MAX_HISTORY_BYTES:
+                        raise PreconditionFailed(
+                            f"a run of {B} rows, each at t >= {t.min():.6g}, "
+                            f"would keep a history past {MAX_HISTORY_BYTES} "
+                            "bytes")
                     hist = [np.concatenate((a, a)) for a in hist]
                 rej = (hist[0][size - 1] < ends) & ~ok
                 for a, v in zip(hist, (t, u, ok, rej, K)):

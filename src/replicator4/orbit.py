@@ -417,8 +417,8 @@ def _max_distance_to_samples(points: np.ndarray, ref: np.ndarray,
     set's running max.  The margin, 1e-9 relative and 1e-14 on the
     squares, covers the rounding of the augmented product's argmin, so a
     pruned point cannot hold the max.  A bad guess only makes the bounds
-    loose and the search longer.  Bounds are taken over chunks of 2**15
-    points, 1 MB per temporary at n = 4.
+    loose and the search longer.  Bounds are taken over chunks of 2**13
+    points, 256 kB per temporary at n = 4.
     """
     m, n = points.shape[-2:]
     flat = points.reshape(-1, n)
@@ -428,8 +428,8 @@ def _max_distance_to_samples(points: np.ndarray, ref: np.ndarray,
     refT = ref.T.copy()
     stepT = np.divide(tangent.T, sq, out=np.zeros_like(refT), where=sq > 0)
     bound = np.empty(len(flat))
-    for lo in range(0, len(flat), 1 << 15):
-        chunk = slice(lo, lo + (1 << 15))
+    for lo in range(0, len(flat), 1 << 13):
+        chunk = slice(lo, lo + (1 << 13))
         xs, k = flat[chunk].T, guess[chunk]
         for _ in range(2):
             k = k + np.rint(np.einsum("ij,ij->j", xs - refT.take(
@@ -486,7 +486,9 @@ def _graded(report, delta, trajs) -> StabilityProbe:
         initial=0.0))
     ts = sample_grid(3.0 * T, 3.0 * T / (3 * SAMPLES_PER_PERIOD))
     dense_together(trajs)
-    xs = np.array([traj.x_at(ts) for traj in trajs])
+    xs = np.empty((len(trajs), len(ts), len(x0)))
+    for traj, x in zip(trajs, xs):
+        softmax(traj.dense(ts), out=x)
     v = (phi(xs, refs.z1) - c1) ** 2 + (phi(xs, refs.z2) - c2) ** 2
     v_drift = np.abs(v - v[:, :1]).max(axis=1)
     phase = np.rint(np.mod(ts, T) / T * (len(ref) - 1)).astype(int)

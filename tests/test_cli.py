@@ -8,6 +8,7 @@ shell user would see them.
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -531,6 +532,28 @@ def test_boundary_refuses_a_sample_count_past_its_bound(tmp_path, capsys):
             "type": "PreconditionFailed",
             "message": f"samples_per_region = {samples}; a region takes at "
                        "most 1000 starts"}
+
+
+def test_boundary_refuses_a_history_past_its_bound(tmp_path, capsys,
+                                                   monkeypatch):
+    # a run's history grows with rows times iterations, which grow with
+    # the payoff scale, past what the sample count bounds: a doubling past
+    # MAX_HISTORY_BYTES is refused with an error.v1 object, here at a bound
+    # small enough to refuse canonical I times 100 in milliseconds
+    assert replicator4.dynamics.MAX_HISTORY_BYTES == 1 << 30
+    monkeypatch.setattr(replicator4.dynamics, "MAX_HISTORY_BYTES", 1 << 16)
+    text = " / ".join(" ".join(str(100 * int(a)) for a in row.split())
+                      for row in M_I_TEXT.split(" / "))
+    start = time.perf_counter()
+    code, out, err = run(["boundary", "--matrix", matrix_file(tmp_path, text)],
+                         capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    payload = validated(err, "error")
+    assert payload["error"]["type"] == "PreconditionFailed"
+    assert re.fullmatch(r"a run of 12 rows, each at t >= \S+, would keep "
+                        r"a history past 65536 bytes",
+                        payload["error"]["message"])
 
 
 def test_verify_float_matrix_takes_the_tolerance_pfaffian_check(tmp_path,

@@ -5,6 +5,7 @@ coordinates (tests/oracles.py) on a short horizon, and against itself
 under time reversal on a longer one.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -181,9 +182,9 @@ def test_overflowing_trial_is_rejected_quietly(monkeypatch):
     big = np.log(np.finfo(float).max)
     field, overflows = batch_field(A), []
 
-    def fun(u):
+    def fun(u, out=None):
         overflows.append(bool((u > big).any()))
-        return field(u)
+        return field(u, out)
 
     attempt, trials = _rk.attempt, []
 
@@ -372,8 +373,8 @@ def _logistic_steps(t_end, n):
     Returns the times, states and stages."""
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
-    def fun(x):
-        return x * (x @ A.T)
+    def fun(x, out=None):
+        return np.multiply(x, x @ A.T, out=out)
 
     x = np.array([[0.1, 0.9]])
     f, K = fun(x), np.empty((len(_rk.ROWS), 1, 2))
@@ -537,9 +538,9 @@ def test_integrate_many_counts_steps_per_row(MI):
 
 
 def _counted(fun, calls):
-    def counted(u):
+    def counted(u, out=None):
         calls.append(len(u))
-        return fun(u)
+        return fun(u, out)
     return counted
 
 
@@ -733,14 +734,17 @@ def test_lockstep_raised_end_continues_the_run(MI):
     alone = _accepted(list(_rk.lockstep(fun, u0[:1], 12.0, 1e-6, 1e-12,
                                         gauge)), 0)
     early = run(lambda t, idle: t > 2.5)
+    # riding along with no end (inf) until one is set: the same run
+    riding = run(lambda t, idle: t > 2.5, old_end=np.inf)
     # raised after it stopped: it goes on from its own step and PI
     # memory, however long it stood idle (its last step was cut to land
     # on the old end, so it is not the run above)
     late = [run(lambda t, idle, n=n: idle == n) for n in (1, 4)]
-    for got in (early, *late):
+    for got in (early, riding, *late):
         assert got[0][-1] == 12.0
-    for a, b, c, d in zip(alone, early, *late):
+    for a, b, r, c, d in zip(alone, early, riding, *late):
         assert np.array_equal(a, b) and np.array_equal(c, d)
+        assert _same_bits(a, r)
     assert 5.0 in late[0][0] and 5.0 not in alone[0]
 
 
@@ -910,3 +914,56 @@ def test_field_result_is_not_its_scratch(rng):
         assert _same_bits(second, ref(U[1]))
         assert not np.shares_memory(first, second)
         assert _same_bits(fun(U[0]), kept)
+
+
+def _hexes(a):
+    return [float(x).hex() for x in np.ravel(a)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_strategy_major_field_keeps_the_row_reduce_bits(n, rng):
+    # the field sums its product over the strategy axis, whole batches at a
+    # time: the additions and the order of the reduce over each row it
+    # replaced, for one matrix and a stack with signed zero entries, on
+    # gauged states, on states down to exp's underflow at -745 and on trial
+    # states past log(max float), whose exp overflows to a NaN field row
+    big = np.log(np.finfo(float).max)
+    for B in (1, 5, 17):
+        low = rng.uniform(-745.0, 0.0, size=(B, n))
+        high = low.copy()
+        high[:, -1] = big + rng.uniform(0.1, 10.0, size=B)
+        states = (gauge(np.log(rng.dirichlet(np.ones(n), size=B))), low, high)
+        for A in (_skew(rng, n), _skew(rng, n, (B,))):
+            A[rng.random(A.shape) < 0.2] = -0.0
+            fun, ref = batch_field(A), _allocating_field(A)
+            for u in states:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got, want = fun(u), ref(u)
+                assert _hexes(got) == _hexes(want)
+            assert np.isnan(want).all(axis=-1).all()
+
+
+def test_field_fills_out_when_given(rng):
+    # fun(u, out) writes the field into out and returns it, the bits of a
+    # fresh result, for one matrix and a stack
+    for A in (canonical_matrix("III").array, _skew(rng, 4, (6,))):
+        U = gauge(np.log(rng.dirichlet(np.ones(4), size=6)))
+        fun, out = batch_field(A), np.full((6, 4), np.nan)
+        assert fun(U, out) is out
+        assert _hexes(out) == _hexes(_allocating_field(A)(U))
+        assert _hexes(fun(U)) == _hexes(out)
+
+
+def test_history_past_its_bound_is_refused(MI, monkeypatch):
+    # the history doubles its capacity from 64 iterations; a doubling past
+    # MAX_HISTORY_BYTES is refused, with the row count, the time every row
+    # reached and the bound, at the 64th iteration
+    monkeypatch.setattr(dynamics, "MAX_HISTORY_BYTES", 100_000)
+    until = dynamics._integrate(MI.array, STARTS, 400.0, 1e-10, 1e-12)
+    with pytest.raises(PreconditionFailed) as exc:
+        until(slice(None), 400.0)
+    u0 = gauge(np.log([check_simplex_point(x0) for x0 in STARTS]))
+    *_, (t, *_) = itertools.islice(_rk.lockstep(
+        batch_field(MI.array), u0, 400.0, 1e-10, 1e-12, gauge), 64)
+    assert str(exc.value) == (f"a run of 4 rows, each at t >= {t.min():.6g}, "
+                              "would keep a history past 100000 bytes")
