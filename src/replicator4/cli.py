@@ -55,6 +55,8 @@ from .portrait import render_portrait
 from .signgraph import build_digraph, classify, is_permanent
 
 _SEED_ENV = "REPLICATOR4_SEED"
+#: most ``portrait --starts``, refused before any start is drawn
+MAX_PORTRAIT_STARTS = 1000
 
 
 def _read_matrix(args) -> PayoffMatrix:
@@ -321,9 +323,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_portrait(args) -> int:
     M = _read_matrix(args)
-    if args.starts < 1:
-        raise PreconditionFailed(f"--starts {args.starts}; a portrait "
-                                 "needs at least one start")
+    if not 1 <= args.starts <= MAX_PORTRAIT_STARTS:
+        raise PreconditionFailed(f"--starts {args.starts}; a portrait takes "
+                                 f"1 to {MAX_PORTRAIT_STARTS} starts")
     section = _section_or_none(M)
     starts = _seeded_starts(section, _seed_of(args), args.starts)
     runs = integrate_many(M, starts, args.t_end, rtol=args.rtol)

@@ -404,10 +404,20 @@ def _integrate(A, starts, ends, rtol, atol):
     u0 = gauge(np.log(P))
     run = _rk.lockstep(batch_field(A), u0, ends, rtol, atol, gauge)
     # (t, u, ok, rejected, stages) of each iteration, the first at t = 0
-    # with no stages, in arrays whose capacity doubles when they fill
+    # with no stages, in arrays of 64 iterations, or as many as the bound
+    # holds, whose capacity doubles when they fill and the bound allows
     B, n = u0.shape
-    hist = [np.zeros((64, B)), np.empty((64, B, n)), np.ones((64, B), bool),
-            np.zeros((64, B), bool), np.empty((64, len(_rk.ROWS), B, n))]
+
+    def too_long(t):
+        return PreconditionFailed(
+            f"a run of {B} rows, each at t >= {t:.6g}, would keep a "
+            f"history past {MAX_HISTORY_BYTES} bytes")
+    row_bytes = 10 + 8 * n * (1 + len(_rk.ROWS))  # one row's iteration
+    cap = min(64, MAX_HISTORY_BYTES // (B * row_bytes))
+    if cap < 1:
+        raise too_long(0.0)
+    hist = [np.zeros((cap, B)), np.empty((cap, B, n)), np.ones((cap, B), bool),
+            np.zeros((cap, B), bool), np.empty((cap, len(_rk.ROWS), B, n))]
     hist[1][0], size = u0, 1
     stack = np.broadcast_to(A, (B, n, n))
 
@@ -420,10 +430,7 @@ def _integrate(A, starts, ends, rtol, atol):
                 t, u, ok, K = next(run)
                 if size == len(hist[0]):
                     if 2 * sum(a.nbytes for a in hist) > MAX_HISTORY_BYTES:
-                        raise PreconditionFailed(
-                            f"a run of {B} rows, each at t >= {t.min():.6g}, "
-                            f"would keep a history past {MAX_HISTORY_BYTES} "
-                            "bytes")
+                        raise too_long(t.min())
                     hist = [np.concatenate((a, a)) for a in hist]
                 rej = (hist[0][size - 1] < ends) & ~ok
                 for a, v in zip(hist, (t, u, ok, rej, K)):

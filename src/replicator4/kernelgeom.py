@@ -2,17 +2,16 @@
 
 For a singular conservative game the null space of A is a plane; its
 intersection with the affine hull of the simplex is a line L, and the
-interior equilibria form the open segment K = L in the open simplex.
-The segment's closure has exactly two endpoints on the boundary, and the
-five digraph classes pin down where they sit: on face interiors (above
-an induced 3-cycle), on edge interiors (above a zero payoff pair whose
-cross ratios agree), or at a vertex (when one strategy is neutral
-against everything).
+interior equilibria form the open segment K = L in the open simplex,
+whose closure has two endpoints on the boundary.
 
-Two independent routes to the endpoints live here.  The closed forms
-below read them off the matrix entries; :func:`section_by_clipping`
-recovers them from a numerical null-space basis clipped against the
-simplex and is used only to cross-check the closed forms.
+One closed form gives them: the Hodge dual A* of a 4x4 skew A has
+A A* = -pf(A) I, so when pf(A) = 0 column i of A* is the kernel vector
+with x_i = 0.  A column whose nonzero entries share one sign is an
+endpoint, and its support is its locus (a face, an edge or a vertex),
+so the loci depend on the sign pattern alone.  :func:`section_by_clipping`
+recovers the endpoints from a numerical null-space basis clipped against
+the simplex, to cross-check the closed form.
 """
 
 from __future__ import annotations
@@ -20,28 +19,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
 from .errors import (EmptyKernelSection, InconsistentClass,
                      PreconditionFailed, RankError)
 from .payoff import PayoffMatrix, scalar_to_json
-from .signgraph import ClassLabel, build_digraph, classify
+from .signgraph import ClassLabel, _digraph_of_signs, classify
 
 _KIND_RANK = {"face": 0, "edge": 1, "vertex": 2}
 
-#: float mode's relative tolerance for the numerical rank, the agreement
-#: of an edge's two cross ratios, and the clipped null line's tests
+#: float mode's relative tolerance for the rank and the clipped line's tests
 _RTOL = 1e-10
 
 #: endpoint composition (faces, edges, vertices) demanded by each class
-_CLASS_COMPOSITION = {
-    "I": (2, 0, 0),
-    "II": (2, 0, 0),
-    "III": (1, 1, 0),
-    "IV": (1, 0, 1),
-    "V": (0, 2, 0),
-}
+_CLASS_COMPOSITION = {"I": (2, 0, 0), "II": (2, 0, 0), "III": (1, 1, 0),
+                      "IV": (1, 0, 1), "V": (0, 2, 0)}
 
 
 @dataclass(frozen=True)
@@ -111,18 +106,19 @@ class NullLineSection:
 def kernel_basis(M: PayoffMatrix):
     """Basis of the null space of A, which must be two dimensional.
 
-    Exact matrices are reduced over the rationals and return tuples of
-    Fractions; float matrices go through the SVD and return the two
+    Exact matrices give two columns of A* as tuples of Fractions: the
+    first nonzero one and the first not proportional to it (A* has A's
+    rank, 2 when A is singular).  Float matrices give the SVD's two
     trailing right singular vectors.  A skew matrix has even rank, so
-    anything other than rank 2 (the zero matrix, or a nonsingular A)
-    raises ``RankError``.
+    any rank other than 2 raises ``RankError``.
     """
     if M.exact:
-        basis = _rational_nullspace([list(r) for r in M.rows])
-        if len(basis) != 2:
-            raise RankError(f"null space has dimension {len(basis)}, "
-                            "expected 2")
-        return [tuple(v) for v in basis]
+        if not M.is_singular():
+            raise RankError("null space has dimension 0, expected 2")
+        cols = [tuple(_dual_column(M.rows, i)) for i in range(4)]
+        u = next(c for c in cols if any(c))
+        return [u, next(c for c in cols if any(
+            u[p] * c[q] != u[q] * c[p] for p, q in combinations(range(4), 2)))]
     _, s, vt = np.linalg.svd(M.array)
     s = s.tolist()
     scale = s[0] if s[0] > 0 else 1.0
@@ -133,115 +129,114 @@ def kernel_basis(M: PayoffMatrix):
     return [vt[2], vt[3]]
 
 
-def _rational_nullspace(rows):
-    """Null-space basis by Gauss-Jordan elimination over Fraction."""
-    n = len(rows)
-    m = [[Fraction(v) for v in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, n) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [v / pv for v in m[r]]
-        for i in range(n):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [vi - f * vr for vi, vr in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for pr, pc in enumerate(pivots):
-            v[pc] = -m[pr][fc]
-        basis.append(v)
-    return basis
+def _dual_column(a, i: int) -> list:
+    """Column i (0-based) of the Hodge dual A* of the 4x4 skew ``a``:
+    (a_qr, -a_pr, a_pq) at the other strategies p < q < r, and a_ii (a
+    zero of a's own type) at i.  On ``M.signs``, the column's signs."""
+    p, q, r = (k for k in range(4) if k != i)
+    out = [a[i][i]] * 4
+    out[p], out[q], out[r] = a[q][r], -a[p][r], a[p][q]
+    return out
+
+
+def _support(signs, i: int) -> tuple:
+    """The support of column i of A*, or () unless its nonzero entries
+    share one sign."""
+    col = _dual_column(signs, i)
+    support = tuple(k for k in range(4) if col[k])
+    return support if abs(sum(col)) == len(support) else ()
+
+
+def _endpoint(a, columns: tuple, support: tuple) -> tuple:
+    """Of the columns of A* at ``columns``, the one whose sum on
+    ``support`` (added in index order) is largest in magnitude, divided
+    by it there and zero off it: A A* e_i = -pf e_i, so under float
+    rounding of pf = 0 the largest sum leaves the least residual."""
+    col, total = max(((c, sum(c[k] for k in support))
+                      for c in (_dual_column(a, i) for i in columns)),
+                     key=lambda t: abs(t[1]))
+    out = [a[i][i] for i in range(4)]
+    for k in support:
+        out[k] = col[k] / total
+    return tuple(out)
+
+
+@lru_cache(maxsize=3 ** 6)  # one entry per 4x4 skew sign pattern
+def _endpoint_columns(signs: tuple) -> tuple:
+    """(label, loci, columns) of a sign pattern: its class, and in locus
+    order K's endpoints, a locus per support of a one-sign column of A*
+    and (those columns' indices, support); a composition other than the
+    class's raises InconsistentClass."""
+    label = classify(_digraph_of_signs(signs))
+    found = {}
+    for i in range(4):
+        if support := _support(signs, i):
+            found.setdefault(support, []).append(i)
+    ends = []
+    for s, cols in found.items():
+        kind = ("vertex", "edge", "face")[len(s) - 1]
+        where = (cols[0] + 1,) if kind == "face" else tuple(k + 1 for k in s)
+        ends.append((Locus(kind, where), (tuple(cols), s)))
+    ends.sort(key=lambda t: t[0].sort_key())
+    counts = tuple(map([l.kind for l, _ in ends].count,
+                       ("face", "edge", "vertex")))
+    if counts != _CLASS_COMPOSITION[label.name]:
+        raise InconsistentClass(
+            f"class {label.name} expects endpoint composition "
+            f"{_CLASS_COMPOSITION[label.name]} (faces, edges, vertices) "
+            f"but found {counts}")
+    return label, tuple(l for l, _ in ends), tuple(c for _, c in ends)
 
 
 def face_kernel_point(M: PayoffMatrix, i: int):
     """Closed-form equilibrium in the interior of face x_i = 0.
 
-    With (p, q, r) the remaining strategies in increasing order, the
-    vector (a_qr, -a_pr, a_pq) has all entries of one strict sign (read
-    from ``M.signs``) exactly when the face carries an induced 3-cycle,
-    and normalizing it gives the unique face equilibrium.  It lies in
-    the null space of the full matrix precisely when A is singular.
-
-    Parameters use 1-based strategy indices.  Returns a 4-tuple summing
-    to one, exact when M is exact.
+    Column i of A*, (a_qr, -a_pr, a_pq) at the other strategies
+    p < q < r, has one strict sign (read from ``M.signs``) exactly when
+    the face carries an induced 3-cycle, and normalized it is the face's
+    equilibrium, which A kills when it is singular.  The index is
+    1-based; the 4-tuple sums to one and is exact when M is.
     """
     if M.n != 4 or i not in (1, 2, 3, 4):
         raise PreconditionFailed("face index must be 1..4 on a 4x4 matrix")
-    p, q, r = (k for k in range(4) if k != i - 1)
-    a, sg = M.rows, M.signs
-    v = (a[q][r], -a[p][r], a[p][q])
-    if (sg[q][r], -sg[p][r], sg[p][q]) not in ((1, 1, 1), (-1, -1, -1)):
+    others = tuple(k for k in range(4) if k != i - 1)
+    if _support(M.signs, i - 1) != others:
+        v = tuple(_dual_column(M.rows, i - 1)[k] for k in others)
         raise PreconditionFailed(
             f"face {i} carries no induced 3-cycle (witness {v})")
-    total = v[0] + v[1] + v[2]
-    zero = Fraction(0) if M.exact else 0.0
-    out = [zero] * 4
-    for pos, c in zip((p, q, r), v):
-        out[pos] = c / total
-    return tuple(out)
+    return _endpoint(M.rows, (i - 1,), others)
 
 
 def edge_kernel_point(M: PayoffMatrix, i: int, j: int):
     """Closed-form equilibrium in the interior of edge conv(e_i, e_j).
 
-    Requires a_ij = 0 and a positive ratio rho = -a_jk / a_ik that is the
-    same for both off-edge strategies k; then
-    (rho e_i + e_j) / (1 + rho) kills both off-edge growth rates.  The
-    two ratios agree exactly when the Pfaffian vanishes, so an
-    inconsistent pair means the matrix was not singular.
-
-    Indices are 1-based.  Returns a 4-tuple, exact when M is exact.
+    Requires a_ij = 0, a singular A (with a_ij = 0, the ratio
+    rho = -a_jk / a_ik is then the same for both off-edge k) and rho > 0:
+    then (rho e_i + e_j) / (1 + rho) is the edge's equilibrium, the
+    normalized column k or l of A* that :func:`kernel_line_section`
+    picks.  Indices are 1-based; the 4-tuple is exact when M is.
     """
     if M.n != 4 or i == j or not all(k in (1, 2, 3, 4) for k in (i, j)):
         raise PreconditionFailed("edge needs two distinct indices in 1..4")
-    if i > j:
-        i, j = j, i
-    if M.signs[i - 1][j - 1] != 0:
-        raise PreconditionFailed(f"a[{i}][{j}] = {M.rows[i - 1][j - 1]} "
+    i, j = sorted((i, j))
+    a, sg, ii, jj = M.rows, M.signs, i - 1, j - 1
+    if sg[ii][jj] != 0:
+        raise PreconditionFailed(f"a[{i}][{j}] = {a[ii][jj]} "
                                  "must vanish for an edge equilibrium")
-    z, why = _edge_point(M, i, j)
-    if z is None:
-        raise PreconditionFailed(why)
-    return z
-
-
-def _edge_point(M: PayoffMatrix, i: int, j: int) -> tuple:
-    """:func:`edge_kernel_point` on the zero pair i < j: ``(point, None)``,
-    or ``(None, why)`` when the pair carries no interior point."""
-    a, sg = M.rows, M.signs
-    ii, jj = i - 1, j - 1
     k, l = (p for p in range(4) if p not in (ii, jj))
     if sg[ii][k] == 0 or sg[ii][l] == 0:
-        return None, (f"edge ({i},{j}) has a neutral off-edge strategy; "
-                      "no unique interior edge point")
+        raise PreconditionFailed(f"edge ({i},{j}) has a neutral off-edge "
+                                 "strategy; no unique interior edge point")
     r1 = -a[jj][k] / a[ii][k]
-    r2 = -a[jj][l] / a[ii][l]
-    if not (r1 == r2 if M.exact else
-            abs(r1 - r2) <= _RTOL * max(1.0, abs(r1))):
-        return None, (f"cross ratios disagree ({r1} vs {r2}); "
-                      "matrix is not singular over this edge")
+    if not M.is_singular():
+        raise PreconditionFailed(
+            f"cross ratios disagree ({r1} vs {-a[jj][l] / a[ii][l]}); "
+            "matrix is not singular over this edge")
     if sg[jj][k] * sg[ii][k] >= 0:  # the sign of r1 is -sg[jj][k] sg[ii][k]
-        return None, (f"ratio {r1} is not positive; edge ({i},{j}) carries "
-                      "no interior equilibrium")
-    one = Fraction(1) if M.exact else 1.0
-    denom = one + r1
-    zero = Fraction(0) if M.exact else 0.0
-    out = [zero] * 4
-    out[ii] = r1 / denom
-    out[jj] = one / denom
-    return tuple(out), None
+        raise PreconditionFailed(f"ratio {r1} is not positive; edge ({i},{j}) "
+                                 "carries no interior equilibrium")
+    edge = (ii, jj)
+    return _endpoint(a, [c for c in (k, l) if _support(sg, c) == edge], edge)
 
 
 def kernel_line_section(M: PayoffMatrix) -> NullLineSection:
@@ -249,41 +244,17 @@ def kernel_line_section(M: PayoffMatrix) -> NullLineSection:
 
     The digraph is classified first; the class dictates how many
     endpoints of each kind must exist (two faces for I and II, face and
-    edge for III, face and vertex for IV, two edges for V).  Endpoints
-    are then found structurally: faces with induced 3-cycles (read from
-    the digraph's 3-cycles), zero pairs with consistent positive cross
-    ratios, and identically zero rows.
-    A mismatch between structure and class raises InconsistentClass.
-    Zero entries and singularity are read from ``M`` (see
-    :attr:`PayoffMatrix.signs`).
+    edge for III, face and vertex for IV, two edges for V).  The
+    endpoints are the normalized one-sign columns of A*, whose loci
+    :func:`_endpoint_columns` reads from ``M.signs`` alone; a mismatch
+    with the class raises InconsistentClass.  Singularity is read from
+    ``M`` (see :meth:`PayoffMatrix.is_singular`).
     """
     if not M.is_singular():
         raise PreconditionFailed(
             "matrix is not singular; the null line misses the simplex")
-    G = build_digraph(M)
-    label = classify(G)
-
-    found = [(Locus("face", (i,)), face_kernel_point(M, i))
-             for i in (1, 2, 3, 4) if any(i not in c for c in G.three_cycles)]
-    found += [(Locus("edge", (i, j)), z) for i in (1, 2, 3, 4)
-              for j in range(i + 1, 5) if M.signs[i - 1][j - 1] == 0
-              and (z := _edge_point(M, i, j)[0]) is not None]
-    one = Fraction(1) if M.exact else 1.0
-    zero = Fraction(0) if M.exact else 0.0
-    found += [(Locus("vertex", (i + 1,)),
-               tuple(one if p == i else zero for p in range(4)))
-              for i in range(4) if not any(M.signs[i])]
-
-    counts = tuple(map([l.kind for l, _ in found].count,
-                       ("face", "edge", "vertex")))
-    if counts != _CLASS_COMPOSITION[label.name]:
-        raise InconsistentClass(
-            f"class {label.name} expects endpoint composition "
-            f"{_CLASS_COMPOSITION[label.name]} (faces, edges, vertices) "
-            f"but found {counts}")
-    found.sort(key=lambda t: t[0].sort_key())
-    loci = tuple(l for (l, _) in found)
-    endpoints = tuple(z for (_, z) in found)
+    label, loci, columns = _endpoint_columns(M.signs)
+    endpoints = tuple(_endpoint(M.rows, c, s) for c, s in columns)
 
     mid = [(a + b) / 2 for a, b in zip(*endpoints)]
     if not all(v > 0 for v in mid):

@@ -7,7 +7,7 @@ the raw share coordinates.  Tests compare package output against these.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -37,6 +37,14 @@ def det_leibniz(rows):
             term *= Fraction(rows[i][perm[i]])
         total += sign * term
     return total
+
+
+def in_span(vec, basis):
+    """Whether vec lies in the span of basis, exactly: every 3x3 minor of
+    the 3x4 stack of the two basis vectors and vec vanishes."""
+    rows = [list(b) for b in basis] + [list(vec)]
+    return all(det_leibniz([[Fraction(r[c]) for c in keep] for r in rows])
+               == 0 for keep in combinations(range(4), 3))
 
 
 def simple_cycles(edges, length):

@@ -8,7 +8,7 @@ whole battery stays at desk scale.
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -16,13 +16,14 @@ import pytest
 from replicator4 import (PayoffMatrix, UnclassifiableSignPattern, ZeroMatrix,
                          boundary_prediction, canonical_matrix,
                          classify_matrix, detect_period, integrate,
-                         interior_starts, is_permanent, kernel_line_section,
-                         permanence_probe, sample_acyclic_singular,
-                         sample_class_matrix, sample_cyclic_nonsingular,
-                         section_by_clipping, stability_probe,
-                         verify_boundary)
+                         interior_starts, is_permanent, kernel_basis,
+                         kernel_line_section, permanence_probe,
+                         sample_acyclic_singular, sample_class_matrix,
+                         sample_cyclic_nonsingular, section_by_clipping,
+                         stability_probe, verify_boundary)
 from replicator4 import boundary
 from replicator4.ensembles import barycenter_starts
+from oracles import in_span
 
 SEED = 20260814
 CLASS_NAMES = ("I", "II", "III", "IV", "V")
@@ -115,7 +116,9 @@ def test_kernel_endpoints_annihilate_payoffs_and_match_loci(class_ensembles):
 
     Both endpoints must satisfy ||A x||_inf <= 1e-10, carry the locus
     combination of their class (up to the relabeling), keep an interior
-    midpoint, and agree with the line-clipping fallback to 1e-10.
+    midpoint, and agree with the line-clipping fallback to 1e-10.  The
+    exact ``kernel_basis`` spans the same plane: two independent exact
+    kernel vectors whose span holds both endpoints.
     """
     composition = {"I": ("face", "face"), "II": ("face", "face"),
                    "III": ("edge", "face"), "IV": ("face", "vertex"),
@@ -141,6 +144,13 @@ def test_kernel_endpoints_annihilate_payoffs_and_match_loci(class_ensembles):
             assert np.mean(pts, axis=0).min() > 0
             for c in section_by_clipping(M):
                 assert min(np.linalg.norm(c - p) for p in pts) <= 1e-10
+            u, v = basis = kernel_basis(M)
+            for b in basis:
+                assert all(sum(M[i, j] * b[j] for j in range(4)) == 0
+                           for i in range(4))
+            assert any(u[p] * v[q] != u[q] * v[p]
+                       for p, q in combinations(range(4), 2))
+            assert all(in_span(e, basis) for e in section.endpoints)
 
 
 def test_relative_entropy_conserved_along_interior_flow(certified_runs):

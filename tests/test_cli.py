@@ -537,9 +537,10 @@ def test_boundary_refuses_a_sample_count_past_its_bound(tmp_path, capsys):
 def test_boundary_refuses_a_history_past_its_bound(tmp_path, capsys,
                                                    monkeypatch):
     # a run's history grows with rows times iterations, which grow with
-    # the payoff scale, past what the sample count bounds: a doubling past
+    # the payoff scale, past what the sample count bounds: a history past
     # MAX_HISTORY_BYTES is refused with an error.v1 object, here at a bound
-    # small enough to refuse canonical I times 100 in milliseconds
+    # small enough to refuse canonical I times 100 in milliseconds, first
+    # on the 18 edge starts, whose 25 iterations the bound cannot hold
     assert replicator4.dynamics.MAX_HISTORY_BYTES == 1 << 30
     monkeypatch.setattr(replicator4.dynamics, "MAX_HISTORY_BYTES", 1 << 16)
     text = " / ".join(" ".join(str(100 * int(a)) for a in row.split())
@@ -551,7 +552,23 @@ def test_boundary_refuses_a_history_past_its_bound(tmp_path, capsys,
     assert (code, out) == (1, "")
     payload = validated(err, "error")
     assert payload["error"]["type"] == "PreconditionFailed"
-    assert re.fullmatch(r"a run of 12 rows, each at t >= \S+, would keep "
+    assert re.fullmatch(r"a run of 18 rows, each at t >= \S+, would keep "
+                        r"a history past 65536 bytes",
+                        payload["error"]["message"])
+
+
+def test_portrait_refuses_a_history_past_its_bound(tmp_path, capsys,
+                                                   monkeypatch):
+    # the history's first block is held to the bound too: 50 starts fill
+    # 65536 bytes in 2 iterations, long before the run ends
+    monkeypatch.setattr(replicator4.dynamics, "MAX_HISTORY_BYTES", 1 << 16)
+    code, out, err = run(["portrait", "--matrix",
+                          matrix_file(tmp_path, M_I_TEXT), "--starts", "50"],
+                         capsys)
+    assert (code, out) == (1, "")
+    payload = validated(err, "error")
+    assert payload["error"]["type"] == "PreconditionFailed"
+    assert re.fullmatch(r"a run of 50 rows, each at t >= \S+, would keep "
                         r"a history past 65536 bytes",
                         payload["error"]["message"])
 
@@ -643,6 +660,7 @@ def test_classify_and_kernel_are_scale_free(s, tmp_path, capsys):
     ["boundary", "--t-end", "nan"],
     ["boundary", "--t-end", "inf"],
     ["portrait", "--starts", "-2"],
+    ["portrait", "--starts", "1001"],
     ["simulate", "--t-end", "nan"],
     ["simulate", "--t-end", "inf"],
     ["simulate", "--rtol", "-1"],

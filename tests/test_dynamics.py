@@ -955,15 +955,26 @@ def test_field_fills_out_when_given(rng):
 
 
 def test_history_past_its_bound_is_refused(MI, monkeypatch):
-    # the history doubles its capacity from 64 iterations; a doubling past
-    # MAX_HISTORY_BYTES is refused, with the row count, the time every row
-    # reached and the bound, at the 64th iteration
+    # the history's first block holds 64 iterations, or as many as
+    # MAX_HISTORY_BYTES admits: 54 of the 4 rows' 1,832 bytes in 100,000;
+    # a doubling past the bound is refused, with the row count, the time
+    # every row reached and the bound, at the 54th iteration
     monkeypatch.setattr(dynamics, "MAX_HISTORY_BYTES", 100_000)
     until = dynamics._integrate(MI.array, STARTS, 400.0, 1e-10, 1e-12)
     with pytest.raises(PreconditionFailed) as exc:
         until(slice(None), 400.0)
     u0 = gauge(np.log([check_simplex_point(x0) for x0 in STARTS]))
     *_, (t, *_) = itertools.islice(_rk.lockstep(
-        batch_field(MI.array), u0, 400.0, 1e-10, 1e-12, gauge), 64)
+        batch_field(MI.array), u0, 400.0, 1e-10, 1e-12, gauge), 54)
     assert str(exc.value) == (f"a run of 4 rows, each at t >= {t.min():.6g}, "
                               "would keep a history past 100000 bytes")
+
+
+def test_history_bound_holds_before_the_first_step(MI, monkeypatch):
+    # a bound that holds not even one iteration of the batch (458 bytes a
+    # row at n = 4) is refused when the run is set up, before any step
+    monkeypatch.setattr(dynamics, "MAX_HISTORY_BYTES", 4 * 458 - 1)
+    with pytest.raises(PreconditionFailed) as exc:
+        dynamics._integrate(MI.array, STARTS, 400.0, 1e-10, 1e-12)
+    assert str(exc.value) == ("a run of 4 rows, each at t >= 0, would keep "
+                              "a history past 1831 bytes")

@@ -2,11 +2,13 @@
 
 Endpoint coordinates asserted here were worked out by hand from the
 defining linear systems and double-checked by the exact residual
-A z = 0 below, so the closed forms and the elimination route guard
-each other.
+A z = 0 below; the exact basis is checked against hand-derived spans
+with the Leibniz minors of ``oracles``, which share no code with the
+columns of the Hodge dual that give both the basis and the endpoints.
 """
 
 from fractions import Fraction
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -14,30 +16,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from replicator4 import (EmptyKernelSection, PayoffMatrix,
-                         PreconditionFailed, UnclassifiableSignPattern,
-                         canonical_matrix, distance_to_K, edge_kernel_point,
-                         face_kernel_point, kernel_basis, kernel_line_section,
-                         section_by_clipping, section_residual)
-from replicator4.ensembles import sample_class_matrix
-from oracles import det_leibniz, segment_distance_grid
+                         PreconditionFailed, RankError,
+                         UnclassifiableSignPattern, canonical_matrix,
+                         classify_matrix, distance_to_K, edge_kernel_point,
+                         face_kernel_point, is_permanent, kernel_basis,
+                         kernel_line_section, section_by_clipping,
+                         section_residual)
+from replicator4.ensembles import (sample_class_matrix,
+                                   sample_cyclic_nonsingular)
+from replicator4.kernelgeom import _endpoint_columns
+from oracles import in_span, relabel_rows, segment_distance_grid
 
 SPEC_SPANS = {
     "I": ((0, 1, 1, 1), (1, 0, 2, 1)),
     "V": ((1, 1, 0, 0), (0, 0, 1, 1)),
 }
-
-
-def _in_span(vec, basis):
-    # rank of basis must not grow when vec is appended; all 3x3 minors
-    # of the stacked 3x4 matrix vanish exactly
-    rows = [list(b) for b in basis] + [list(vec)]
-    cols = range(4)
-    from itertools import combinations
-    for keep in combinations(cols, 3):
-        minor = [[Fraction(r[c]) for c in keep] for r in rows]
-        if det_leibniz(minor) != 0:
-            return False
-    return True
 
 
 @pytest.mark.parametrize("name", ["I", "V"])
@@ -49,13 +42,17 @@ def test_kernel_basis_matches_hand_elimination(name):
         assert all(sum(M[i, j] * b[j] for j in range(4)) == 0
                    for i in range(4))
     for v in SPEC_SPANS[name]:
-        assert _in_span(v, basis)
+        assert in_span(v, basis)
 
 
 def test_kernel_basis_rejects_nonsingular():
     bumped = PayoffMatrix.from_upper([0, 1, -1, -1, 2, 0])
     with pytest.raises(Exception):
         kernel_basis(bumped)
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        with pytest.raises(RankError):
+            kernel_basis(sample_cyclic_nonsingular(rng))
 
 
 def test_face_point_MI_2(MI):
@@ -114,6 +111,92 @@ EXPECTED_LOCI = {
     "IV": [("face", (1,)), ("vertex", (1,))],
     "V": [("edge", (1, 2)), ("edge", (3, 4))],
 }
+
+
+COMPOSITION = {"I": (2, 0, 0), "II": (2, 0, 0), "III": (1, 1, 0),
+               "IV": (1, 0, 1), "V": (0, 2, 0)}
+
+
+def test_every_classified_sign_pattern_gives_its_class_composition():
+    # K's loci come from the sign pattern alone, so each of the 74 patterns
+    # that classify must give its class's (faces, edges, vertices), with
+    # supports that cover every strategy, which makes K's midpoint interior
+    classified = 0
+    for upper in product((-1, 0, 1), repeat=6):
+        if not any(upper):
+            continue
+        M = PayoffMatrix.from_upper(upper)
+        try:
+            name = classify_matrix(M).name
+        except UnclassifiableSignPattern:
+            continue
+        classified += 1
+        label, loci, columns = _endpoint_columns(M.signs)
+        assert label.name == name
+        kinds = [locus.kind for locus in loci]
+        assert tuple(map(kinds.count, ("face", "edge", "vertex"))) == \
+            COMPOSITION[name], upper
+        assert {k + 1 for _, support in columns for k in support} == \
+            {1, 2, 3, 4}, upper
+    assert classified == 74
+
+
+def test_float_K_takes_the_one_singularity_rule():
+    # permanent and class III under payoff's singularity rule, while the
+    # cross ratios of the zero pair (1, 2), 1 and 1 + 5e-10, differ past
+    # a relative 1e-10: K must not rest on a second tolerance
+    M = PayoffMatrix.from_upper([0.0, 0.1, -0.1, -0.1, 0.1 + 5e-11, -1.0])
+    assert is_permanent(M) and classify_matrix(M).name == "III"
+    section = kernel_line_section(M)
+    assert [(l.kind, l.strategies) for l in section.loci] == \
+        [("face", (1,)), ("edge", (1, 2))]
+    for z in section.as_array():
+        assert np.abs(M.array @ z).max() <= 1e-10
+
+
+def _symmetry_matrices():
+    rng = np.random.default_rng(2031)
+    classes = ("I", "II", "III", "IV", "V")
+    return ([canonical_matrix(c) for c in classes]
+            + [sample_class_matrix(classes[k % 5], rng) for k in range(20)])
+
+
+def _relabeled(section, perm):
+    """K's (kind, strategies, endpoint) triples after naming strategy i
+    perm[i - 1]."""
+    out = set()
+    for locus, z in zip(section.loci, section.endpoints):
+        w = [None] * 4
+        for k, v in enumerate(z):
+            w[perm[k] - 1] = v
+        out.add((locus.kind,
+                 tuple(sorted(perm[i - 1] for i in locus.strategies)),
+                 tuple(w)))
+    return out
+
+
+def test_K_commutes_with_relabeling():
+    # P A P' has the relabeled K: endpoints permuted exactly, loci
+    # renamed, and the same class
+    for M in _symmetry_matrices():
+        section = kernel_line_section(M)
+        for perm in permutations((1, 2, 3, 4)):
+            moved = kernel_line_section(
+                PayoffMatrix.from_rows(relabel_rows(M.rows, perm)))
+            assert moved.label.name == section.label.name
+            assert _relabeled(moved, (1, 2, 3, 4)) == \
+                _relabeled(section, perm), (M.rows, perm)
+
+
+def test_K_is_unchanged_by_time_reversal():
+    # -A has A's null space, so the same section, and the same class
+    for M in _symmetry_matrices():
+        section = kernel_line_section(M)
+        back = kernel_line_section(
+            PayoffMatrix.from_rows([[-v for v in row] for row in M.rows]))
+        assert (back.endpoints, back.loci) == (section.endpoints,
+                                               section.loci)
+        assert back.label.name == section.label.name
 
 
 @pytest.mark.parametrize("name", ["I", "II", "III", "IV", "V"])

@@ -23,10 +23,12 @@ the diff.  Class I also runs ``orbit`` with ``--delta 0`` (``I-delta0``:
 Float twins of I-V scaled by 1e-13 and 1e13 (``I1e-13``, ``I1e13``, ...)
 run ``classify`` and ``kernel --float``, so that float-mode decisions show
 in the diff.  One seeded relabeled sample per class, ``sample_class_matrix(c,
-default_rng(0))`` (``S-I`` ... ``S-V``), runs ``classify``, ``kernel`` and
-``boundary``, so that the ensemble draws show too, with the class and the
-exact K endpoints of a relabeled draw with unequal denominators.  Two
-runs take error paths, so that their exit codes and error objects show:
+default_rng(0))`` (``S-I`` ... ``S-V``), runs ``classify``, ``kernel``,
+``kernel --float`` and ``boundary``, so that the ensemble draws show too,
+with the class and the exact and float K endpoints of a relabeled draw
+with unequal denominators (the float ones, unlike the canonical ratios,
+are not all exact in binary).  Two runs take error paths, so that their
+exit codes and error objects show:
 ``verify`` on exact class I at a thousandth of its payoffs
 (``I-milli``), whose orbit finds no section return inside the horizon
 (``NoClosureFound``), and ``orbit --x0`` with coordinates that do not
@@ -40,7 +42,7 @@ starts each on canonical I-V (``interior_starts``) and on one
 ``sample_cyclic_nonsingular`` and one ``sample_acyclic_singular`` draw
 (``barycenter_starts``), all from ``default_rng(0)``, then on the seven
 as one stack; its pairs go to ``screen.probe.json`` as JSON numbers,
-which round-trip every bit (172 files in all when ``I-edge`` certifies).
+which round-trip every bit (182 files in all when ``I-edge`` certifies).
 Printed: per JSON key (list indices folded to ``[]``), CSV column or SVG
 file, how many floats moved and the largest absolute and relative move;
 per work counter (:data:`COUNTERS`, the integrator's step counts, which
@@ -78,6 +80,7 @@ TUBE_RUNS = (("I-delta0", ("orbit", ("--seed", "3", "--delta", "0"), ".json")),
                             ".json")))
 SAMPLED_RUNS = (("classify", (), ".json"),
                 ("kernel", (), ".json"),
+                ("kernel", ("--float",), ".float.json"),
                 ("boundary", ("--seed", "0"), ".json"))
 ERROR_RUNS = (("I-milli", RUNS[2]),
               ("I-badx0", ("orbit", ("--x0", "0.25,0.25,0.25,0.26"),
@@ -162,7 +165,8 @@ def run_tree(tree: str, out: Path) -> None:
                 [sys.executable, "-m", "replicator4.cli", cmd, "--matrix", "-",
                  *options, "--out", f"{stem}{ext}"], input=text,
                 env=env, text=True, capture_output=True)
-            Path(f"{stem}.exit").write_text(f"{res.returncode}\n{res.stderr}")
+            Path(f"{stem}{ext}").with_suffix(".exit").write_text(
+                f"{res.returncode}\n{res.stderr}")
 
 
 def leaves(path: Path, key: str):
@@ -209,8 +213,9 @@ def main(old: str, new: str) -> int:
                   for p in sorted(b.iterdir()) if p.name not in names]
         for pa in files:
             cmd, _, ext = pa.name.split(".", 2)
-            key = cmd + {"csv.drift.json": ".drift",
-                         "exit": ".exit"}.get(ext, "")
+            key = cmd + {"csv.drift.json": ".drift", "exit": ".exit",
+                         "float.json": ".float",
+                         "float.exit": ".float.exit"}.get(ext, "")
             pb = b / pa.name
             if pb.exists() and pa.read_bytes() == pb.read_bytes():
                 continue
