@@ -277,15 +277,13 @@ def lockstep(fun, u0, t_end, rtol, atol, project):
     at or past its end takes no step, and keeps its step and PI memory
     for a raised end.  A row is projected, and takes the last stage as its
     derivative, only after a step it accepts (``project`` returns a new
-    array: the trial's buffer is reused), and when every row accepts a
-    step short of its end, takes the trial as it is, without selects.  A
-    step that would leave less than :data:`MIN_STEP` to go takes the
-    whole rest, so every row ends at exactly its end.  Yields ``(t, u,
-    ok, K)`` per iteration, ``ok`` marking the rows that accepted and
-    ``K`` the trial's stages, scratch (viewed once per call, :func:`_views`)
-    overwritten by the next iteration.  A live step not at least
-    :data:`MIN_STEP` (NaN too) raises StepSizeUnderflow with the row,
-    its time, step and state.
+    array: the trial's buffer is reused).  A step that would leave less
+    than :data:`MIN_STEP` to go takes the whole rest, so every row ends
+    at exactly its end.  Yields ``(t, u, ok, K)`` per iteration, ``ok``
+    marking the rows that accepted and ``K`` the trial's stages, scratch
+    (viewed once per call, :func:`_views`) overwritten by the next
+    iteration.  A live step not at least :data:`MIN_STEP` (NaN too)
+    raises StepSizeUnderflow with the row, its time, step and state.
     """
     u = u0
     f = fun(u)
@@ -324,12 +322,9 @@ def lockstep(fun, u0, t_end, rtol, atol, project):
             err_next = np.where(live, err_next, err_prev)
         h, err_prev = h_next, err_next
         ok &= live
-        if ok.all() and not whole.any():  # the values the selects take
-            t, u, f = t + step, u_new, K[-1].copy()
-        else:
-            t = np.where(ok, np.where(whole, t_end, t + step), t)
-            u = np.where(ok[:, None], u_new, u)
-            f = np.where(ok[:, None], K[-1], f)
+        t = np.where(ok, np.where(whole, t_end, t + step), t)
+        u = np.where(ok[:, None], u_new, u)
+        f = np.where(ok[:, None], K[-1], f)
         yield t, u, ok, K
 
 

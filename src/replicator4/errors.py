@@ -59,7 +59,7 @@ class InconsistentClass(Replicator4Error):
 
 
 class EmptyKernelSection(Replicator4Error):
-    """Null line does not meet the open simplex."""
+    """Null line does not meet the open simplex, or a float K misses it."""
 
 
 class StepSizeUnderflow(Replicator4Error, ArithmeticError):

@@ -150,15 +150,15 @@ def _support(signs, i: int) -> tuple:
 def _endpoint(a, columns: tuple, support: tuple) -> tuple:
     """Of the columns of A* at ``columns``, the one whose sum on
     ``support`` (added in index order) is largest in magnitude, divided
-    by it there and zero off it: A A* e_i = -pf e_i, so under float
-    rounding of pf = 0 the largest sum leaves the least residual."""
+    by it there and zero off it, and that sum: A A* e_i = -pf e_i, so the
+    largest sum leaves the least residual, |pf / sum|."""
     col, total = max(((c, sum(c[k] for k in support))
                       for c in (_dual_column(a, i) for i in columns)),
                      key=lambda t: abs(t[1]))
     out = [a[i][i] for i in range(4)]
     for k in support:
         out[k] = col[k] / total
-    return tuple(out)
+    return tuple(out), total
 
 
 @lru_cache(maxsize=3 ** 6)  # one entry per 4x4 skew sign pattern
@@ -204,7 +204,7 @@ def face_kernel_point(M: PayoffMatrix, i: int):
         v = tuple(_dual_column(M.rows, i - 1)[k] for k in others)
         raise PreconditionFailed(
             f"face {i} carries no induced 3-cycle (witness {v})")
-    return _endpoint(M.rows, (i - 1,), others)
+    return _endpoint(M.rows, (i - 1,), others)[0]
 
 
 def edge_kernel_point(M: PayoffMatrix, i: int, j: int):
@@ -235,8 +235,8 @@ def edge_kernel_point(M: PayoffMatrix, i: int, j: int):
     if sg[jj][k] * sg[ii][k] >= 0:  # the sign of r1 is -sg[jj][k] sg[ii][k]
         raise PreconditionFailed(f"ratio {r1} is not positive; edge ({i},{j}) "
                                  "carries no interior equilibrium")
-    edge = (ii, jj)
-    return _endpoint(a, [c for c in (k, l) if _support(sg, c) == edge], edge)
+    cols = [c for c in (k, l) if _support(sg, c) == (ii, jj)]
+    return _endpoint(a, cols, (ii, jj))[0]
 
 
 def kernel_line_section(M: PayoffMatrix) -> NullLineSection:
@@ -248,13 +248,20 @@ def kernel_line_section(M: PayoffMatrix) -> NullLineSection:
     endpoints are the normalized one-sign columns of A*, whose loci
     :func:`_endpoint_columns` reads from ``M.signs`` alone; a mismatch
     with the class raises InconsistentClass.  Singularity is read from
-    ``M`` (see :meth:`PayoffMatrix.is_singular`).
+    ``M`` (see :meth:`PayoffMatrix.is_singular`).  A float endpoint off
+    the null line by more than ``_RTOL`` of max|a| raises EmptyKernelSection.
     """
     if not M.is_singular():
         raise PreconditionFailed(
             "matrix is not singular; the null line misses the simplex")
     label, loci, columns = _endpoint_columns(M.signs)
-    endpoints = tuple(_endpoint(M.rows, c, s) for c, s in columns)
+    endpoints, sums = zip(*[_endpoint(M.rows, c, s) for c, s in columns])
+    # |A z| / max|a| = |pf(A / max|a|) / (sum / max|a|)|, largest at the
+    # smallest |sum|
+    r = 0.0 if M.exact else abs(M._pf * M.max_abs()) / min(map(abs, sums))
+    if r > _RTOL:
+        raise EmptyKernelSection(f"an endpoint of K misses the null line by "
+                                 f"{r:.3e} of max|a|, past {_RTOL:.0e}")
 
     mid = [(a + b) / 2 for a, b in zip(*endpoints)]
     if not all(v > 0 for v in mid):

@@ -227,13 +227,14 @@ def first_closure(trajs: Sequence[Trajectory], ps, f0s,
     (:func:`replicator4._rk.interpolate`), and the index of the period,
     the first within ``closure_tol`` (None if there is none).
 
-    A trajectory's brackets are halved, at most 90 times, until each is
-    narrower than 1e-16 relative or none has a midpoint strictly inside:
-    from then on the midpoint, the time returned, no longer changes.  One
-    dense evaluation serves six halvings, at each midpoint of a heap whose
-    node q has halves 2q + 1 (hi = mid) and 2q + 2 (lo = mid); the signs
-    of a trajectory's nodes are one stacked product, whose (brackets, n)
-    slices round as one halving's would, and the rules above walk it."""
+    Every bracket is halved until its ends are adjacent floats, at most
+    90 times.  Then its midpoint, the time returned, is one of its ends,
+    so a further halving keeps the bracket or collapses it onto that end
+    and the time stays: all brackets are halved together, and each return
+    depends on its own step alone.  One dense evaluation serves six
+    halvings, at each midpoint of a heap whose node q has halves 2q + 1
+    (hi = mid) and 2q + 2 (lo = mid); a trajectory's signs are one
+    product on its own (63, brackets, n) slice, rounded as one halving's."""
     ss = [(traj.xs - p) @ f0 for traj, p, f0 in zip(trajs, ps, f0s)]
     ks = [np.flatnonzero((s[1:-1] < 0) & (s[2:] >= 0)) + 1 for s in ss]
     counts = np.array([len(k) for k in ks], dtype=int)
@@ -241,39 +242,27 @@ def first_closure(trajs: Sequence[Trajectory], ps, f0s,
     # a bracket stays on its step
     nodes = [np.concatenate(v) for v in zip(*(
         traj.pieces(k) for traj, k in zip(trajs, ks)))]
-    lo, hi = nodes[0].tolist(), nodes[1].tolist()
-    own = [r.tolist() for r in np.split(np.arange(len(lo)), splits)]
-    live, level = [j for j in range(len(trajs)) if counts[j]], 0
-    while level < 90 and (live := [j for j in live if any(
-            lo[i] < 0.5 * (lo[i] + hi[i]) < hi[i] for i in own[j])]):
-        rows = [i for j in live for i in own[j]]
-        L, H = np.empty((2, 63, len(rows)))
-        L[0], H[0] = [lo[i] for i in rows], [hi[i] for i in rows]
+    lo, hi = nodes[:2]
+    each = np.arange(len(lo))
+    for _ in range(15):  # six halvings a pass, 90 at most
+        if not ((lo < (mid := 0.5 * (lo + hi))) & (mid < hi)).any():
+            break
+        L, H = np.empty((2, 63, len(lo)))
+        L[0], H[0] = lo, hi
         for a in (0, 1, 3, 7, 15):
             # nodes q = a .. 2a, one level, and their halves 2q + 1, 2q + 2
             lk, hk = L[2 * a + 1:4 * a + 3], H[2 * a + 1:4 * a + 3]
             lk[::2], hk[1::2] = L[a:2 * a + 1], H[a:2 * a + 1]
             lk[1::2] = hk[::2] = 0.5 * (L[a:2 * a + 1] + H[a:2 * a + 1])
         mids = 0.5 * (L + H)
-        x = softmax(_rk.interpolate(mids, *(v[rows] for v in nodes)))
-        still, col = [], 0
-        for j in live:
-            cols, col = slice(col, col + counts[j]), col + counts[j]
-            below = ((x[:, cols] - ps[j]) @ f0s[j] < 0).tolist()
-            m, q = mids[:, cols].tolist(), [0] * counts[j]
-            for d in range(6):  # the while checks level 0 and level 6
-                for c, i in enumerate(own[j]):
-                    b = below[q[c]][c]
-                    (lo if b else hi)[i], q[c] = m[q[c]][c], 2 * q[c] + 1 + b
-                if all(hi[i] - lo[i] <= 1e-16 * max(1.0, hi[i])
-                       for i in own[j]) or d < 5 and not any(
-                           lo[i] < m[q[c]][c] < hi[i]
-                           for c, i in enumerate(own[j])):
-                    break
-            else:
-                still.append(j)
-        live, level = still, level + 6
-    t = 0.5 * (np.array(lo) + np.array(hi))
+        x = softmax(_rk.interpolate(mids, *nodes))
+        below = np.concatenate([(xj - p) @ f0 < 0 for xj, p, f0 in zip(
+            np.split(x, splits, axis=1), ps, f0s)], axis=1)
+        q = np.zeros_like(each)
+        for _ in range(6):
+            m, b = mids[q, each], below[q, each]
+            lo, hi, q = np.where(b, m, lo), np.where(b, hi, m), 2 * q + 1 + b
+    t = 0.5 * (lo + hi)
     r = np.linalg.norm(softmax(_rk.interpolate(t, *nodes)) - np.repeat(
         np.reshape(ps, (len(trajs), -1)), counts, axis=0), axis=-1)
     return [(t, r, next((int(i) for i in np.flatnonzero(r <= closure_tol)),

@@ -274,15 +274,15 @@ class PayoffMatrix:
         """Whether det(A) = 0 (the one singularity rule): pf == 0 in exact
         mode; |pf(A / max|a|)| <= ``SINGULAR_TOL`` in float mode, on the
         unit-scale entries, since pf(A) itself underflows for tiny A."""
-        return self._singular
+        return self._pf == 0 if self.exact else abs(self._pf) <= SINGULAR_TOL
 
     @cached_property
-    def _singular(self) -> bool:
+    def _pf(self) -> Scalar:
+        """pf(A) in exact mode, pf(A / max|a|) in float mode."""
         if self.exact:
-            return self.pfaffian() == 0
+            return self.pfaffian()
         m = self._max_abs
-        pf = _pfaffian([[v / m for v in r] for r in self.rows])
-        return abs(pf) <= SINGULAR_TOL
+        return _pfaffian([[v / m for v in r] for r in self.rows])
 
     def __getitem__(self, ij):
         i, j = ij

@@ -23,8 +23,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import replicator4
-from replicator4 import (__version__, canonical_matrix, format_matrix,
-                         kernel_line_section)
+from replicator4 import (PayoffMatrix, __version__, canonical_matrix,
+                         format_matrix, kernel_line_section)
 from replicator4 import cli
 from replicator4.cli import main
 
@@ -138,6 +138,21 @@ def test_kernel_rejects_nonsingular_matrix(tmp_path, capsys):
     assert out == ""
     payload = json.loads(err)
     assert payload["error"]["type"] == "PreconditionFailed"
+
+
+def test_kernel_float_refuses_an_endpoint_off_the_null_line(tmp_path,
+                                                          capsys):
+    # class I with pf at 3.5e-11 of max|a|^2 and face 3's column of A*
+    # below 1e-10 of max|a|: that endpoint misses the null line by 0.46
+    M = PayoffMatrix.from_upper([
+        -9.631989729333228e-12, 1.1692037223800513, 7.23289934637477e-11,
+        0.6828428789547006, -5.418466159685832e-12, 0.8783693804086546])
+    code, out, err = run(["kernel", "--float", "--matrix",
+                          matrix_file(tmp_path, format_matrix(M))], capsys)
+    assert code == 1
+    assert out == ""
+    payload = validated(err, "error")
+    assert payload["error"]["type"] == "EmptyKernelSection"
 
 
 def test_simulate_writes_csv_and_drift_sidecar(tmp_path, capsys):

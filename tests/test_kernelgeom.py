@@ -154,6 +154,44 @@ def test_float_K_takes_the_one_singularity_rule():
         assert np.abs(M.array @ z).max() <= 1e-10
 
 
+#: float, permanent, class I, faces 1 and 3: face 3's column of A* has
+#: entries below 1e-10 of max|a|, so normalized it is pf's rounding
+OFF_NULL_LINE = (-9.631989729333228e-12, 1.1692037223800513,
+                 7.23289934637477e-11, 0.6828428789547006,
+                 -5.418466159685832e-12, 0.8783693804086546)
+
+
+def test_float_K_off_the_null_line_is_refused():
+    M = PayoffMatrix.from_upper(OFF_NULL_LINE)
+    assert is_permanent(M) and classify_matrix(M).name == "I"
+    assert [(l.kind, l.strategies) for l in _endpoint_columns(M.signs)[1]] \
+        == [("face", (1,)), ("face", (3,))]
+    with pytest.raises(EmptyKernelSection, match="misses the null line"):
+        kernel_line_section(M)
+
+
+def test_every_float_K_lies_on_the_null_line():
+    # signs +-1, magnitudes U(0.5, 1.5), one to three entries times
+    # 10^U(-11.9, -9): pf may round to 1e-10 of max|a|^2 while a column
+    # of A* is that small; A z = -(pf / sum) e_i then leaves the line
+    rng = np.random.default_rng(34)
+    found = 0
+    for _ in range(4000):
+        upper = rng.choice([-1.0, 1.0], 6) * rng.uniform(0.5, 1.5, 6)
+        small = rng.choice(6, rng.integers(1, 4), replace=False)
+        upper[small] *= 10.0 ** rng.uniform(-11.9, -9.0, len(small))
+        M = PayoffMatrix.from_upper(upper.tolist())
+        try:
+            section = kernel_line_section(M)
+        except (PreconditionFailed, UnclassifiableSignPattern,
+                EmptyKernelSection):
+            continue
+        found += 1
+        U = M.array / np.abs(M.array).max()
+        assert np.abs(U @ section.as_array().T).max() <= 1e-10
+    assert found >= 40
+
+
 def _symmetry_matrices():
     rng = np.random.default_rng(2031)
     classes = ("I", "II", "III", "IV", "V")

@@ -272,31 +272,25 @@ def _reference_crossings(traj, p, f0):
 
 def _halving_closure(trajs, ps, f0s, closure_tol):
     """first_closure as one dense evaluation per halving, with the same
-    stop rules: the loop that six-level subtrees replaced, kept as the
-    bit-for-bit reference."""
+    stop rule, no bracket with a midpoint strictly inside: the loop that
+    six-level subtrees replaced, kept as the bit-for-bit reference."""
     ss = [(traj.xs - p) @ f0 for traj, p, f0 in zip(trajs, ps, f0s)]
     ks = [np.flatnonzero((s[1:-1] < 0) & (s[2:] >= 0)) + 1 for s in ss]
     counts = np.array([len(k) for k in ks], dtype=int)
-    owner = np.repeat(np.arange(len(trajs)), counts)
     # a bracket stays on its step
     nodes = [np.concatenate(v) for v in zip(*(
         traj.pieces(k) for traj, k in zip(trajs, ks)))]
-    lo, hi, halving = nodes[0].copy(), nodes[1].copy(), counts > 0
+    lo, hi = nodes[0], nodes[1]
     for _ in range(90):
         mid = 0.5 * (lo + hi)
-        halving &= np.bincount(owner, (lo < mid) & (mid < hi),
-                               minlength=len(trajs)) > 0
-        if not halving.any():
+        if not ((lo < mid) & (mid < hi)).any():
             break
-        rows = halving[owner]
-        x = softmax(_rk.interpolate(mid[rows], *(v[rows] for v in nodes)))
+        x = softmax(_rk.interpolate(mid, *nodes))
         below = np.concatenate([
-            (x[end - counts[j]:end] - ps[j]) @ f0s[j] for j, end in zip(
-                np.flatnonzero(halving), np.cumsum(counts[halving]))]) < 0
-        lo[rows] = np.where(below, mid[rows], lo[rows])
-        hi[rows] = np.where(below, hi[rows], mid[rows])
-        wide = ~(hi - lo <= 1e-16 * np.maximum(1.0, hi))
-        halving &= np.bincount(owner, wide, minlength=len(trajs)) > 0
+            (x[end - c:end] - p) @ f0 for end, c, p, f0 in zip(
+                np.cumsum(counts), counts, ps, f0s)]) < 0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
     t = 0.5 * (lo + hi)
     r = np.linalg.norm(softmax(_rk.interpolate(t, *nodes)) - np.repeat(
         np.reshape(ps, (len(trajs), -1)), counts, axis=0), axis=-1)
@@ -344,13 +338,14 @@ def test_bisection_stops_at_float_resolution(monkeypatch):
 
 
 @pytest.mark.parametrize("scale, span, as_90", [(16, 25.0, True),
-                                                (256, 0.2, False)])
+                                                (256, 0.2, True)])
 def test_returns_before_t1_match_the_halving_loop(monkeypatch, scale, span,
                                                   as_90):
     # class I at 16 times its payoffs has period 0.61 from X_I, so its
-    # first return takes the absolute width 1e-16, below 1 ulp there; at
-    # 256 times the period is 0.038, and a run to 0.2 stops every bracket
-    # at 1e-16, some ulps wide, short of 90 halvings
+    # first return lies below t = 1; at 256 times the period is 0.038, and
+    # a run to 0.2 has every return below 0.25, where an absolute width
+    # of 1e-16 would stop a bracket some ulps wide: each still ends on
+    # adjacent floats, as 90 halvings leave it
     M = PayoffMatrix.from_upper([scale * v for v in CANONICAL_UPPER["I"]],
                                 exact=True)
     ps = [X_I, X_IV]

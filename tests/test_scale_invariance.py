@@ -4,7 +4,8 @@ A -> sA only rescales time, so permanence, the class and its
 relabeling, the loci of K's endpoints and the boundary prediction
 table of a float twin s * A must equal those of the exact matrix A.
 The twins span s = 10**U(-15, 15) on seeded class, cyclic and acyclic
-matrices, plus a fixed ladder of scales from 3e14 down to 3e-15.
+matrices, plus a fixed ladder of scales from 3e14 down to 3e-15.  At
+s = 2^k the section returns of a run scale exactly, bit for bit.
 """
 
 from fractions import Fraction
@@ -13,10 +14,12 @@ import numpy as np
 import pytest
 
 from replicator4 import (PayoffMatrix, UnclassifiableSignPattern,
-                         boundary_prediction, classify_matrix, is_permanent,
-                         kernel_line_section, sample_acyclic_singular,
-                         sample_class_matrix, sample_cyclic_nonsingular)
+                         boundary_prediction, classify_matrix, integrate,
+                         is_permanent, kernel_line_section,
+                         sample_acyclic_singular, sample_class_matrix,
+                         sample_cyclic_nonsingular)
 from replicator4.ensembles import CANONICAL_UPPER
+from replicator4.orbit import first_closure, section_normal
 
 KINDS = ("I", "II", "III", "IV", "V", "cyclic", "acyclic")
 #: fixed upper triangles of the ladder: the canonical classes, one
@@ -91,3 +94,24 @@ def test_sign_table_is_scale_free():
     noisy[0, 1], noisy[1, 0] = 1e-13, -1e-13
     for s in (1e-200, 1.0, 1e60):
         assert PayoffMatrix.from_rows(noisy * s).signs == M.signs
+
+
+@pytest.mark.parametrize("name", ["I", "III", "IV"])
+def test_section_returns_scale_by_powers_of_two(name):
+    # 2^k A runs A's flow 2^k times as fast, and times 2^k every node of
+    # its run is A's node, bit for bit; so must every return and residual
+    # be, returns below t = 1 included
+    x0 = np.array([0.1, 0.2, 0.3, 0.4])
+    want = None
+    for k in (0, 3, 6, 8, 10):
+        M = PayoffMatrix.from_upper(
+            [2 ** k * v for v in CANONICAL_UPPER[name]], exact=True)
+        traj = integrate(M, x0, 30.0 / 2 ** k)
+        (t, r, first), = first_closure([traj], [x0], [section_normal(M, x0)],
+                                       1e-6)
+        got = traj.ts * 2 ** k, t * 2 ** k, r
+        if want is None:
+            want, first0 = got, first
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), f"k = {k}"
+        assert first == first0 == 0

@@ -13,8 +13,7 @@ unit representative.  Class I at four times its payoffs, ``I4``, runs
 inside the first 25 time units, and the stability probes, which ride along
 the period's run, are sampled from longer runs than their own.  Class I at
 16 times its payoffs, ``I16``, runs ``orbit`` and ``boundary``: its period
-is about 0.6, so the first section returns lie at t < 1, where the
-bisection's width bound is absolute rather than relative.  Class I
+is about 0.6, so the first section returns lie at t < 1.  Class I
 runs ``boundary`` again at ``--rtol 1e-12`` (``I-rtol12``), so that the
 tolerance of every boundary run, the periodic faces' included, shows in
 the diff.  Class I also runs ``orbit`` with ``--delta 0`` (``I-delta0``:
@@ -36,13 +35,16 @@ sum to 1 on class I (``I-badx0``, ``PreconditionFailed``).  Class I also
 runs ``orbit --skip-stability`` from x proportional to (1, 1, 1e-6, 1)
 (``I-edge``), a start near a face, and ``verify --float`` (seed 1,
 ``I-float``), so that float-mode ``verify`` and its tolerance Pfaffian
-check show in the diff.
+check show in the diff.  Class I at 256 times its payoffs, ``I256``,
+runs ``orbit --skip-stability`` from (0.1, 0.2, 0.3, 0.4) to a horizon
+of 0.2: its period is about 0.038, so every section return lies below
+t = 0.25, where the bisection's last halvings show.
 The permanence screen runs in process, ``permanence_probe`` with five
 starts each on canonical I-V (``interior_starts``) and on one
 ``sample_cyclic_nonsingular`` and one ``sample_acyclic_singular`` draw
 (``barycenter_starts``), all from ``default_rng(0)``, then on the seven
 as one stack; its pairs go to ``screen.probe.json`` as JSON numbers,
-which round-trip every bit (182 files in all when ``I-edge`` certifies).
+which round-trip every bit (184 files in all when ``I-edge`` certifies).
 Printed: per JSON key (list indices folded to ``[]``), CSV column or SVG
 file, how many floats moved and the largest absolute and relative move;
 per work counter (:data:`COUNTERS`, the integrator's step counts, which
@@ -92,6 +94,9 @@ EDGE_AND_FLOAT_RUNS = (
                           "3.3333322222225924e-07,0.33333322222225925"),
                 ".json")),
     ("I-float", ("verify", ("--float", "--seed", "1"), ".json")))
+#: class I x 256 from (0.1, 0.2, 0.3, 0.4): every return lies below 0.25
+SHORT_RUN = ("I256", ("orbit", ("--skip-stability", "--x0", "0.1,0.2,0.3,0.4",
+                                "--horizon", "0.2"), ".json"))
 #: (name, runs) per matrix, in the order TEXT prints them
 MATRICES = ([(c, RUNS) for c in CLASSES] + [("Iq", RUNS[:3])]
             + [("I4", (RUNS[0], RUNS[2])), ("I16", RUNS[:2]),
@@ -100,7 +105,8 @@ MATRICES = ([(c, RUNS) for c in CLASSES] + [("Iq", RUNS[:3])]
             + [(c + s, SCALED_RUNS) for s in SCALES for c in CLASSES]
             + [("S-" + c, SAMPLED_RUNS) for c in CLASSES]
             + [(name, (run,)) for name, run in ERROR_RUNS]
-            + [(name, (run,)) for name, run in EDGE_AND_FLOAT_RUNS])
+            + [(name, (run,)) for name, run in EDGE_AND_FLOAT_RUNS]
+            + [(SHORT_RUN[0], (SHORT_RUN[1],))])
 #: integer keys that count integration work rather than state a result
 COUNTERS = ("simulate.drift.naccept", "simulate.drift.nreject")
 NUM = re.compile(r"-?\d+\.\d*(?:e[-+]?\d+)?|-?\d+e[-+]?\d+")
@@ -125,7 +131,9 @@ TEXT = ("from fractions import Fraction\n"
         "    c, np.random.default_rng(0))))\n"
         "print(format_matrix(P.from_upper(\n"
         "    [Fraction(v, 1000) for v in CANONICAL_UPPER['I']], exact=True)))\n"
-        "for _ in range(3): print(format_matrix(canonical_matrix('I')))")
+        "for _ in range(3): print(format_matrix(canonical_matrix('I')))\n"
+        "print(format_matrix(P.from_upper(\n"
+        "    [256 * v for v in CANONICAL_UPPER['I']], exact=True)))")
 
 SCREEN = ("import json\n"
           "import numpy as np\n"
