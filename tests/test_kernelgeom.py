@@ -192,6 +192,45 @@ def test_every_float_K_lies_on_the_null_line():
     assert found >= 40
 
 
+#: float and singular, a_23 = 0: edge (2, 3)'s column of A* sums to about
+#: 1e-10 of max|a|, so normalized it is pf's rounding, (0, 0.4576, 0.5424,
+#: 0) with unit residual 0.98
+EDGE_OFF_NULL_LINE = (7.611430429061647e-11, -6.421665447232475e-11,
+                      1.0901090519403267, 0.0, 1.3996859441892213,
+                      1.4548135574123422)
+
+
+def test_float_edge_point_off_the_null_line_is_refused():
+    M = PayoffMatrix.from_upper(EDGE_OFF_NULL_LINE)
+    assert M.is_singular()
+    with pytest.raises(EmptyKernelSection, match=r"^the point of edge \(2,3\) "
+                       r"misses the null line by 9\.827e-01 of max\|a\|"):
+        edge_kernel_point(M, 3, 2)
+
+
+def test_every_float_edge_point_lies_on_the_null_line():
+    # the draws of test_every_float_K_lies_on_the_null_line with one entry
+    # set to 0, on every edge: the edge point takes K's residual rule
+    # (measured: 204 points, the largest unit residual 9.6e-11)
+    rng = np.random.default_rng(5)
+    found = 0
+    for _ in range(3000):
+        upper = rng.choice([-1.0, 1.0], 6) * rng.uniform(0.5, 1.5, 6)
+        small = rng.choice(6, rng.integers(1, 4), replace=False)
+        upper[small] *= 10.0 ** rng.uniform(-11.9, -9.0, len(small))
+        upper[rng.integers(6)] = 0.0
+        M = PayoffMatrix.from_upper(upper.tolist())
+        U = M.array / np.abs(M.array).max()
+        for i, j in ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)):
+            try:
+                z = edge_kernel_point(M, i, j)
+            except (PreconditionFailed, EmptyKernelSection):
+                continue
+            found += 1
+            assert np.abs(U @ np.array(z)).max() <= 1e-10, (upper, i, j)
+    assert found >= 150
+
+
 def _symmetry_matrices():
     rng = np.random.default_rng(2031)
     classes = ("I", "II", "III", "IV", "V")
